@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence
 from .errors import StructuralError, UsageError
 from .ffpoly import FpPoly, factorize, is_prime
 
-JSON_VERSION = "fricke7/1"
+JSON_VERSION = "fricke7/2"
 
 
 def _progress(msg: str) -> None:
@@ -185,7 +185,6 @@ def cmd_ss7star(args) -> int:
                 "degree": rep.ss7star.degree,
                 "L": rep.L,
                 "L7star": rep.L7star,
-                "route": rep.route,
                 "oracle_match": rep.oracle_match,
                 "nakaya": "PASS" if rep.nakaya_ok else "FAIL",
                 "coeffs": list(rep.ss7star.coeffs),
@@ -214,7 +213,6 @@ def cmd_nakaya(args) -> int:
             "L": rep.L,
             "L7star": rep.L7star,
             "predicted": rep.nakaya_predicted,
-            "route": rep.route,
             "oracle_match": rep.oracle_match,
             "nakaya": "PASS" if rep.nakaya_ok else "FAIL",
         }

@@ -1,6 +1,6 @@
 """Prime-field and F_{l^2} arithmetic plus a univariate polynomial toolbox
 over F_l: factorization (squarefree / distinct-degree / equal-degree),
-resultants, interpolation, perfect square roots, and root finding in F_{l^2}.
+resultants, perfect square roots, and root finding in F_{l^2}.
 
 Dense representation throughout.  For moduli small enough that coefficient
 products fit in int64 the inner loops run on numpy vectors; otherwise the same
@@ -96,23 +96,17 @@ class PrimeContext:
     s: int
     n: int
     mu7: int
-    delta: int
-    epsilon: int
 
     @classmethod
     def make(cls, l: int) -> "PrimeContext":
         if l in (2, 7) or l.bit_length() > 63 or not is_prime(l):
             raise ValueError(f"modulus must be an odd prime != 7 below 2^63, got {l}")
-        r = (1 - kronecker(-3, l)) // 2
-        s = (1 - kronecker(-4, l)) // 2
         return cls(
             l=l,
-            r=r,
-            s=s,
+            r=(1 - kronecker(-3, l)) // 2,
+            s=(1 - kronecker(-4, l)) // 2,
             n=l // 12,
             mu7=(1 - kronecker(-7, l)) // 2,
-            delta=r,
-            epsilon=s,
         )
 
 
@@ -541,6 +535,12 @@ def _ddf(r: _Ring, f, upto: Optional[int] = None):
     return parts, f
 
 
+# Random splitting attempts per factor.  A product of distinct degree-d
+# irreducibles splits on each attempt with probability about 1/2, so valid
+# input never gets near the cap; other input raises instead of spinning.
+_SPLIT_TRIES = 64
+
+
 def _edf(r: _Ring, f, d: int, rng: random.Random) -> List:
     """Cantor-Zassenhaus equal-degree splitting of monic f into degree-d factors."""
     out: List = []
@@ -552,9 +552,7 @@ def _edf(r: _Ring, f, d: int, rng: random.Random) -> List:
         if dg == d:
             out.append(g)
             continue
-        tries = 0
-        while True:
-            tries += 1
+        for tries in range(1, _SPLIT_TRIES + 1):
             if tries <= 8:
                 u = r.vec([rng.randrange(r.l), 1])
             else:
@@ -566,6 +564,11 @@ def _edf(r: _Ring, f, d: int, rng: random.Random) -> List:
                 stack.append(h)
                 stack.append(r.divmod(g, h)[0])
                 break
+        else:
+            raise StructuralError(
+                f"degree-{dg} factor did not split into degree-{d} factors mod l={r.l}"
+                f" after {_SPLIT_TRIES} tries"
+            )
     return out
 
 
@@ -703,78 +706,27 @@ def resultant(f: FpPoly, g: FpPoly) -> int:
         a, b = b, rem
 
 
-def _newton_interpolate(l: int, xs: List[int], ys: List[int]) -> FpPoly:
-    n = len(xs)
-    r = _Ring(l, n + 1)
-    if r.np_ok:
-        d = np.asarray(ys, dtype=np.int64) % l
-        x = np.asarray(xs, dtype=np.int64) % l
-        for k in range(1, n):
-            denom = (x[k:] - x[: n - k]) % l
-            inv = np.asarray([pow(int(v), -1, l) for v in denom], dtype=np.int64)
-            d[k:] = ((d[k:] - d[k - 1 : n - 1]) % l) * inv % l
-        poly = np.zeros(0, dtype=np.int64)
-        for i in range(n - 1, -1, -1):
-            # poly = poly*(x - xs[i]) + d[i]
-            shifted = np.zeros(len(poly) + 1, dtype=np.int64)
-            shifted[1:] = poly
-            shifted[: len(poly)] = (shifted[: len(poly)] - poly * x[i]) % l
-            if len(shifted) == 0:
-                shifted = np.zeros(1, dtype=np.int64)
-            shifted[0] = (shifted[0] + int(d[i])) % l
-            poly = shifted
-        return FpPoly(l, r.tup(poly))
-    d = [y % l for y in ys]
-    for k in range(1, n):
-        for i in range(n - 1, k - 1, -1):
-            inv = pow((xs[i] - xs[i - k]) % l, -1, l)
-            d[i] = (d[i] - d[i - 1]) * inv % l
-    coeffs: List[int] = []
-    for i in range(n - 1, -1, -1):
-        coeffs = [0] + coeffs
-        for j in range(len(coeffs) - 1):
-            coeffs[j] = (coeffs[j] - coeffs[j + 1] * xs[i]) % l
-        coeffs[0] = (coeffs[0] + d[i]) % l
-    return FpPoly.make(l, coeffs)
+def resultant_in_X(f: FpPoly, a1: FpPoly, a0: FpPoly) -> FpPoly:
+    """Res_X(f(X), X^2 + a1(Y) X + a0(Y)) as a polynomial in Y.
 
-
-def resultant_in_X(f: FpPoly, g_x_coeffs: Sequence[FpPoly]) -> FpPoly:
-    """Res_X(f(X), g(X, Y)) as a polynomial in Y.
-
-    `g_x_coeffs` lists the Y-polynomials g_0(Y), g_1(Y), g_2(Y) with
-    g = g_0 + g_1 X + g_2 X^2; the X-degree must be exactly 2 after reduction.
-    Uses per-point evaluation plus Newton interpolation when l exceeds the
-    interpolation bound, and a fraction-free Sylvester determinant over
-    F_l[Y] for small l.
+    Horner's rule reduces f modulo the monic quadratic to U(Y) X + V(Y), using
+    X^2 = -a1 X - a0.  The resultant is the product of U alpha + V over the
+    two roots alpha, which is U^2 a0 - a1 U V + V^2.
     """
-    l = f.modulus
     if f.is_zero:
         raise ValueError("zero polynomial")
-    if len(g_x_coeffs) != 3 or g_x_coeffs[2].is_zero:
-        raise ValueError("g must have X-degree exactly 2")
-    m = f.degree
-    ydeg = max(c.degree for c in g_x_coeffs)
-    bound = ydeg * m
-    if l > 8 * m + 16 and g_x_coeffs[2].degree == 0:
-        xs = list(range(bound + 1))
-        ys = []
-        for y0 in xs:
-            gy = FpPoly.make(l, [c(y0) for c in g_x_coeffs])
-            ys.append(resultant(f, gy))
-        return _newton_interpolate(l, xs, ys)
-    # Sylvester determinant over F_l[Y], exact (Bareiss) elimination
-    from .exactring import bareiss_det, sylvester_matrix
-
-    fc = [FpPoly.make(l, [c]) for c in f.coeffs]
-    mat = sylvester_matrix(fc, list(g_x_coeffs), FpPoly.zero(l))
-
-    def exact_div(a: FpPoly, b: FpPoly) -> FpPoly:
-        q, r = divmod(a, b)
-        if not r.is_zero:
-            raise StructuralError("inexact division in Sylvester elimination")
-        return q
-
-    return bareiss_det(mat, FpPoly.one(l), exact_div)
+    l = f.modulus
+    w = max(a1.degree, a0.degree, 1)  # deg_Y of U and V is at most w * deg f
+    r = _Ring(l, w * (f.degree + 1))
+    va1, va0 = r.vec(a1.coeffs), r.vec(a0.coeffs)
+    na1, na0 = r.neg(va1), r.neg(va0)
+    fv = r.vec(f.coeffs)
+    u, v = fv[:0], fv[:0]
+    for k in range(len(fv) - 1, -1, -1):
+        # (u X + v) X + f_k = (v - a1 u) X + (f_k - a0 u)
+        u, v = r.add(v, r.mul(na1, u)), r.add(r.mul(na0, u), fv[k : k + 1])
+    uu, uv, vv = r.mul(u, u), r.mul(u, v), r.mul(v, v)
+    return FpPoly(l, r.tup(r.add(r.sub(r.mul(uu, va0), r.mul(uv, va1)), vv)))
 
 
 # ---------------------------------------------------------------------------
@@ -992,7 +944,7 @@ def _fq_linear_roots(F: Fp2, f, rng: random.Random):
         if dg == 1:
             out.append(F.neg(g[0]))
             continue
-        while True:
+        for _ in range(_SPLIT_TRIES):
             delta = (rng.randrange(F.l), rng.randrange(F.l))
             u = [delta, (1, 0)]
             w = _fq_powmod(F, u, e, g)
@@ -1003,6 +955,11 @@ def _fq_linear_roots(F: Fp2, f, rng: random.Random):
                 stack.append(h)
                 stack.append(_fq_divexact(F, g, h))
                 break
+        else:
+            raise StructuralError(
+                f"degree-{dg} factor did not split into degree-1 factors over F_(l^2), l={F.l},"
+                f" after {_SPLIT_TRIES} tries"
+            )
     out.sort()
     return out
 

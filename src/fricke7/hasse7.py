@@ -11,8 +11,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 from . import constants as C
 from .classnum import class_number, field_discriminant, kronecker
 from .errors import StructuralError
@@ -26,6 +24,7 @@ from .ffpoly import (
     _seed_rng,
     count_roots_in_fp,
     is_irreducible,
+    resultant_in_X,
     roots_in_fp,
     sqrt_mod,
 )
@@ -184,30 +183,18 @@ def _count_n2_by_families(ring: _Ring, sf, ctx: PrimeContext, rng) -> int:
     l = 1, 6 (mod 7), via the parametrization a = (alpha-1) b - alpha over the
     three roots alpha of x^3 - 8x^2 + 5x + 1 (equivalent to B(a, b) = 0).
 
-    For each family, Res_x(sf, x^2 + a(b) x + b) as a polynomial in b is
-    U^2 b - a(b) U V + V^2 where sf = U x + V mod the quadratic.
+    For each family, T(b) = Res_x(sf, x^2 + a(b) x + b); its distinct roots
+    in F_l give the candidate quadratics.
     """
     l = ctx.l
     alphas = [r for r, _ in roots_in_fp(FpPoly.make(l, C.P_CUBIC))]
     if len(alphas) != 3:
         raise StructuralError(f"p-cubic does not split at l={l} = {l % 7} (mod 7)")
+    sf_poly = FpPoly(l, ring.tup(sf))
     found = set()
     for alpha in alphas:
-        a_poly = ring.vec([-alpha, alpha - 1])  # a(b) = (alpha-1) b - alpha
-        u, v = ring.vec([]), ring.vec([1])
-        U, V = ring.vec([]), ring.vec([])
-        for k, c in enumerate(sf):
-            c = int(c)
-            if c:
-                U = ring.add(U, ring.scale(u, c))
-                V = ring.add(V, ring.scale(v, c))
-            if k < len(sf) - 1:
-                # x^(k+1) = x (u x + v): x^2 = -a(b) x - b
-                u, v = ring.sub(v, ring.mul(a_poly, u)), ring.neg(_shift1(ring, u))
-        T = ring.add(
-            ring.sub(_shift1(ring, ring.mul(U, U)), ring.mul(a_poly, ring.mul(U, V))),
-            ring.mul(V, V),
-        )
+        a_poly = FpPoly.make(l, [-alpha, alpha - 1])  # a(b) = (alpha-1) b - alpha
+        T = ring.vec(resultant_in_X(sf_poly, a_poly, FpPoly.x(l)).coeffs)
         T = ring.gcd(T, ring.xminus(ring.xpowmod(l, T)))
         if ring.deg(T) <= 0:
             continue
@@ -221,17 +208,6 @@ def _count_n2_by_families(ring: _Ring, sf, ctx: PrimeContext, rng) -> int:
         if _b_value(l, a0, b0) != 0:
             raise StructuralError("family quadratic violates B(a, b) = 0")
     return len(found)
-
-
-def _shift1(ring: _Ring, v):
-    """Multiply a t-polynomial by t."""
-    if not len(v):
-        return v
-    if ring.np_ok:
-        out = np.zeros(len(v) + 1, dtype=np.int64)
-        out[1:] = v
-        return out
-    return [0] + list(v)
 
 
 def count_factors(

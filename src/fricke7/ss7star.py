@@ -1,7 +1,8 @@
-"""Supersingular polynomials for the level-7 Fricke group: ss_p(X), the two
-independent routes to ss_p^(7*)(Y), the L / L^(7*) counts, Nakaya's predicted
-linear-factor count, and the factor-count consistency identities that tie
-L^(7*) to the Hasse-invariant counts.
+"""Supersingular polynomials for the level-7 Fricke group: ss_p(X); ss_p^(7*)(Y)
+from the resultant congruence and, independently, by brute force over F_{p^2};
+the L / L^(7*) counts; Nakaya's predicted linear-factor count; and the
+factor-count consistency identities that tie L^(7*) to the Hasse-invariant
+counts.
 """
 
 from __future__ import annotations
@@ -9,7 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from . import constants as C
 from .classnum import kronecker, nakaya_class_term
@@ -43,41 +44,32 @@ def ss_poly(ctx: PrimeContext) -> FpPoly:
     if ctx.s:
         out = out * FpPoly.make(p, [-1728, 1])
     out = out.monic()
-    if squarefree_decomposition(out)[-1][1] != 1 or len(squarefree_decomposition(out)) != 1:
+    if not _is_squarefree(out):
         raise StructuralError(f"ss_{p} not squarefree")
     return out
 
 
-def _r7_x_coeffs(p: int) -> Tuple[FpPoly, FpPoly, FpPoly]:
-    """R_7(X, Y) as X-coefficients over F_p[Y]: (b(Y), -a(Y), 1)."""
-    return (
-        FpPoly.make(p, C.R7_B),
-        FpPoly.make(p, [-c for c in C.R7_A]),
-        FpPoly.one(p),
-    )
+def _is_squarefree(f: FpPoly) -> bool:
+    decomp = squarefree_decomposition(f)
+    return len(decomp) == 1 and decomp[0][1] == 1
 
 
-def interpolation_bound_ok(ctx: PrimeContext) -> bool:
-    return ctx.l > 8 * ss_poly(ctx).degree + 16
-
-
-def ss7star_resultant(ctx: PrimeContext) -> FpPoly:
+def ss7star_resultant(ctx: PrimeContext, ss: FpPoly) -> FpPoly:
     """ss_p^(7*) from the resultant congruence
 
     (Y+1)^mu (Y-27)^mu Res_X(ss_p, R_7) =
-        (Y^2+224Y+448)^(2 delta) (Y^4-528Y^3-9024Y^2-5120Y-1728)^epsilon ss_p^(7*)(Y)^2.
+        (Y^2+224Y+448)^(2r) (Y^4-528Y^3-9024Y^2-5120Y-1728)^s ss_p^(7*)(Y)^2,
 
+    where R_7 = X^2 - A(Y) X + B(Y) and `ss` is ss_p(X) from `ss_poly`.
     The exact divisions and the square root are demanded; failure of either is
     a structural error, not a data condition.
     """
     _check_p(ctx)
     p = ctx.l
-    ss = ss_poly(ctx)
-    res = resultant_in_X(ss, _r7_x_coeffs(p))
-    lhs = res
+    lhs = resultant_in_X(ss, -FpPoly.make(p, C.R7_A), FpPoly.make(p, C.R7_B))
     if ctx.mu7:
         lhs = lhs * FpPoly.make(p, [1, 1]) * FpPoly.make(p, [-27, 1])
-    for corr, e in ((C.QUAD_CORR, 2 * ctx.delta), (C.QUARTIC_CORR, ctx.epsilon)):
+    for corr, e in ((C.QUAD_CORR, 2 * ctx.r), (C.QUARTIC_CORR, ctx.s)):
         if e:
             q, r = divmod(lhs, FpPoly.make(p, corr) ** e)
             if not r.is_zero:
@@ -86,14 +78,15 @@ def ss7star_resultant(ctx: PrimeContext) -> FpPoly:
                 )
             lhs = q
     out = poly_sqrt(lhs, require_square_lc=True)
-    if squarefree_decomposition(out)[-1][1] != 1 or len(squarefree_decomposition(out)) != 1:
+    if not _is_squarefree(out):
         raise StructuralError(f"ss^(7*)_{p} from resultant is not squarefree")
     return out
 
 
-def ss7star_bruteforce(ctx: PrimeContext) -> FpPoly:
+def ss7star_bruteforce(ctx: PrimeContext, ss: FpPoly) -> FpPoly:
     """ss_p^(7*) from the definition: for each supersingular j in F_{p^2},
     collect the roots of R_7(j, Y) in F_{p^2}, dedupe, and expand the product.
+    `ss` is ss_p(X) from `ss_poly`; its roots are the supersingular j.
 
     Any Y-root escaping F_{p^2}, or a product with coefficients outside F_p,
     is a structural error (it would contradict the defining congruence).
@@ -102,7 +95,6 @@ def ss7star_bruteforce(ctx: PrimeContext) -> FpPoly:
     p = ctx.l
     F = Fp2(p)
     rng = random.Random(0xF7 * p + 1)
-    ss = ss_poly(ctx)
     seen = set()
     for j in roots_in_fp2(ss):
         jt = (j.a, j.b)
@@ -136,9 +128,11 @@ def ss7star_bruteforce(ctx: PrimeContext) -> FpPoly:
 
 def nakaya_predicted(ctx: PrimeContext) -> Fraction:
     """(1/2)(1 + (-p/7)) L(p) + a_p h(-7p)."""
-    p = ctx.l
+    return _nakaya_value(ctx.l, len(supersingular_j_in_fp(ctx)))
+
+
+def _nakaya_value(p: int, L: int) -> Fraction:
     a_p, h = nakaya_class_term(p)
-    L = len(supersingular_j_in_fp(ctx))
     return Fraction(1 + kronecker(-p, 7), 2) * L + a_p * h
 
 
@@ -150,36 +144,29 @@ class SS7StarReport:
     L: int
     L7star: int
     nakaya_predicted: Fraction
-    route: str                      # "resultant" | "bruteforce"
-    oracle_match: Optional[bool]    # None when only one route ran
+    oracle_match: Optional[bool]    # None when the brute-force oracle did not run
     nakaya_ok: bool
 
 
 def counts_and_nakaya(ctx: PrimeContext, check_oracle: Optional[bool] = None) -> SS7StarReport:
-    """Compute ss_p^(7*) (dual-route where applicable) and the Nakaya verdict.
+    """Compute ss_p^(7*) from the resultant congruence and the Nakaya verdict.
 
-    Both routes run and are compared whenever both are applicable: the brute
-    force is always applicable but only cheap for small p, so by default it
-    accompanies the resultant route for p <= 300 (`check_oracle` overrides).
+    The brute force over F_{p^2} is the independent oracle.  It is only cheap
+    for small p, so by default it runs for p <= 300 (`check_oracle`
+    overrides), and the two must agree exactly.
     """
     _check_p(ctx)
     p = ctx.l
-    run_brute = check_oracle if check_oracle is not None else p <= 300
-    route = "resultant" if interpolation_bound_ok(ctx) else "bruteforce"
     ss = ss_poly(ctx)
-    res_poly = ss7star_resultant(ctx)
+    ss7 = ss7star_resultant(ctx, ss)
     oracle_match: Optional[bool] = None
-    if run_brute or route == "bruteforce":
-        brute = ss7star_bruteforce(ctx)
-        oracle_match = brute == res_poly
+    if check_oracle if check_oracle is not None else p <= 300:
+        oracle_match = ss7star_bruteforce(ctx, ss) == ss7
         if not oracle_match:
-            raise StructuralError(f"route disagreement at p={p}")
-        ss7 = brute if route == "bruteforce" else res_poly
-    else:
-        ss7 = res_poly
+            raise StructuralError(f"resultant and brute force disagree at p={p}")
     L = len(supersingular_j_in_fp(ctx))
+    pred = _nakaya_value(p, L)
     L7 = count_roots_in_fp(ss7)
-    pred = nakaya_predicted(ctx)
     return SS7StarReport(
         p=p,
         ss=ss,
@@ -187,7 +174,6 @@ def counts_and_nakaya(ctx: PrimeContext, check_oracle: Optional[bool] = None) ->
         L=L,
         L7star=L7,
         nakaya_predicted=pred,
-        route=route,
         oracle_match=oracle_match,
         nakaya_ok=(pred == L7),
     )
@@ -214,7 +200,7 @@ def count_consistency(
     p7 = p % 7
     if counts is None:
         need = {1: ("N2",), 6: ("N1", "N2"), 2: ("N6",), 4: ("N6",), 3: ("N3", "N6"), 5: ("N3", "N6")}[p7]
-        counts = count_factors(ctx, need=need)
+        counts = count_factors(ctx, need=need, with_histogram=False)
     if p7 in (2, 4):
         formula = counts.N6 + half
     elif p7 in (3, 5):

@@ -34,7 +34,7 @@ from fricke7.qseries import (
     run_all_series_identities,
     verify_series_identity,
 )
-from fricke7.ss7star import count_consistency, ss7star_bruteforce, ss7star_resultant
+from fricke7.ss7star import count_consistency, ss7star_bruteforce, ss7star_resultant, ss_poly
 from fricke7.sweep import hasse_sweep, primes_in
 
 SS41_REF = (
@@ -150,10 +150,9 @@ def test_criterion_07_oracle_equivalence(nakaya_rows_1000, capsys):
             n += 1
             ok = ok and row.report.oracle_match is True
     # the fixture covers 11..300 through counts_and_nakaya; also hit both
-    # routes directly at an interpolation-range prime for good measure
-    ok = ok and ss7star_resultant(PrimeContext.make(149)) == ss7star_bruteforce(
-        PrimeContext.make(149)
-    )
+    # routes directly at p = 149 for good measure
+    ctx = PrimeContext.make(149)
+    ok = ok and ss7star_resultant(ctx, ss_poly(ctx)) == ss7star_bruteforce(ctx, ss_poly(ctx))
     with capsys.disabled():
         _report(7, ok, f"resultant route = brute-force route for {n} primes in [11, 300]")
 

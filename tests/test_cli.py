@@ -35,7 +35,7 @@ class TestCommands:
         code, out, _ = run_cli(["ss7star", "--primes", "41", "--format", "json"], capsys)
         assert code == 0
         doc = json.loads(out)
-        assert doc["version"] == "fricke7/1"
+        assert doc["version"] == "fricke7/2"
         row = doc["rows"][0]
         assert row["factored"] == (
             "Y(Y + 1)(Y + 8)(Y + 12)(Y + 13)(Y + 14)(Y + 17)(Y + 29)"
@@ -111,7 +111,7 @@ def test_out_file_round_trip(tmp_path, capsys):
     )
     assert code == 0 and out == ""
     doc = json.loads(path.read_text())
-    assert doc["version"] == "fricke7/1"
+    assert doc["version"] == "fricke7/2"
     # round trip: serialized coeffs reconstruct the polynomial
     row = doc["rows"][0]
     assert row["coeffs"][-1] == 1
@@ -137,4 +137,4 @@ def test_console_entry_point():
         timeout=300,
     )
     assert proc.returncode == 0
-    assert json.loads(proc.stdout)["version"] == "fricke7/1"
+    assert json.loads(proc.stdout)["version"] == "fricke7/2"

@@ -5,12 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fricke7 import constants as C
-from fricke7.errors import NotASquareError
+from fricke7.errors import NotASquareError, StructuralError
 from fricke7.exactring import padd, pscale, psub
 from fricke7.ffpoly import (
     Fp2,
     FpPoly,
     PrimeContext,
+    _edf,
+    _fq_linear_roots,
+    _Ring,
     factorize,
     fq_distinct_roots,
     is_irreducible,
@@ -38,7 +41,6 @@ class TestPrimeContext:
     def test_character_data(self):
         ctx = PrimeContext.make(41)
         assert (ctx.r, ctx.s, ctx.n, ctx.mu7) == (1, 0, 3, 1)
-        assert ctx.delta == ctx.r and ctx.epsilon == ctx.s
 
     def test_rejects_bad_moduli(self):
         for bad in (2, 7, 9, 1):
@@ -142,45 +144,59 @@ class TestResultant:
 
 
 class TestResultantInX:
+    """Res_X(f, R_7) with R_7 = X^2 + a1 X + a0, a1 = -A(Y), a0 = B(Y)."""
+
     @staticmethod
-    def _r7_coeffs(l):
-        return (
-            FpPoly.make(l, C.R7_B),
-            FpPoly.make(l, [-c for c in C.R7_A]),
-            FpPoly.one(l),
-        )
+    def _r7(l):
+        return -FpPoly.make(l, C.R7_A), FpPoly.make(l, C.R7_B)
+
+    @staticmethod
+    def _r7_at(l, y0):
+        a1, a0 = TestResultantInX._r7(l)
+        return FpPoly.make(l, [a0(y0), a1(y0), 1])
 
     def test_linear_f_gives_evaluation(self):
         l = 101
         j0 = 17
-        out = resultant_in_X(FpPoly.make(l, [-j0, 1]), self._r7_coeffs(l))
+        out = resultant_in_X(FpPoly.make(l, [-j0, 1]), *self._r7(l))
         direct = padd(psub([j0 * j0], pscale(list(C.R7_A), j0)), list(C.R7_B))
         assert out == FpPoly.make(l, direct)
 
     def test_ss5_value(self):
-        out = resultant_in_X(FpPoly.x(5), self._r7_coeffs(5))
+        out = resultant_in_X(FpPoly.x(5), *self._r7(5))
         assert out == FpPoly.make(5, [0, 0, 1]) * FpPoly.make(5, [3, 4, 1]) ** 3
 
     def test_agreement_with_pointwise_oracle(self):
         l = 101
         rng = random.Random(9)
         f = FpPoly.make(l, [3, 1, 4, 1, 5, 9, 2, 6, 1])
-        R = resultant_in_X(f, self._r7_coeffs(l))
+        R = resultant_in_X(f, *self._r7(l))
         for y0 in rng.sample(range(l), 20):
-            gy = FpPoly.make(l, [c(y0) for c in self._r7_coeffs(l)])
-            assert R(y0) == resultant(f, gy)
+            assert R(y0) == resultant(f, self._r7_at(l, y0))
 
-    def test_sylvester_fallback_small_modulus(self):
+    def test_every_point_small_modulus(self):
         l = 13
         f = FpPoly.make(l, [8, 1])
-        R = resultant_in_X(f, self._r7_coeffs(l))
+        R = resultant_in_X(f, *self._r7(l))
         for y0 in range(l):
-            gy = FpPoly.make(l, [c(y0) for c in self._r7_coeffs(l)])
-            assert R(y0) == resultant(f, gy)
+            assert R(y0) == resultant(f, self._r7_at(l, y0))
 
-    def test_degenerate_g_rejected(self):
-        with pytest.raises(ValueError):
-            resultant_in_X(FpPoly.x(13), (FpPoly.one(13), FpPoly.one(13), FpPoly.zero(13)))
+
+class TestBoundedSplitting:
+    """Input that is not a product of degree-d factors raises, it never spins."""
+
+    def test_edf_irreducible_quartic(self):
+        quartic = FpPoly.make(13, [2, 0, 0, 0, 1])
+        assert factorize(quartic).factors[0][0].degree == 4  # irreducible mod 13
+        r = _Ring(13, 8)
+        with pytest.raises(StructuralError, match=r"degree-2 .*l=13"):
+            _edf(r, r.vec(quartic.coeffs), 2, random.Random(1))
+
+    def test_fq_linear_roots_two_quadratics(self):
+        # over F_169 the quartic splits into two quadratics, never into lines
+        F = Fp2(13)
+        with pytest.raises(StructuralError, match=r"degree-1 .*l=13"):
+            _fq_linear_roots(F, [(2, 0), (0, 0), (0, 0), (0, 0), (1, 0)], random.Random(1))
 
 
 class TestPolySqrt:

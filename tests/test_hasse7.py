@@ -43,7 +43,7 @@ class TestDeuringJ:
 
     def test_rejects_bad_primes(self):
         with pytest.raises(ValueError):
-            deuring_J(PrimeContext(l=3, r=1, s=1, n=0, mu7=0, delta=1, epsilon=1))
+            deuring_J(PrimeContext(l=3, r=1, s=1, n=0, mu7=0))
 
 
 class TestHassePoly:

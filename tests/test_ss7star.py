@@ -8,7 +8,6 @@ from fricke7.ffpoly import FpPoly, PrimeContext, factorize
 from fricke7.hasse7 import L_count
 from fricke7.ss7star import (
     counts_and_nakaya,
-    interpolation_bound_ok,
     nakaya_predicted,
     count_consistency,
     ss7star_bruteforce,
@@ -37,24 +36,26 @@ class TestSsPoly:
 
     def test_rejects_small(self):
         with pytest.raises(ValueError):
-            ss_poly(PrimeContext(l=3, r=1, s=1, n=0, mu7=0, delta=1, epsilon=1))
+            ss_poly(PrimeContext(l=3, r=1, s=1, n=0, mu7=0))
 
 
 class TestRoutes:
     def test_bruteforce_p5(self):
-        b = ss7star_bruteforce(PrimeContext.make(5))
+        ctx = PrimeContext.make(5)
+        b = ss7star_bruteforce(ctx, ss_poly(ctx))
         assert b == FpPoly.x(5) * FpPoly.make(5, [1, 1]) * FpPoly.make(5, [3, 1])
 
     def test_bruteforce_p11(self):
         # enumeration over j in {0, 1728 = 1}
-        b = ss7star_bruteforce(PrimeContext.make(11))
+        ctx = PrimeContext.make(11)
+        b = ss7star_bruteforce(ctx, ss_poly(ctx))
         assert b.is_monic and b.degree >= 2
 
     def test_route_equality_11_to_300(self):
         for p in [q for q in SMALL_PRIMES if q >= 11]:
-            assert ss7star_resultant(PrimeContext.make(p)) == ss7star_bruteforce(
-                PrimeContext.make(p)
-            ), p
+            ctx = PrimeContext.make(p)
+            ss = ss_poly(ctx)
+            assert ss7star_resultant(ctx, ss) == ss7star_bruteforce(ctx, ss), p
 
     def test_ss41_table_row(self):
         rep = counts_and_nakaya(PrimeContext.make(41))
@@ -70,10 +71,6 @@ class TestRoutes:
             rep = counts_and_nakaya(PrimeContext.make(p))
             assert rep.ss7star.is_monic
             assert rep.ss7star.degree >= rep.L7star
-
-    def test_interpolation_bound(self):
-        assert not interpolation_bound_ok(PrimeContext.make(41))
-        assert interpolation_bound_ok(PrimeContext.make(199))
 
 
 class TestNakaya:
@@ -125,4 +122,5 @@ def test_deuring_eichler_class_number_relation():
 def test_correction_divisions_always_succeed():
     # implicitly exercised by ss7star_resultant; spot-check odd character mixes
     for p in (311, 467, 587, 683):
-        ss7star_resultant(PrimeContext.make(p))
+        ctx = PrimeContext.make(p)
+        ss7star_resultant(ctx, ss_poly(ctx))
