@@ -319,13 +319,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, primes=False, prec=False, bits=False, oracle=False):
+    def common(p, primes=False, fail_fast=False, prec=False, bits=False, oracle=False):
         p.add_argument("--format", choices=("table", "csv", "json"), default="table")
         p.add_argument("--out", default=None, help="write payload to a file instead of stdout")
-        p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--fail-fast", action="store_true")
         if primes:
             p.add_argument("--primes", required=True, help="A..B or comma list")
+            p.add_argument("--jobs", type=int, default=1, help="worker processes for the sweep")
+        if fail_fast:
+            p.add_argument("--fail-fast", action="store_true", help="stop at the first FAIL")
         if prec:
             p.add_argument("--prec", type=int, default=200)
         if bits:
@@ -333,11 +334,12 @@ def build_parser() -> argparse.ArgumentParser:
         if oracle:
             p.add_argument("--check-oracle", action="store_true")
 
-    common(sub.add_parser("hasse", help="Hasse-invariant factor counts and count-formula verdicts"), primes=True)
+    common(sub.add_parser("hasse", help="Hasse-invariant factor counts and count-formula verdicts"),
+           primes=True, fail_fast=True)
     common(sub.add_parser("ss7star", help="ss_p^(7*) polynomials and counts"), primes=True, oracle=True)
     common(sub.add_parser("nakaya", help="Nakaya linear-factor formula sweep"), primes=True, oracle=True)
-    common(sub.add_parser("identities", help="exact polynomial identity suite"))
-    common(sub.add_parser("qseries", help="q-series identity suite"), prec=True)
+    common(sub.add_parser("identities", help="exact polynomial identity suite"), fail_fast=True)
+    common(sub.add_parser("qseries", help="q-series identity suite"), fail_fast=True, prec=True)
     common(sub.add_parser("cm", help="CM-point and P_d validation"), bits=True)
     return ap
 

@@ -14,6 +14,7 @@ import mpmath as mp
 
 from . import constants as C
 from .classnum import class_number
+from .exactring import pmul, ppow
 from .ffpoly import FpPoly, factorize, is_prime
 
 # exponent pattern of the h-product: residue class mod 7 -> net exponent
@@ -128,28 +129,12 @@ def eval_int_poly(coeffs: Sequence[int], z: CertifiedValue) -> CertifiedValue:
 
 def phi_of_h(h: CertifiedValue) -> CertifiedValue:
     """j_7^*(tau) = (h^2-h+1)^3 / (h (h-1) (h^3-8h^2+5h+1)) with error propagation."""
-    num = eval_int_poly([c for c in _pow_coeffs((1, -1, 1), 3)], h)
-    den_poly = _mul_coeffs(_mul_coeffs((0, 1), (-1, 1)), (1, 5, -8, 1))
-    den = eval_int_poly(den_poly, h)
+    num = eval_int_poly(ppow((1, -1, 1), 3), h)
+    den = eval_int_poly(pmul(pmul((0, 1), (-1, 1)), (1, 5, -8, 1)), h)
     val = num.value / den.value
     ad = abs(den.value)
     err = (num.abs_err + abs(val) * den.abs_err) / (ad - den.abs_err)
     return CertifiedValue(value=val, abs_err=err)
-
-
-def _mul_coeffs(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _pow_coeffs(a, k):
-    out = [1]
-    for _ in range(k):
-        out = _mul_coeffs(out, a)
-    return out
 
 
 @dataclass(frozen=True)

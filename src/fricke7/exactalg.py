@@ -317,9 +317,6 @@ def _case_split_quadratic():
     zelt = ([], [1])
     zprime = sub(([3, 1], []), zelt)  # (t+3) - z
     # cubic1 = x^3 - z x^2 + (z-3) x + 1; cubic2 with z'
-    def cubic(zz):
-        return [one, add(zz, ([-3], [])), (pneg_pair(zz)), one]
-
     def pneg_pair(u):
         return ([-c for c in u[0]], [-c for c in u[1]])
 

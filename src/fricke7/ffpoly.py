@@ -1,10 +1,10 @@
-"""Prime-field and F_{l^2} arithmetic plus a univariate polynomial toolbox
-over F_l: factorization (squarefree / distinct-degree / equal-degree),
-resultants, perfect square roots, and root finding in F_{l^2}.
+"""Prime-field arithmetic plus a univariate polynomial toolbox over F_l:
+factorization (squarefree / distinct-degree / equal-degree), resultants,
+perfect square roots, and root finding in F_l and F_{l^2}.
 
-Dense representation throughout.  For moduli small enough that coefficient
-products fit in int64 the inner loops run on numpy vectors; otherwise the same
-algorithms run on Python-int lists, so moduli up to 2^63 work unchanged.
+Dense representation throughout, on numpy coefficient vectors: int64 for
+moduli small enough that coefficient products fit, Python ints in object
+arrays otherwise, so moduli up to 2^63 run the same code unchanged.
 All randomized steps draw from a PRNG seeded deterministically from the
 modulus and the input coefficients, so every run (and every process) produces
 identical output.
@@ -119,20 +119,19 @@ _NP_LIMIT = 2**62
 class _Ring:
     """Dense F_l[x] arithmetic on raw coefficient vectors.
 
-    Vectors are numpy int64 arrays when products stay below int64 range for
-    the advertised maximum degree, else Python-int lists.
+    Vectors are numpy arrays: int64 when products and their sums stay below
+    int64 range for the advertised maximum degree, else Python ints in an
+    `object` array, so the same code is exact for moduli up to 2^63.
     """
 
     def __init__(self, l: int, max_deg: int = 1 << 14):
         self.l = l
-        self.np_ok = (l - 1) ** 2 * (2 * max_deg + 2) < _NP_LIMIT
+        self.dtype = np.int64 if (l - 1) ** 2 * (2 * max_deg + 2) < _NP_LIMIT else object
 
     # -- conversions
 
     def vec(self, coeffs: Sequence[int]):
-        if self.np_ok:
-            return np.asarray([c % self.l for c in coeffs], dtype=np.int64)
-        return [c % self.l for c in coeffs]
+        return np.asarray([c % self.l for c in coeffs], dtype=self.dtype)
 
     def tup(self, v) -> Tuple[int, ...]:
         return tuple(int(c) for c in self.trim(v))
@@ -151,42 +150,26 @@ class _Ring:
     def add(self, a, b):
         if len(a) < len(b):
             a, b = b, a
-        if self.np_ok:
-            out = a.copy()
-            out[: len(b)] = (out[: len(b)] + b) % self.l
-            return self.trim(out)
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = (out[i] + c) % self.l
+        out = a.copy()
+        out[: len(b)] = (out[: len(b)] + b) % self.l
         return self.trim(out)
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
     def neg(self, a):
-        if self.np_ok:
-            return (-a) % self.l
-        return [(-c) % self.l for c in a]
+        return (-a) % self.l
 
     def scale(self, a, c: int):
         c %= self.l
         if not c:
             return a[:0]
-        if self.np_ok:
-            return (a * c) % self.l
-        return [x * c % self.l for x in a]
+        return (a * c) % self.l
 
     def mul(self, a, b):
         if not len(a) or not len(b):
             return a[:0]
-        if self.np_ok:
-            return np.convolve(a, b) % self.l
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return [c % self.l for c in out]
+        return np.convolve(a, b) % self.l
 
     def monic(self, a):
         a = self.trim(a)
@@ -205,30 +188,18 @@ class _Ring:
         db = len(b) - 1
         if db == 0:
             return self.scale(a, inv), a[:0]
-        if self.np_ok:
-            r = a.copy()
-            q = np.zeros(max(0, len(a) - db), dtype=np.int64)
-            bb = b[:db]
-            for i in range(len(r) - 1, db - 1, -1):
-                c = int(r[i]) % self.l
-                if c:
-                    c = c * inv % self.l
-                    q[i - db] = c
-                    r[i - db : i] -= c * bb
-                r[i] = 0
-            r = r % self.l
-            return self.trim(q), self.trim(r[:db])
-        r = list(a)
-        q = [0] * max(0, len(a) - db)
+        r = a.copy()
+        q = np.zeros(max(0, len(a) - db), dtype=self.dtype)
+        bb = b[:db]
         for i in range(len(r) - 1, db - 1, -1):
-            c = r[i] % self.l
+            c = int(r[i]) % self.l
             if c:
                 c = c * inv % self.l
                 q[i - db] = c
-                for j in range(db):
-                    r[i - db + j] -= c * b[j]
+                r[i - db : i] -= c * bb
             r[i] = 0
-        return self.trim(q), self.trim([c % self.l for c in r[:db]])
+        r = r % self.l
+        return self.trim(q), self.trim(r[:db])
 
     def rem(self, a, b):
         return self.divmod(a, b)[1]
@@ -255,10 +226,7 @@ class _Ring:
         return self.powmod(self.vec([0, 1]), e, mod)
 
     def deriv(self, a):
-        if self.np_ok:
-            n = np.arange(len(a), dtype=np.int64)
-            return self.trim((a * n)[1:] % self.l)
-        return self.trim([(i * a[i]) % self.l for i in range(1, len(a))])
+        return self.trim((a * np.arange(len(a), dtype=self.dtype))[1:] % self.l)
 
     def eval(self, a, x: int) -> int:
         out = 0
@@ -325,9 +293,6 @@ class FpPoly:
     @property
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def _ring(self) -> _Ring:
-        return _Ring(self.modulus, max(self.degree, 1))
 
     def _bin(self, other) -> "FpPoly":
         if isinstance(other, int):
@@ -730,238 +695,20 @@ def resultant_in_X(f: FpPoly, a1: FpPoly, a0: FpPoly) -> FpPoly:
 
 
 # ---------------------------------------------------------------------------
-# F_{l^2}: elements are (a, b) = a + b*theta with theta^2 = nu
+# roots in F_{l^2}
 
 
 @dataclass(frozen=True)
 class Fp2Elem:
+    """a + b*theta in F_{l^2} = F_l(theta), theta^2 = smallest_nonresidue(l)."""
+
     modulus: int
     a: int
     b: int
 
-    def as_tuple(self) -> Tuple[int, int]:
-        return (self.a, self.b)
-
     @property
     def in_prime_field(self) -> bool:
         return self.b == 0
-
-
-class Fp2:
-    """Arithmetic in F_{l^2} = F_l(theta), theta^2 = smallest nonresidue mod l."""
-
-    def __init__(self, l: int):
-        self.l = l
-        self.nu = smallest_nonresidue(l)
-
-    zero = (0, 0)
-    one = (1, 0)
-
-    def embed(self, c: int) -> Tuple[int, int]:
-        return (c % self.l, 0)
-
-    def add(self, u, v):
-        return ((u[0] + v[0]) % self.l, (u[1] + v[1]) % self.l)
-
-    def sub(self, u, v):
-        return ((u[0] - v[0]) % self.l, (u[1] - v[1]) % self.l)
-
-    def neg(self, u):
-        return ((-u[0]) % self.l, (-u[1]) % self.l)
-
-    def mul(self, u, v):
-        a, b = u
-        c, d = v
-        return ((a * c + b * d * self.nu) % self.l, (a * d + b * c) % self.l)
-
-    def inv(self, u):
-        a, b = u
-        den = (a * a - b * b * self.nu) % self.l
-        di = pow(den, -1, self.l)
-        return (a * di % self.l, (-b) * di % self.l)
-
-    def pow(self, u, e: int):
-        out = self.one
-        base = u
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            e >>= 1
-            if e:
-                base = self.mul(base, base)
-        return out
-
-    def sqrt(self, u) -> Optional[Tuple[int, int]]:
-        """Square root in F_{l^2} of an element of F_l (given as (c, 0))."""
-        c = u[0]
-        if u[1] != 0:
-            raise NotImplementedError("only prime-field arguments needed here")
-        s = sqrt_mod(c, self.l)
-        if s is not None:
-            return (s, 0)
-        s = sqrt_mod(c * pow(self.nu, -1, self.l) % self.l, self.l)
-        if s is None:
-            return None
-        return (0, s)
-
-
-# dense polynomials over F_{l^2}: lists of (a, b) tuples, low degree first
-
-
-def _fq_trim(c: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
-    while c and c[-1] == (0, 0):
-        c.pop()
-    return c
-
-
-def _fq_mul(F: Fp2, a, b):
-    if not a or not b:
-        return []
-    out = [(0, 0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x != (0, 0):
-            for j, y in enumerate(b):
-                t = F.mul(x, y)
-                o = out[i + j]
-                out[i + j] = ((o[0] + t[0]) % F.l, (o[1] + t[1]) % F.l)
-    return _fq_trim(out)
-
-
-def _fq_divmod(F: Fp2, a, b):
-    b = _fq_trim(list(b))
-    if not b:
-        raise ZeroDivisionError
-    db = len(b) - 1
-    inv = F.inv(b[-1])
-    r = _fq_trim(list(a))
-    q = [(0, 0)] * max(0, len(r) - db)
-    while r and len(r) - 1 >= db:
-        c = F.mul(r[-1], inv)
-        k = len(r) - 1 - db
-        q[k] = c
-        for i in range(db + 1):
-            t = F.mul(c, b[i])
-            o = r[k + i]
-            r[k + i] = ((o[0] - t[0]) % F.l, (o[1] - t[1]) % F.l)
-        r = _fq_trim(r)
-    return _fq_trim(q), r
-
-
-def _fq_rem(F: Fp2, a, b):
-    return _fq_divmod(F, a, b)[1]
-
-
-def _fq_divexact(F: Fp2, a, b):
-    q, r = _fq_divmod(F, a, b)
-    if r:
-        raise StructuralError("inexact division over F_{l^2}")
-    return q
-
-
-def _fq_monic(F: Fp2, a):
-    a = _fq_trim(list(a))
-    if not a:
-        return a
-    inv = F.inv(a[-1])
-    return [F.mul(c, inv) for c in a]
-
-
-def _fq_gcd(F: Fp2, a, b):
-    a, b = _fq_trim(list(a)), _fq_trim(list(b))
-    while b:
-        a, b = b, _fq_rem(F, a, b)
-    return _fq_monic(F, a)
-
-
-def _fq_powmod(F: Fp2, base, e: int, mod):
-    out = [(1, 0)]
-    base = _fq_rem(F, base, mod)
-    while e:
-        if e & 1:
-            out = _fq_rem(F, _fq_mul(F, out, base), mod)
-        e >>= 1
-        if e:
-            base = _fq_rem(F, _fq_mul(F, base, base), mod)
-    return out
-
-
-def _fq_deriv(F: Fp2, a):
-    return _fq_trim([(i * c[0] % F.l, i * c[1] % F.l) for i, c in enumerate(a)][1:])
-
-
-def _fq_radical(F: Fp2, f):
-    """Product of the distinct monic irreducible factors of f over F_{l^2}."""
-    f = _fq_monic(F, f)
-    out = [(1, 0)]
-    while len(f) - 1 > 0:
-        d = _fq_deriv(F, f)
-        if not d:
-            # an l-th power: Frobenius inverse on F_{l^2} is c -> c^l
-            f = _fq_trim([F.pow(f[i], F.l) for i in range(0, len(f), F.l)])
-            continue
-        c = _fq_gcd(F, f, d)
-        w = _fq_divexact(F, f, c)
-        while len(w) - 1 > 0:
-            y = _fq_gcd(F, w, c)
-            z = _fq_divexact(F, w, y)
-            if len(z) - 1 > 0:
-                out = _fq_mul(F, out, z)
-            w = y
-            c = _fq_divexact(F, c, y)
-        f = c
-    return out
-
-
-def _fq_sub_x(F: Fp2, a):
-    a = list(a) + [(0, 0)] * max(0, 2 - len(a))
-    a[1] = ((a[1][0] - 1) % F.l, a[1][1])
-    return _fq_trim(a)
-
-
-def fq_distinct_roots(F: Fp2, coeffs, rng: random.Random):
-    """Distinct roots in F_{l^2} of a polynomial over F_{l^2}.
-
-    Returns (sorted roots, fully_split) where fully_split reports whether every
-    irreducible factor of the input is linear over F_{l^2}.
-    """
-    rad = _fq_radical(F, list(coeffs))
-    frob = _fq_powmod(F, [(0, 0), (1, 0)], F.l * F.l, rad)
-    lin = _fq_gcd(F, rad, _fq_sub_x(F, frob))
-    fully_split = len(lin) == len(rad)
-    return _fq_linear_roots(F, lin, rng), fully_split
-
-
-def _fq_linear_roots(F: Fp2, f, rng: random.Random):
-    """Split a product of distinct linear factors over F_{l^2} into its roots."""
-    out: List[Tuple[int, int]] = []
-    stack = [list(f)]
-    e = (F.l * F.l - 1) // 2
-    while stack:
-        g = _fq_monic(F, stack.pop())
-        dg = len(g) - 1
-        if dg <= 0:
-            continue
-        if dg == 1:
-            out.append(F.neg(g[0]))
-            continue
-        for _ in range(_SPLIT_TRIES):
-            delta = (rng.randrange(F.l), rng.randrange(F.l))
-            u = [delta, (1, 0)]
-            w = _fq_powmod(F, u, e, g)
-            w = list(w) + [(0, 0)] * max(0, 1 - len(w))
-            w[0] = ((w[0][0] - 1) % F.l, w[0][1])
-            h = _fq_gcd(F, g, _fq_trim(w))
-            if 0 < len(h) - 1 < dg:
-                stack.append(h)
-                stack.append(_fq_divexact(F, g, h))
-                break
-        else:
-            raise StructuralError(
-                f"degree-{dg} factor did not split into degree-1 factors over F_(l^2), l={F.l},"
-                f" after {_SPLIT_TRIES} tries"
-            )
-    out.sort()
-    return out
 
 
 def roots_in_fp2(f: FpPoly) -> List[Fp2Elem]:
@@ -969,25 +716,22 @@ def roots_in_fp2(f: FpPoly) -> List[Fp2Elem]:
     if f.is_zero:
         raise ValueError("zero polynomial")
     l = f.modulus
-    F = Fp2(l)
+    nu_inv = pow(smallest_nonresidue(l), -1, l)
+    inv2 = pow(2, -1, l)
     out: List[Fp2Elem] = []
     for comp, mult in squarefree_decomposition(f):
-        fac = factorize(comp)
-        for g, _ in fac.factors:
+        for g, _ in factorize(comp).factors:
             if g.degree == 1:
-                root = (-g.coeffs[0]) % l
-                out.extend([Fp2Elem(l, root, 0)] * mult)
+                out.extend([Fp2Elem(l, (-g.coeffs[0]) % l, 0)] * mult)
             elif g.degree == 2:
+                # x^2 + a x + b irreducible: the discriminant is nu s^2, and the
+                # roots are (-a +- s theta) / 2
                 a, b = g.coeffs[1], g.coeffs[0]
-                disc = (a * a - 4 * b) % l
-                s = F.sqrt((disc, 0))
+                s = sqrt_mod((a * a - 4 * b) * nu_inv, l)
                 if s is None:
                     raise StructuralError("quadratic with no root in F_{l^2}?")
-                inv2 = pow(2, -1, l)
                 for sign in (1, -1):
-                    ra = (-a + sign * s[0]) * inv2 % l
-                    rb = (sign * s[1]) * inv2 % l
-                    out.extend([Fp2Elem(l, ra, rb)] * mult)
+                    out.extend([Fp2Elem(l, -a * inv2 % l, sign * s * inv2 % l)] * mult)
             # factors of degree > 2 have no roots in F_{l^2}
     out.sort(key=lambda e: (e.a, e.b))
     return out

@@ -7,7 +7,7 @@ supporting factorization statements about f_0, f_1728 and G(x, j).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
@@ -22,7 +22,6 @@ from .ffpoly import (
     _edf,
     _radical,
     _seed_rng,
-    count_roots_in_fp,
     is_irreducible,
     resultant_in_X,
     roots_in_fp,
@@ -32,18 +31,24 @@ from .ffpoly import (
 ALL_COUNTS = frozenset({"N1", "N2", "N3", "N6"})
 
 
-def deuring_J(ctx: PrimeContext) -> FpPoly:
-    """J_l(t) = sum_k C(2n+s, 2k+s) C(2n-2k, n-k) (-432)^(n-k) (t-1728)^k mod l."""
+def _deuring_coeffs(ctx: PrimeContext) -> List[int]:
+    """c_k = C(2n+s, 2k+s) C(2n-2k, n-k) (-432)^(n-k) mod l, k = 0..n."""
     if ctx.l < 5 or ctx.l == 7:
         raise ValueError("l >= 5, l != 7 required")
     l, n, s = ctx.l, ctx.n, ctx.s
-    coeffs = [
+    return [
         math.comb(2 * n + s, 2 * k + s)
         * math.comb(2 * n - 2 * k, n - k)
         * (-432) ** (n - k)
         % l
         for k in range(n + 1)
     ]
+
+
+def deuring_J(ctx: PrimeContext) -> FpPoly:
+    """J_l(t) = sum_k c_k (t-1728)^k mod l, c_k from `_deuring_coeffs`."""
+    l, n = ctx.l, ctx.n
+    coeffs = _deuring_coeffs(ctx)
     # expand sum c_k (t - 1728)^k by Horner
     out = FpPoly.make(l, [coeffs[n]])
     base = FpPoly.make(l, [-1728, 1])
@@ -73,17 +78,9 @@ def hasse_poly(ctx: PrimeContext) -> FpPoly:
     sum_k c_k (num - 1728 den)^k den^(n-k) with num = j7_num, den = x^7(x-1)^7 p(x);
     the total degree is 8r + 12s + 24 n_l.
     """
-    if ctx.l < 5 or ctx.l == 7:
-        raise ValueError("l >= 5, l != 7 required")
+    coeffs = _deuring_coeffs(ctx)
     l, n, s, r = ctx.l, ctx.n, ctx.s, ctx.r
     ring = _Ring(l, 24 * n + 24)
-    coeffs = [
-        math.comb(2 * n + s, 2 * k + s)
-        * math.comb(2 * n - 2 * k, n - k)
-        * (-432) ** (n - k)
-        % l
-        for k in range(n + 1)
-    ]
     den = ring.vec(C.J7_DEN)
     num = ring.vec(C.J7_NUM)
     a_vec = ring.sub(num, ring.scale(den, 1728))  # num - 1728*den
@@ -214,7 +211,6 @@ def count_factors(
     ctx: PrimeContext,
     need: Sequence[str] = ("N1", "N2", "N3", "N6"),
     with_histogram: bool = True,
-    method: str = "fast",
 ) -> FactorCountReport:
     """Factor-type counts over the squarefree part of the Hasse invariant.
 
@@ -224,15 +220,13 @@ def count_factors(
 
     `need` restricts the work; `with_histogram` controls whether the full
     distinct-degree walk runs (needed for the degree histogram and the
-    factor-type classification).  `method` picks between the structured fast
-    routes for N2/N6 ("fast") and plain equal-degree splitting ("edf"); both
-    produce identical counts and are cross-checked in the test suite.
+    factor-type classification).  N2 for l = 1, 6 (mod 7) comes from the
+    parametrized families and N6 from division by f_7(x, t); the test suite
+    checks both against plain equal-degree splitting.
     """
     need = frozenset(need)
     if not need <= ALL_COUNTS:
         raise ValueError(f"unknown count selector in {sorted(need)}")
-    if method not in ("fast", "edf"):
-        raise ValueError(f"unknown method {method!r}")
     l = ctx.l
     H = hasse_poly(ctx)
     ring = _Ring(l, 2 * H.degree + 2)
@@ -246,10 +240,8 @@ def count_factors(
             upto = max(upto, 1)
         if "N3" in need:
             upto = max(upto, 3)
-        if "N2" in need:
-            upto = max(upto, 2 if (method == "edf" or l % 7 not in (1, 6)) else 0)
-        if "N6" in need and method == "edf":
-            upto = 6
+        if "N2" in need and l % 7 not in (1, 6):
+            upto = max(upto, 2)
     parts, rem = _ddf(ring, sf, upto=upto)
     full_walk = ring.deg(rem) <= 0
     histogram = {d: ring.deg(p) // d for d, p in sorted(parts.items())} if full_walk else None
@@ -259,7 +251,7 @@ def count_factors(
 
     n2 = quad_count = None
     if "N2" in need:
-        if method == "fast" and l % 7 in (1, 6):
+        if l % 7 in (1, 6):
             n2 = _count_n2_by_families(ring, sf, ctx, rng)
             quad_count = ring.deg(parts[2]) // 2 if 2 in parts else None
         else:
@@ -279,18 +271,8 @@ def count_factors(
 
     n6 = sextic_count = None
     if "N6" in need:
-        if method == "fast":
-            n6 = _count_n6_by_division(ring, sf, l, rng)
-            sextic_count = ring.deg(parts[6]) // 6 if 6 in parts else None
-        else:
-            n6 = 0
-            sextic_count = ring.deg(parts[6]) // 6 if 6 in parts else 0
-            if 6 in parts:
-                for g in _edf(ring, parts[6], 6, rng):
-                    gm = ring.monic(g)
-                    t = (-int(gm[5]) - 3) % l
-                    if ring.tup(gm) == tuple(c % l for c in C.expand_f7(t)):
-                        n6 += 1
+        n6 = _count_n6_by_division(ring, sf, l, rng)
+        sextic_count = ring.deg(parts[6]) // 6 if 6 in parts else None
 
     classification_ok: Optional[bool] = None
     if full_walk and histogram is not None:
@@ -427,16 +409,8 @@ def verify_count_formulas(ctx: PrimeContext, report: Optional[FactorCountReport]
     if report.classification_ok is not None:
         verdicts["factor_types"] = "PASS" if report.classification_ok else "FAIL"
 
-    return FactorCountReport(
-        l=l,
-        N1=report.N1,
-        N2=report.N2,
-        N3=report.N3,
-        N6=report.N6,
-        degree_histogram=report.degree_histogram,
-        classification_ok=report.classification_ok,
-        quadratic_count=report.quadratic_count,
-        sextic_count=report.sextic_count,
+    return replace(
+        report,
         formula_N1=f_n1,
         formula_N3=f_n3,
         formula_N6_by_case=f_n6,

@@ -1,5 +1,5 @@
 """Supersingular polynomials for the level-7 Fricke group: ss_p(X); ss_p^(7*)(Y)
-from the resultant congruence and, independently, by brute force over F_{p^2};
+from the resultant congruence and, independently, from its definition;
 the L / L^(7*) counts; Nakaya's predicted linear-factor count; and the
 factor-count consistency identities that tie L^(7*) to the Hasse-invariant
 counts.
@@ -7,7 +7,6 @@ counts.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional
@@ -16,14 +15,14 @@ from . import constants as C
 from .classnum import kronecker, nakaya_class_term
 from .errors import StructuralError
 from .ffpoly import (
-    Fp2,
     FpPoly,
     PrimeContext,
     count_roots_in_fp,
-    fq_distinct_roots,
     poly_sqrt,
+    radical,
     resultant_in_X,
     roots_in_fp2,
+    smallest_nonresidue,
     squarefree_decomposition,
 )
 from .hasse7 import FactorCountReport, count_factors, deuring_J, supersingular_j_in_fp
@@ -84,46 +83,30 @@ def ss7star_resultant(ctx: PrimeContext, ss: FpPoly) -> FpPoly:
 
 
 def ss7star_bruteforce(ctx: PrimeContext, ss: FpPoly) -> FpPoly:
-    """ss_p^(7*) from the definition: for each supersingular j in F_{p^2},
-    collect the roots of R_7(j, Y) in F_{p^2}, dedupe, and expand the product.
-    `ss` is ss_p(X) from `ss_poly`; its roots are the supersingular j.
+    """ss_p^(7*) from the definition: the product of (Y - j_7^*) over the
+    distinct roots j_7^* of R_7(j, Y), j running over the supersingular j in
+    F_{p^2} (the roots of `ss`, which is ss_p(X) from `ss_poly`).
 
-    Any Y-root escaping F_{p^2}, or a product with coefficients outside F_p,
-    is a structural error (it would contradict the defining congruence).
+    With j = a + b theta and c = (j - a)^2 = nu b^2 in F_p,
+    R_7(j, Y) = P + (j - a)(2a - A) with P = B - aA + a^2 + c over F_p[Y].
+    Its norm P^2 - c (2a - A)^2 has the roots of R_7(j, Y) and of its
+    conjugate R_7(j^p, Y), so the lcm of the radicals of the norms is the
+    product.  A root outside F_{p^2} (a radical not dividing Y^(p^2) - Y)
+    would contradict the defining congruence and is a structural error.
     """
     _check_p(ctx)
     p = ctx.l
-    F = Fp2(p)
-    rng = random.Random(0xF7 * p + 1)
-    seen = set()
-    for j in roots_in_fp2(ss):
-        jt = (j.a, j.b)
-        # R_7(j, Y) = b(Y) - j a(Y) + j^2, a polynomial of degree 8 over F_{p^2}
-        j2 = F.mul(jt, jt)
-        coeffs = []
-        for k in range(9):
-            b_k = C.R7_B[k] if k < len(C.R7_B) else 0
-            a_k = C.R7_A[k] if k < len(C.R7_A) else 0
-            c = F.sub(F.embed(b_k), F.mul(jt, F.embed(a_k)))
-            if k == 0:
-                c = F.add(c, j2)
-            coeffs.append(c)
-        roots, fully_split = fq_distinct_roots(F, coeffs, rng)
-        if not fully_split:
+    nu = smallest_nonresidue(p)
+    A, B, Y = FpPoly.make(p, C.R7_A), FpPoly.make(p, C.R7_B), FpPoly.x(p)
+    out = FpPoly.one(p)
+    # j and its conjugate share (a, c), hence the norm
+    for a, c in sorted({(j.a, nu * j.b * j.b % p) for j in roots_in_fp2(ss)}):
+        P = B - a * A + (a * a + c)
+        rad = radical(P * P - c * (2 * a - A) ** 2)
+        if Y.powmod(p * p, rad) != Y % rad:
             raise StructuralError(f"j_7^* value outside F_(p^2) at p={p}")
-        seen.update(roots)
-    # product of (Y - j7star) over the distinct values, expanded over F_{p^2}
-    prod = [(1, 0)]
-    for root in sorted(seen):
-        neg = F.neg(root)
-        nxt = [(0, 0)] * (len(prod) + 1)
-        for i, c in enumerate(prod):
-            nxt[i + 1] = F.add(nxt[i + 1], c)
-            nxt[i] = F.add(nxt[i], F.mul(c, neg))
-        prod = nxt
-    if any(c[1] for c in prod):
-        raise StructuralError(f"ss^(7*)_{p} product not defined over F_p")
-    return FpPoly.make(p, [c[0] for c in prod])
+        out = out * (rad // out.gcd(rad))
+    return out
 
 
 def nakaya_predicted(ctx: PrimeContext) -> Fraction:
@@ -151,8 +134,8 @@ class SS7StarReport:
 def counts_and_nakaya(ctx: PrimeContext, check_oracle: Optional[bool] = None) -> SS7StarReport:
     """Compute ss_p^(7*) from the resultant congruence and the Nakaya verdict.
 
-    The brute force over F_{p^2} is the independent oracle.  It is only cheap
-    for small p, so by default it runs for p <= 300 (`check_oracle`
+    `ss7star_bruteforce` (the definition) is the independent oracle.  It is
+    only cheap for small p, so by default it runs for p <= 300 (`check_oracle`
     overrides), and the two must agree exactly.
     """
     _check_p(ctx)
@@ -164,7 +147,7 @@ def counts_and_nakaya(ctx: PrimeContext, check_oracle: Optional[bool] = None) ->
         oracle_match = ss7star_bruteforce(ctx, ss) == ss7
         if not oracle_match:
             raise StructuralError(f"resultant and brute force disagree at p={p}")
-    L = len(supersingular_j_in_fp(ctx))
+    L = count_roots_in_fp(ss)
     pred = _nakaya_value(p, L)
     L7 = count_roots_in_fp(ss7)
     return SS7StarReport(

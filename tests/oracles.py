@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 
+from fricke7 import constants as C
 from fricke7.classnum import kronecker
+from fricke7.ffpoly import PrimeContext, _ddf, _edf, _radical, _Ring, _seed_rng
+from fricke7.hasse7 import _b_value, hasse_poly
 
 
 def dirichlet_class_number(D: int) -> int:
@@ -37,3 +40,26 @@ def legendre_by_euler(a: int, p: int) -> int:
         return 0
     t = pow(a, (p - 1) // 2, p)
     return 1 if t == 1 else -1
+
+
+def edf_counts(ctx: PrimeContext):
+    """(N1, N2, N3, N6) of the Hasse invariant by plain equal-degree splitting
+    of the degree-2 and degree-6 parts of its distinct-degree split; the
+    production counts take N2 (l = 1, 6 mod 7) and N6 from structured routes."""
+    l = ctx.l
+    H = hasse_poly(ctx)
+    ring = _Ring(l, 2 * H.degree + 2)
+    rng = _seed_rng(l, H.coeffs)
+    parts, _ = _ddf(ring, _radical(ring, ring.vec(H.coeffs)))
+
+    def factors(d):
+        return [ring.monic(g) for g in _edf(ring, parts[d], d, rng)] if d in parts else []
+
+    n1 = ring.deg(parts[1]) if 1 in parts else 0
+    n3 = ring.deg(parts[3]) // 3 if 3 in parts else 0
+    n2 = sum(_b_value(l, int(g[1]), int(g[0])) == 0 for g in factors(2))
+    n6 = sum(
+        ring.tup(g) == tuple(c % l for c in C.expand_f7((-int(g[5]) - 3) % l))
+        for g in factors(6)
+    )
+    return n1, n2, n3, n6

@@ -30,6 +30,24 @@ class TestParsePrimes:
             parse_primes("20..10")
 
 
+class TestOptions:
+    """Each option is registered only on the subcommands that act on it."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cm", "--jobs", "2"],
+            ["cm", "--fail-fast"],
+            ["identities", "--jobs", "2"],
+            ["qseries", "--jobs", "2"],
+            ["nakaya", "--primes", "13", "--fail-fast"],
+        ],
+    )
+    def test_inert_option_is_usage_error(self, argv, capsys):
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+
+
 class TestCommands:
     def test_ss7star_41_matches_reference(self, capsys):
         code, out, _ = run_cli(["ss7star", "--primes", "41", "--format", "json"], capsys)

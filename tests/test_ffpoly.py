@@ -8,14 +8,11 @@ from fricke7 import constants as C
 from fricke7.errors import NotASquareError, StructuralError
 from fricke7.exactring import padd, pscale, psub
 from fricke7.ffpoly import (
-    Fp2,
     FpPoly,
     PrimeContext,
     _edf,
-    _fq_linear_roots,
     _Ring,
     factorize,
-    fq_distinct_roots,
     is_irreducible,
     is_prime,
     poly_sqrt,
@@ -192,12 +189,6 @@ class TestBoundedSplitting:
         with pytest.raises(StructuralError, match=r"degree-2 .*l=13"):
             _edf(r, r.vec(quartic.coeffs), 2, random.Random(1))
 
-    def test_fq_linear_roots_two_quadratics(self):
-        # over F_169 the quartic splits into two quadratics, never into lines
-        F = Fp2(13)
-        with pytest.raises(StructuralError, match=r"degree-1 .*l=13"):
-            _fq_linear_roots(F, [(2, 0), (0, 0), (0, 0), (0, 0), (1, 0)], random.Random(1))
-
 
 class TestPolySqrt:
     def test_constructed_square(self):
@@ -228,9 +219,10 @@ class TestFp2:
     def test_roots_of_x2_plus_1_mod_3(self):
         roots = roots_in_fp2(FpPoly.make(3, [1, 0, 1]))
         assert len(roots) == 2 and all(r.b != 0 for r in roots)
-        F = Fp2(3)
+        nu = smallest_nonresidue(3)
         for r in roots:
-            sq = F.mul((r.a, r.b), (r.a, r.b))
+            # (a + b theta)^2 = (a^2 + nu b^2) + 2ab theta
+            sq = ((r.a * r.a + nu * r.b * r.b) % 3, 2 * r.a * r.b % 3)
             assert sq == (2, 0)  # -1 mod 3
 
     def test_ss13_single_rational_root(self):
@@ -246,16 +238,6 @@ class TestFp2:
         f = FpPoly.make(5, [1, 1]) ** 3
         roots = roots_in_fp2(f)
         assert [(r.a, r.b) for r in roots] == [(4, 0)] * 3
-
-    def test_fq_distinct_roots_full_split_flag(self):
-        F = Fp2(5)
-        rng = random.Random(11)
-        roots, clean = fq_distinct_roots(F, [(c % 5, 0) for c in C.R7_B], rng)
-        assert clean and sorted(r[0] for r in roots) == [0, 2, 4]
-        # x^2 - nu is irreducible over F_25? no: it splits; x^4 - nu does not
-        nu = F.nu
-        roots, clean = fq_distinct_roots(F, [((-nu) % 5, 0), (0, 0), (0, 0), (0, 0), (1, 0)], rng)
-        assert not clean
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,6 +4,7 @@ import pytest
 
 from fricke7 import constants as C
 from fricke7.classnum import class_number
+from fricke7.errors import StructuralError
 from fricke7.ffpoly import FpPoly, PrimeContext, factorize
 from fricke7.hasse7 import L_count
 from fricke7.ss7star import (
@@ -50,6 +51,12 @@ class TestRoutes:
         ctx = PrimeContext.make(11)
         b = ss7star_bruteforce(ctx, ss_poly(ctx))
         assert b.is_monic and b.degree >= 2
+
+    def test_bruteforce_rejects_non_supersingular_j(self):
+        # j = 1 is not supersingular mod 13, so some j_7^* over it leaves F_(13^2)
+        ctx = PrimeContext.make(13)
+        with pytest.raises(StructuralError, match="outside F_"):
+            ss7star_bruteforce(ctx, FpPoly.make(13, [-1, 1]))
 
     def test_route_equality_11_to_300(self):
         for p in [q for q in SMALL_PRIMES if q >= 11]:
