@@ -159,8 +159,6 @@ def cmd_hasse(args) -> int:
                 "verdicts": dict(rep.verdicts),
             }
         )
-        if args.fail_fast and _verdict_fail(rows_out[-1:]):
-            break
     emit(rows_out, args.format, args.out, "hasse")
     return 1 if _verdict_fail(rows_out) else 0
 
@@ -335,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--check-oracle", action="store_true")
 
     common(sub.add_parser("hasse", help="Hasse-invariant factor counts and count-formula verdicts"),
-           primes=True, fail_fast=True)
+           primes=True)
     common(sub.add_parser("ss7star", help="ss_p^(7*) polynomials and counts"), primes=True, oracle=True)
     common(sub.add_parser("nakaya", help="Nakaya linear-factor formula sweep"), primes=True, oracle=True)
     common(sub.add_parser("identities", help="exact polynomial identity suite"), fail_fast=True)

@@ -2,9 +2,11 @@
 factorization (squarefree / distinct-degree / equal-degree), resultants,
 perfect square roots, and root finding in F_l and F_{l^2}.
 
-Dense representation throughout, on numpy coefficient vectors: int64 for
-moduli small enough that coefficient products fit, Python ints in object
-arrays otherwise, so moduli up to 2^63 run the same code unchanged.
+`FpPoly` is the one F_l[x] type.  It holds the modulus and one dense numpy
+coefficient vector, reduced, without trailing zeros, lowest degree first; no
+other module sees that vector.  Products and divisions compute in int64 while
+the sums they build provably fit (the bound is at `_dtype`), and in `object`
+arrays of Python ints otherwise, so moduli up to 2^63 run the same code.
 All randomized steps draw from a PRNG seeded deterministically from the
 modulus and the input coefficients, so every run (and every process) produces
 identical output.
@@ -111,155 +113,103 @@ class PrimeContext:
 
 
 # ---------------------------------------------------------------------------
-# raw coefficient-vector arithmetic (private)
+# coefficient-vector kernel (private; `FpPoly` is its only interface)
 
-_NP_LIMIT = 2**62
+# A coefficient of a product of vectors of lengths m and n sums at most
+# min(m, n) < m + n terms below (l-1)^2; a row of the division loop sums at
+# most that many plus one reduced coefficient.  With (l-1)^2 (m + n) < 2^62
+# both stay below 2^62 + l < 2^63, so int64 is exact.  Any vector kept in
+# int64 also has (l-1)^2 < 2^62, so sums and scalings of two reduced vectors
+# fit as well.
+_INT64_BOUND = 2**62
+assert 2 * _INT64_BOUND - 1 == np.iinfo(np.int64).max
 
 
-class _Ring:
-    """Dense F_l[x] arithmetic on raw coefficient vectors.
+def _dtype(l: int, n: int):
+    """int64 when n terms below (l-1)^2 sum below 2^62, else Python ints."""
+    return np.int64 if (l - 1) ** 2 * n < _INT64_BOUND else object
 
-    Vectors are numpy arrays: int64 when products and their sums stay below
-    int64 range for the advertised maximum degree, else Python ints in an
-    `object` array, so the same code is exact for moduli up to 2^63.
-    """
 
-    def __init__(self, l: int, max_deg: int = 1 << 14):
-        self.l = l
-        self.dtype = np.int64 if (l - 1) ** 2 * (2 * max_deg + 2) < _NP_LIMIT else object
+def _trim(v):
+    n = len(v)
+    while n and not v[n - 1]:
+        n -= 1
+    return v[:n]
 
-    # -- conversions
 
-    def vec(self, coeffs: Sequence[int]):
-        return np.asarray([c % self.l for c in coeffs], dtype=self.dtype)
+def _add(l: int, a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = a.copy()
+    out[: len(b)] = (out[: len(b)] + b) % l
+    return _trim(out)
 
-    def tup(self, v) -> Tuple[int, ...]:
-        return tuple(int(c) for c in self.trim(v))
 
-    def trim(self, v):
-        n = len(v)
-        while n and not v[n - 1]:
-            n -= 1
-        return v[:n]
+def _sub(l: int, a, b):
+    return _add(l, a, (-b) % l)
 
-    def deg(self, v) -> int:
-        return len(self.trim(v)) - 1
 
-    # -- arithmetic
+def _scale(l: int, a, c: int):
+    c %= l
+    if not c:
+        return a[:0]
+    return a * c % l
 
-    def add(self, a, b):
-        if len(a) < len(b):
-            a, b = b, a
-        out = a.copy()
-        out[: len(b)] = (out[: len(b)] + b) % self.l
-        return self.trim(out)
 
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
+def _mul(l: int, a, b):
+    if not len(a) or not len(b):
+        return a[:0]
+    dt = _dtype(l, len(a) + len(b))
+    return np.convolve(a.astype(dt, copy=False), b.astype(dt, copy=False)) % l
 
-    def neg(self, a):
-        return (-a) % self.l
 
-    def scale(self, a, c: int):
-        c %= self.l
-        if not c:
-            return a[:0]
-        return (a * c) % self.l
-
-    def mul(self, a, b):
-        if not len(a) or not len(b):
-            return a[:0]
-        return np.convolve(a, b) % self.l
-
-    def monic(self, a):
-        a = self.trim(a)
-        if not len(a):
-            return a
-        lc = int(a[-1])
-        if lc == 1:
-            return a
-        return self.scale(a, pow(lc, -1, self.l))
-
-    def divmod(self, a, b):
-        b = self.trim(b)
-        if not len(b):
-            raise ZeroDivisionError("polynomial division by zero")
-        inv = pow(int(b[-1]), -1, self.l)
-        db = len(b) - 1
-        if db == 0:
-            return self.scale(a, inv), a[:0]
-        r = a.copy()
-        q = np.zeros(max(0, len(a) - db), dtype=self.dtype)
-        bb = b[:db]
-        for i in range(len(r) - 1, db - 1, -1):
-            c = int(r[i]) % self.l
-            if c:
-                c = c * inv % self.l
-                q[i - db] = c
-                r[i - db : i] -= c * bb
-            r[i] = 0
-        r = r % self.l
-        return self.trim(q), self.trim(r[:db])
-
-    def rem(self, a, b):
-        return self.divmod(a, b)[1]
-
-    def gcd(self, a, b):
-        a, b = self.trim(a), self.trim(b)
-        while len(b):
-            a, b = b, self.rem(a, b)
-        return self.monic(a)
-
-    def powmod(self, base, e: int, mod):
-        mod = self.trim(mod)
-        out = self.vec([1])
-        base = self.rem(base, mod)
-        while e:
-            if e & 1:
-                out = self.rem(self.mul(out, base), mod)
-            e >>= 1
-            if e:
-                base = self.rem(self.mul(base, base), mod)
-        return out
-
-    def xpowmod(self, e: int, mod):
-        return self.powmod(self.vec([0, 1]), e, mod)
-
-    def deriv(self, a):
-        return self.trim((a * np.arange(len(a), dtype=self.dtype))[1:] % self.l)
-
-    def eval(self, a, x: int) -> int:
-        out = 0
-        for c in reversed(list(a)):
-            out = (out * x + int(c)) % self.l
-        return out
-
-    def xminus(self, v):
-        """v - x."""
-        return self.sub(v, self.vec([0, 1]))
+def _divmod(l: int, a, b):
+    """Quotient and remainder of a by the nonzero trimmed b."""
+    inv = pow(int(b[-1]), -1, l)
+    db = len(b) - 1
+    if db == 0:
+        return _scale(l, a, inv), a[:0]
+    if len(a) <= db:
+        return a[:0], a
+    dt = _dtype(l, len(a) + len(b))
+    r = a.astype(dt)
+    q = np.zeros(len(a) - db, dtype=dt)
+    bb = b[:db].astype(dt, copy=False)
+    for i in range(len(r) - 1, db - 1, -1):
+        c = int(r[i]) % l
+        if c:
+            c = c * inv % l
+            q[i - db] = c
+            r[i - db : i] -= c * bb
+    return _trim(q), _trim(r[:db] % l)
 
 
 # ---------------------------------------------------------------------------
-# public polynomial type
+# the polynomial type
 
 
-@dataclass(frozen=True)
 class FpPoly:
-    """Dense univariate polynomial over F_l, coefficients reduced, no trailing zeros."""
+    """Dense univariate polynomial over F_l, coefficients reduced, no trailing zeros.
 
-    modulus: int
-    coeffs: Tuple[int, ...]
+    Values are immutable: every operation returns a new polynomial, and `==`
+    and `hash` compare the modulus and the coefficients.
+    """
+
+    __slots__ = ("modulus", "_v")
+
+    def __init__(self, modulus: int, v):
+        """Wrap a coefficient vector already reduced mod `modulus` (low degree
+        first); `make` accepts arbitrary integers."""
+        self.modulus = modulus
+        self._v = _trim(v)
 
     @classmethod
     def make(cls, l: int, coeffs: Iterable[int]) -> "FpPoly":
-        c = [x % l for x in coeffs]
-        while c and not c[-1]:
-            c.pop()
-        return cls(l, tuple(c))
+        return cls(l, np.array([c % l for c in coeffs], dtype=_dtype(l, 1)))
 
     @classmethod
     def zero(cls, l: int) -> "FpPoly":
-        return cls(l, ())
+        return cls.make(l, [])
 
     @classmethod
     def one(cls, l: int) -> "FpPoly":
@@ -269,30 +219,38 @@ class FpPoly:
     def x(cls, l: int) -> "FpPoly":
         return cls.make(l, [0, 1])
 
-    @classmethod
-    def from_roots(cls, l: int, roots: Iterable[int]) -> "FpPoly":
-        out = cls.one(l)
-        for r in roots:
-            out = out * cls.make(l, [-r, 1])
-        return out
-
     # -- basics
 
     @property
+    def coeffs(self) -> Tuple[int, ...]:
+        return tuple(map(int, self._v.tolist()))
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._v) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not len(self._v)
 
     @property
     def lc(self) -> int:
-        return self.coeffs[-1] if self.coeffs else 0
+        return int(self._v[-1]) if len(self._v) else 0
 
     @property
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
+        return self.lc == 1
+
+    def __eq__(self, other):
+        if not isinstance(other, FpPoly):
+            return NotImplemented
+        return self.modulus == other.modulus and np.array_equal(self._v, other._v)
+
+    def __hash__(self):
+        return hash((self.modulus, self.coeffs))
+
+    def __repr__(self):
+        return f"FpPoly(modulus={self.modulus}, coeffs={self.coeffs})"
 
     def _bin(self, other) -> "FpPoly":
         if isinstance(other, int):
@@ -302,25 +260,23 @@ class FpPoly:
         return other
 
     def __add__(self, other):
-        other = self._bin(other)
-        r = _Ring(self.modulus, max(self.degree, other.degree, 1))
-        return FpPoly(self.modulus, r.tup(r.add(r.vec(self.coeffs), r.vec(other.coeffs))))
+        return FpPoly(self.modulus, _add(self.modulus, self._v, self._bin(other)._v))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FpPoly.make(self.modulus, [-c for c in self.coeffs])
+        return FpPoly(self.modulus, (-self._v) % self.modulus)
 
     def __sub__(self, other):
-        return self + (-self._bin(other))
+        return FpPoly(self.modulus, _sub(self.modulus, self._v, self._bin(other)._v))
 
     def __rsub__(self, other):
-        return self._bin(other) + (-self)
+        return FpPoly(self.modulus, _sub(self.modulus, self._bin(other)._v, self._v))
 
     def __mul__(self, other):
-        other = self._bin(other)
-        r = _Ring(self.modulus, max(self.degree, other.degree, 1) + 1)
-        return FpPoly(self.modulus, r.tup(r.mul(r.vec(self.coeffs), r.vec(other.coeffs))))
+        if isinstance(other, int):
+            return FpPoly(self.modulus, _scale(self.modulus, self._v, other))
+        return FpPoly(self.modulus, _mul(self.modulus, self._v, self._bin(other)._v))
 
     __rmul__ = __mul__
 
@@ -338,9 +294,10 @@ class FpPoly:
 
     def __divmod__(self, other):
         other = self._bin(other)
-        r = _Ring(self.modulus, max(self.degree, other.degree, 1))
-        q, rem = r.divmod(r.vec(self.coeffs), r.vec(other.coeffs))
-        return FpPoly(self.modulus, r.tup(q)), FpPoly(self.modulus, r.tup(rem))
+        if other.is_zero:
+            raise ZeroDivisionError("polynomial division by zero")
+        q, r = _divmod(self.modulus, self._v, other._v)
+        return FpPoly(self.modulus, q), FpPoly(self.modulus, r)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -357,29 +314,39 @@ class FpPoly:
     def monic(self) -> "FpPoly":
         if self.is_zero or self.is_monic:
             return self
-        inv = pow(self.lc, -1, self.modulus)
-        return FpPoly.make(self.modulus, [c * inv for c in self.coeffs])
+        return self * pow(self.lc, -1, self.modulus)
 
     def derivative(self) -> "FpPoly":
-        return FpPoly.make(self.modulus, [i * c for i, c in enumerate(self.coeffs)][1:])
+        v = self._v
+        return FpPoly(self.modulus, (v * np.arange(len(v)))[1:] % self.modulus)
 
     def gcd(self, other: "FpPoly") -> "FpPoly":
-        other = self._bin(other)
-        r = _Ring(self.modulus, max(self.degree, other.degree, 1))
-        return FpPoly(self.modulus, r.tup(r.gcd(r.vec(self.coeffs), r.vec(other.coeffs))))
+        l, a, b = self.modulus, self._v, self._bin(other)._v
+        while len(b):
+            a, b = b, _divmod(l, a, b)[1]
+        return FpPoly(l, a).monic()
 
     def powmod(self, e: int, mod: "FpPoly") -> "FpPoly":
-        r = _Ring(self.modulus, max(self.degree, mod.degree, 1))
-        return FpPoly(
-            self.modulus, r.tup(r.powmod(r.vec(self.coeffs), e, r.vec(mod.coeffs)))
-        )
+        if mod.is_zero:
+            raise ZeroDivisionError("polynomial division by zero")
+        l, m = self.modulus, mod._v
+        out = np.ones(1, dtype=m.dtype)
+        base = _divmod(l, self._v, m)[1]
+        while e:
+            if e & 1:
+                out = _divmod(l, _mul(l, out, base), m)[1]
+            e >>= 1
+            if e:
+                base = _divmod(l, _mul(l, base, base), m)[1]
+        return FpPoly(l, out)
 
     def pretty(self, var: str = "x") -> str:
         if self.is_zero:
             return "0"
         bits = []
+        coeffs = self.coeffs
         for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
+            c = coeffs[k]
             if not c:
                 continue
             if k == 0:
@@ -426,77 +393,73 @@ class Factorization:
 # factorization pipeline
 
 
-def _seed_rng(l: int, coeffs: Sequence[int]) -> random.Random:
+def _seed_rng(f: FpPoly) -> random.Random:
     h = hashlib.sha256()
-    h.update(l.to_bytes(8, "little"))
-    for c in coeffs:
-        h.update(int(c).to_bytes(8, "little"))
+    h.update(f.modulus.to_bytes(8, "little"))
+    for c in f.coeffs:
+        h.update(c.to_bytes(8, "little"))
     return random.Random(int.from_bytes(h.digest()[:8], "little"))
 
 
-def _sqfree_decomp(r: _Ring, f) -> List[Tuple[object, int]]:
-    """Squarefree decomposition of monic f in characteristic l (full char-p version)."""
-    l = r.l
-    out: List[Tuple[object, int]] = []
+def squarefree_decomposition(f: FpPoly) -> List[Tuple[FpPoly, int]]:
+    """Squarefree decomposition of f / lc(f) in characteristic l (full char-p version)."""
+    if f.is_zero:
+        raise ValueError("zero polynomial")
+    l = f.modulus
+    out: List[Tuple[FpPoly, int]] = []
 
-    def rec(g, outer_mult: int) -> None:
-        if r.deg(g) <= 0:
+    def rec(g: FpPoly, outer_mult: int) -> None:
+        if g.degree <= 0:
             return
-        d = r.deriv(g)
-        if not len(d):
+        d = g.derivative()
+        if d.is_zero:
             # g is an l-th power: g(x) = sum a_i x^(l i); a_i^(1/l) = a_i over F_l
-            root = r.vec([int(g[i]) for i in range(0, len(g), l)])
-            rec(root, outer_mult * l)
+            rec(FpPoly(l, g._v[::l]), outer_mult * l)
             return
-        c = r.gcd(g, d)
-        w = r.divmod(g, c)[0]
+        c = g.gcd(d)
+        w = g // c
         i = 1
-        while r.deg(w) > 0:
-            y = r.gcd(w, c)
-            z = r.divmod(w, y)[0]
-            if r.deg(z) > 0:
+        while w.degree > 0:
+            y = w.gcd(c)
+            z = w // y
+            if z.degree > 0:
                 out.append((z, i * outer_mult))
             w = y
-            c = r.divmod(c, y)[0]
+            c = c // y
             i += 1
-        if r.deg(c) > 0:
+        if c.degree > 0:
             rec(c, outer_mult)
 
-    rec(r.monic(f), 1)
+    rec(f.monic(), 1)
     return out
 
 
-def _radical(r: _Ring, f):
-    out = r.vec([1])
-    for comp, _ in _sqfree_decomp(r, f):
-        out = r.mul(out, comp)
-    return out
-
-
-def _ddf(r: _Ring, f, upto: Optional[int] = None):
+def _ddf(f: FpPoly, upto: Optional[int] = None):
     """Distinct-degree split of monic squarefree f.
 
     Returns (parts, rem): parts maps d -> product of the irreducible degree-d
     factors; rem is the unsplit remainder (nontrivial only when `upto` stopped
     the walk early).
     """
-    parts: Dict[int, object] = {}
-    h = r.vec([0, 1])
+    l = f.modulus
+    parts: Dict[int, FpPoly] = {}
+    x = FpPoly.x(l)
+    h = x
     d = 0
-    while r.deg(f) > 0:
+    while f.degree > 0:
         d += 1
         if upto is not None and d > upto:
             return parts, f
-        if 2 * d > r.deg(f):
-            parts[r.deg(f)] = f
-            f = r.vec([1])
+        if 2 * d > f.degree:
+            parts[f.degree] = f
+            f = FpPoly.one(l)
             break
-        h = r.powmod(h, r.l, f)
-        g = r.gcd(f, r.xminus(h))
-        if r.deg(g) > 0:
+        h = h.powmod(l, f)
+        g = f.gcd(h - x)
+        if g.degree > 0:
             parts[d] = g
-            f = r.divmod(f, g)[0]
-            h = r.rem(h, f)
+            f = f // g
+            h = h % f
     return parts, f
 
 
@@ -506,32 +469,32 @@ def _ddf(r: _Ring, f, upto: Optional[int] = None):
 _SPLIT_TRIES = 64
 
 
-def _edf(r: _Ring, f, d: int, rng: random.Random) -> List:
+def _edf(f: FpPoly, d: int) -> List[FpPoly]:
     """Cantor-Zassenhaus equal-degree splitting of monic f into degree-d factors."""
-    out: List = []
+    l = f.modulus
+    rng = _seed_rng(f)
+    out: List[FpPoly] = []
     stack = [f]
-    e = (r.l**d - 1) // 2
+    e = (l**d - 1) // 2
     while stack:
         g = stack.pop()
-        dg = r.deg(g)
+        dg = g.degree
         if dg == d:
             out.append(g)
             continue
         for tries in range(1, _SPLIT_TRIES + 1):
             if tries <= 8:
-                u = r.vec([rng.randrange(r.l), 1])
+                u = FpPoly.make(l, [rng.randrange(l), 1])
             else:
-                u = r.vec([rng.randrange(r.l) for _ in range(min(dg, 2 * d) + 1)])
-            w = r.powmod(u, e, g)
-            w = r.sub(w, r.vec([1]))
-            h = r.gcd(g, w)
-            if 0 < r.deg(h) < dg:
+                u = FpPoly.make(l, [rng.randrange(l) for _ in range(min(dg, 2 * d) + 1)])
+            h = g.gcd(u.powmod(e, g) - 1)
+            if 0 < h.degree < dg:
                 stack.append(h)
-                stack.append(r.divmod(g, h)[0])
+                stack.append(g // h)
                 break
         else:
             raise StructuralError(
-                f"degree-{dg} factor did not split into degree-{d} factors mod l={r.l}"
+                f"degree-{dg} factor did not split into degree-{d} factors mod l={l}"
                 f" after {_SPLIT_TRIES} tries"
             )
     return out
@@ -541,22 +504,16 @@ def factorize(f: FpPoly) -> Factorization:
     """Complete factorization over F_l; deterministic output ordering."""
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
-    l = f.modulus
     if f.degree == 0:
-        return Factorization(unit=f.coeffs[0], factors=())
-    r = _Ring(l, f.degree + 1)
-    rng = _seed_rng(l, f.coeffs)
-    unit = f.lc
-    work = r.monic(r.vec(f.coeffs))
+        return Factorization(unit=f.lc, factors=())
     found: List[Tuple[FpPoly, int]] = []
-    for comp, mult in _sqfree_decomp(r, work):
-        parts, rem = _ddf(r, comp)
-        assert r.deg(rem) <= 0
+    for comp, mult in squarefree_decomposition(f):
+        parts, rem = _ddf(comp)
+        assert rem.degree <= 0
         for d, prod in sorted(parts.items()):
-            for g in _edf(r, prod, d, rng):
-                found.append((FpPoly(l, r.tup(r.monic(g))), mult))
+            found.extend((g.monic(), mult) for g in _edf(prod, d))
     found.sort(key=lambda fm: _sort_key(fm[0]))
-    return Factorization(unit=unit, factors=tuple(found))
+    return Factorization(unit=f.lc, factors=tuple(found))
 
 
 def is_irreducible(g: FpPoly) -> bool:
@@ -567,10 +524,9 @@ def is_irreducible(g: FpPoly) -> bool:
     if n == 1:
         return True
     l = g.modulus
-    r = _Ring(l, n + 1)
-    gv = r.monic(r.vec(g.coeffs))
-    full = r.xpowmod(l**n, gv)
-    if r.tup(r.xminus(full)):
+    g = g.monic()
+    x = FpPoly.x(l)
+    if x.powmod(l**n, g) != x:
         return False
     m = n
     primes = []
@@ -584,25 +540,17 @@ def is_irreducible(g: FpPoly) -> bool:
     if m > 1:
         primes.append(m)
     for q in primes:
-        part = r.xpowmod(l ** (n // q), gv)
-        if r.deg(r.gcd(gv, r.xminus(part))) != 0:
+        if g.gcd(x.powmod(l ** (n // q), g) - x).degree != 0:
             return False
     return True
 
 
-def squarefree_decomposition(f: FpPoly) -> List[Tuple[FpPoly, int]]:
-    if f.is_zero:
-        raise ValueError("zero polynomial")
-    r = _Ring(f.modulus, f.degree + 1)
-    return [
-        (FpPoly(f.modulus, r.tup(c)), m) for c, m in _sqfree_decomp(r, r.vec(f.coeffs))
-    ]
-
-
 def radical(f: FpPoly) -> FpPoly:
     """Product of the distinct monic irreducible factors of f."""
-    r = _Ring(f.modulus, f.degree + 1)
-    return FpPoly(f.modulus, r.tup(_radical(r, r.vec(f.coeffs))))
+    out = FpPoly.one(f.modulus)
+    for comp, _ in squarefree_decomposition(f):
+        out = out * comp
+    return out
 
 
 def poly_sqrt(f: FpPoly, require_square_lc: bool = False) -> FpPoly:
@@ -621,30 +569,34 @@ def poly_sqrt(f: FpPoly, require_square_lc: bool = False) -> FpPoly:
     return out
 
 
-def roots_in_fp(f: FpPoly) -> List[Tuple[int, int]]:
-    """All roots in F_l with multiplicities, sorted by root."""
+def _linear_part(f: FpPoly) -> FpPoly:
+    """gcd(f, x^l - x): the product of x - a over the distinct roots a of f in F_l."""
     if f.is_zero:
         raise ValueError("zero polynomial")
-    l = f.modulus
-    r = _Ring(l, f.degree + 1)
-    rng = _seed_rng(l, f.coeffs)
-    out: List[Tuple[int, int]] = []
-    for comp, mult in _sqfree_decomp(r, r.monic(r.vec(f.coeffs))):
-        g = r.gcd(comp, r.xminus(r.xpowmod(l, comp)))
-        if r.deg(g) > 0:
-            for lin in _edf(r, g, 1, rng):
-                root = (-int(lin[0])) % l
-                out.append((root, mult))
-    out.sort()
-    return out
+    x = FpPoly.x(f.modulus)
+    return f.gcd(x.powmod(f.modulus, f) - x)
+
+
+def distinct_roots_in_fp(f: FpPoly) -> List[int]:
+    """The distinct roots of f in F_l, sorted."""
+    g = _linear_part(f)
+    if g.degree <= 0:
+        return []
+    return sorted(-lin.coeffs[0] % f.modulus for lin in _edf(g, 1))
+
+
+def roots_in_fp(f: FpPoly) -> List[Tuple[int, int]]:
+    """All roots in F_l with multiplicities, sorted by root."""
+    return sorted(
+        (root, mult)
+        for comp, mult in squarefree_decomposition(f)
+        for root in distinct_roots_in_fp(comp)
+    )
 
 
 def count_roots_in_fp(f: FpPoly) -> int:
     """Number of distinct roots of f in F_l."""
-    l = f.modulus
-    r = _Ring(l, f.degree + 1)
-    sf = _radical(r, r.vec(f.coeffs))
-    return r.deg(r.gcd(sf, r.xminus(r.xpowmod(l, sf))))
+    return _linear_part(f).degree
 
 
 # ---------------------------------------------------------------------------
@@ -681,17 +633,32 @@ def resultant_in_X(f: FpPoly, a1: FpPoly, a0: FpPoly) -> FpPoly:
     if f.is_zero:
         raise ValueError("zero polynomial")
     l = f.modulus
-    w = max(a1.degree, a0.degree, 1)  # deg_Y of U and V is at most w * deg f
-    r = _Ring(l, w * (f.degree + 1))
-    va1, va0 = r.vec(a1.coeffs), r.vec(a0.coeffs)
-    na1, na0 = r.neg(va1), r.neg(va0)
-    fv = r.vec(f.coeffs)
+    na1, na0 = (-a1)._v, (-a0)._v
+    fv = f._v
     u, v = fv[:0], fv[:0]
     for k in range(len(fv) - 1, -1, -1):
         # (u X + v) X + f_k = (v - a1 u) X + (f_k - a0 u)
-        u, v = r.add(v, r.mul(na1, u)), r.add(r.mul(na0, u), fv[k : k + 1])
-    uu, uv, vv = r.mul(u, u), r.mul(u, v), r.mul(v, v)
-    return FpPoly(l, r.tup(r.add(r.sub(r.mul(uu, va0), r.mul(uv, va1)), vv)))
+        u, v = _add(l, v, _mul(l, na1, u)), _add(l, _mul(l, na0, u), fv[k : k + 1])
+    uu, uv, vv = _mul(l, u, u), _mul(l, u, v), _mul(l, v, v)
+    return FpPoly(l, _add(l, _sub(l, _mul(l, uu, a0._v), _mul(l, uv, a1._v)), vv))
+
+
+def rem_monic_in_x(f: FpPoly, g: Sequence[FpPoly]) -> List[FpPoly]:
+    """f(x) modulo g(x, t) = x^k + sum_{j<k} g[j](t) x^j, over F_l[t].
+
+    f has coefficients in F_l; returns the k x-coefficients of the remainder,
+    lowest first, as polynomials in t.
+    """
+    l, k = f.modulus, len(g)
+    gv = [gj._v for gj in g]
+    # rem[i] is the t-polynomial coefficient of x^i
+    rem = [_trim(f._v[i : i + 1]) for i in range(max(len(f._v), k))]
+    for i in range(len(rem) - 1, k - 1, -1):
+        c = rem.pop()  # dropped once reduced: its t-degree grows to len(f) - i
+        if len(c):
+            for j in range(k):
+                rem[i - k + j] = _sub(l, rem[i - k + j], _mul(l, c, gv[j]))
+    return [FpPoly(l, r) for r in rem]
 
 
 # ---------------------------------------------------------------------------

@@ -17,14 +17,13 @@ from .errors import StructuralError
 from .ffpoly import (
     FpPoly,
     PrimeContext,
-    _Ring,
     _ddf,
     _edf,
-    _radical,
-    _seed_rng,
+    distinct_roots_in_fp,
     is_irreducible,
+    radical as _radical,  # perfbench/traced.py times hasse7._radical and hasse7._ddf
+    rem_monic_in_x,
     resultant_in_X,
-    roots_in_fp,
     sqrt_mod,
 )
 
@@ -59,7 +58,7 @@ def deuring_J(ctx: PrimeContext) -> FpPoly:
 
 def supersingular_j_in_fp(ctx: PrimeContext) -> List[int]:
     """All supersingular j-invariants lying in F_l, sorted."""
-    js = {r for r, _ in roots_in_fp(deuring_J(ctx))}
+    js = set(distinct_roots_in_fp(deuring_J(ctx)))
     if ctx.r:
         js.add(0)
     if ctx.s:
@@ -80,23 +79,18 @@ def hasse_poly(ctx: PrimeContext) -> FpPoly:
     """
     coeffs = _deuring_coeffs(ctx)
     l, n, s, r = ctx.l, ctx.n, ctx.s, ctx.r
-    ring = _Ring(l, 24 * n + 24)
-    den = ring.vec(C.J7_DEN)
-    num = ring.vec(C.J7_NUM)
-    a_vec = ring.sub(num, ring.scale(den, 1728))  # num - 1728*den
-    # Horner in a_vec while accumulating powers of den:
-    # S_k = sum_{j=k..n} c_j a^(j-k) den^? built from the top down
-    acc = ring.vec([coeffs[n]])
-    den_pow = ring.vec([1])
+    den = FpPoly.make(l, C.J7_DEN)
+    a = FpPoly.make(l, C.J7_NUM) - 1728 * den
+    # Horner in a while accumulating powers of den, from the top down
+    out = FpPoly.make(l, [coeffs[n]])
+    den_pow = FpPoly.one(l)
     for k in range(n - 1, -1, -1):
-        den_pow = ring.mul(den_pow, den)
-        acc = ring.add(ring.mul(acc, a_vec), ring.scale(den_pow, coeffs[k]))
+        den_pow = den_pow * den
+        out = out * a + coeffs[k] * den_pow
     if r:
-        acc = ring.mul(acc, ring.vec(C.X2X1))
-        acc = ring.mul(acc, ring.vec(C.SEXTIC_J0))
+        out = out * FpPoly.make(l, C.X2X1) * FpPoly.make(l, C.SEXTIC_J0)
     if s:
-        acc = ring.mul(acc, ring.vec(C.F1728))
-    out = FpPoly(l, ring.tup(acc))
+        out = out * FpPoly.make(l, C.F1728)
     if out.degree != 8 * r + 12 * s + 24 * n:
         raise StructuralError("Hasse invariant has unexpected degree")
     return out
@@ -115,8 +109,6 @@ class FactorCountReport:
     N6: Optional[int] = None
     degree_histogram: Optional[Dict[int, int]] = None
     classification_ok: Optional[bool] = None
-    quadratic_count: Optional[int] = None  # all irreducible quadratics, unrestricted
-    sextic_count: Optional[int] = None     # all irreducible sextics, unrestricted
     formula_N1: Optional[Fraction] = None
     formula_N3: Optional[Fraction] = None
     formula_N6_by_case: Optional[Fraction] = None
@@ -140,42 +132,31 @@ def _b_value(l: int, a: int, b: int) -> int:
     ) % l
 
 
-def _count_n6_by_division(ring: _Ring, sf, l: int, rng) -> int:
+def _count_n6_by_division(sf: FpPoly) -> int:
     """Count sextics of the f_7(x, t) shape dividing squarefree sf.
 
     Divide sf by the monic (in x) f_7(x, t) over F_l[t]; the t-values with
     f_7(., t) | sf are the common roots of the six remainder coefficients.
     Counting those with f_7(., t0) irreducible gives exactly the sextic factors
-    that equal expand_f7(t0) (t0 is read back off the x^5 coefficient).
+    that equal expand_f7(t0).
     """
-    m = ring.deg(sf)
-    if m < 6:
+    l = sf.modulus
+    if sf.degree < 6:
         return 0
-    # f_7 x-coefficients as t-polynomials, low x-degree first
-    f7c = [(1,), (-3, 1), (6, 4), (-7, -13), (6, 9), (-3, -1)]
-    rem = [ring.vec([int(c)]) for c in sf]  # rem[i] = t-poly coefficient of x^i
-    for i in range(m, 5, -1):
-        c = ring.trim(rem[i])
-        if len(c):
-            for j in range(6):
-                rem[i - 6 + j] = ring.sub(rem[i - 6 + j], ring.mul(c, ring.vec(f7c[j])))
-        rem[i] = ring.vec([])
-    g = ring.vec([])
-    for j in range(6):
-        g = ring.gcd(g, rem[j]) if len(g) else ring.trim(rem[j])
-        if ring.deg(g) == 0:
+    # f_7 is linear in t: its x^j coefficient is c_j(0) + (c_j(1) - c_j(0)) t
+    at0, at1 = C.expand_f7(0), C.expand_f7(1)
+    f7c = [FpPoly.make(l, [c0, c1 - c0]) for c0, c1 in zip(at0[:6], at1[:6])]
+    g = FpPoly.zero(l)
+    for rem in rem_monic_in_x(sf, f7c):
+        g = g.gcd(rem)
+        if g.degree == 0:
             return 0
-    # distinct roots t0 of g in F_l, then the irreducibility filter
-    g = ring.gcd(g, ring.xminus(ring.xpowmod(l, g)))
-    count = 0
-    for lin in _edf(ring, g, 1, rng) if ring.deg(g) > 0 else []:
-        t0 = (-int(lin[0])) % l
-        if is_irreducible(FpPoly.make(l, C.expand_f7(t0))):
-            count += 1
-    return count
+    return sum(
+        is_irreducible(FpPoly.make(l, C.expand_f7(t0))) for t0 in distinct_roots_in_fp(g)
+    )
 
 
-def _count_n2_by_families(ring: _Ring, sf, ctx: PrimeContext, rng) -> int:
+def _count_n2_by_families(sf: FpPoly, ctx: PrimeContext) -> int:
     """Count irreducible quadratics x^2+ax+b | sf with B(a, b) = 0, for
     l = 1, 6 (mod 7), via the parametrization a = (alpha-1) b - alpha over the
     three roots alpha of x^3 - 8x^2 + 5x + 1 (equivalent to B(a, b) = 0).
@@ -184,19 +165,13 @@ def _count_n2_by_families(ring: _Ring, sf, ctx: PrimeContext, rng) -> int:
     in F_l give the candidate quadratics.
     """
     l = ctx.l
-    alphas = [r for r, _ in roots_in_fp(FpPoly.make(l, C.P_CUBIC))]
+    alphas = distinct_roots_in_fp(FpPoly.make(l, C.P_CUBIC))
     if len(alphas) != 3:
         raise StructuralError(f"p-cubic does not split at l={l} = {l % 7} (mod 7)")
-    sf_poly = FpPoly(l, ring.tup(sf))
     found = set()
     for alpha in alphas:
         a_poly = FpPoly.make(l, [-alpha, alpha - 1])  # a(b) = (alpha-1) b - alpha
-        T = ring.vec(resultant_in_X(sf_poly, a_poly, FpPoly.x(l)).coeffs)
-        T = ring.gcd(T, ring.xminus(ring.xpowmod(l, T)))
-        if ring.deg(T) <= 0:
-            continue
-        for lin in _edf(ring, T, 1, rng):
-            b0 = (-int(lin[0])) % l
+        for b0 in distinct_roots_in_fp(resultant_in_X(sf, a_poly, FpPoly.x(l))):
             a0 = ((alpha - 1) * b0 - alpha) % l
             disc = (a0 * a0 - 4 * b0) % l
             if kronecker(disc, l) == -1:  # irreducible over F_l
@@ -228,10 +203,7 @@ def count_factors(
     if not need <= ALL_COUNTS:
         raise ValueError(f"unknown count selector in {sorted(need)}")
     l = ctx.l
-    H = hasse_poly(ctx)
-    ring = _Ring(l, 2 * H.degree + 2)
-    rng = _seed_rng(l, H.coeffs)
-    sf = _radical(ring, ring.vec(H.coeffs))
+    sf = _radical(hasse_poly(ctx))
 
     upto: Optional[int] = None
     if not with_histogram:
@@ -242,41 +214,31 @@ def count_factors(
             upto = max(upto, 3)
         if "N2" in need and l % 7 not in (1, 6):
             upto = max(upto, 2)
-    parts, rem = _ddf(ring, sf, upto=upto)
-    full_walk = ring.deg(rem) <= 0
-    histogram = {d: ring.deg(p) // d for d, p in sorted(parts.items())} if full_walk else None
+    parts, rem = _ddf(sf, upto=upto)
+    full_walk = rem.degree <= 0
+    histogram = {d: p.degree // d for d, p in sorted(parts.items())} if full_walk else None
 
-    n1 = ring.deg(parts[1]) if 1 in parts else 0
-    n3 = ring.deg(parts[3]) // 3 if 3 in parts else 0
+    n1 = parts[1].degree if 1 in parts else 0
+    n3 = parts[3].degree // 3 if 3 in parts else 0
 
-    n2 = quad_count = None
+    n2 = None
     if "N2" in need:
         if l % 7 in (1, 6):
-            n2 = _count_n2_by_families(ring, sf, ctx, rng)
-            quad_count = ring.deg(parts[2]) // 2 if 2 in parts else None
+            n2 = _count_n2_by_families(sf, ctx)
         else:
             n2 = 0
-            quad_count = ring.deg(parts[2]) // 2 if 2 in parts else 0
-            if 2 in parts and ring.deg(parts[2]) > 0:
-                quads = (
-                    [parts[2]]
-                    if ring.deg(parts[2]) == 2
-                    else _edf(ring, parts[2], 2, rng)
-                )
+            if 2 in parts and parts[2].degree > 0:
+                quads = [parts[2]] if parts[2].degree == 2 else _edf(parts[2], 2)
                 for g in quads:
-                    gm = ring.monic(g)
-                    a, b = int(gm[1]), int(gm[0])
+                    b, a = g.monic().coeffs[:2]
                     if _b_value(l, a, b) == 0:
                         n2 += 1
 
-    n6 = sextic_count = None
-    if "N6" in need:
-        n6 = _count_n6_by_division(ring, sf, l, rng)
-        sextic_count = ring.deg(parts[6]) // 6 if 6 in parts else None
+    n6 = _count_n6_by_division(sf) if "N6" in need else None
 
     classification_ok: Optional[bool] = None
     if full_walk and histogram is not None:
-        classification_ok = _factor_type_rules(ctx, histogram, parts, ring)
+        classification_ok = _factor_type_rules(ctx, histogram, parts)
 
     return FactorCountReport(
         l=l,
@@ -286,12 +248,10 @@ def count_factors(
         N6=n6,
         degree_histogram=histogram,
         classification_ok=classification_ok,
-        quadratic_count=quad_count,
-        sextic_count=sextic_count,
     )
 
 
-def _factor_type_rules(ctx: PrimeContext, histogram, parts, ring) -> bool:
+def _factor_type_rules(ctx: PrimeContext, histogram, parts) -> bool:
     """Degree histogram obeys the factor-type rules for l mod 7."""
     l7 = ctx.l % 7
     degrees = {d for d, c in histogram.items() if c}
@@ -305,7 +265,7 @@ def _factor_type_rules(ctx: PrimeContext, histogram, parts, ring) -> bool:
         ok = degrees <= {2, 3, 6}
     if ok and l7 in (2, 3, 4, 5) and 2 in parts:
         # the only admissible quadratic is x^2 - x + 1
-        ok = ring.tup(ring.monic(parts[2])) == tuple(c % ctx.l for c in C.X2X1)
+        ok = parts[2].monic() == FpPoly.make(ctx.l, C.X2X1)
     return ok
 
 
@@ -427,13 +387,9 @@ def verify_count_formulas(ctx: PrimeContext, report: Optional[FactorCountReport]
 
 
 def _factor_degrees(f: FpPoly) -> List[int]:
-    ring = _Ring(f.modulus, f.degree + 1)
-    parts, rem = _ddf(ring, _radical(ring, ring.vec(f.coeffs)))
-    assert ring.deg(rem) <= 0
-    out: List[int] = []
-    for d, p in sorted(parts.items()):
-        out.extend([d] * (ring.deg(p) // d))
-    return out
+    parts, rem = _ddf(_radical(f))
+    assert rem.degree <= 0
+    return [d for d, p in sorted(parts.items()) for _ in range(p.degree // d)]
 
 
 def verify_special_factorizations(ctx: PrimeContext) -> Dict[str, str]:

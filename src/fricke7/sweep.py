@@ -8,9 +8,11 @@ parallel and serial runs produce identical reports.
 from __future__ import annotations
 
 import multiprocessing
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .errors import StructuralError
 from .ffpoly import PrimeContext, is_prime
 from .hasse7 import FactorCountReport, count_factors, verify_count_formulas
 from .ss7star import SS7StarReport, counts_and_nakaya, count_consistency
@@ -28,6 +30,15 @@ def run_parallel(worker, args: Sequence, jobs: int) -> List:
         return pool.map(worker, args)
 
 
+@contextmanager
+def _naming_prime(p: int):
+    """Prefix a structural error with its prime; pool.map re-raises it bare."""
+    try:
+        yield
+    except StructuralError as e:
+        raise StructuralError(f"p={p}: {e}") from e
+
+
 # -- hasse sweep
 
 
@@ -43,9 +54,10 @@ def _hasse_worker(args: Tuple[int, Tuple[str, ...], bool]) -> HasseRow:
     if p in (2, 3, 7):
         return HasseRow(p=p, report=None, skipped="excluded by hypothesis")
     ctx = PrimeContext.make(p)
-    rep = verify_count_formulas(
-        ctx, count_factors(ctx, need=need, with_histogram=with_histogram)
-    )
+    with _naming_prime(p):
+        rep = verify_count_formulas(
+            ctx, count_factors(ctx, need=need, with_histogram=with_histogram)
+        )
     return HasseRow(p=p, report=rep)
 
 
@@ -77,10 +89,11 @@ def _nakaya_worker(args: Tuple[int, bool, bool]) -> NakayaRow:
     if p in (2, 3, 7):
         return NakayaRow(p=p, report=None, consistency=None, skipped="excluded by hypothesis")
     ctx = PrimeContext.make(p)
-    rep = counts_and_nakaya(ctx, check_oracle=True if check_oracle else None)
-    sec3 = None
-    if with_consistency and p >= 11:
-        sec3 = count_consistency(ctx, report=rep)
+    with _naming_prime(p):
+        rep = counts_and_nakaya(ctx, check_oracle=True if check_oracle else None)
+        sec3 = None
+        if with_consistency and p >= 11:
+            sec3 = count_consistency(ctx, report=rep)
     return NakayaRow(p=p, report=rep, consistency=sec3)
 
 

@@ -6,7 +6,7 @@ import numpy as np
 
 from fricke7 import constants as C
 from fricke7.classnum import kronecker
-from fricke7.ffpoly import PrimeContext, _ddf, _edf, _radical, _Ring, _seed_rng
+from fricke7.ffpoly import PrimeContext, _ddf, _edf, radical
 from fricke7.hasse7 import _b_value, hasse_poly
 
 
@@ -47,19 +47,13 @@ def edf_counts(ctx: PrimeContext):
     of the degree-2 and degree-6 parts of its distinct-degree split; the
     production counts take N2 (l = 1, 6 mod 7) and N6 from structured routes."""
     l = ctx.l
-    H = hasse_poly(ctx)
-    ring = _Ring(l, 2 * H.degree + 2)
-    rng = _seed_rng(l, H.coeffs)
-    parts, _ = _ddf(ring, _radical(ring, ring.vec(H.coeffs)))
+    parts, _ = _ddf(radical(hasse_poly(ctx)))
 
     def factors(d):
-        return [ring.monic(g) for g in _edf(ring, parts[d], d, rng)] if d in parts else []
+        return [g.monic().coeffs for g in _edf(parts[d], d)] if d in parts else []
 
-    n1 = ring.deg(parts[1]) if 1 in parts else 0
-    n3 = ring.deg(parts[3]) // 3 if 3 in parts else 0
-    n2 = sum(_b_value(l, int(g[1]), int(g[0])) == 0 for g in factors(2))
-    n6 = sum(
-        ring.tup(g) == tuple(c % l for c in C.expand_f7((-int(g[5]) - 3) % l))
-        for g in factors(6)
-    )
+    n1 = parts[1].degree if 1 in parts else 0
+    n3 = parts[3].degree // 3 if 3 in parts else 0
+    n2 = sum(_b_value(l, g[1], g[0]) == 0 for g in factors(2))
+    n6 = sum(g == tuple(c % l for c in C.expand_f7((-g[5] - 3) % l)) for g in factors(6))
     return n1, n2, n3, n6

@@ -41,6 +41,7 @@ class TestOptions:
             ["identities", "--jobs", "2"],
             ["qseries", "--jobs", "2"],
             ["nakaya", "--primes", "13", "--fail-fast"],
+            ["hasse", "--primes", "13", "--fail-fast"],
         ],
     )
     def test_inert_option_is_usage_error(self, argv, capsys):
@@ -145,6 +146,23 @@ def test_structural_error_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(sweep, "nakaya_sweep", boom)
     code, _, err = run_cli(["ss7star", "--primes", "13"], capsys)
     assert code == 3 and "structural error" in err
+
+
+def test_structural_error_names_its_prime(monkeypatch, capsys):
+    from fricke7 import hasse7
+    from fricke7.errors import StructuralError
+
+    real = hasse7.hasse_poly
+
+    def fails_at_13(ctx):
+        if ctx.l == 13:
+            raise StructuralError("injected")
+        return real(ctx)
+
+    monkeypatch.setattr(hasse7, "hasse_poly", fails_at_13)
+    code, out, err = run_cli(["hasse", "--primes", "11,13"], capsys)
+    assert code == 3 and out == ""
+    assert "structural error: p=13: injected" in err
 
 
 def test_console_entry_point():

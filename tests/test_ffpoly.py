@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,8 +11,8 @@ from fricke7.exactring import padd, pscale, psub
 from fricke7.ffpoly import (
     FpPoly,
     PrimeContext,
+    _dtype,
     _edf,
-    _Ring,
     factorize,
     is_irreducible,
     is_prime,
@@ -185,9 +186,38 @@ class TestBoundedSplitting:
     def test_edf_irreducible_quartic(self):
         quartic = FpPoly.make(13, [2, 0, 0, 0, 1])
         assert factorize(quartic).factors[0][0].degree == 4  # irreducible mod 13
-        r = _Ring(13, 8)
         with pytest.raises(StructuralError, match=r"degree-2 .*l=13"):
-            _edf(r, r.vec(quartic.coeffs), 2, random.Random(1))
+            _edf(quartic, 2)
+
+
+class TestInt64Boundary:
+    """Exactness on both sides of the int64/object choice.
+
+    At l near 2^28, (l-1)^2 is about 2^56, so int64 holds sums of up to 64
+    coefficient products: degree-20 operands compute in int64, degree-300
+    operands in Python ints (300 products would overflow int64).  Coefficients
+    near l - 1 make the sums close to that worst case.
+    """
+
+    L = 268435399
+
+    @pytest.mark.parametrize("deg, dtype", [(20, np.int64), (300, object)])
+    def test_mul_and_divmod(self, deg, dtype):
+        l = self.L
+        assert is_prime(l)
+        rng = random.Random(deg)
+
+        def poly(n):
+            return FpPoly.make(l, [-1 - rng.randrange(1 << 16) for _ in range(n + 1)])
+
+        f, g, a = poly(deg), poly(deg), poly(2 * deg)
+        assert _dtype(l, 2 * (deg + 1)) is dtype and _dtype(l, 3 * deg + 2) is dtype
+        prod = f * g
+        q, r = divmod(a, f)
+        assert q * f + r == a and r.degree < f.degree
+        for x0 in rng.sample(range(l), 8):
+            assert prod(x0) == f(x0) * g(x0) % l
+            assert a(x0) == (q(x0) * f(x0) + r(x0)) % l
 
 
 class TestPolySqrt:
