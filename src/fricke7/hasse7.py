@@ -20,10 +20,9 @@ from .ffpoly import (
     _ddf,
     _edf,
     distinct_roots_in_fp,
+    divisor_points,
     is_irreducible,
     radical as _radical,  # perfbench/traced.py times hasse7._radical and hasse7._ddf
-    rem_monic_in_x,
-    resultant_in_X,
     sqrt_mod,
 )
 
@@ -135,25 +134,16 @@ def _b_value(l: int, a: int, b: int) -> int:
 def _count_n6_by_division(sf: FpPoly) -> int:
     """Count sextics of the f_7(x, t) shape dividing squarefree sf.
 
-    Divide sf by the monic (in x) f_7(x, t) over F_l[t]; the t-values with
-    f_7(., t) | sf are the common roots of the six remainder coefficients.
-    Counting those with f_7(., t0) irreducible gives exactly the sextic factors
-    that equal expand_f7(t0).
+    `divisor_points` gives the t0 in F_l with f_7(x, t0) | sf; counting those
+    with f_7(., t0) irreducible gives exactly the sextic factors that equal
+    expand_f7(t0).
     """
     l = sf.modulus
-    if sf.degree < 6:
-        return 0
-    # f_7 is linear in t: its x^j coefficient is c_j(0) + (c_j(1) - c_j(0)) t
+    # f_7 is monic in x and linear in t: its x^j coefficient is
+    # c_j(0) + (c_j(1) - c_j(0)) t
     at0, at1 = C.expand_f7(0), C.expand_f7(1)
     f7c = [FpPoly.make(l, [c0, c1 - c0]) for c0, c1 in zip(at0[:6], at1[:6])]
-    g = FpPoly.zero(l)
-    for rem in rem_monic_in_x(sf, f7c):
-        g = g.gcd(rem)
-        if g.degree == 0:
-            return 0
-    return sum(
-        is_irreducible(FpPoly.make(l, C.expand_f7(t0))) for t0 in distinct_roots_in_fp(g)
-    )
+    return sum(is_irreducible(FpPoly.make(l, C.expand_f7(t0))) for t0 in divisor_points(sf, f7c))
 
 
 def _count_n2_by_families(sf: FpPoly, ctx: PrimeContext) -> int:
@@ -161,8 +151,9 @@ def _count_n2_by_families(sf: FpPoly, ctx: PrimeContext) -> int:
     l = 1, 6 (mod 7), via the parametrization a = (alpha-1) b - alpha over the
     three roots alpha of x^3 - 8x^2 + 5x + 1 (equivalent to B(a, b) = 0).
 
-    For each family, T(b) = Res_x(sf, x^2 + a(b) x + b); its distinct roots
-    in F_l give the candidate quadratics.
+    For each family, `divisor_points` gives the b0 in F_l with
+    x^2 + a(b0) x + b0 | sf; those with a non-square discriminant are the
+    irreducible quadratic factors.
     """
     l = ctx.l
     alphas = distinct_roots_in_fp(FpPoly.make(l, C.P_CUBIC))
@@ -171,7 +162,7 @@ def _count_n2_by_families(sf: FpPoly, ctx: PrimeContext) -> int:
     found = set()
     for alpha in alphas:
         a_poly = FpPoly.make(l, [-alpha, alpha - 1])  # a(b) = (alpha-1) b - alpha
-        for b0 in distinct_roots_in_fp(resultant_in_X(sf, a_poly, FpPoly.x(l))):
+        for b0 in divisor_points(sf, [FpPoly.x(l), a_poly]):
             a0 = ((alpha - 1) * b0 - alpha) % l
             disc = (a0 * a0 - 4 * b0) % l
             if kronecker(disc, l) == -1:  # irreducible over F_l
@@ -195,9 +186,10 @@ def count_factors(
 
     `need` restricts the work; `with_histogram` controls whether the full
     distinct-degree walk runs (needed for the degree histogram and the
-    factor-type classification).  N2 for l = 1, 6 (mod 7) comes from the
-    parametrized families and N6 from division by f_7(x, t); the test suite
-    checks both against plain equal-degree splitting.
+    factor-type classification).  N2 for l = 1, 6 (mod 7) and N6 come from
+    `divisor_points` (every x^2 + a(b) x + b of the three parametrized
+    families, and every f_7(x, t0), tested at once); the test suite checks
+    both against plain equal-degree splitting.
     """
     need = frozenset(need)
     if not need <= ALL_COUNTS:

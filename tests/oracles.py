@@ -42,10 +42,32 @@ def legendre_by_euler(a: int, p: int) -> int:
     return 1 if t == 1 else -1
 
 
+def schoolbook_mul(l: int, a, b):
+    """The product of coefficient lists (lowest degree first) mod l, term by term."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % l
+    return out
+
+
+def schoolbook_divmod(l: int, a, b):
+    """Quotient and remainder lists of a by b (b[-1] a unit mod l), one
+    quotient coefficient at a time."""
+    inv = pow(b[-1], -1, l)
+    r = [c % l for c in a]
+    q = [0] * max(0, len(a) - len(b) + 1)
+    for i in range(len(q) - 1, -1, -1):
+        c = q[i] = r[i + len(b) - 1] * inv % l
+        for j, y in enumerate(b):
+            r[i + j] = (r[i + j] - c * y) % l
+    return q, r[: len(b) - 1]
+
+
 def edf_counts(ctx: PrimeContext):
     """(N1, N2, N3, N6) of the Hasse invariant by plain equal-degree splitting
     of the degree-2 and degree-6 parts of its distinct-degree split; the
-    production counts take N2 (l = 1, 6 mod 7) and N6 from structured routes."""
+    production counts take N2 (l = 1, 6 mod 7) and N6 from `divisor_points`."""
     l = ctx.l
     parts, _ = _ddf(radical(hasse_poly(ctx)))
 

@@ -1,18 +1,24 @@
 import random
+from unittest import mock
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fricke7 import constants as C
+from fricke7 import ffpoly
 from fricke7.errors import NotASquareError, StructuralError
 from fricke7.exactring import padd, pscale, psub
 from fricke7.ffpoly import (
+    _FFT_MIN_LEN,
+    _NEWTON_MIN_QUOT,
     FpPoly,
     PrimeContext,
     _dtype,
     _edf,
+    divisor_points,
     factorize,
     is_irreducible,
     is_prime,
@@ -218,6 +224,103 @@ class TestInt64Boundary:
         for x0 in rng.sample(range(l), 8):
             assert prod(x0) == f(x0) * g(x0) % l
             assert a(x0) == (q(x0) * f(x0) + r(x0)) % l
+
+
+def _vec(l, coeffs):
+    return np.array(coeffs, dtype=_dtype(l, 1))
+
+
+def _trimmed(coeffs):
+    out = [int(c) for c in coeffs]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+class TestKernelAgainstSchoolbook:
+    """`_mul` and `_divmod` against the schoolbook oracles, on both sides of
+    the FFT length crossover, of the FFT exactness bound and of the Newton
+    quotient crossover, with the path each case takes pinned by spies.
+
+    At operand lengths from _FFT_MIN_LEN to a few hundred the bound holds for
+    l = 13, 1999 and 9973 and fails for l = 268435399 and 2^61 - 1 (object
+    dtype), so those convolve directly.
+    """
+
+    MODULI = [13, 1999, 9973, 268435399, (1 << 61) - 1]
+    FFT_EXACT = {13, 1999, 9973}
+
+    @staticmethod
+    def coeffs(rng, l, n, monic_like=False):
+        # half the draws near l - 1, where the sums of products are largest
+        if rng.random() < 0.5:
+            out = [rng.randrange(l) for _ in range(n)]
+        else:
+            out = [l - 1 - rng.randrange(min(l, 256)) for _ in range(n)]
+        if monic_like:
+            out[-1] = out[-1] or 1
+        return out
+
+    @pytest.mark.parametrize("l", MODULI)
+    @pytest.mark.parametrize("long", [False, True], ids=["short", "long"])
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_mul(self, l, long, seed):
+        rng = random.Random(seed)
+        m = rng.randint(_FFT_MIN_LEN, 2 * _FFT_MIN_LEN) if long else rng.randint(1, _FFT_MIN_LEN - 1)
+        a = self.coeffs(rng, l, m)
+        b = a if rng.random() < 0.25 else self.coeffs(rng, l, m + rng.randint(0, 200))
+        av = _vec(l, a)
+        bv = av if b is a else _vec(l, b)
+        with mock.patch.object(ffpoly, "_mul_fft", wraps=ffpoly._mul_fft) as fft:
+            out = ffpoly._mul(l, av, bv)
+        assert fft.called == (long and l in self.FFT_EXACT)
+        assert _trimmed(out) == _trimmed(oracles.schoolbook_mul(l, a, b))
+
+    @pytest.mark.parametrize("l", MODULI)
+    @pytest.mark.parametrize("path", ["loop", "newton", "reused-inverse"])
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_divmod(self, l, path, seed):
+        rng = random.Random(seed)
+        db = rng.randint(1, 150)
+        if path == "loop":
+            nq = rng.randint(1, _NEWTON_MIN_QUOT - 1)
+        else:
+            nq = rng.randint(_NEWTON_MIN_QUOT, 300)
+        a = self.coeffs(rng, l, db + nq, monic_like=True)
+        b = self.coeffs(rng, l, db + 1, monic_like=True)
+        bv, binv = _vec(l, b), None
+        if path == "reused-inverse":
+            n = nq + rng.randint(0, 50)
+            binv = ffpoly._inv_series(l, bv[::-1], n)
+            assert _trimmed(oracles.schoolbook_mul(l, b[::-1], _trimmed(binv))[:n]) == [1]
+        with mock.patch.object(ffpoly, "_mul", wraps=ffpoly._mul) as mul, mock.patch.object(
+            ffpoly, "_inv_series", wraps=ffpoly._inv_series
+        ) as inv:
+            q, r = ffpoly._divmod(l, _vec(l, a), bv, binv)
+        assert mul.called == (path != "loop")
+        assert inv.called == (path == "newton")
+        want_q, want_r = oracles.schoolbook_divmod(l, a, b)
+        assert _trimmed(q) == _trimmed(want_q)
+        assert _trimmed(r) == _trimmed(want_r)
+
+
+@pytest.mark.parametrize("l", [13, 101])
+def test_divisor_points_against_pointwise_division(l):
+    rng = random.Random(l)
+    # g(x, t) = x^3 + (t^2 + 1) x^2 + 5 t x + (t - 2)
+    g = [FpPoly.make(l, [-2, 1]), FpPoly.make(l, [0, 5]), FpPoly.make(l, [1, 0, 1])]
+
+    def at(t0):
+        return FpPoly.make(l, [gj(t0) for gj in g] + [1])
+
+    chosen = rng.sample(range(l), 3)
+    f = at(chosen[0]) * at(chosen[1]) * at(chosen[2]) * random_poly(rng, l, max_deg=20)
+    want = [t0 for t0 in range(l) if (f % at(t0)).is_zero]
+    assert set(chosen) <= set(want)
+    assert divisor_points(f, g) == want
+    assert divisor_points(FpPoly.make(l, [0, 0, 1]), g) == []
 
 
 class TestPolySqrt:

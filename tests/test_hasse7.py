@@ -87,7 +87,7 @@ class TestCounts:
         assert rep.N1 == 36 and rep.N2 is None and rep.degree_histogram is None
 
     def test_fast_and_edf_routes_agree(self):
-        for p in (41, 43, 103, 113, 127):
+        for p in (41, 43, 103, 113, 127, 37, 59, 53):  # every class l mod 7
             ctx = PrimeContext.make(p)
             a = count_factors(ctx)
             assert (a.N1, a.N2, a.N3, a.N6) == oracles.edf_counts(ctx), p
