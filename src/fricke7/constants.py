@@ -432,6 +432,20 @@ def self_check() -> List[Tuple[str, bool]]:
         and pdeg(list(J77_DEN)) == 23,
     )
 
+    # the squarefree certificate of the Hasse invariant: num' den - num den' of
+    # j_7 vanishes only over j = 0, 1728 and infinity, and the j = 0, 1728 blocks
+    # have discriminant 2^a 3^b 7^c
+    check(
+        "j7_wronskian",
+        psub(pmul(pderiv(J7_NUM), J7_DEN), pmul(J7_NUM, pderiv(J7_DEN)))
+        == pscale(pmul_many([ppow(X2X1, 2), ppow(SEXTIC_J0, 2), F1728, pshift([1], 6), ppow((-1, 1), 6)]), 7),
+    )
+    disc = abs(discriminant_zz(pmul(F0, F1728)))
+    for q in (2, 3, 7):
+        while disc % q == 0:
+            disc //= q
+    check("hasse_blocks_disc_237", disc == 1)
+
     # scattered resultants entering the factor-orbit arguments
     check("res_x2x1_d7", resultant_zz(X2X1, CUBIC_D7) == 7)
     check("res_x2x1_d28", resultant_zz(X2X1, CUBIC_D28) == 3**3 * 7)

@@ -10,8 +10,7 @@ arrays of Python ints otherwise, so moduli up to 2^63 run the same code.
 Long products go through a float64 FFT inside an asserted exactness bound
 (`_fft_error`), and long quotients through the Newton inverse of the
 reversed divisor (`_inv_series`); short ones keep `np.convolve` and the row
-loop.  `divisor_points` tests g(x, t0) | f at every t0 in F_l in one pass.
-All randomized steps draw from a PRNG seeded deterministically from the
+loop.  All randomized steps draw from a PRNG seeded deterministically from the
 modulus and the input coefficients, so every run (and every process) produces
 identical output.
 """
@@ -22,7 +21,7 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -602,38 +601,6 @@ def factorize(f: FpPoly) -> Factorization:
     return Factorization(unit=f.lc, factors=tuple(found))
 
 
-def is_irreducible(g: FpPoly) -> bool:
-    """Certificate: x^(l^n) = x mod g and gcd(x^(l^(n/q)) - x, g) = 1 for primes q | n."""
-    n = g.degree
-    if n <= 0:
-        return False
-    if n == 1:
-        return True
-    l = g.modulus
-    g = g.monic()
-    x = FpPoly.x(l)
-    frobenius = [x]  # frobenius[i] = x^(l^i) mod g
-    for _ in range(n):
-        frobenius.append(frobenius[-1].powmod(l, g))
-    if frobenius[n] != x:
-        return False
-    m = n
-    primes = []
-    q = 2
-    while q * q <= m:
-        if m % q == 0:
-            primes.append(q)
-            while m % q == 0:
-                m //= q
-        q += 1
-    if m > 1:
-        primes.append(m)
-    for q in primes:
-        if g.gcd(frobenius[n // q] - x).degree != 0:
-            return False
-    return True
-
-
 def radical(f: FpPoly) -> FpPoly:
     """Product of the distinct monic irreducible factors of f."""
     out = FpPoly.one(f.modulus)
@@ -730,32 +697,6 @@ def resultant_in_X(f: FpPoly, a1: FpPoly, a0: FpPoly) -> FpPoly:
         u, v = _add(l, v, _mul(l, na1, u)), _add(l, _mul(l, na0, u), fv[k : k + 1])
     uu, uv, vv = _mul(l, u, u), _mul(l, u, v), _mul(l, v, v)
     return FpPoly(l, _add(l, _sub(l, _mul(l, uu, a0._v), _mul(l, uv, a1._v)), vv))
-
-
-def divisor_points(f: FpPoly, g: Sequence[FpPoly]) -> List[int]:
-    """The t0 in F_l, sorted, with g(x, t0) | f, where
-    g(x, t) = x^k + sum_{j<k} g[j](t) x^j.
-
-    One Horner pass reduces f modulo g(x, t0) at every t0 at once: row j of
-    the k x l state holds the x^j coefficient of the remainder at each t0.
-    """
-    l, k = f.modulus, len(g)
-    # A state entry takes at most k subtractions below (l-1)^2 before it
-    # moves to the top row and is reduced.
-    assert k * (l - 1) ** 2 + l < _INT64_BOUND
-    t = np.arange(l, dtype=np.int64)
-    gt = np.zeros((k, l), dtype=np.int64)
-    for j, gj in enumerate(g):
-        for c in reversed(gj.coeffs):  # Horner in t
-            gt[j] = (gt[j] * t + c) % l
-    state = np.zeros((k, l), dtype=np.int64)
-    for fi in f.coeffs[::-1]:
-        # x r + f_i, with x^k = -sum_j g_j x^j
-        top = state[k - 1] % l
-        state[1:] = state[:-1]
-        state[0] = fi
-        state -= top * gt
-    return np.flatnonzero(~(state % l).any(axis=0)).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,6 @@ from .ffpoly import (
     _ddf,
     _edf,
     distinct_roots_in_fp,
-    divisor_points,
-    is_irreducible,
     radical as _radical,  # perfbench/traced.py times hasse7._radical and hasse7._ddf
     sqrt_mod,
 )
@@ -131,46 +129,84 @@ def _b_value(l: int, a: int, b: int) -> int:
     ) % l
 
 
-def _count_n6_by_division(sf: FpPoly) -> int:
-    """Count sextics of the f_7(x, t) shape dividing squarefree sf.
+def _at(p: FpPoly, h: FpPoly, f: FpPoly) -> FpPoly:
+    """p(h) mod f, by Horner."""
+    out = FpPoly.zero(f.modulus)
+    for c in reversed(p.coeffs):
+        out = (out * h + c) % f
+    return out
 
-    `divisor_points` gives the t0 in F_l with f_7(x, t0) | sf; counting those
-    with f_7(., t0) irreducible gives exactly the sextic factors that equal
-    expand_f7(t0).
+
+def _shape_part(f: FpPoly, pairs, d: int) -> FpPoly:
+    """The product of the irreducible degree-d factors of monic squarefree f at
+    whose roots some n/m, (n, m) in `pairs`, takes a value in F_l.
+
+    At a root b of f with m(b) != 0, (n/m)(b) lies in F_l exactly when it equals
+    its l-th power (n/m)(b^l), that is when n(h) m - n m(h) vanishes at b, where
+    h = x^l mod f.  The gcd of f with the product of these tests over `pairs`
+    holds every such factor; its distinct-degree split picks out degree d.
     """
-    l = sf.modulus
-    # f_7 is monic in x and linear in t: its x^j coefficient is
-    # c_j(0) + (c_j(1) - c_j(0)) t
-    at0, at1 = C.expand_f7(0), C.expand_f7(1)
-    f7c = [FpPoly.make(l, [c0, c1 - c0]) for c0, c1 in zip(at0[:6], at1[:6])]
-    return sum(is_irreducible(FpPoly.make(l, C.expand_f7(t0))) for t0 in divisor_points(sf, f7c))
+    l = f.modulus
+    if f.degree < d:
+        return FpPoly.one(l)
+    h = FpPoly.x(l).powmod(l, f)
+    test = FpPoly.one(l)
+    for n, m in pairs:
+        test = test * (_at(n, h, f) * m - n * _at(m, h, f)) % f
+    parts, _ = _ddf(f.gcd(test), upto=d)
+    return parts.get(d, FpPoly.one(l))
 
 
-def _count_n2_by_families(sf: FpPoly, ctx: PrimeContext) -> int:
-    """Count irreducible quadratics x^2+ax+b | sf with B(a, b) = 0, for
-    l = 1, 6 (mod 7), via the parametrization a = (alpha-1) b - alpha over the
-    three roots alpha of x^3 - 8x^2 + 5x + 1 (equivalent to B(a, b) = 0).
+def _count_n6(f: FpPoly) -> int:
+    """Count the sextic factors of f (monic squarefree) equal to some f_7(x, t0).
 
-    For each family, `divisor_points` gives the b0 in F_l with
-    x^2 + a(b0) x + b0 | sf; those with a non-square discriminant are the
-    irreducible quadratic factors.
+    f_7(x, t) = N(x) - t D(x) with N = (x^2-x+1)^3 and D = x(x-1)p(x), so an
+    irreducible sextic with root b equals f_7(x, t0) exactly when (N/D)(b) = t0
+    lies in F_l: both are then the minimal polynomial of b.
+    """
+    l = f.modulus
+    n = FpPoly.make(l, C.expand_f7(0))
+    return _shape_part(f, [(n, n - FpPoly.make(l, C.expand_f7(1)))], 6).degree // 6
+
+
+def _count_n2(f: FpPoly, ctx: PrimeContext) -> int:
+    """Count irreducible quadratics x^2+ax+b | f (monic squarefree) with
+    B(a, b) = 0, for l = 1, 6 (mod 7), via the parametrization
+    a = (alpha-1) b - alpha over the three roots alpha of x^3 - 8x^2 + 5x + 1
+    (equivalent to B(a, b) = 0).
+
+    x^2 + a x + b = (x^2 - alpha x) + b ((alpha-1) x + 1), so an irreducible
+    quadratic with root r is in the alpha family exactly when
+    (x^2 - alpha x) / ((alpha-1) x + 1) takes an F_l value at r.
     """
     l = ctx.l
     alphas = distinct_roots_in_fp(FpPoly.make(l, C.P_CUBIC))
     if len(alphas) != 3:
         raise StructuralError(f"p-cubic does not split at l={l} = {l % 7} (mod 7)")
-    found = set()
-    for alpha in alphas:
-        a_poly = FpPoly.make(l, [-alpha, alpha - 1])  # a(b) = (alpha-1) b - alpha
-        for b0 in divisor_points(sf, [FpPoly.x(l), a_poly]):
-            a0 = ((alpha - 1) * b0 - alpha) % l
-            disc = (a0 * a0 - 4 * b0) % l
-            if kronecker(disc, l) == -1:  # irreducible over F_l
-                found.add((a0, b0))
-    for a0, b0 in found:
-        if _b_value(l, a0, b0) != 0:
+    pairs = [(FpPoly.make(l, [0, -alpha, 1]), FpPoly.make(l, [1, alpha - 1])) for alpha in alphas]
+    quads = _shape_part(f, pairs, 2)
+    for g in _edf(quads, 2) if quads.degree > 0 else []:
+        b, a = g.coeffs[:2]
+        if _b_value(l, a, b) != 0:
             raise StructuralError("family quadratic violates B(a, b) = 0")
-    return len(found)
+    return quads.degree // 2
+
+
+def _certified_squarefree(ctx: PrimeContext) -> FpPoly:
+    """The Hasse polynomial made monic, after certifying it squarefree.
+
+    For j_7 = num/den, num' den - num den' = 7 (x^2-x+1)^2 S^2 F1728 x^6 (x-1)^6
+    with S = SEXTIC_J0 (an entry of `constants.self_check`), so for l != 2, 3, 7
+    a repeated root of num - j den lies over j = 0, 1728 or infinity.  The
+    j = 0 and j = 1728 blocks that `hasse_poly` multiplies in are squarefree mod
+    l (their discriminants involve only 2, 3 and 7), so the whole product is
+    squarefree when J_l is squarefree and prime to t (t - 1728).
+    """
+    l = ctx.l
+    J = deuring_J(ctx)
+    if not J(0) or not J(1728) or J.gcd(J.derivative()).degree > 0:
+        raise StructuralError(f"J_l is not squarefree and prime to t(t - 1728) at l={l}")
+    return hasse_poly(ctx).monic()
 
 
 def count_factors(
@@ -178,24 +214,25 @@ def count_factors(
     need: Sequence[str] = ("N1", "N2", "N3", "N6"),
     with_histogram: bool = True,
 ) -> FactorCountReport:
-    """Factor-type counts over the squarefree part of the Hasse invariant.
+    """Factor-type counts over the Hasse invariant, certified squarefree.
 
     N1/N3 are the distinct linear/irreducible-cubic counts; N2 counts only
     irreducible quadratics x^2+ax+b with B(a, b) = 0; N6 only sextics equal to
-    f_7(x, t) for the t read off their x^5 coefficient.
+    f_7(x, t) for some t in F_l.
 
     `need` restricts the work; `with_histogram` controls whether the full
     distinct-degree walk runs (needed for the degree histogram and the
-    factor-type classification).  N2 for l = 1, 6 (mod 7) and N6 come from
-    `divisor_points` (every x^2 + a(b) x + b of the three parametrized
-    families, and every f_7(x, t0), tested at once); the test suite checks
-    both against plain equal-degree splitting.
+    factor-type classification).  N2 for l = 1, 6 (mod 7) and N6 come from one
+    Frobenius shape test (`_shape_part`) on the degree-2 or degree-6 part of the
+    full walk, or on the unsplit remainder of a partial one; with no such part
+    there is nothing to test.  The test suite checks both against plain
+    equal-degree splitting and against an all-points divisor test.
     """
     need = frozenset(need)
     if not need <= ALL_COUNTS:
         raise ValueError(f"unknown count selector in {sorted(need)}")
     l = ctx.l
-    sf = _radical(hasse_poly(ctx))
+    sf = _certified_squarefree(ctx)
 
     upto: Optional[int] = None
     if not with_histogram:
@@ -210,27 +247,21 @@ def count_factors(
     full_walk = rem.degree <= 0
     histogram = {d: p.degree // d for d, p in sorted(parts.items())} if full_walk else None
 
+    def candidates(d: int) -> FpPoly:  # where the degree-d factors are
+        return parts.get(d, FpPoly.one(l)) if full_walk else rem
+
     n1 = parts[1].degree if 1 in parts else 0
     n3 = parts[3].degree // 3 if 3 in parts else 0
 
     n2 = None
     if "N2" in need:
         if l % 7 in (1, 6):
-            n2 = _count_n2_by_families(sf, ctx)
+            n2 = _count_n2(candidates(2), ctx)
         else:
-            n2 = 0
-            if 2 in parts and parts[2].degree > 0:
-                quads = [parts[2]] if parts[2].degree == 2 else _edf(parts[2], 2)
-                for g in quads:
-                    b, a = g.monic().coeffs[:2]
-                    if _b_value(l, a, b) == 0:
-                        n2 += 1
+            quads = _edf(parts[2], 2) if 2 in parts else []
+            n2 = sum(_b_value(l, g.coeffs[1], g.coeffs[0]) == 0 for g in quads)
 
-    n6 = _count_n6_by_division(sf) if "N6" in need else None
-
-    classification_ok: Optional[bool] = None
-    if full_walk and histogram is not None:
-        classification_ok = _factor_type_rules(ctx, histogram, parts)
+    n6 = _count_n6(candidates(6)) if "N6" in need else None
 
     return FactorCountReport(
         l=l,
@@ -239,7 +270,7 @@ def count_factors(
         N3=n3 if ("N3" in need or full_walk) else None,
         N6=n6,
         degree_histogram=histogram,
-        classification_ok=classification_ok,
+        classification_ok=_factor_type_rules(ctx, histogram, parts) if full_walk else None,
     )
 
 
@@ -259,12 +290,6 @@ def _factor_type_rules(ctx: PrimeContext, histogram, parts) -> bool:
         # the only admissible quadratic is x^2 - x + 1
         ok = parts[2].monic() == FpPoly.make(ctx.l, C.X2X1)
     return ok
-
-
-def verify_factor_types(ctx: PrimeContext, report: Optional[FactorCountReport] = None) -> bool:
-    if report is None or report.classification_ok is None:
-        report = count_factors(ctx)
-    return bool(report.classification_ok)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 
 from fricke7 import constants as C
 from fricke7.classnum import kronecker
-from fricke7.ffpoly import PrimeContext, _ddf, _edf, radical
+from fricke7.ffpoly import FpPoly, PrimeContext, _ddf, _edf, distinct_roots_in_fp, radical
 from fricke7.hasse7 import _b_value, hasse_poly
 
 
@@ -64,10 +64,98 @@ def schoolbook_divmod(l: int, a, b):
     return q, r[: len(b) - 1]
 
 
+def is_irreducible(g: FpPoly) -> bool:
+    """Certificate: x^(l^n) = x mod g and gcd(x^(l^(n/q)) - x, g) = 1 for primes q | n."""
+    n = g.degree
+    if n <= 0:
+        return False
+    if n == 1:
+        return True
+    l = g.modulus
+    g = g.monic()
+    x = FpPoly.x(l)
+    frobenius = [x]  # frobenius[i] = x^(l^i) mod g
+    for _ in range(n):
+        frobenius.append(frobenius[-1].powmod(l, g))
+    if frobenius[n] != x:
+        return False
+    m = n
+    primes = []
+    q = 2
+    while q * q <= m:
+        if m % q == 0:
+            primes.append(q)
+            while m % q == 0:
+                m //= q
+        q += 1
+    if m > 1:
+        primes.append(m)
+    for q in primes:
+        if g.gcd(frobenius[n // q] - x).degree != 0:
+            return False
+    return True
+
+
+def divisor_points(f: FpPoly, g):
+    """The t0 in F_l, sorted, with g(x, t0) | f, where
+    g(x, t) = x^k + sum_{j<k} g[j](t) x^j.
+
+    One Horner pass reduces f modulo g(x, t0) at every t0 at once: row j of
+    the k x l state holds the x^j coefficient of the remainder at each t0.
+    """
+    l, k = f.modulus, len(g)
+    # A state entry takes at most k subtractions below (l-1)^2 before it
+    # moves to the top row and is reduced.
+    assert k * (l - 1) ** 2 + l < 2**62
+    t = np.arange(l, dtype=np.int64)
+    gt = np.zeros((k, l), dtype=np.int64)
+    for j, gj in enumerate(g):
+        for c in reversed(gj.coeffs):  # Horner in t
+            gt[j] = (gt[j] * t + c) % l
+    state = np.zeros((k, l), dtype=np.int64)
+    for fi in f.coeffs[::-1]:
+        # x r + f_i, with x^k = -sum_j g_j x^j
+        top = state[k - 1] % l
+        state[1:] = state[:-1]
+        state[0] = fi
+        state -= top * gt
+    return np.flatnonzero(~(state % l).any(axis=0)).tolist()
+
+
+def divisor_counts(ctx: PrimeContext):
+    """(N1, N2, N3, N6) of the Hasse invariant by the route that tests every
+    t0 in F_l: the radical, then `divisor_points` for the f_7(x, t0) (each
+    certified by `is_irreducible`) and, for l = 1, 6 mod 7, for the three
+    quadratic families x^2 + ((alpha-1) b - alpha) x + b (kept when
+    irreducible)."""
+    l = ctx.l
+    sf = radical(hasse_poly(ctx))
+    parts, _ = _ddf(sf)
+    n1 = parts[1].degree if 1 in parts else 0
+    n3 = parts[3].degree // 3 if 3 in parts else 0
+    if l % 7 in (1, 6):
+        found = set()
+        for alpha in distinct_roots_in_fp(FpPoly.make(l, C.P_CUBIC)):
+            a_poly = FpPoly.make(l, [-alpha, alpha - 1])  # a(b) = (alpha-1) b - alpha
+            for b0 in divisor_points(sf, [FpPoly.x(l), a_poly]):
+                a0 = ((alpha - 1) * b0 - alpha) % l
+                if kronecker(a0 * a0 - 4 * b0, l) == -1:
+                    found.add((a0, b0))
+        n2 = len(found)
+    else:
+        quads = [q.coeffs for q in _edf(parts[2], 2)] if 2 in parts else []
+        n2 = sum(_b_value(l, q[1], q[0]) == 0 for q in quads)
+    at0, at1 = C.expand_f7(0), C.expand_f7(1)
+    f7 = [FpPoly.make(l, [c0, c1 - c0]) for c0, c1 in zip(at0[:6], at1[:6])]
+    n6 = sum(is_irreducible(FpPoly.make(l, C.expand_f7(t0))) for t0 in divisor_points(sf, f7))
+    return n1, n2, n3, n6
+
+
 def edf_counts(ctx: PrimeContext):
     """(N1, N2, N3, N6) of the Hasse invariant by plain equal-degree splitting
-    of the degree-2 and degree-6 parts of its distinct-degree split; the
-    production counts take N2 (l = 1, 6 mod 7) and N6 from `divisor_points`."""
+    of the degree-2 and degree-6 parts of its distinct-degree split, then
+    reading off which factors have the B(a, b) = 0 or f_7(x, t) shape; the
+    production counts find those factors with a Frobenius shape test instead."""
     l = ctx.l
     parts, _ = _ddf(radical(hasse_poly(ctx)))
 

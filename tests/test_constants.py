@@ -10,6 +10,12 @@ def test_self_check_passes():
     assert len(results) >= 18
 
 
+def test_self_check_has_the_squarefree_certificate():
+    results = dict(C.self_check())
+    assert results["j7_wronskian"] is True
+    assert results["hasse_blocks_disc_237"] is True
+
+
 def test_expand_f7_matches_special_values():
     assert list(C.expand_f7(0)) == ppow(C.X2X1, 3)
     assert list(C.expand_f7(-1)) == ppow(C.CUBIC_D7, 2)

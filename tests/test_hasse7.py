@@ -1,11 +1,14 @@
 import random
+from unittest import mock
 
 import pytest
 
 import oracles
 from fricke7 import constants as C
+from fricke7 import ffpoly, hasse7
 from fricke7.classnum import kronecker
-from fricke7.ffpoly import FpPoly, PrimeContext, factorize, roots_in_fp
+from fricke7.errors import StructuralError
+from fricke7.ffpoly import FpPoly, PrimeContext, factorize, radical, roots_in_fp
 from fricke7.hasse7 import (
     L_count,
     count_factors,
@@ -15,12 +18,15 @@ from fricke7.hasse7 import (
     supersingular_j_in_fp,
     verify_count_formulas,
     verify_special_factorizations,
-    verify_factor_types,
     verify_g_factor_counts,
 )
 from fricke7.sweep import primes_in
 
 SWEEP_PRIMES = [p for p in primes_in(5, 400) if p != 7]
+NEAR_2000 = [2003, 1997, 1949, 1999, 1993, 1987]  # one prime per class l mod 7, 1..6
+ONE_PER_CLASS = [113, 37, 59, 53, 61, 41]  # the same, small
+# count_factors' restricted calls in ss7star.count_consistency, by l mod 7
+CONSISTENCY_NEED = {1: ("N2",), 6: ("N1", "N2"), 2: ("N6",), 4: ("N6",), 3: ("N3", "N6"), 5: ("N3", "N6")}
 
 
 class TestDeuringJ:
@@ -93,11 +99,99 @@ class TestCounts:
             assert (a.N1, a.N2, a.N3, a.N6) == oracles.edf_counts(ctx), p
 
 
+def _agrees_with_divisor_route(p):
+    ctx = PrimeContext.make(p)
+    want = dict(zip(("N1", "N2", "N3", "N6"), oracles.divisor_counts(ctx)))
+    full = count_factors(ctx)
+    assert {k: getattr(full, k) for k in want} == want, p
+    need = CONSISTENCY_NEED[p % 7]
+    part = count_factors(ctx, need=need, with_histogram=False)
+    assert {k: getattr(part, k) for k in need} == {k: want[k] for k in need}, p
+
+
+def test_shape_test_matches_divisor_route_small():
+    for p in primes_in(11, 250):
+        _agrees_with_divisor_route(p)
+
+
+@pytest.mark.parametrize("p", NEAR_2000)
+def test_shape_test_matches_divisor_route_near_2000(p):
+    _agrees_with_divisor_route(p)
+
+
+class TestSquarefreeCertificate:
+    """count_factors takes the Hasse polynomial as its own squarefree part once
+    J_l is squarefree; the radical is the oracle."""
+
+    def test_radical_is_monic_hasse_small(self):
+        for p in SWEEP_PRIMES + [p for p in primes_in(401, 599)]:
+            H = hasse_poly(PrimeContext.make(p))
+            assert radical(H) == H.monic(), p
+
+    @pytest.mark.parametrize("p", NEAR_2000)
+    def test_radical_is_monic_hasse_near_2000(self, p):
+        H = hasse_poly(PrimeContext.make(p))
+        assert radical(H) == H.monic()
+
+    def test_repeated_factor_in_J_is_refused(self):
+        ctx = PrimeContext.make(101)
+        J = deuring_J(ctx)
+        square = J * FpPoly.make(101, [-J.coeffs[0], 1]) ** 2  # one root, taken twice
+        assert square.degree == J.degree + 2
+        with mock.patch.object(hasse7, "deuring_J", return_value=square):
+            with pytest.raises(StructuralError, match="l=101"):
+                count_factors(ctx)
+
+
+class TestCountingPath:
+    """Spies, as in test_ffpoly.TestKernelAgainstSchoolbook, on the calls the
+    structure-aware counting leaves out."""
+
+    @pytest.mark.parametrize("p", ONE_PER_CLASS)
+    def test_no_radical_or_divisor_test(self, p):
+        spies = [
+            mock.patch.object(mod, name, wraps=getattr(mod, name))
+            for mod, name in (
+                (ffpoly, "radical"),
+                (ffpoly, "squarefree_decomposition"),
+                (hasse7, "_radical"),
+                (oracles, "divisor_points"),
+                (oracles, "is_irreducible"),
+            )
+        ]
+        ctx = PrimeContext.make(p)
+        for full in (True, False):
+            with spies[0] as a, spies[1] as b, spies[2] as c, spies[3] as d, spies[4] as e:
+                count_factors(ctx, with_histogram=full)
+            assert not any(s.called for s in (a, b, c, d, e)), (p, full)
+
+    @pytest.mark.parametrize("p", [113, 41, 2003, 1987])  # l = 1, 6 (mod 7)
+    def test_no_n6_work_without_sextics(self, p):
+        work = {}
+        shape_part = hasse7._shape_part
+
+        def spy(f, pairs, d):
+            before = powmod.call_count + gcd.call_count
+            out = shape_part(f, pairs, d)
+            work[d] = powmod.call_count + gcd.call_count - before
+            return out
+
+        with mock.patch.object(
+            FpPoly, "powmod", autospec=True, side_effect=FpPoly.powmod
+        ) as powmod, mock.patch.object(
+            FpPoly, "gcd", autospec=True, side_effect=FpPoly.gcd
+        ) as gcd, mock.patch.object(hasse7, "_shape_part", side_effect=spy):
+            rep = count_factors(PrimeContext.make(p))
+        assert rep.N6 == 0
+        assert work[6] == 0
+        assert work[2] > 0  # the spies see the N2 shape test's powmod and gcds
+
+
 class TestFactorTypeRules:
     def test_l29_all_quadratic(self):
         rep = count_factors(PrimeContext.make(29))
         assert set(d for d, c in rep.degree_histogram.items() if c) == {2}
-        assert verify_factor_types(PrimeContext.make(29), rep)
+        assert rep.classification_ok
 
     def test_l13_linear_quadratic_only(self):
         rep = count_factors(PrimeContext.make(13))
