@@ -17,20 +17,17 @@ from .exactring import (
     CubicNum,
     MPoly,
     discriminant_zz,
+    homogenize,
     padd,
-    pcompose,
     pderiv,
     pdeg,
     pdiv_exact,
-    peval,
     pmul,
     pmul_many,
-    pneg,
     ppow,
     pscale,
     pshift,
     psub,
-    ptrim,
     resultant_zz,
 )
 
@@ -87,7 +84,6 @@ def expand_f7(t) -> Tuple:
 # bivariate forms (for the exact identity suite)
 
 _XT = ("x", "t")
-_XJ = ("x", "j")
 _ZJ = ("z", "j")
 _AB = ("x", "y")  # B(x, y) and C(a, b) share one variable set here
 _UV = ("u", "v")
@@ -103,46 +99,15 @@ def f7_mpoly() -> MPoly:
     return _uni(ppow(X2X1, 3), "x", _XT) - t * x * (x - 1) * _uni(P_CUBIC, "x", _XT)
 
 
-def f7_mpoly_expanded_ref() -> MPoly:
-    """The reference expansion of f_7, one transcribed coefficient at a time."""
-    t = MPoly.var("t", _XT)
-    coeffs = [
-        MPoly.const(1, _XT),
-        t - 3,
-        4 * t + 6,
-        -13 * t - 7,
-        9 * t + 6,
-        -t - 3,
-        MPoly.const(1, _XT),
-    ]
-    x = MPoly.var("x", _XT)
-    out = MPoly.const(0, _XT)
-    for k, c in enumerate(coeffs):
-        out = out + c * x**k
-    return out
-
-
-def G_mpoly() -> MPoly:
-    x = MPoly.var("x", _XJ)
-    j = MPoly.var("j", _XJ)
-    return _uni(J77_NUM, "x", _XJ) - j * x * (x - 1) * _uni(ppow(P_CUBIC, 7), "x", _XJ)
-
-
-def H_mpoly() -> MPoly:
-    j = MPoly.var("j", _XJ)
-    return _uni(J7_NUM, "x", _XJ) - j * _uni(J7_DEN, "x", _XJ)
+def f7_mpoly_expanded() -> MPoly:
+    """f_7 in (x, t) from `expand_f7`, the expansion the F_l counting uses."""
+    return homogenize(expand_f7(MPoly.var("t", _XT)), MPoly.var("x", _XT), 1)
 
 
 def F_mpoly() -> MPoly:
     z = MPoly.var("z", _ZJ)
     j = MPoly.var("j", _ZJ)
     return _uni(F_Z_NUM, "z", _ZJ) - j * (z - 8)
-
-
-def G1_mpoly() -> MPoly:
-    z = MPoly.var("z", _ZJ)
-    j = MPoly.var("j", _ZJ)
-    return _uni(G1_Z_NUM, "z", _ZJ) - j * (z - 8) ** 7
 
 
 def R7_mpoly() -> MPoly:
@@ -354,8 +319,8 @@ def self_check() -> List[Tuple[str, bool]]:
     def check(name: str, ok: bool) -> None:
         results.append((name, bool(ok)))
 
-    # f7: factored form vs reference expansion, plus the univariate expander
-    check("f7_expanded_form", f7_mpoly() == f7_mpoly_expanded_ref())
+    # f7: factored form vs the expansion used everywhere else
+    check("f7_expanded_form", f7_mpoly() == f7_mpoly_expanded())
     t27 = expand_f7(27)
     check(
         "f7_expand_univar",

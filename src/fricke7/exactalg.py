@@ -18,10 +18,11 @@ from . import constants as C
 from .exactring import (
     CubicNum,
     MPoly,
+    discriminant_zz,
+    homogenize,
     mpoly_resultant,
     padd,
     pdeg,
-    pdiv_exact,
     peval,
     pgcd_monic,
     pmul,
@@ -30,7 +31,6 @@ from .exactring import (
     pscale,
     pshift,
     psub,
-    ptrim,
     resultant_zz,
 )
 
@@ -71,35 +71,16 @@ def _lift(c):
     return c if isinstance(c, (CubicNum, MPoly)) else CubicNum(c)
 
 
-def _t1_clear(coeff_polys: List[MPoly], n: int, vars) -> MPoly:
+def _t1_clear(coeffs: Sequence, vars) -> MPoly:
     """sum_k c_k (x - r)^k ((1-r)x - 1)^(n-k): the cleared substitution x -> T_1(x)."""
     r = CubicNum.gen()
-    x = MPoly.var("x", vars).map_coeffs(_lift)
-    num = x - MPoly.const(r, vars)
-    den = MPoly.const(CubicNum(1) - r, vars) * x - MPoly.const(CubicNum(1), vars)
-    out = MPoly.const(CubicNum(0), vars)
-    num_pow = MPoly.const(CubicNum(1), vars)
-    den_pows = [MPoly.const(CubicNum(1), vars)]
-    for _ in range(n):
-        den_pows.append(den_pows[-1] * den)
-    for k, c in enumerate(coeff_polys):
-        if not _is_zero_residual(c):
-            term = c if isinstance(c, MPoly) else MPoly.const(_lift(c), vars)
-            out = out + term * num_pow * den_pows[n - k]
-        num_pow = num_pow * num
-    return out
+    x = MPoly.var("x", vars)
+    return homogenize(coeffs, x - r, (1 - r) * x - 1)
 
 
-def _phi_clear(coeffs: Sequence, n: int, vars, name: str = "x") -> MPoly:
+def _phi_clear(coeffs: Sequence, vars) -> MPoly:
     """(1-x)^n f(1/(1-x)) = sum_k c_k (1-x)^(n-k) for f = sum c_k x^k."""
-    x = MPoly.var(name, vars)
-    omx = 1 - x
-    out = MPoly.const(0, vars)
-    for k, c in enumerate(coeffs):
-        if c:
-            term = c if isinstance(c, MPoly) else MPoly.const(c, vars)
-            out = out + term * omx ** (n - k)
-    return out
+    return homogenize(coeffs, MPoly.const(1, vars), 1 - MPoly.var("x", vars))
 
 
 # ---------------------------------------------------------------------------
@@ -134,12 +115,8 @@ def _case_lemma_b_disc():
     b = MPoly.var("y", vars)
     t = MPoly.var("t", vars)
     u, v = MPoly.const(0, vars), MPoly.const(1, vars)
-    f7_coeffs = [
-        MPoly.const(1, vars), t - 3, 4 * t + 6, -13 * t - 7, 9 * t + 6, -t - 3,
-        MPoly.const(1, vars),
-    ]
     U, V = MPoly.const(0, vars), MPoly.const(0, vars)
-    for k, c in enumerate(f7_coeffs):
+    for c in C.expand_f7(t):
         U = U + c * u
         V = V + c * v
         u, v = v - a * u, -b * u  # x^(k+1) = x*(u x + v) with x^2 = -a x - b
@@ -169,34 +146,25 @@ def _case_c_factor():
 
 def _case_f7_t1():
     vars = ("x", "t")
-    t = MPoly.var("t", vars).map_coeffs(_lift)
-    one = MPoly.const(CubicNum(1), vars)
-    f7_coeffs = [one, t - 3, 4 * t + 6, -13 * t - 7, 9 * t + 6, -t - 3, one]
-    lhs = _t1_clear(f7_coeffs, 6, vars)
+    f7_coeffs = C.expand_f7(MPoly.var("t", vars))
+    lhs = _t1_clear(f7_coeffs, vars)
     r = CubicNum.gen()
     eta = (19 * r**2 - 15 * r - 1) / 7
     scale = eta * (r + 2) ** 3
-    x = MPoly.var("x", vars).map_coeffs(_lift)
-    f7 = sum((c * x**k for k, c in enumerate(f7_coeffs)), MPoly.const(CubicNum(0), vars))
-    return lhs - MPoly.const(scale, vars) * f7
+    return lhs - scale * homogenize(f7_coeffs, MPoly.var("x", vars), 1)
 
 
 def _case_f7_phi():
     vars = ("x", "t")
-    t = MPoly.var("t", vars)
-    one = MPoly.const(1, vars)
-    f7_coeffs = [one, t - 3, 4 * t + 6, -13 * t - 7, 9 * t + 6, -t - 3, one]
-    lhs = _phi_clear(f7_coeffs, 6, vars)
-    x = MPoly.var("x", vars)
-    f7 = sum((c * x**k for k, c in enumerate(f7_coeffs)), MPoly.const(0, vars))
-    return lhs - f7
+    f7_coeffs = C.expand_f7(MPoly.var("t", vars))
+    return _phi_clear(f7_coeffs, vars) - homogenize(f7_coeffs, MPoly.var("x", vars), 1)
 
 
 def _case_j7_ti():
     # j_7(T_1(x)) = j_{7,7}(x) cleared: Ntilde * D2 == N2 * Dtilde * ((1-r)x-1)^7
     vars = ("x",)
-    N_t = _t1_clear([MPoly.const(_lift(c), vars) for c in C.J7_NUM], 24, vars)
-    D_t = _t1_clear([MPoly.const(_lift(c), vars) for c in C.J7_DEN], 17, vars)
+    N_t = _t1_clear(C.J7_NUM, vars)
+    D_t = _t1_clear(C.J7_DEN, vars)
     N2 = _cubic_mpoly(C.J77_NUM, "x", vars)
     D2 = _cubic_mpoly(C.J77_DEN, "x", vars)
     r = CubicNum.gen()
@@ -231,7 +199,7 @@ def _case_g_t1_h():
         n2 = C.J77_NUM[k] if k < len(C.J77_NUM) else 0
         d2 = C.J77_DEN[k] if k < len(C.J77_DEN) else 0
         coeffs.append(MPoly.const(_lift(n2), vars) - j * MPoly.const(_lift(d2), vars))
-    lhs = _t1_clear(coeffs, 24, vars)
+    lhs = _t1_clear(coeffs, vars)
     r = CubicNum.gen()
     eps = r**8 * (r - 1) ** 8
     x = MPoly.var("x", vars).map_coeffs(_lift)
@@ -242,9 +210,7 @@ def _case_g_t1_h():
 def _case_g_cubic_t1():
     vars = ("x", "a")
     a = MPoly.var("a", vars).map_coeffs(_lift)
-    one = MPoly.const(CubicNum(1), vars)
-    g_coeffs = [one, -(a + 3), a, one]  # x^3 + a x^2 - (a+3) x + 1, low first
-    lhs = _t1_clear(g_coeffs, 3, vars)
+    lhs = _t1_clear(C.g_cubic(a), vars)
     r = CubicNum.gen()
     x = MPoly.var("x", vars).map_coeffs(_lift)
     rhs = MPoly.const(r * (CubicNum(1) - r), vars) * (
@@ -262,8 +228,8 @@ def _case_f1728_split():
     residues.append(psub(list(C.F1728), rhs))
     # phi-equivariance of A and B
     vars = ("x",)
-    A_phi = _phi_clear(C.A_POLY, 6, vars)
-    B_phi = _phi_clear(C.B_POLY, 3, vars)
+    A_phi = _phi_clear(C.A_POLY, vars)
+    B_phi = _phi_clear(C.B_POLY, vars)
     A = MPoly.from_univar(C.A_POLY, "x", vars)
     B = MPoly.from_univar(C.B_POLY, "x", vars)
     residues.append(A_phi - A)
@@ -275,18 +241,8 @@ def _case_g1_to_f():
     vars = ("z", "j")
     z = MPoly.var("z", vars)
     j = MPoly.var("j", vars)
-    lhs = MPoly.const(0, vars)
-    num = 8 * z - 15
     den = z - 8
-    num_pow = MPoly.const(1, vars)
-    den_pows = [MPoly.const(1, vars)]
-    for _ in range(8):
-        den_pows.append(den_pows[-1] * den)
-    for k in range(9):
-        c = C.G1_Z_NUM[k] if k < len(C.G1_Z_NUM) else 0
-        if c:
-            lhs = lhs + c * num_pow * den_pows[8 - k]
-        num_pow = num_pow * num
+    lhs = homogenize(C.G1_Z_NUM, 8 * z - 15, den)
     # (z-8)^8 * (-j) * ((8z-15)/(z-8) - 8)^7 = -j (z-8) 49^7
     lhs = lhs - j * (49**7) * den
     rhs = 7**14 * (MPoly.from_univar(C.F_Z_NUM, "z", vars) - j * den)
@@ -294,45 +250,14 @@ def _case_g1_to_f():
 
 
 def _case_split_quadratic():
-    # ZZ[t][z]/(z^2 - (t+3) z + (8t+9)); elements (a(t), b(t)) = a + b z
-    def add(u, v):
-        return (padd(u[0], v[0]), padd(u[1], v[1]))
-
-    def sub(u, v):
-        return (psub(u[0], v[0]), psub(u[1], v[1]))
-
-    def mul(u, v):
-        a, b = u
-        c, d = v
-        ac, bd = pmul(a, c), pmul(b, d)
-        ad_bc = padd(pmul(a, d), pmul(b, c))
-        # z^2 = (t+3) z - (8t+9)
-        return (
-            psub(ac, pmul(bd, [9, 8])),
-            padd(ad_bc, pmul(bd, [3, 1])),
-        )
-
-    zero = ([], [])
-    one = ([1], [])
-    zelt = ([], [1])
-    zprime = sub(([3, 1], []), zelt)  # (t+3) - z
-    # cubic1 = x^3 - z x^2 + (z-3) x + 1; cubic2 with z'
-    def pneg_pair(u):
-        return ([-c for c in u[0]], [-c for c in u[1]])
-
-    c1 = [one, add(zelt, ([-3], [])), pneg_pair(zelt), one]
-    c2 = [one, add(zprime, ([-3], [])), pneg_pair(zprime), one]
-    prod = [zero] * 7
-    for i, ci in enumerate(c1):
-        for k, ck in enumerate(c2):
-            prod[i + k] = add(prod[i + k], mul(ci, ck))
-    residues = []
-    f7 = [[1], [-3, 1], [6, 4], [-7, -13], [6, 9], [-3, -1], [1]]  # coeffs in t
-    for k in range(7):
-        a, b = prod[k]
-        residues.append(list(b))  # z-component must vanish
-        residues.append(psub(a, f7[k]))
-    return residues
+    # f_7 = g(x, -z) g(x, -z') in ZZ[t][z]/(z^2 - (t+3) z + (8t+9)), z' = t + 3 - z,
+    # with g(x, a) = x^3 + a x^2 - (a+3) x + 1
+    vars = ("x", "t", "z")
+    x, t, z = (MPoly.var(v, vars) for v in vars)
+    prod = homogenize(C.g_cubic(-z), x, 1) * homogenize(C.g_cubic(z - t - 3), x, 1)
+    p0, p1, p2 = (prod.coeff_of("z", k) for k in range(3))
+    # z^2 = (t+3) z - (8t+9); the z-part must vanish, the rest must be f_7
+    return [p1 + (t + 3) * p2, p0 - (8 * t + 9) * p2 - homogenize(C.expand_f7(t), x, 1)]
 
 
 def _case_lemma2_f():
@@ -372,8 +297,6 @@ def _case_res_disc_small():
     residues.append(disc - (-(7**7)) * j**4 * (j - 1728) ** 4)
     residues.append(resultant_zz(C.X2X1, C.F1728) - 2**6 * 3**3 * 7)
     residues.append(resultant_zz(C.SEXTIC_J0, C.CUBIC_D7) - 3**3 * 5**3)
-    from .exactring import discriminant_zz
-
     residues.append(discriminant_zz(C.SEXTIC_J0) - 2**12 * 3**3 * 7**5)
     residues.append(resultant_zz(pmul(C.Z2_3Z_9, C.Z2_11Z_25), (-8, 1)) - 7**2)
     return residues

@@ -8,6 +8,9 @@ Three layers, all exact:
 * ``MPoly``: sparse multivariate polynomials over a pluggable coefficient ring,
   with exact division and fraction-free (Bareiss) determinants for resultants.
 
+``homogenize`` composes a coefficient list with a fraction num/den and clears
+the denominator; it only needs + and *, so it serves MPoly and FpPoly alike.
+
 Everything here is pure and immutable-by-convention; no floating point.
 """
 
@@ -93,16 +96,24 @@ def peval(a: Sequence, x):
     return out
 
 
+def homogenize(coeffs: Sequence, num, den):
+    """sum_k c_k num^k den^(n-k), n = len(coeffs) - 1: the polynomial
+    sum c_k y^k at y = num/den, cleared of denominators.
+
+    Horner's rule in num while the powers of den build up from the top down.
+    Only + and * are used, so num and den may be FpPoly, MPoly or ints.
+    """
+    n = len(coeffs) - 1
+    out = num * 0 + coeffs[n]
+    den_pow = 1
+    for c in reversed(coeffs[:n]):
+        den_pow = den_pow * den
+        out = out * num + c * den_pow
+    return out
+
+
 def pderiv(a: Sequence) -> list:
     return ptrim([i * a[i] for i in range(1, len(a))])
-
-
-def pcompose(a: Sequence, b: Sequence) -> list:
-    """a(b(x)) by Horner; fine for the small fixed polynomials used here."""
-    out: list = []
-    for c in reversed(list(a)):
-        out = padd(pmul(out, b), [c] if c else [])
-    return out
 
 
 def pshift(a: Sequence, k: int) -> list:
@@ -224,8 +235,6 @@ def discriminant_zz(a: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 # the cubic field QQ(r), r^3 = 8r^2 - 5r - 1
 
-_MINPOLY = (1, 5, -8, 1)  # x^3 - 8x^2 + 5x + 1, low first
-
 
 class CubicNum:
     """Element a0 + a1*r + a2*r^2 of QQ(r) with r^3 - 8r^2 + 5r + 1 = 0."""
@@ -295,25 +304,12 @@ class CubicNum:
     __rmul__ = __mul__
 
     def inverse(self) -> "CubicNum":
+        """sigma(a) sigma^2(a) / N(a)."""
         if not self:
             raise ZeroDivisionError("inverse of zero in QQ(r)")
-        # extended Euclid of self (as a poly in r) against the minimal polynomial
-        a = [Fraction(c) for c in _MINPOLY]
-        b = list(self.c)
-        ptrim(b)
-        s0, s1 = [], [Fraction(1)]
-        while True:
-            q, r = pdivmod_field(a, b)
-            if not r:
-                break
-            s0, s1 = s1, psub(s0, pmul(q, s1))
-            a, b = b, r
-        lc = b[-1]  # b is a nonzero constant: gcd with the irreducible minpoly
-        if pdeg(b) != 0:
-            raise ArithmeticError("minimal polynomial not coprime to element?")
-        inv = [c / lc for c in s1]
-        inv += [Fraction(0)] * (3 - len(inv))
-        return CubicNum._raw(tuple(inv[:3]))
+        _, s, s2 = self.conjugates()
+        adj = s * s2
+        return adj * (1 / (self * adj).rational())
 
     def __truediv__(self, other):
         other = _as_cubic(other)
@@ -521,14 +517,6 @@ class MPoly:
         """Coefficient list in `name`, low degree first."""
         d = self.degree(name)
         return [self.coeff_of(name, k) for k in range(d + 1)]
-
-    def subs(self, name: str, value: "MPoly") -> "MPoly":
-        value = self._check(value)
-        coeffs = self.as_univar(name)
-        out = MPoly.const(0, self.vars)
-        for c in reversed(coeffs):
-            out = out * value + c
-        return out
 
     def eval_all(self, point: Dict[str, object]):
         """Full evaluation; returns a coefficient-ring element."""

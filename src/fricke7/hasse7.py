@@ -14,14 +14,17 @@ from typing import Dict, List, Optional, Sequence
 from . import constants as C
 from .classnum import class_number, field_discriminant, kronecker
 from .errors import StructuralError
+from .exactring import homogenize
 from .ffpoly import (
     FpPoly,
     PrimeContext,
     _ddf,
     _edf,
+    count_roots_in_fp,
     distinct_roots_in_fp,
     radical as _radical,  # perfbench/traced.py times hasse7._radical and hasse7._ddf
     sqrt_mod,
+    squarefree_decomposition,
 )
 
 ALL_COUNTS = frozenset({"N1", "N2", "N3", "N6"})
@@ -43,28 +46,35 @@ def _deuring_coeffs(ctx: PrimeContext) -> List[int]:
 
 def deuring_J(ctx: PrimeContext) -> FpPoly:
     """J_l(t) = sum_k c_k (t-1728)^k mod l, c_k from `_deuring_coeffs`."""
-    l, n = ctx.l, ctx.n
-    coeffs = _deuring_coeffs(ctx)
-    # expand sum c_k (t - 1728)^k by Horner
-    out = FpPoly.make(l, [coeffs[n]])
-    base = FpPoly.make(l, [-1728, 1])
-    for k in range(n - 1, -1, -1):
-        out = out * base + coeffs[k]
+    return homogenize(_deuring_coeffs(ctx), FpPoly.make(ctx.l, [-1728, 1]), 1)
+
+
+def ss_poly(ctx: PrimeContext) -> FpPoly:
+    """The supersingular polynomial: X^r (X-1728)^s J_p(X), monic and squarefree."""
+    p = ctx.l
+    out = deuring_J(ctx)
+    if ctx.r:
+        out = out * FpPoly.x(p)
+    if ctx.s:
+        out = out * FpPoly.make(p, [-1728, 1])
+    out = out.monic()
+    if not _is_squarefree(out):
+        raise StructuralError(f"ss_{p} not squarefree")
     return out
+
+
+def _is_squarefree(f: FpPoly) -> bool:
+    decomp = squarefree_decomposition(f)
+    return len(decomp) == 1 and decomp[0][1] == 1
 
 
 def supersingular_j_in_fp(ctx: PrimeContext) -> List[int]:
     """All supersingular j-invariants lying in F_l, sorted."""
-    js = set(distinct_roots_in_fp(deuring_J(ctx)))
-    if ctx.r:
-        js.add(0)
-    if ctx.s:
-        js.add(1728 % ctx.l)
-    return sorted(js)
+    return distinct_roots_in_fp(ss_poly(ctx))
 
 
 def L_count(ctx: PrimeContext) -> int:
-    return len(supersingular_j_in_fp(ctx))
+    return count_roots_in_fp(ss_poly(ctx))
 
 
 def hasse_poly(ctx: PrimeContext) -> FpPoly:
@@ -74,16 +84,9 @@ def hasse_poly(ctx: PrimeContext) -> FpPoly:
     sum_k c_k (num - 1728 den)^k den^(n-k) with num = j7_num, den = x^7(x-1)^7 p(x);
     the total degree is 8r + 12s + 24 n_l.
     """
-    coeffs = _deuring_coeffs(ctx)
     l, n, s, r = ctx.l, ctx.n, ctx.s, ctx.r
     den = FpPoly.make(l, C.J7_DEN)
-    a = FpPoly.make(l, C.J7_NUM) - 1728 * den
-    # Horner in a while accumulating powers of den, from the top down
-    out = FpPoly.make(l, [coeffs[n]])
-    den_pow = FpPoly.one(l)
-    for k in range(n - 1, -1, -1):
-        den_pow = den_pow * den
-        out = out * a + coeffs[k] * den_pow
+    out = homogenize(_deuring_coeffs(ctx), FpPoly.make(l, C.J7_NUM) - 1728 * den, den)
     if r:
         out = out * FpPoly.make(l, C.X2X1) * FpPoly.make(l, C.SEXTIC_J0)
     if s:

@@ -229,21 +229,8 @@ def from_polynomial(coeffs: Sequence[int], series: LaurentSeries) -> LaurentSeri
 
 def _product_block(residues: Sequence[Tuple[int, int]], prec: int) -> List[int]:
     """prod_{n>=1} prod_(res,e) (1 - q^(7n-res))^e, truncated after q^(prec-1)."""
-    coeff = [0] * prec
-    coeff[0] = 1
-    for res, e in residues:
-        k = 7 - res  # exponents are 7n - res, n >= 1
-        while k < prec:
-            if e > 0:
-                for _ in range(e):
-                    for i in range(prec - 1, k - 1, -1):
-                        coeff[i] -= coeff[i - k]
-            else:
-                for _ in range(-e):
-                    for i in range(k, prec):
-                        coeff[i] += coeff[i - k]
-            k += 7
-    return coeff
+    e = dict(residues)
+    return _geometric_product(lambda n: e.get(-n % 7, 0), prec)
 
 
 def _geometric_product(exponent_of_n: Callable[[int], int], prec: int) -> List[int]:
@@ -432,10 +419,10 @@ def _case_j_7tau(prec: int) -> SeriesIdentityResult:
     m = 7 * depth + 30
     h = h_series(m)
     lhs = from_polynomial(C.J7_NUM, h) / from_polynomial(C.J7_DEN, h)
-    j = classical_j_series(depth + 2)
-    rhs = LaurentSeries(1, 7 * j.offset, tuple(_spread7(j.coeffs)))
-    diff = lhs - rhs
-    return _residual_result("J_7TAU", diff)
+    # j(7 tau) is j with q -> q^7: the scale-7 spread of j, read as a q-series
+    j7 = classical_j_series(depth + 2).to_scale7()
+    rhs = LaurentSeries(1, j7.offset, j7.coeffs)
+    return _residual_result("J_7TAU", lhs - rhs)
 
 
 def _case_j_tau(prec: int) -> SeriesIdentityResult:
@@ -446,13 +433,6 @@ def _case_j_tau(prec: int) -> SeriesIdentityResult:
     h = h_series(m)
     lhs = from_polynomial(C.J77_NUM, h) / from_polynomial(C.J77_DEN, h)
     return _residual_result("J_TAU", lhs - classical_j_series(depth + 2))
-
-
-def _spread7(coeffs: Sequence[int]) -> List[int]:
-    out = [0] * (7 * (len(coeffs) - 1) + 1 if coeffs else 0)
-    for i, c in enumerate(coeffs):
-        out[7 * i] = c
-    return out
 
 
 REGISTRY: Dict[str, Callable[[int], SeriesIdentityResult]] = {

@@ -1,5 +1,6 @@
-"""Supersingular polynomials for the level-7 Fricke group: ss_p(X); ss_p^(7*)(Y)
-from the resultant congruence and, independently, from its definition;
+"""Supersingular polynomials for the level-7 Fricke group: ss_p^(7*)(Y) from
+the resultant congruence on ss_p(X) (`hasse7.ss_poly`) and, independently,
+from its definition;
 the L / L^(7*) counts; Nakaya's predicted linear-factor count; and the
 factor-count consistency identities that tie L^(7*) to the Hasse-invariant
 counts.
@@ -23,34 +24,19 @@ from .ffpoly import (
     resultant_in_X,
     roots_in_fp2,
     smallest_nonresidue,
-    squarefree_decomposition,
 )
-from .hasse7 import FactorCountReport, count_factors, deuring_J, supersingular_j_in_fp
+from .hasse7 import (  # perfbench/traced.py times ss7star.ss_poly
+    FactorCountReport,
+    _is_squarefree,
+    count_factors,
+    ss_poly,
+    supersingular_j_in_fp,
+)
 
 
 def _check_p(ctx: PrimeContext) -> None:
     if ctx.l < 5 or ctx.l == 7:
         raise ValueError("p >= 5 and p != 7 required")
-
-
-def ss_poly(ctx: PrimeContext) -> FpPoly:
-    """The supersingular polynomial: X^r (X-1728)^s J_p(X), monic and squarefree."""
-    _check_p(ctx)
-    p = ctx.l
-    out = deuring_J(ctx)
-    if ctx.r:
-        out = out * FpPoly.x(p)
-    if ctx.s:
-        out = out * FpPoly.make(p, [-1728, 1])
-    out = out.monic()
-    if not _is_squarefree(out):
-        raise StructuralError(f"ss_{p} not squarefree")
-    return out
-
-
-def _is_squarefree(f: FpPoly) -> bool:
-    decomp = squarefree_decomposition(f)
-    return len(decomp) == 1 and decomp[0][1] == 1
 
 
 def ss7star_resultant(ctx: PrimeContext, ss: FpPoly) -> FpPoly:
@@ -131,19 +117,19 @@ class SS7StarReport:
     nakaya_ok: bool
 
 
-def counts_and_nakaya(ctx: PrimeContext, check_oracle: Optional[bool] = None) -> SS7StarReport:
+def counts_and_nakaya(ctx: PrimeContext, check_oracle: bool = False) -> SS7StarReport:
     """Compute ss_p^(7*) from the resultant congruence and the Nakaya verdict.
 
     `ss7star_bruteforce` (the definition) is the independent oracle.  It is
-    only cheap for small p, so by default it runs for p <= 300 (`check_oracle`
-    overrides), and the two must agree exactly.
+    only cheap for small p, so it runs for p <= 300, or for every p with
+    `check_oracle`; the two must agree exactly.
     """
     _check_p(ctx)
     p = ctx.l
     ss = ss_poly(ctx)
     ss7 = ss7star_resultant(ctx, ss)
     oracle_match: Optional[bool] = None
-    if check_oracle if check_oracle is not None else p <= 300:
+    if check_oracle or p <= 300:
         oracle_match = ss7star_bruteforce(ctx, ss) == ss7
         if not oracle_match:
             raise StructuralError(f"resultant and brute force disagree at p={p}")

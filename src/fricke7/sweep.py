@@ -26,7 +26,7 @@ def primes_in(lo: int, hi: int) -> List[int]:
 def run_parallel(worker, args: Sequence, jobs: int) -> List:
     if jobs <= 1 or len(args) <= 1:
         return [worker(a) for a in args]
-    with multiprocessing.Pool(processes=jobs) as pool:
+    with multiprocessing.Pool(processes=min(jobs, len(args))) as pool:
         return pool.map(worker, args)
 
 
@@ -90,7 +90,7 @@ def _nakaya_worker(args: Tuple[int, bool, bool]) -> NakayaRow:
         return NakayaRow(p=p, report=None, consistency=None, skipped="excluded by hypothesis")
     ctx = PrimeContext.make(p)
     with _naming_prime(p):
-        rep = counts_and_nakaya(ctx, check_oracle=True if check_oracle else None)
+        rep = counts_and_nakaya(ctx, check_oracle=check_oracle)
         sec3 = None
         if with_consistency and p >= 11:
             sec3 = count_consistency(ctx, report=rep)

@@ -174,3 +174,38 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["version"] == "fricke7/2"
+
+
+
+def test_pool_never_larger_than_the_prime_list(monkeypatch, capsys):
+    from fricke7 import sweep
+
+    sizes = []
+
+    class SerialPool:
+        """Stands in for multiprocessing.Pool: records `processes`, maps in-process."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return [fn(a) for a in args]
+
+    monkeypatch.setattr(sweep.multiprocessing, "Pool", SerialPool)
+    assert sweep.run_parallel(abs, [-1, -2, -3], jobs=64) == [1, 2, 3]
+    assert sweep.run_parallel(abs, [-1, -2, -3], jobs=2) == [1, 2, 3]
+    assert sizes == [3, 2]
+
+    serial = run_cli(["hasse", "--primes", "13,17", "--format", "json"], capsys)
+    parallel = run_cli(["hasse", "--primes", "13,17", "--format", "json", "--jobs", "64"], capsys)
+    assert parallel[:2] == serial[:2]
+    assert sizes == [3, 2, 2]
+    # one prime runs serially: no pool at all
+    run_cli(["hasse", "--primes", "13", "--jobs", "64"], capsys)
+    assert sizes == [3, 2, 2]

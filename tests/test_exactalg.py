@@ -31,12 +31,35 @@ def test_empty_filter_rejected():
         run_all_identities([])
 
 
-def test_mutation_detected(monkeypatch):
-    """A sign flip in R_7 must surface as a nonzero residual in RES_G_F7_R7."""
-    monkeypatch.setattr(C, "R7_A", tuple(-c for c in C.R7_A))
+_expand_f7 = C.expand_f7
+
+
+def _wrong_expand_f7(t):
+    """expand_f7 with 9t + 6 miscopied as 9t + 7."""
+    c = list(_expand_f7(t))
+    c[4] = c[4] + 1
+    return tuple(c)
+
+
+MUTATIONS = {
+    # a sign flip in R_7 must surface as a nonzero residual in RES_G_F7_R7
+    "R7_A": (tuple(-c for c in C.R7_A), ["RES_G_F7_R7"]),
+    # a miscopied f_7 coefficient must fail every case built on expand_f7
+    "expand_f7": (
+        _wrong_expand_f7,
+        ["LEMMA_B_DISC", "F7_T1", "F7_PHI", "RES_G_F7_R7", "SPLIT_QUADRATIC"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(MUTATIONS))
+def test_mutation_detected(name, monkeypatch):
+    wrong, cases = MUTATIONS[name]
+    monkeypatch.setattr(C, name, wrong)
     monkeypatch.setattr(exactalg, "GRID_POINTS", 6)  # detection only, not a proof
-    res = verify_identity("RES_G_F7_R7")
-    assert not res.ok
+    failed = [r.id for r in run_all_identities() if not r.ok]
+    assert failed == cases
+    assert dict(C.self_check())["f7_expanded_form"] is (name != "expand_f7")
 
 
 def test_grid_exceeds_degree_bounds():

@@ -10,6 +10,7 @@ from fricke7.exactring import (
     MPoly,
     bareiss_det,
     discriminant_zz,
+    homogenize,
     mpoly_resultant,
     pdeg,
     pdiv_exact,
@@ -21,6 +22,7 @@ from fricke7.exactring import (
     resultant_zz,
     sylvester_matrix,
 )
+from fricke7.ffpoly import FpPoly
 
 small_poly = st.lists(st.integers(-20, 20), min_size=2, max_size=7).map(
     lambda c: ptrim(list(c))
@@ -53,6 +55,40 @@ def test_resultant_multiplicativity():
         if min(pdeg(f), pdeg(g), pdeg(h)) < 1:
             continue
         assert resultant_zz(f, pmul(g, h)) == resultant_zz(f, g) * resultant_zz(f, h)
+
+
+def _direct_homogenize(coeffs, num, den, zero):
+    n = len(coeffs) - 1
+    return sum((c * num**k * den ** (n - k) for k, c in enumerate(coeffs)), zero)
+
+
+coeff_list = st.lists(st.integers(-50, 50), min_size=1, max_size=8)
+short_list = st.lists(st.integers(-50, 50), min_size=1, max_size=4)
+prime = st.sampled_from([13, 1999])
+
+
+@settings(max_examples=60, deadline=None)
+@given(prime, coeff_list, short_list, short_list)
+def test_homogenize_fppoly(l, coeffs, num, den):
+    num, den = FpPoly.make(l, num), FpPoly.make(l, den)
+    assert homogenize(coeffs, num, den) == _direct_homogenize(coeffs, num, den, FpPoly.zero(l))
+
+
+@settings(max_examples=60, deadline=None)
+@given(prime, coeff_list, short_list, st.integers(-50, 50))
+def test_homogenize_fppoly_int_den(l, coeffs, num, den):
+    num = FpPoly.make(l, num)
+    assert homogenize(coeffs, num, den) == _direct_homogenize(coeffs, num, den, FpPoly.zero(l))
+
+
+@settings(max_examples=40, deadline=None)
+@given(coeff_list, short_list, short_list)
+def test_homogenize_mpoly(coeffs, a, b):
+    V = ("x", "y")
+    x, y = MPoly.var("x", V), MPoly.var("y", V)
+    num = MPoly.from_univar(a, "x", V) + y
+    den = MPoly.from_univar(b, "y", V) - x
+    assert homogenize(coeffs, num, den) == _direct_homogenize(coeffs, num, den, MPoly.const(0, V))
 
 
 def test_known_discriminants():
@@ -112,6 +148,14 @@ class TestCubicNum:
             if not a:
                 continue
             assert a * a.inverse() == CubicNum(1)
+        for _ in range(30):
+            a = CubicNum(*[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3)])
+            if not a:
+                continue
+            assert a * a.inverse() == CubicNum(1)
+            assert a.inverse().inverse() == a
+        with pytest.raises(ZeroDivisionError):
+            CubicNum(0).inverse()
 
 
 class TestMPoly:
