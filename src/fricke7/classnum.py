@@ -68,7 +68,6 @@ class Discriminant:
     """Negative discriminant D = 0, 1 (mod 4) of an imaginary quadratic order."""
 
     D: int
-    is_fundamental: bool = False
 
     def __post_init__(self):
         if self.D >= 0 or self.D % 4 not in (0, 1):
@@ -80,8 +79,8 @@ def field_discriminant(m: int) -> Discriminant:
     if not is_squarefree(m):
         raise ValueError(f"{m} is not squarefree")
     if (-m) % 4 == 1:
-        return Discriminant(-m, is_fundamental=True)
-    return Discriminant(-4 * m, is_fundamental=True)
+        return Discriminant(-m)
+    return Discriminant(-4 * m)
 
 
 def class_number(D) -> int:

@@ -8,7 +8,7 @@ bare epsilon: eval_h returns a certified absolute error alongside the value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 import mpmath as mp
 
@@ -20,6 +20,7 @@ from .ffpoly import FpPoly, factorize, is_prime
 # exponent pattern of the h-product: residue class mod 7 -> net exponent
 _H_EXPONENTS = {3: 1, 4: 1, 2: 2, 5: 2, 1: -3, 6: -3}
 _H_WEIGHT = 12  # sum of |exponents| per period of 7
+MIN_BITS = 128  # the least working precision eval_h_tau accepts
 
 
 @dataclass(frozen=True)
@@ -76,8 +77,8 @@ def eval_h(point: CMPoint, bits: int = 300) -> CertifiedValue:
 
 def eval_h_tau(tau, bits: int = 300) -> CertifiedValue:
     """h(tau) for any tau in the upper half-plane with |q| bounded away from 1."""
-    if bits < 128:
-        raise ValueError("bits >= 128 required")
+    if bits < MIN_BITS:
+        raise ValueError(f"bits >= {MIN_BITS} required")
     guard = 96
     with mp.workprec(bits + guard):
         tau = mp.mpc(tau)
@@ -146,12 +147,12 @@ class CMVerdict:
     ok: bool
 
 
-def verify_pd_root(d: int, bits: int = 300, point: Optional[CMPoint] = None) -> CMVerdict:
-    """|P_d(h(w/7))| below both 2^(-bits/2) and the certified error envelope."""
+def verify_pd_root(d: int, bits: int = 300) -> CMVerdict:
+    """|P_d(h(w/7))| below both 2^(-bits/2) and the certified error envelope,
+    at the point `select_w(d)`."""
     if d not in C.PD_TABLE:
         raise KeyError(f"no P_d stored for d={d}")
-    if point is None:
-        point = select_w(d)
+    point = select_w(d)
     with mp.workprec(bits + 96):
         h = eval_h(point, bits)
         val = eval_int_poly(C.PD_TABLE[d], h)

@@ -223,7 +223,6 @@ def uv_octic_symmetric_form() -> MPoly:
 # fractional-linear maps (projective matrices)
 
 PHI_MATRIX = ((0, 1), (-1, 1))          # x -> 1/(1-x)
-A_MAP_MATRIX = ((8, -15), (1, -8))      # z -> (8z-15)/(z-8)
 
 
 def t_matrix(r) -> Tuple[Tuple, Tuple]:

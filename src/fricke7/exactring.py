@@ -374,11 +374,6 @@ def _as_cubic(x):
     return None
 
 
-R = CubicNum.gen()
-R_SIGMA = R.sigma()
-R_SIGMA2 = R_SIGMA.sigma()
-
-
 # ---------------------------------------------------------------------------
 # sparse multivariate polynomials over a duck-typed coefficient ring
 

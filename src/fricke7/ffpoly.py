@@ -93,6 +93,9 @@ def smallest_nonresidue(p: int) -> int:
 # prime context
 
 
+MODULUS_LIMIT = 2**63  # PrimeContext takes primes below this
+
+
 @dataclass(frozen=True)
 class PrimeContext:
     """A prime l != 2, 7 together with its derived character data."""
@@ -105,7 +108,7 @@ class PrimeContext:
 
     @classmethod
     def make(cls, l: int) -> "PrimeContext":
-        if l in (2, 7) or l.bit_length() > 63 or not is_prime(l):
+        if l in (2, 7) or l >= MODULUS_LIMIT or not is_prime(l):
             raise ValueError(f"modulus must be an odd prime != 7 below 2^63, got {l}")
         return cls(
             l=l,
@@ -609,13 +612,14 @@ def radical(f: FpPoly) -> FpPoly:
     return out
 
 
-def poly_sqrt(f: FpPoly, require_square_lc: bool = False) -> FpPoly:
-    """Monic g with g^2 = f / lc(f); raises NotASquareError otherwise."""
+def poly_sqrt(f: FpPoly) -> FpPoly:
+    """Monic g with g^2 = f / lc(f) for f a square; raises NotASquareError
+    otherwise, also when lc(f) is not a square in F_l."""
     if f.is_zero:
         raise NotASquareError("zero polynomial")
     if f.degree % 2:
         raise NotASquareError("odd degree")
-    if require_square_lc and kronecker(f.lc, f.modulus) != 1:
+    if kronecker(f.lc, f.modulus) != 1:
         raise NotASquareError("leading coefficient is not a square")
     out = FpPoly.one(f.modulus)
     for comp, mult in squarefree_decomposition(f):
@@ -639,15 +643,6 @@ def distinct_roots_in_fp(f: FpPoly) -> List[int]:
     if g.degree <= 0:
         return []
     return sorted(-lin.coeffs[0] % f.modulus for lin in _edf(g, 1))
-
-
-def roots_in_fp(f: FpPoly) -> List[Tuple[int, int]]:
-    """All roots in F_l with multiplicities, sorted by root."""
-    return sorted(
-        (root, mult)
-        for comp, mult in squarefree_decomposition(f)
-        for root in distinct_roots_in_fp(comp)
-    )
 
 
 def count_roots_in_fp(f: FpPoly) -> int:
@@ -717,26 +712,26 @@ class Fp2Elem:
 
 
 def roots_in_fp2(f: FpPoly) -> List[Fp2Elem]:
-    """All roots of f in F_{l^2}, with multiplicity, in a deterministic order."""
+    """The distinct roots of f in F_{l^2}, sorted by (a, b).
+
+    They are the roots of the linear and quadratic factors of rad(f), which
+    one distinct-degree split stopped at degree 2 separates.
+    """
     if f.is_zero:
         raise ValueError("zero polynomial")
     l = f.modulus
-    nu_inv = pow(smallest_nonresidue(l), -1, l)
-    inv2 = pow(2, -1, l)
-    out: List[Fp2Elem] = []
-    for comp, mult in squarefree_decomposition(f):
-        for g, _ in factorize(comp).factors:
-            if g.degree == 1:
-                out.extend([Fp2Elem(l, (-g.coeffs[0]) % l, 0)] * mult)
-            elif g.degree == 2:
-                # x^2 + a x + b irreducible: the discriminant is nu s^2, and the
-                # roots are (-a +- s theta) / 2
-                a, b = g.coeffs[1], g.coeffs[0]
-                s = sqrt_mod((a * a - 4 * b) * nu_inv, l)
-                if s is None:
-                    raise StructuralError("quadratic with no root in F_{l^2}?")
-                for sign in (1, -1):
-                    out.extend([Fp2Elem(l, -a * inv2 % l, sign * s * inv2 % l)] * mult)
-            # factors of degree > 2 have no roots in F_{l^2}
+    parts, _ = _ddf(radical(f), upto=2)
+    out = [Fp2Elem(l, -g.coeffs[0] % l, 0) for g in _edf(parts[1], 1)] if 1 in parts else []
+    if 2 in parts:
+        nu_inv = pow(smallest_nonresidue(l), -1, l)
+        inv2 = pow(2, -1, l)
+        for g in _edf(parts[2], 2):
+            # x^2 + a x + b irreducible: the discriminant is nu s^2, and the
+            # roots are (-a +- s theta) / 2
+            b, a = g.coeffs[:2]
+            s = sqrt_mod((a * a - 4 * b) * nu_inv, l)
+            if s is None:
+                raise StructuralError("quadratic with no root in F_{l^2}?")
+            out.extend(Fp2Elem(l, -a * inv2 % l, sign * s * inv2 % l) for sign in (1, -1))
     out.sort(key=lambda e: (e.a, e.b))
     return out

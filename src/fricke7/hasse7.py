@@ -24,7 +24,6 @@ from .ffpoly import (
     distinct_roots_in_fp,
     radical as _radical,  # perfbench/traced.py times hasse7._radical and hasse7._ddf
     sqrt_mod,
-    squarefree_decomposition,
 )
 
 ALL_COUNTS = frozenset({"N1", "N2", "N3", "N6"})
@@ -50,31 +49,33 @@ def deuring_J(ctx: PrimeContext) -> FpPoly:
 
 
 def ss_poly(ctx: PrimeContext) -> FpPoly:
-    """The supersingular polynomial: X^r (X-1728)^s J_p(X), monic and squarefree."""
-    p = ctx.l
-    out = deuring_J(ctx)
+    """The supersingular polynomial X^r (X-1728)^s J_l(X), monic, after
+    certifying it squarefree: J_l must be squarefree and prime to t (t - 1728),
+    or `StructuralError` names l.
+
+    The same certificate makes the Hasse polynomial squarefree.  For
+    j_7 = num/den, num' den - num den' = 7 (x^2-x+1)^2 S^2 F1728 x^6 (x-1)^6
+    with S = SEXTIC_J0 (an entry of `constants.self_check`), so for l != 2, 3, 7
+    a repeated root of num - j den lies over j = 0, 1728 or infinity.  The
+    j = 0 and j = 1728 blocks that `hasse_poly` multiplies in are squarefree mod
+    l (their discriminants involve only 2, 3 and 7), so the whole product is
+    squarefree when J_l is squarefree and prime to t (t - 1728).
+    """
+    l = ctx.l
+    J = deuring_J(ctx)
+    if J(0) * J(1728) % l == 0 or J.gcd(J.derivative()).degree > 0:
+        raise StructuralError(f"J_l is not squarefree and prime to t(t - 1728) at l={l}")
+    out = J
     if ctx.r:
-        out = out * FpPoly.x(p)
+        out = out * FpPoly.x(l)
     if ctx.s:
-        out = out * FpPoly.make(p, [-1728, 1])
-    out = out.monic()
-    if not _is_squarefree(out):
-        raise StructuralError(f"ss_{p} not squarefree")
-    return out
-
-
-def _is_squarefree(f: FpPoly) -> bool:
-    decomp = squarefree_decomposition(f)
-    return len(decomp) == 1 and decomp[0][1] == 1
+        out = out * FpPoly.make(l, [-1728, 1])
+    return out.monic()
 
 
 def supersingular_j_in_fp(ctx: PrimeContext) -> List[int]:
     """All supersingular j-invariants lying in F_l, sorted."""
     return distinct_roots_in_fp(ss_poly(ctx))
-
-
-def L_count(ctx: PrimeContext) -> int:
-    return count_roots_in_fp(ss_poly(ctx))
 
 
 def hasse_poly(ctx: PrimeContext) -> FpPoly:
@@ -195,29 +196,14 @@ def _count_n2(f: FpPoly, ctx: PrimeContext) -> int:
     return quads.degree // 2
 
 
-def _certified_squarefree(ctx: PrimeContext) -> FpPoly:
-    """The Hasse polynomial made monic, after certifying it squarefree.
-
-    For j_7 = num/den, num' den - num den' = 7 (x^2-x+1)^2 S^2 F1728 x^6 (x-1)^6
-    with S = SEXTIC_J0 (an entry of `constants.self_check`), so for l != 2, 3, 7
-    a repeated root of num - j den lies over j = 0, 1728 or infinity.  The
-    j = 0 and j = 1728 blocks that `hasse_poly` multiplies in are squarefree mod
-    l (their discriminants involve only 2, 3 and 7), so the whole product is
-    squarefree when J_l is squarefree and prime to t (t - 1728).
-    """
-    l = ctx.l
-    J = deuring_J(ctx)
-    if not J(0) or not J(1728) or J.gcd(J.derivative()).degree > 0:
-        raise StructuralError(f"J_l is not squarefree and prime to t(t - 1728) at l={l}")
-    return hasse_poly(ctx).monic()
-
-
 def count_factors(
     ctx: PrimeContext,
     need: Sequence[str] = ("N1", "N2", "N3", "N6"),
     with_histogram: bool = True,
 ) -> FactorCountReport:
-    """Factor-type counts over the Hasse invariant, certified squarefree.
+    """Factor-type counts over the Hasse invariant, and L, the number of
+    supersingular j in F_l, both from the ss_l that `ss_poly` certifies; that
+    certificate makes the Hasse invariant squarefree.
 
     N1/N3 are the distinct linear/irreducible-cubic counts; N2 counts only
     irreducible quadratics x^2+ax+b with B(a, b) = 0; N6 only sextics equal to
@@ -235,7 +221,8 @@ def count_factors(
     if not need <= ALL_COUNTS:
         raise ValueError(f"unknown count selector in {sorted(need)}")
     l = ctx.l
-    sf = _certified_squarefree(ctx)
+    ss = ss_poly(ctx)
+    sf = hasse_poly(ctx).monic()
 
     upto: Optional[int] = None
     if not with_histogram:
@@ -274,6 +261,7 @@ def count_factors(
         N6=n6,
         degree_histogram=histogram,
         classification_ok=_factor_type_rules(ctx, histogram, parts) if full_walk else None,
+        L=count_roots_in_fp(ss),
     )
 
 
@@ -356,7 +344,7 @@ def verify_count_formulas(ctx: PrimeContext, report: Optional[FactorCountReport]
     verdicts: Dict[str, str] = {}
     h_l = class_number(field_discriminant(l))
     h_7l = class_number(field_discriminant(7 * l))
-    Lc = L_count(ctx)
+    Lc = report.L
     f_n1 = f_n3 = f_n6 = f_n2 = None
     l7 = l % 7
 
@@ -397,7 +385,6 @@ def verify_count_formulas(ctx: PrimeContext, report: Optional[FactorCountReport]
         formula_N2_by_case=f_n2,
         h_minus_l=h_l,
         h_minus_7l=h_7l,
-        L=Lc,
         verdicts=verdicts,
     )
 
@@ -410,6 +397,14 @@ def _factor_degrees(f: FpPoly) -> List[int]:
     parts, rem = _ddf(_radical(f))
     assert rem.degree <= 0
     return [d for d, p in sorted(parts.items()) for _ in range(p.degree // d)]
+
+
+def _six_linear_or_two_cubics(degs: List[int], want_linear: bool) -> bool:
+    """Exactly six distinct linear factors (l = 6 mod 7), or exactly two
+    irreducible cubics and no linear factor (l = 3, 5 mod 7)."""
+    if want_linear:
+        return degs.count(1) == 6
+    return degs.count(3) == 2 and degs.count(1) == 0
 
 
 def verify_special_factorizations(ctx: PrimeContext) -> Dict[str, str]:
@@ -429,21 +424,13 @@ def verify_special_factorizations(ctx: PrimeContext) -> Dict[str, str]:
     want_linear = l % 7 == 6
 
     if l % 3 == 2:
-        degs = _factor_degrees(FpPoly.make(l, C.F0))
-        if want_linear:
-            ok = degs.count(1) == 6
-        else:
-            ok = degs.count(3) == 2 and degs.count(1) == 0
+        ok = _six_linear_or_two_cubics(_factor_degrees(FpPoly.make(l, C.F0)), want_linear)
         out["f0"] = "PASS" if ok else "FAIL"
     else:
         out["f0"] = "SKIP"
 
     if l % 4 == 3:
-        degs = _factor_degrees(FpPoly.make(l, C.F1728))
-        if want_linear:
-            ok = degs.count(1) == 6
-        else:
-            ok = degs.count(3) == 2 and degs.count(1) == 0
+        ok = _six_linear_or_two_cubics(_factor_degrees(FpPoly.make(l, C.F1728)), want_linear)
         out["f1728"] = "PASS" if ok else "FAIL"
         s7 = sqrt_mod(7, l)
         if s7 is None:
@@ -480,10 +467,6 @@ def verify_g_factor_counts(ctx: PrimeContext) -> Dict[str, object]:
     js = [j for j in supersingular_j_in_fp(ctx) if j not in (0, 1728 % l)]
     for j in js:
         degs = _factor_degrees(g_of_x_j(l, j))
-        if l % 7 == 6:
-            if degs.count(1) != 6:
-                return {"status": "FAIL", "checked": len(js), "j": j, "degrees": degs}
-        else:
-            if degs.count(3) != 2 or degs.count(1) != 0:
-                return {"status": "FAIL", "checked": len(js), "j": j, "degrees": degs}
+        if not _six_linear_or_two_cubics(degs, l % 7 == 6):
+            return {"status": "FAIL", "checked": len(js), "j": j, "degrees": degs}
     return {"status": "PASS" if js else "PASS-VACUOUS", "checked": len(js)}

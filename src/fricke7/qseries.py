@@ -16,6 +16,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .errors import StructuralError
 
 DEFAULT_PREC = 200
+MIN_PREC = 10  # the least precision verify_series_identity accepts
 
 
 @dataclass(frozen=True)
@@ -452,8 +453,8 @@ REGISTRY: Dict[str, Callable[[int], SeriesIdentityResult]] = {
 def verify_series_identity(case_id: str, prec: int = DEFAULT_PREC) -> SeriesIdentityResult:
     if case_id not in REGISTRY:
         raise KeyError(f"unknown series identity {case_id!r}")
-    if prec < 10:
-        raise ValueError("prec >= 10 required")
+    if prec < MIN_PREC:
+        raise ValueError(f"prec >= {MIN_PREC} required")
     return REGISTRY[case_id](prec)
 
 

@@ -1,9 +1,11 @@
 """Supersingular polynomials for the level-7 Fricke group: ss_p^(7*)(Y) from
-the resultant congruence on ss_p(X) (`hasse7.ss_poly`) and, independently,
-from its definition;
+the resultant congruence on ss_p(X) and, independently, from its definition;
 the L / L^(7*) counts; Nakaya's predicted linear-factor count; and the
 factor-count consistency identities that tie L^(7*) to the Hasse-invariant
 counts.
+
+ss_p(X) comes from `hasse7.ss_poly`, which certifies J_p squarefree for both
+sweeps; L is its number of roots in F_p.
 """
 
 from __future__ import annotations
@@ -25,13 +27,7 @@ from .ffpoly import (
     roots_in_fp2,
     smallest_nonresidue,
 )
-from .hasse7 import (  # perfbench/traced.py times ss7star.ss_poly
-    FactorCountReport,
-    _is_squarefree,
-    count_factors,
-    ss_poly,
-    supersingular_j_in_fp,
-)
+from .hasse7 import FactorCountReport, count_factors, ss_poly  # perfbench times ss7star.ss_poly
 
 
 def _check_p(ctx: PrimeContext) -> None:
@@ -62,8 +58,8 @@ def ss7star_resultant(ctx: PrimeContext, ss: FpPoly) -> FpPoly:
                     f"correction factor {corr} does not divide the resultant at p={p}"
                 )
             lhs = q
-    out = poly_sqrt(lhs, require_square_lc=True)
-    if not _is_squarefree(out):
+    out = poly_sqrt(lhs)
+    if out.gcd(out.derivative()).degree > 0:
         raise StructuralError(f"ss^(7*)_{p} from resultant is not squarefree")
     return out
 
@@ -95,12 +91,9 @@ def ss7star_bruteforce(ctx: PrimeContext, ss: FpPoly) -> FpPoly:
     return out
 
 
-def nakaya_predicted(ctx: PrimeContext) -> Fraction:
-    """(1/2)(1 + (-p/7)) L(p) + a_p h(-7p)."""
-    return _nakaya_value(ctx.l, len(supersingular_j_in_fp(ctx)))
-
-
-def _nakaya_value(p: int, L: int) -> Fraction:
+def nakaya_predicted(p: int, L: int) -> Fraction:
+    """(1/2)(1 + (-p/7)) L + a_p h(-7p), with L = L(p) the number of
+    supersingular j in F_p."""
     a_p, h = nakaya_class_term(p)
     return Fraction(1 + kronecker(-p, 7), 2) * L + a_p * h
 
@@ -134,7 +127,7 @@ def counts_and_nakaya(ctx: PrimeContext, check_oracle: bool = False) -> SS7StarR
         if not oracle_match:
             raise StructuralError(f"resultant and brute force disagree at p={p}")
     L = count_roots_in_fp(ss)
-    pred = _nakaya_value(p, L)
+    pred = nakaya_predicted(p, L)
     L7 = count_roots_in_fp(ss7)
     return SS7StarReport(
         p=p,

@@ -67,10 +67,9 @@ def hasse_sweep(
     need: Sequence[str] = ("N1", "N2", "N3", "N6"),
     with_histogram: bool = True,
 ) -> List[HasseRow]:
-    rows = run_parallel(
+    return run_parallel(
         _hasse_worker, [(p, tuple(need), with_histogram) for p in sorted(primes)], jobs
     )
-    return sorted(rows, key=lambda r: r.p)
 
 
 # -- ss7star / nakaya sweep
@@ -79,15 +78,12 @@ def hasse_sweep(
 @dataclass(frozen=True)
 class NakayaRow:
     p: int
-    report: Optional[SS7StarReport]
+    report: SS7StarReport
     consistency: Optional[Dict[str, object]]
-    skipped: Optional[str] = None
 
 
 def _nakaya_worker(args: Tuple[int, bool, bool]) -> NakayaRow:
     p, check_oracle, with_consistency = args
-    if p in (2, 3, 7):
-        return NakayaRow(p=p, report=None, consistency=None, skipped="excluded by hypothesis")
     ctx = PrimeContext.make(p)
     with _naming_prime(p):
         rep = counts_and_nakaya(ctx, check_oracle=check_oracle)
@@ -103,9 +99,8 @@ def nakaya_sweep(
     check_oracle: bool = False,
     with_consistency: bool = False,
 ) -> List[NakayaRow]:
-    rows = run_parallel(
+    return run_parallel(
         _nakaya_worker,
         [(p, check_oracle, with_consistency) for p in sorted(primes)],
         jobs,
     )
-    return sorted(rows, key=lambda r: r.p)

@@ -48,6 +48,20 @@ class TestOptions:
         code, out, _ = run_cli(argv, capsys)
         assert code == 2 and out == ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["qseries", "--prec", "5"],
+            ["cm", "--bits", "100"],
+            ["hasse", "--primes", "9223372036854775837"],  # a prime above 2^63
+        ],
+    )
+    def test_out_of_range_value_is_usage_error(self, argv, capsys):
+        """Checked before any work starts: exit 2 is a usage error, not the
+        verification failure that exit 1 reports."""
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == "" and "usage error:" in err
+
 
 class TestCommands:
     def test_ss7star_41_matches_reference(self, capsys):

@@ -22,8 +22,8 @@ from fricke7.ffpoly import (
     is_prime,
     poly_sqrt,
     resultant,
+    distinct_roots_in_fp,
     resultant_in_X,
-    roots_in_fp,
     roots_in_fp2,
     smallest_nonresidue,
     sqrt_mod,
@@ -368,7 +368,29 @@ class TestFp2:
     def test_multiplicity(self):
         f = FpPoly.make(5, [1, 1]) ** 3
         roots = roots_in_fp2(f)
-        assert [(r.a, r.b) for r in roots] == [(4, 0)] * 3
+        assert [(r.a, r.b) for r in roots] == [(4, 0)]
+
+    @pytest.mark.parametrize("l", [5, 13, 31])
+    def test_against_every_point_of_fp2(self, l):
+        """The roots are the a + b theta at which f vanishes, found by
+        evaluating f at all l^2 points, for f with repeated factors and
+        factors of degree > 2."""
+        rng = random.Random(l)
+        nu = smallest_nonresidue(l)
+        points = [(a, b) for a in range(l) for b in range(l)]
+        for _ in range(12):
+            f = FpPoly.one(l)
+            for _ in range(rng.randint(1, 4)):
+                f = f * random_poly(rng, l, max_deg=5) ** rng.randint(1, 3)
+            want = []
+            for a, b in points:
+                # Horner in F_l(theta): (u + v theta)(a + b theta) = (ua + nu vb) + (ub + va) theta
+                u = v = 0
+                for c in reversed(f.coeffs):
+                    u, v = (u * a + nu * v * b + c) % l, (u * b + v * a) % l
+                if not u and not v:
+                    want.append((a, b))
+            assert [(r.a, r.b) for r in roots_in_fp2(f)] == want, f
 
 
 @settings(max_examples=60, deadline=None)
@@ -417,4 +439,4 @@ def test_squarefree_decomposition_reassembles():
 
 def test_roots_in_fp():
     f = FpPoly.make(7, [3, 1]) ** 2 * FpPoly.make(7, [1, 0, 1])
-    assert roots_in_fp(f) == [(4, 2)]
+    assert distinct_roots_in_fp(f) == [4]

@@ -5,12 +5,11 @@ import pytest
 
 import oracles
 from fricke7 import constants as C
-from fricke7 import ffpoly, hasse7
+from fricke7 import ffpoly, hasse7, sweep
 from fricke7.classnum import kronecker
 from fricke7.errors import StructuralError
-from fricke7.ffpoly import FpPoly, PrimeContext, factorize, radical, roots_in_fp
+from fricke7.ffpoly import FpPoly, PrimeContext, distinct_roots_in_fp, factorize, radical
 from fricke7.hasse7 import (
-    L_count,
     count_factors,
     deuring_J,
     g_of_x_j,
@@ -20,6 +19,7 @@ from fricke7.hasse7 import (
     verify_special_factorizations,
     verify_g_factor_counts,
 )
+from fricke7.ss7star import counts_and_nakaya
 from fricke7.sweep import primes_in
 
 SWEEP_PRIMES = [p for p in primes_in(5, 400) if p != 7]
@@ -142,6 +142,17 @@ class TestSquarefreeCertificate:
             with pytest.raises(StructuralError, match="l=101"):
                 count_factors(ctx)
 
+    @pytest.mark.parametrize("p", [103, 101])  # r = 0 and r = 1
+    def test_root_at_zero_in_J_is_refused(self, p):
+        """J_l t is squarefree, and at r = 0 so is ss_l; only the J(0) term
+        of the certificate refuses it there."""
+        ctx = PrimeContext.make(p)
+        assert ctx.r == (p % 3 == 2)
+        with mock.patch.object(hasse7, "deuring_J", return_value=deuring_J(ctx) * FpPoly.x(p)):
+            for run in (count_factors, counts_and_nakaya):
+                with pytest.raises(StructuralError, match=rf"l={p}\b"):
+                    run(ctx)
+
 
 class TestCountingPath:
     """Spies, as in test_ffpoly.TestKernelAgainstSchoolbook, on the calls the
@@ -164,6 +175,19 @@ class TestCountingPath:
             with spies[0] as a, spies[1] as b, spies[2] as c, spies[3] as d, spies[4] as e:
                 count_factors(ctx, with_histogram=full)
             assert not any(s.called for s in (a, b, c, d, e)), (p, full)
+
+    @pytest.mark.parametrize("p", ONE_PER_CLASS)
+    def test_hasse_row_certifies_J_once(self, p):
+        """A sweep row builds J_l once, in `ss_poly`, whose certificate is a
+        gcd: no squarefree decomposition runs."""
+        with mock.patch.object(
+            hasse7, "deuring_J", wraps=hasse7.deuring_J
+        ) as J, mock.patch.object(
+            ffpoly, "squarefree_decomposition", wraps=ffpoly.squarefree_decomposition
+        ) as sqf:
+            row = sweep._hasse_worker((p, ("N1", "N2", "N3", "N6"), True))
+        assert J.call_count == 1 and sqf.call_count == 0
+        assert row.report.L > 0  # some supersingular j lies in F_l
 
     @pytest.mark.parametrize("p", [113, 41, 2003, 1987])  # l = 1, 6 (mod 7)
     def test_no_n6_work_without_sextics(self, p):
@@ -297,7 +321,7 @@ class TestStructuralProperties:
                     acc = acc + c * omx ** (n - k)
             assert acc.monic() == sf, f"phi does not permute roots at {p}"
             if p % 7 in (1, 6):
-                alphas = [r for r, _ in roots_in_fp(FpPoly.make(p, C.P_CUBIC))]
+                alphas = distinct_roots_in_fp(FpPoly.make(p, C.P_CUBIC))
                 assert len(alphas) == 3
                 alpha = alphas[0]
                 accT = FpPoly.zero(p)
@@ -326,7 +350,7 @@ class TestStructuralProperties:
 def test_L_count_examples():
     assert supersingular_j_in_fp(PrimeContext.make(5)) == [0]
     assert supersingular_j_in_fp(PrimeContext.make(13)) == [5]
-    assert L_count(PrimeContext.make(41)) == 4
+    assert count_factors(PrimeContext.make(41)).L == 4
 
 
 def test_g_of_x_j_values():

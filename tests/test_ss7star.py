@@ -1,12 +1,13 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
 from fricke7 import constants as C
+from fricke7 import ffpoly, sweep
 from fricke7.classnum import class_number
 from fricke7.errors import StructuralError
-from fricke7.ffpoly import FpPoly, PrimeContext, factorize
-from fricke7.hasse7 import L_count
+from fricke7.ffpoly import FpPoly, PrimeContext, count_roots_in_fp, factorize
 from fricke7.ss7star import (
     counts_and_nakaya,
     nakaya_predicted,
@@ -92,7 +93,20 @@ class TestNakaya:
 
     def test_p13_branch(self):
         # 13 = 6 mod 7: the (-13/7) = +1 branch contributes L(13)
-        assert nakaya_predicted(PrimeContext.make(13)) == Fraction(3)
+        L = count_roots_in_fp(ss_poly(PrimeContext.make(13)))
+        assert L == 1 and nakaya_predicted(13, L) == Fraction(3)
+
+    @pytest.mark.parametrize("p", [307, 311])
+    def test_nakaya_row_decomposes_once(self, p):
+        """Above the oracle cut-off a sweep row runs one squarefree
+        decomposition, the square root's; ss_p and the root of the resultant
+        are checked by gcds."""
+        with mock.patch.object(
+            ffpoly, "squarefree_decomposition", wraps=ffpoly.squarefree_decomposition
+        ) as sqf:
+            row = sweep._nakaya_worker((p, False, True))
+        assert sqf.call_count == 1
+        assert row.report.oracle_match is None and row.consistency["ok"]
 
     def test_oracle_flag_set_small(self):
         rep = counts_and_nakaya(PrimeContext.make(53))
@@ -118,7 +132,7 @@ def test_deuring_eichler_class_number_relation():
     """L(l) in terms of h(-l), h(-4l): the classical supersingular count
     relation, checked without computing class polynomials."""
     for l in [q for q in primes_in(5, 2000) if q != 7]:
-        L = L_count(PrimeContext.make(l))
+        L = count_roots_in_fp(ss_poly(PrimeContext.make(l)))
         if l % 4 == 3:
             expect = 1 + (class_number(-l) - 1) // 2 + (class_number(-4 * l) - 1) // 2
         else:
