@@ -120,17 +120,24 @@ class FactorCountReport:
     verdicts: Dict[str, str] = field(default_factory=dict)
 
 
+def _b_form(a, b):
+    """B(a, b) before reduction mod l; a and b are integers or polynomials."""
+    return a**3 + (8 - 5 * b) * a**2 + (5 + 6 * b - 8 * b**2) * a - b**3 - 5 * b**2 + 8 * b - 1
+
+
 def _b_value(l: int, a: int, b: int) -> int:
     """B(a, b) mod l for the quadratic-factor membership test."""
-    return (
-        a**3
-        + (-5 * b + 8) * a**2
-        + (-8 * b**2 + 6 * b + 5) * a
-        - b**3
-        - 5 * b**2
-        + 8 * b
-        - 1
-    ) % l
+    return _b_form(a, b) % l
+
+
+def _b_residue(q: FpPoly, h: FpPoly) -> FpPoly:
+    """B(-(x + h), x h) mod q, for q a product of distinct irreducible quadratics
+    and h = x^l mod a multiple of q.  On a factor x^2 + a x + b with roots r, r^l,
+    x maps to r and h to r^l, so -(x + h) and x h reduce to a and b: by the CRT
+    the residue is zero exactly when B(a, b) = 0 on every factor, unsplit."""
+    x = FpPoly.x(q.modulus)
+    h = h % q
+    return _b_form(-(x + h) % q, x * h % q) % q
 
 
 def _at(p: FpPoly, h: FpPoly, f: FpPoly) -> FpPoly:
@@ -141,126 +148,118 @@ def _at(p: FpPoly, h: FpPoly, f: FpPoly) -> FpPoly:
     return out
 
 
-def _shape_part(f: FpPoly, pairs, d: int) -> FpPoly:
-    """The product of the irreducible degree-d factors of monic squarefree f at
-    whose roots some n/m, (n, m) in `pairs`, takes a value in F_l.
-
-    At a root b of f with m(b) != 0, (n/m)(b) lies in F_l exactly when it equals
-    its l-th power (n/m)(b^l), that is when n(h) m - n m(h) vanishes at b, where
-    h = x^l mod f.  The gcd of f with the product of these tests over `pairs`
-    holds every such factor; its distinct-degree split picks out degree d.
-    """
-    l = f.modulus
-    if f.degree < d:
-        return FpPoly.one(l)
-    h = FpPoly.x(l).powmod(l, f)
-    test = FpPoly.one(l)
-    for n, m in pairs:
-        test = test * (_at(n, h, f) * m - n * _at(m, h, f)) % f
-    parts, _ = _ddf(f.gcd(test), upto=d)
-    return parts.get(d, FpPoly.one(l))
-
-
-def _count_n6(f: FpPoly) -> int:
-    """Count the sextic factors of f (monic squarefree) equal to some f_7(x, t0).
-
-    f_7(x, t) = N(x) - t D(x) with N = (x^2-x+1)^3 and D = x(x-1)p(x), so an
-    irreducible sextic with root b equals f_7(x, t0) exactly when (N/D)(b) = t0
-    lies in F_l: both are then the minimal polynomial of b.
-    """
-    l = f.modulus
+def _f7_pair(l: int):
+    """f_7(x, t) = n - t m with n = (x^2-x+1)^3 and m = x(x-1)p(x): an
+    irreducible sextic with root b equals f_7(x, t0) exactly when
+    (n/m)(b) = t0 lies in F_l, both being the minimal polynomial of b."""
     n = FpPoly.make(l, C.expand_f7(0))
-    return _shape_part(f, [(n, n - FpPoly.make(l, C.expand_f7(1)))], 6).degree // 6
+    return [(n, n - FpPoly.make(l, C.expand_f7(1)))]
 
 
-def _count_n2(f: FpPoly, ctx: PrimeContext) -> int:
-    """Count irreducible quadratics x^2+ax+b | f (monic squarefree) with
-    B(a, b) = 0, for l = 1, 6 (mod 7), via the parametrization
-    a = (alpha-1) b - alpha over the three roots alpha of x^3 - 8x^2 + 5x + 1
-    (equivalent to B(a, b) = 0).
-
-    x^2 + a x + b = (x^2 - alpha x) + b ((alpha-1) x + 1), so an irreducible
-    quadratic with root r is in the alpha family exactly when
-    (x^2 - alpha x) / ((alpha-1) x + 1) takes an F_l value at r.
-    """
-    l = ctx.l
+def _family_pairs(l: int):
+    """The three quadratic families x^2 + a x + b with a = (alpha-1) b - alpha,
+    alpha a root of x^3 - 8x^2 + 5x + 1 (equivalent to B(a, b) = 0, l = 1, 6
+    mod 7).  x^2 + a x + b = (x^2 - alpha x) + b ((alpha-1) x + 1), so an
+    irreducible quadratic with root r is in the alpha family exactly when
+    (x^2 - alpha x) / ((alpha-1) x + 1) takes an F_l value at r."""
     alphas = distinct_roots_in_fp(FpPoly.make(l, C.P_CUBIC))
     if len(alphas) != 3:
         raise StructuralError(f"p-cubic does not split at l={l} = {l % 7} (mod 7)")
-    pairs = [(FpPoly.make(l, [0, -alpha, 1]), FpPoly.make(l, [1, alpha - 1])) for alpha in alphas]
-    quads = _shape_part(f, pairs, 2)
-    for g in _edf(quads, 2) if quads.degree > 0 else []:
-        b, a = g.coeffs[:2]
-        if _b_value(l, a, b) != 0:
-            raise StructuralError("family quadratic violates B(a, b) = 0")
-    return quads.degree // 2
+    return [(FpPoly.make(l, [0, -alpha, 1]), FpPoly.make(l, [1, alpha - 1])) for alpha in alphas]
 
 
 def count_factors(
     ctx: PrimeContext,
     need: Sequence[str] = ("N1", "N2", "N3", "N6"),
     with_histogram: bool = True,
+    ss: Optional[FpPoly] = None,
 ) -> FactorCountReport:
-    """Factor-type counts over the Hasse invariant, and L, the number of
-    supersingular j in F_l, both from the ss_l that `ss_poly` certifies; that
-    certificate makes the Hasse invariant squarefree.
+    """Factor-type counts over the Hasse invariant f, and L, the number of
+    supersingular j in F_l, both from the ss_l that `ss_poly` certifies (pass
+    `ss` if it is already certified); that certificate makes f squarefree.
+    N1/N3 count the distinct linear/irreducible cubic factors, N2 only the
+    irreducible quadratics x^2+ax+b with B(a, b) = 0, N6 only the sextics
+    f_7(x, t) with t in F_l.
 
-    N1/N3 are the distinct linear/irreducible-cubic counts; N2 counts only
-    irreducible quadratics x^2+ax+b with B(a, b) = 0; N6 only sextics equal to
-    f_7(x, t) for some t in F_l.
-
-    `need` restricts the work; `with_histogram` controls whether the full
-    distinct-degree walk runs (needed for the degree histogram and the
-    factor-type classification).  N2 for l = 1, 6 (mod 7) and N6 come from one
-    Frobenius shape test (`_shape_part`) on the degree-2 or degree-6 part of the
-    full walk, or on the unsplit remainder of a partial one; with no such part
-    there is nothing to test.  The test suite checks both against plain
-    equal-degree splitting and against an all-points divisor test.
+    One gcd on f finds them.  With e = 2 for l = 1, 6 (mod 7) and e = 6
+    otherwise (the lcm of the degrees the factor-type rules allow), and
+    h_d = x^(l^d) mod f, G is the gcd of f with the product mod f of h_d - x
+    over the proper divisors d of e (d = 2, 3 at e = 6 also hold d = 1) and of
+    the Frobenius shape test n(h_1) m - n m(h_1) for `_f7_pair` (N6) or
+    `_family_pairs` (N2), which vanishes at a root b exactly when (n/m)(b) is
+    in F_l.  The distinct-degree split of G, of small degree, gives the counts.
+    h_e = x mod f certifies that every factor degree divides e, so the degree-e
+    count of the histogram is what the smaller degrees leave over; if the
+    certificate fails, so does the classification, and the rest of f is split
+    to show the offending degree.  N2 checks B(a, b) = 0 on every family
+    quadratic by one residue (`_b_residue`) at e = 2 and by splitting at e = 6.
+    `with_histogram=False` takes only the tests and powers that `need` asks for.
     """
     need = frozenset(need)
     if not need <= ALL_COUNTS:
         raise ValueError(f"unknown count selector in {sorted(need)}")
     l = ctx.l
-    ss = ss_poly(ctx)
-    sf = hasse_poly(ctx).monic()
+    if ss is None:
+        ss = ss_poly(ctx)
+    f = hasse_poly(ctx).monic()
+    one, x = FpPoly.one(l), FpPoly.x(l)
 
-    upto: Optional[int] = None
-    if not with_histogram:
-        upto = 0
-        if "N1" in need:
-            upto = max(upto, 1)
-        if "N3" in need:
-            upto = max(upto, 3)
-        if "N2" in need and l % 7 not in (1, 6):
-            upto = max(upto, 2)
-    parts, rem = _ddf(sf, upto=upto)
-    full_walk = rem.degree <= 0
-    histogram = {d: p.degree // d for d, p in sorted(parts.items())} if full_walk else None
+    if l % 7 in (1, 6):
+        e = 2
+        pairs = _family_pairs(l) if "N2" in need else []
+        divisors = {1} if with_histogram or "N1" in need else set()
+    else:
+        e = 6
+        pairs = _f7_pair(l) if "N6" in need else []
+        divisors = {d for d, n in ((2, "N2"), (3, "N3")) if with_histogram or n in need} or (
+            {1} if "N1" in need else set())
+    powers = [x]  # powers[d] = x^(l^d) mod f
+    for _ in range(e if with_histogram else max([*divisors, 1 if pairs else 0])):
+        powers.append(powers[-1].powmod(l, f))
 
-    def candidates(d: int) -> FpPoly:  # where the degree-d factors are
-        return parts.get(d, FpPoly.one(l)) if full_walk else rem
+    test = one
+    for n, m in pairs:
+        h = powers[1]
+        test = test * (_at(n, h, f) * m - n * _at(m, h, f)) % f
+    for d in divisors:
+        test = test * (powers[d] - x) % f
+    parts, _ = _ddf(f.gcd(test))
 
-    n1 = parts[1].degree if 1 in parts else 0
-    n3 = parts[3].degree // 3 if 3 in parts else 0
+    def count(d: int) -> int:
+        return parts.get(d, one).degree // d
 
     n2 = None
-    if "N2" in need:
-        if l % 7 in (1, 6):
-            n2 = _count_n2(candidates(2), ctx)
-        else:
-            quads = _edf(parts[2], 2) if 2 in parts else []
-            n2 = sum(_b_value(l, g.coeffs[1], g.coeffs[0]) == 0 for g in quads)
+    if "N2" in need and e == 6:
+        quads = _edf(parts[2], 2) if 2 in parts else []
+        n2 = sum(_b_value(l, g.coeffs[1], g.coeffs[0]) == 0 for g in quads)
+    elif "N2" in need:
+        if 2 in parts and not _b_residue(parts[2], powers[1]).is_zero:
+            raise StructuralError("family quadratic violates B(a, b) = 0")
+        n2 = count(2)
 
-    n6 = _count_n6(candidates(6)) if "N6" in need else None
+    histogram = classification_ok = None
+    if with_histogram:
+        done = {d: g for d, g in parts.items() if d < e and e % d == 0}  # every factor of degree d
+        histogram = {d: g.degree // d for d, g in done.items()}
+        if powers[e] == x % f:
+            left = f.degree - sum(g.degree for g in done.values())
+            if left:
+                histogram[e] = left // e
+            classification_ok = _factor_type_rules(ctx, histogram, done)
+        else:  # some factor degree does not divide e: split the rest to show it
+            rest = f // math.prod(done.values(), start=one)
+            histogram.update((d, g.degree // d) for d, g in _ddf(rest)[0].items())
+            classification_ok = False
+        histogram = dict(sorted(histogram.items()))
 
     return FactorCountReport(
         l=l,
-        N1=n1 if ("N1" in need or full_walk) else None,
+        N1=count(1) if ("N1" in need or with_histogram) else None,
         N2=n2,
-        N3=n3 if ("N3" in need or full_walk) else None,
-        N6=n6,
+        N3=count(3) if ("N3" in need or with_histogram) else None,
+        N6=count(6) if "N6" in need else None,
         degree_histogram=histogram,
-        classification_ok=_factor_type_rules(ctx, histogram, parts) if full_walk else None,
+        classification_ok=classification_ok,
         L=count_roots_in_fp(ss),
     )
 

@@ -162,7 +162,7 @@ def count_consistency(
     p7 = p % 7
     if counts is None:
         need = {1: ("N2",), 6: ("N1", "N2"), 2: ("N6",), 4: ("N6",), 3: ("N3", "N6"), 5: ("N3", "N6")}[p7]
-        counts = count_factors(ctx, need=need, with_histogram=False)
+        counts = count_factors(ctx, need=need, with_histogram=False, ss=report.ss)
     if p7 in (2, 4):
         formula = counts.N6 + half
     elif p7 in (3, 5):

@@ -5,11 +5,12 @@ import pytest
 
 import oracles
 from fricke7 import constants as C
-from fricke7 import ffpoly, hasse7, sweep
+from fricke7 import cli, ffpoly, hasse7, sweep
 from fricke7.classnum import kronecker
 from fricke7.errors import StructuralError
 from fricke7.ffpoly import FpPoly, PrimeContext, distinct_roots_in_fp, factorize, radical
 from fricke7.hasse7 import (
+    _b_value,
     count_factors,
     deuring_J,
     g_of_x_j,
@@ -189,26 +190,104 @@ class TestCountingPath:
         assert J.call_count == 1 and sqf.call_count == 0
         assert row.report.L > 0  # some supersingular j lies in F_l
 
+    def test_nakaya_row_certifies_J_once(self):
+        """A nakaya row with count consistency hands the ss_p its report
+        certified to the recount, so J_p is built once."""
+        with mock.patch.object(hasse7, "deuring_J", wraps=hasse7.deuring_J) as J:
+            row = sweep._nakaya_worker((599, False, True))
+        assert J.call_count == 1 and row.consistency["ok"]
+
     @pytest.mark.parametrize("p", [113, 41, 2003, 1987])  # l = 1, 6 (mod 7)
     def test_no_n6_work_without_sextics(self, p):
-        work = {}
-        shape_part = hasse7._shape_part
-
-        def spy(f, pairs, d):
-            before = powmod.call_count + gcd.call_count
-            out = shape_part(f, pairs, d)
-            work[d] = powmod.call_count + gcd.call_count - before
-            return out
-
-        with mock.patch.object(
-            FpPoly, "powmod", autospec=True, side_effect=FpPoly.powmod
-        ) as powmod, mock.patch.object(
-            FpPoly, "gcd", autospec=True, side_effect=FpPoly.gcd
-        ) as gcd, mock.patch.object(hasse7, "_shape_part", side_effect=spy):
+        """The rules allow no sextic here: the count builds no f_7 pair."""
+        with mock.patch.object(C, "expand_f7", wraps=C.expand_f7) as f7:
             rep = count_factors(PrimeContext.make(p))
-        assert rep.N6 == 0
-        assert work[6] == 0
-        assert work[2] > 0  # the spies see the N2 shape test's powmod and gcds
+        assert rep.N6 == 0 and not f7.called
+
+    @pytest.mark.parametrize("p", NEAR_2000)
+    def test_one_gcd_on_hasse(self, p):
+        """A full count runs one gcd with an operand of degree >= l (the Hasse
+        polynomial has degree about 2l); the distinct-degree split that follows
+        works on that gcd's small output.  Only l = 2..5 (mod 7) builds the
+        f_7 pair, and only l = 1, 6 takes the roots of the p-cubic."""
+        cubic = FpPoly.make(p, C.P_CUBIC)
+        with mock.patch.object(
+            FpPoly, "gcd", autospec=True, side_effect=FpPoly.gcd
+        ) as gcd, mock.patch.object(
+            C, "expand_f7", wraps=C.expand_f7
+        ) as f7, mock.patch.object(
+            hasse7, "distinct_roots_in_fp", wraps=hasse7.distinct_roots_in_fp
+        ) as roots:
+            rep = count_factors(PrimeContext.make(p))
+        big = [c for c in gcd.call_args_list if max(op.degree for op in c.args) >= p]
+        assert len(big) == 1
+        sextics_allowed = p % 7 in (2, 3, 4, 5)
+        assert f7.called == sextics_allowed
+        assert any(c.args == (cubic,) for c in roots.call_args_list) != sextics_allowed
+        assert rep.classification_ok
+
+
+class TestFailedCertificate:
+    """A factor degree that does not divide e (2 or 6) fails the certificate
+    x^(l^e) = x mod f: the classification is a hard FAIL and the histogram
+    shows the degree, while the counts stay as they were."""
+
+    @pytest.mark.parametrize("p", [41, 59])  # e = 2, e = 6
+    def test_extra_quartic(self, p, capsys):
+        ctx = PrimeContext.make(p)
+        H = hasse_poly(ctx)
+        quartic = next(
+            q
+            for q in (FpPoly.make(p, [c, 1, 0, 0, 1]) for c in range(p))
+            if set(ffpoly._ddf(q)[0]) == {4} and H.gcd(q).degree == 0
+        )
+        base = verify_count_formulas(ctx)
+        with mock.patch.object(hasse7, "hasse_poly", return_value=H * quartic):
+            rep = verify_count_formulas(ctx)
+            assert cli.main(["hasse", "--primes", str(p)]) == 1
+        assert "FAIL" in capsys.readouterr().out
+        assert rep.verdicts["factor_types"] == "FAIL"
+        assert base.verdicts["factor_types"] == "PASS"
+        assert rep.degree_histogram == {**base.degree_histogram, 4: 1}
+        assert (rep.N1, rep.N2, rep.N3, rep.N6) == (base.N1, base.N2, base.N3, base.N6)
+
+
+class TestBResidue:
+    """`_b_residue` checks B(a, b) = 0 on every quadratic of a product at once;
+    the oracle splits the product and reads B on each factor."""
+
+    @pytest.mark.parametrize("l", [29, 41, 43, 83])
+    def test_against_split_oracle(self, l):
+        rng = random.Random(l)
+        irreducible = [(a, b) for a in range(l) for b in range(l) if kronecker(a * a - 4 * b, l) == -1]
+        on_b = [q for q in irreducible if _b_value(l, *q) == 0]
+        off_b = [q for q in irreducible if _b_value(l, *q) != 0]
+        assert on_b and off_b
+        seen = set()
+        for _ in range(40):
+            picks = rng.sample(on_b, rng.randrange(1, 5)) + rng.sample(off_b, rng.randrange(0, 3))
+            q = FpPoly.one(l)
+            for a, b in picks:
+                q = q * FpPoly.make(l, [b, a, 1])
+            h = FpPoly.x(l).powmod(l, q)
+            split = all(_b_value(l, g.coeffs[1], g.coeffs[0]) == 0 for g in ffpoly._edf(q, 2))
+            assert hasse7._b_residue(q, h).is_zero == split, picks
+            seen.add(split)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("l", [41, 43, 83])
+    def test_wrong_family_is_refused(self, l):
+        """Shifting the family roots to alpha + 1 brings quadratics with
+        B(a, b) != 0 into the family part, and the count refuses them."""
+        roots = hasse7.distinct_roots_in_fp
+        cubic = FpPoly.make(l, C.P_CUBIC)
+
+        def shifted(f):
+            return [(a + 1) % l for a in roots(f)] if f == cubic else roots(f)
+
+        with mock.patch.object(hasse7, "distinct_roots_in_fp", side_effect=shifted):
+            with pytest.raises(StructuralError, match=r"violates B\(a, b\) = 0"):
+                count_factors(PrimeContext.make(l))
 
 
 class TestFactorTypeRules:

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -18,3 +19,22 @@ def test_show_reference_tables_runs():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("ss_41^(7*)(Y) =")
+
+
+def test_bench_counts_runs(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_counts.py"),
+         "--primes", "41,59", "--repeats", "2", "--out-dir", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    (out,) = tmp_path.glob("BENCH_count_factors_*.json")
+    bench = json.loads(out.read_text())
+    assert [r["p"] for r in bench["rows"]] == [41, 59]
+    assert all(len(r["runs_s"]) == 2 and r["verdicts"]["factor_types"] == "PASS" for r in bench["rows"])
+    assert bench["machine"]["cpus"] and bench["sha"]
