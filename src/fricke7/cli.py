@@ -20,9 +20,19 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
 from .errors import StructuralError, UsageError
-from .ffpoly import MODULUS_LIMIT, FpPoly, factorize, is_prime
+from .ffpoly import FpPoly, factorize, is_prime
 
 JSON_VERSION = "fricke7/2"
+
+# The sweeps refuse primes above this feasibility limit: J_l and the Hasse
+# polynomial have degree about l/12 and 2l, so a prime far past the l < 10^5
+# band the sweeps are sized for would run for hours or exhaust memory.
+PRIME_LIMIT = 10**6
+
+
+def _check_limit(p: int) -> None:
+    if p > PRIME_LIMIT:
+        raise UsageError(f"primes must be at most {PRIME_LIMIT:,} (the sweeps' feasibility limit), got {p}")
 
 
 def _progress(msg: str) -> None:
@@ -40,6 +50,7 @@ def parse_primes(spec: str) -> List[int]:
             raise UsageError(f"bad prime range {spec!r}") from e
         if lo > hi:
             raise UsageError(f"empty prime range {spec!r}")
+        _check_limit(hi)
         from .sweep import primes_in
 
         out = primes_in(lo, hi)
@@ -52,10 +63,9 @@ def parse_primes(spec: str) -> List[int]:
                 raise UsageError(f"bad prime {tok!r}") from e
             if not is_prime(p):
                 raise UsageError(f"{p} is not prime")
+            _check_limit(p)
             out.append(p)
         out = sorted(set(out))
-    if out and out[-1] >= MODULUS_LIMIT:
-        raise UsageError(f"primes must be below 2^{MODULUS_LIMIT.bit_length() - 1}, got {out[-1]}")
     return out
 
 

@@ -96,20 +96,48 @@ def peval(a: Sequence, x):
     return out
 
 
+# Ranges of at most this many coefficients run Horner's rule; longer ones
+# split in two.  Measured on a 2-core x86-64 VM for `hasse_poly` (FpPoly, num
+# and den of degree 24): 8 and 16 were within noise of each other, 64 was
+# slower.
+_HORNER_LEAF = 16
+
+
+def _powers(p):
+    """p^s for s >= 1, by squaring, each power kept once computed."""
+    cache = {1: p}
+
+    def power(s: int):
+        if s not in cache:
+            half = power(s // 2)
+            cache[s] = half * half * p if s % 2 else half * half
+        return cache[s]
+
+    return power
+
+
 def homogenize(coeffs: Sequence, num, den):
     """sum_k c_k num^k den^(n-k), n = len(coeffs) - 1: the polynomial
     sum c_k y^k at y = num/den, cleared of denominators.
 
-    Horner's rule in num while the powers of den build up from the top down.
-    Only + and * are used, so num and den may be FpPoly, MPoly or ints.
+    Balanced: the sum over k = lo..hi, S(lo, hi) = sum c_k num^(k-lo)
+    den^(hi-k), is S(lo, mid) den^(hi-mid) + S(mid+1, hi) num^(mid+1-lo), so
+    long sums multiply operands of similar size.  The powers of num and den
+    are cached, and short ranges run Horner's rule in num.  Only + and * are
+    used, so num and den may be FpPoly, MPoly or ints.
     """
-    n = len(coeffs) - 1
-    out = num * 0 + coeffs[n]
-    den_pow = 1
-    for c in reversed(coeffs[:n]):
-        den_pow = den_pow * den
-        out = out * num + c * den_pow
-    return out
+    num_pow, den_pow = _powers(num), _powers(den)
+
+    def part(lo: int, hi: int):
+        if hi - lo < _HORNER_LEAF:
+            out = num * 0 + coeffs[hi]
+            for j, c in enumerate(reversed(coeffs[lo:hi]), 1):
+                out = out * num + c * den_pow(j)
+            return out
+        mid = (lo + hi) // 2
+        return part(lo, mid) * den_pow(hi - mid) + part(mid + 1, hi) * num_pow(mid + 1 - lo)
+
+    return part(0, len(coeffs) - 1)
 
 
 def pderiv(a: Sequence) -> list:

@@ -8,11 +8,18 @@ other module sees that vector.  Products and divisions compute in int64 while
 the sums they build provably fit (the bound is at `_dtype`), and in `object`
 arrays of Python ints otherwise, so moduli up to 2^63 run the same code.
 Long products go through a float64 FFT inside an asserted exactness bound
-(`_fft_error`), and long quotients through the Newton inverse of the
-reversed divisor (`_inv_series`); short ones keep `np.convolve` and the row
-loop.  All randomized steps draw from a PRNG seeded deterministically from the
-modulus and the input coefficients, so every run (and every process) produces
-identical output.
+(`_fft_error`, Percival's error bound below 1/2), and long quotients through
+the Newton inverse of the reversed divisor (`_inv_series`); short ones keep
+`np.convolve` and the row loop.  A divisor that meets a long quotient keeps
+that inverse, with the transforms of the inverse and of itself, in a
+`_Modulus` on its `FpPoly`, so powmod chains and repeated reductions mod one
+f build them once.  Euclid's steps with a one- or two-coefficient quotient run
+in float64 on unreduced integer vectors (`_euclid_float`), inside a second
+asserted bound: every integer the step computes stays below 2^52, which holds
+for l (l - 1) < 2^52; other steps and larger moduli keep `_divmod`.  All
+randomized steps draw from a PRNG seeded deterministically from the modulus and
+the input coefficients, so every run (and every process) produces identical
+output.
 """
 
 from __future__ import annotations
@@ -195,31 +202,45 @@ def _fft_error(l: int, m: int, n: int) -> float:
 _FFT_MIN_LEN = 128
 
 
+def _fft_ok(l: int, m: int, n: int) -> bool:
+    """Whether a product with shorter operand length m and FFT size 2^n takes
+    the FFT path."""
+    return m >= _FFT_MIN_LEN and _fft_error(l, m, n) < 0.5
+
+
 def _mul(l: int, a, b):
     """The product of a and b, reduced (a is b squares with one transform)."""
     if not len(a) or not len(b):
         return a[:0]
     m = min(len(a), len(b))
     n = (len(a) + len(b) - 2).bit_length()  # 2^n >= the product's length
-    if m >= _FFT_MIN_LEN and _fft_error(l, m, n) < 0.5:
+    if _fft_ok(l, m, n):
         return _mul_fft(l, a, b, m, n)
     dt = _dtype(l, len(a) + len(b))
     return np.convolve(a.astype(dt, copy=False), b.astype(dt, copy=False)) % l
 
 
-def _mul_fft(l: int, a, b, m: int, n: int):
+def _rfft(a, n: int):
+    return np.fft.rfft(a.astype(np.float64), 1 << n)
+
+
+def _mul_fft(l: int, a, b, m: int, n: int, fb=None):
+    """The FFT product; fb, if given, is `_rfft(b, n)`."""
     assert _fft_error(l, m, n) < 0.5, "FFT product outside its exactness bound"
-    fa = np.fft.rfft(a.astype(np.float64), 1 << n)
-    fb = fa if a is b else np.fft.rfft(b.astype(np.float64), 1 << n)
+    fa = _rfft(a, n)
+    if fb is None:
+        fb = fa if a is b else _rfft(b, n)
     c = np.fft.irfft(fa * fb, 1 << n)[: len(a) + len(b) - 1]
     return np.rint(c).astype(np.int64) % l
 
 
-def _inv_series(l: int, h, n: int):
-    """g with h g = 1 mod x^n (h[0] a unit), length n, by Newton iteration:
-    if h g = 1 + e x^k mod x^2k, then g - g e x^k is the inverse mod x^2k."""
+def _inv_series(l: int, h, n: int, g=None):
+    """g with h g = 1 mod x^n (h[0] a unit), length n, by Newton iteration from
+    the prefix g if one is given: if h g = 1 + e x^k mod x^2k, then g - g e x^k
+    is the inverse mod x^2k."""
     h = np.concatenate([h[:n], np.zeros(max(0, n - len(h)), dtype=h.dtype)])
-    g = np.array([pow(int(h[0]), -1, l)], dtype=h.dtype)
+    if g is None:
+        g = np.array([pow(int(h[0]), -1, l)], dtype=h.dtype)
     while len(g) < n:
         k = min(2 * len(g), n)
         e = _mul(l, h[:k], g)[len(g) : k]
@@ -239,12 +260,51 @@ def _inv_series(l: int, h, n: int):
 _NEWTON_MIN_QUOT = 32
 
 
-def _divmod(l: int, a, b, binv=None):
-    """Quotient and remainder of a by the nonzero trimmed b.
+class _Modulus:
+    """A divisor b prepared for long-quotient division: the Newton inverse of
+    b reversed, and the transforms of that inverse and of b, kept per size.
 
-    binv, if given, is `_inv_series` of b reversed to at least the quotient
-    length; repeated divisions by one b reuse it.
+    `FpPoly` keeps one on each divisor that a long quotient has met, so a
+    powmod chain, or the many reductions mod one f, build the inverse once.
     """
+
+    __slots__ = ("l", "b", "inv", "_ffts")
+
+    def __init__(self, l: int, b, n: int):
+        """Prepared for quotients of up to n coefficients; longer ones extend
+        the inverse."""
+        self.l, self.b = l, b
+        self.inv = _inv_series(l, b[::-1], n)
+        self._ffts: Dict[tuple, np.ndarray] = {}
+
+    def _times(self, v, c, name: str):
+        """v times c, where c is the inverse or the divisor (named by `name`),
+        whose transform is kept."""
+        l = self.l
+        m, n = min(len(v), len(c)), (len(v) + len(c) - 2).bit_length()
+        if not len(v) or not _fft_ok(l, m, n):
+            return _mul(l, v, c)
+        key = (name, len(c), n)
+        fc = self._ffts.get(key)
+        if fc is None:
+            fc = self._ffts[key] = _rfft(c, n)
+        return _mul_fft(l, v, c, m, n, fc)
+
+    def divmod(self, a):
+        """Quotient and remainder of a, whose quotient is at least one
+        coefficient long."""
+        l, b = self.l, self.b
+        db = len(b) - 1
+        nq = len(a) - db
+        if len(self.inv) < nq:
+            self.inv = _inv_series(l, b[::-1], nq, self.inv)
+        q = _trim(self._times(a[: db - 1 : -1], self.inv[:nq], "inv")[nq - 1 :: -1])
+        return q, _sub(l, a[:db], self._times(q, b, "b")[:db])
+
+
+def _divmod(l: int, a, b):
+    """Quotient and remainder of a by the nonzero trimmed b; a long quotient
+    goes through a one-off `_Modulus`."""
     db = len(b) - 1
     if db == 0:
         return _scale(l, a, pow(int(b[0]), -1, l)), a[:0]
@@ -252,10 +312,7 @@ def _divmod(l: int, a, b, binv=None):
         return a[:0], a
     nq = len(a) - db
     if nq >= _NEWTON_MIN_QUOT:
-        if binv is None or len(binv) < nq:
-            binv = _inv_series(l, b[::-1], nq)
-        q = _mul(l, a[: db - 1 : -1], binv[:nq])[nq - 1 :: -1]
-        return _trim(q), _sub(l, a[:db], _mul(l, q, b)[:db])
+        return _Modulus(l, b, nq).divmod(a)
     inv = pow(int(b[-1]), -1, l)
     dt = _dtype(l, len(a) + len(b))
     r = a.astype(dt)
@@ -270,6 +327,69 @@ def _divmod(l: int, a, b, binv=None):
     return _trim(q), _trim(r[:db] % l)
 
 
+# Float Euclid.  A normal Euclid step has a quotient of one or two
+# coefficients, q1 x + q0 (q1 alone if deg a = deg b), so its remainder
+# a - (q1 x + q0) b is one short convolution.
+# `_euclid` runs those steps in float64 on integer vectors it leaves
+# unreduced, with q0 and q1 in [-(l-1)/2, (l-1)/2] and the sign of each
+# remainder flipped (a unit, which the gcd ignores).  If |a| <= A and |b| <= B
+# coefficientwise, every product and partial sum in the step is an integer of
+# size at most A + (|q0| + |q1|) B; below 2^52 float64 holds it exactly.  Just
+# before the tracked bound would pass 2^52, a and b are reduced by
+# v - l rint(v / l): for |v| < 2^52 the computed v / l is within 1/2 of the true
+# one, so the result is exact and below l in size.  After a reduction the
+# bound is at most (l-1) + (l-1)(l-1) = l (l-1), so the float path runs for
+# l (l-1) < 2^52, l <= 2^26.  Long quotients (the first step, and any after a
+# degree drop of two or more), constant divisors and larger moduli take
+# `_divmod`.
+_FLOAT_EXACT = 2**52
+
+
+def _reduce_float(l: int, v):
+    return v - l * np.rint(v * (1.0 / l))
+
+
+def _euclid(l: int, a, b):
+    """The last nonzero remainder of Euclid's sequence on a and b (a unit
+    multiple of their gcd)."""
+    if l * (l - 1) >= _FLOAT_EXACT:
+        while len(b):
+            a, b = b, _divmod(l, a, b)[1]
+        return a
+    return _euclid_float(l, a, b)
+
+
+def _euclid_float(l: int, a, b):
+    """`_euclid` for l (l - 1) < 2^52, with the float steps described above."""
+    half = l // 2
+    fa, fb = a.astype(np.float64), b.astype(np.float64)
+    ba = bb = l - 1  # bounds on |fa| and |fb|
+    while len(fb):
+        nq = len(fa) - len(fb) + 1
+        if not 1 <= nq <= 2 or len(fb) == 1:
+            rb = _reduce_float(l, fb).astype(np.int64) % l
+            r = _divmod(l, _reduce_float(l, fa).astype(np.int64) % l, rb)[1]
+            fa, fb, ba, bb = rb.astype(np.float64), r.astype(np.float64), l - 1, l - 1
+            continue
+        inv = pow(int(fb.item(-1)) % l, -1, l)
+        q1 = int(fa.item(-1)) * inv % l
+        q0 = (int(fa.item(-2)) - q1 * int(fb.item(-2))) * inv % l if nq == 2 else 0
+        q1 -= l if q1 > half else 0
+        q0 -= l if q0 > half else 0
+        bound = ba + (abs(q0) + abs(q1)) * bb
+        if bound >= _FLOAT_EXACT:
+            fa, fb = _reduce_float(l, fa), _reduce_float(l, fb)
+            bound, ba, bb = (abs(q0) + abs(q1) + 1) * (l - 1), l - 1, l - 1
+        assert bound < _FLOAT_EXACT, "float Euclid step outside its exactness bound"
+        r = np.convolve(fb, (q0, q1) if nq == 2 else (q1,))
+        r -= fa
+        n = len(fb) - 1
+        while n and not r.item(n - 1) % l:
+            n -= 1
+        fa, fb, ba, bb = fb, r[:n], bb, bound
+    return _reduce_float(l, fa).astype(np.int64) % l
+
+
 # ---------------------------------------------------------------------------
 # the polynomial type
 
@@ -281,13 +401,17 @@ class FpPoly:
     and `hash` compare the modulus and the coefficients.
     """
 
-    __slots__ = ("modulus", "_v")
+    __slots__ = ("modulus", "_v", "_mod")
 
     def __init__(self, modulus: int, v):
         """Wrap a coefficient vector already reduced mod `modulus` (low degree
         first); `make` accepts arbitrary integers."""
         self.modulus = modulus
         self._v = _trim(v)
+        self._mod = None  # the `_Modulus` of self as a divisor, once needed
+
+    def __reduce__(self):
+        return FpPoly, (self.modulus, self._v)
 
     @classmethod
     def make(cls, l: int, coeffs: Iterable[int]) -> "FpPoly":
@@ -382,8 +506,20 @@ class FpPoly:
         other = self._bin(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        q, r = _divmod(self.modulus, self._v, other._v)
+        q, r = other._divide(self._v)
         return FpPoly(self.modulus, q), FpPoly(self.modulus, r)
+
+    def _divide(self, a, nq: int = 0):
+        """divmod of the vector a by self.  A long quotient goes through the
+        `_Modulus` kept on self, built (for quotients of up to nq coefficients
+        at least) at the first one."""
+        l, b = self.modulus, self._v
+        nq = max(nq, len(a) - len(b) + 1)
+        if len(b) < 2 or len(a) - len(b) + 1 < _NEWTON_MIN_QUOT:
+            return _divmod(l, a, b)
+        if self._mod is None:
+            self._mod = _Modulus(l, b, nq)
+        return self._mod.divmod(a)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -407,25 +543,21 @@ class FpPoly:
         return FpPoly(self.modulus, (v * np.arange(len(v)))[1:] % self.modulus)
 
     def gcd(self, other: "FpPoly") -> "FpPoly":
-        l, a, b = self.modulus, self._v, self._bin(other)._v
-        while len(b):
-            a, b = b, _divmod(l, a, b)[1]
-        return FpPoly(l, a).monic()
+        l = self.modulus
+        return FpPoly(l, _euclid(l, self._v, self._bin(other)._v)).monic()
 
     def powmod(self, e: int, mod: "FpPoly") -> "FpPoly":
         if mod.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        l, m = self.modulus, mod._v
-        # products of two reduced vectors have quotients of length < deg(mod)
-        binv = _inv_series(l, m[::-1], len(m) - 2) if len(m) - 2 >= _NEWTON_MIN_QUOT else None
-        out = np.ones(1, dtype=m.dtype)
-        base = _divmod(l, self._v, m, binv)[1]
+        l, nq = self.modulus, mod.degree - 1  # the quotient length of a reduced product
+        out = np.ones(1, dtype=mod._v.dtype)
+        base = mod._divide(self._v, nq)[1]
         while e:
             if e & 1:
-                out = _divmod(l, _mul(l, out, base), m, binv)[1]
+                out = mod._divide(_mul(l, out, base), nq)[1]
             e >>= 1
             if e:
-                base = _divmod(l, _mul(l, base, base), m, binv)[1]
+                base = mod._divide(_mul(l, base, base), nq)[1]
         return FpPoly(l, out)
 
     def pretty(self, var: str = "x") -> str:

@@ -30,17 +30,16 @@ ALL_COUNTS = frozenset({"N1", "N2", "N3", "N6"})
 
 
 def _deuring_coeffs(ctx: PrimeContext) -> List[int]:
-    """c_k = C(2n+s, 2k+s) C(2n-2k, n-k) (-432)^(n-k) mod l, k = 0..n."""
+    """c_k = C(2n+s, 2k+s) C(2n-2k, n-k) (-432)^(n-k) mod l, k = 0..n, from
+    c_n = 1 and c_k / c_(k+1) = (2k+s+1)(2k+s+2)(-432) / (n-k)^2, where
+    0 < n - k < l is a unit mod l."""
     if ctx.l < 5 or ctx.l == 7:
         raise ValueError("l >= 5, l != 7 required")
     l, n, s = ctx.l, ctx.n, ctx.s
-    return [
-        math.comb(2 * n + s, 2 * k + s)
-        * math.comb(2 * n - 2 * k, n - k)
-        * (-432) ** (n - k)
-        % l
-        for k in range(n + 1)
-    ]
+    out = [1] * (n + 1)
+    for k in range(n - 1, -1, -1):
+        out[k] = out[k + 1] * (2 * k + s + 1) * (2 * k + s + 2) * -432 * pow((n - k) ** 2, -1, l) % l
+    return out
 
 
 def deuring_J(ctx: PrimeContext) -> FpPoly:
@@ -168,6 +167,25 @@ def _family_pairs(l: int):
     return [(FpPoly.make(l, [0, -alpha, 1]), FpPoly.make(l, [1, alpha - 1])) for alpha in alphas]
 
 
+def _split_by_powers(g: FpPoly, powers: List[FpPoly], e: int) -> Dict[int, FpPoly]:
+    """The distinct-degree split of g, a monic divisor of f, when every factor
+    degree of f divides e and powers[d] = x^(l^d) mod f for d < e: since g | f,
+    x^(l^d) mod g is powers[d] mod g.  The proper divisors d of e are peeled
+    off in increasing order, and what is left has degree-e factors only."""
+    x = FpPoly.x(g.modulus)
+    parts = {}
+    for d in range(1, e):
+        if e % d or g.degree <= 0:
+            continue
+        part = g.gcd(powers[d] % g - x)
+        if part.degree > 0:
+            parts[d] = part
+            g = g // part
+    if g.degree > 0:
+        parts[e] = g
+    return parts
+
+
 def count_factors(
     ctx: PrimeContext,
     need: Sequence[str] = ("N1", "N2", "N3", "N6"),
@@ -189,9 +207,10 @@ def count_factors(
     `_family_pairs` (N2), which vanishes at a root b exactly when (n/m)(b) is
     in F_l.  The distinct-degree split of G, of small degree, gives the counts.
     h_e = x mod f certifies that every factor degree divides e, so the degree-e
-    count of the histogram is what the smaller degrees leave over; if the
-    certificate fails, so does the classification, and the rest of f is split
-    to show the offending degree.  N2 checks B(a, b) = 0 on every family
+    count of the histogram is what the smaller degrees leave over, and G splits
+    by the h_d already at hand (`_split_by_powers`); if the certificate fails,
+    so does the classification, G is split by `_ddf`, and the rest of f is
+    split to show the offending degree.  N2 checks B(a, b) = 0 on every family
     quadratic by one residue (`_b_residue`) at e = 2 and by splitting at e = 6.
     `with_histogram=False` takes only the tests and powers that `need` asks for.
     """
@@ -220,10 +239,12 @@ def count_factors(
     test = one
     for n, m in pairs:
         h = powers[1]
-        test = test * (_at(n, h, f) * m - n * _at(m, h, f)) % f
+        test = test * ((_at(n, h, f) * m - n * _at(m, h, f)) % f) % f
     for d in divisors:
         test = test * (powers[d] - x) % f
-    parts, _ = _ddf(f.gcd(test))
+    certified = with_histogram and powers[e] == x % f
+    g = f.gcd(test)
+    parts = _split_by_powers(g, powers, e) if certified else _ddf(g)[0]
 
     def count(d: int) -> int:
         return parts.get(d, one).degree // d
@@ -241,7 +262,7 @@ def count_factors(
     if with_histogram:
         done = {d: g for d, g in parts.items() if d < e and e % d == 0}  # every factor of degree d
         histogram = {d: g.degree // d for d, g in done.items()}
-        if powers[e] == x % f:
+        if certified:
             left = f.degree - sum(g.degree for g in done.values())
             if left:
                 histogram[e] = left // e

@@ -64,6 +64,23 @@ def schoolbook_divmod(l: int, a, b):
     return q, r[: len(b) - 1]
 
 
+def schoolbook_gcd(l: int, a, b):
+    """The monic gcd of coefficient lists a and b, not both zero, by Euclid on
+    `schoolbook_divmod`."""
+
+    def trim(v):
+        v = [c % l for c in v]
+        while v and not v[-1]:
+            v.pop()
+        return v
+
+    a, b = trim(a), trim(b)
+    while b:
+        a, b = b, trim(schoolbook_divmod(l, a, b)[1])
+    inv = pow(a[-1], -1, l)
+    return [c * inv % l for c in a]
+
+
 def is_irreducible(g: FpPoly) -> bool:
     """Certificate: x^(l^n) = x mod g and gcd(x^(l^(n/q)) - x, g) = 1 for primes q | n."""
     n = g.degree

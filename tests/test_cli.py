@@ -63,6 +63,22 @@ class TestOptions:
         assert code == 2 and out == "" and "usage error:" in err
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hasse", "--primes", "1000003"],
+            ["ss7star", "--primes", "9223372036854775783"],  # the largest prime below 2^63
+            ["nakaya", "--primes", "999000..1000100"],
+        ],
+    )
+    def test_prime_past_the_feasibility_limit(self, argv, capsys):
+        """Primes above 10^6 cannot finish (J_l alone has l/12 + 1
+        coefficients), so they are refused before the sweep starts."""
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert "usage error:" in err and "1,000,000" in err and "sweep over" not in err
+
+
 class TestCommands:
     def test_ss7star_41_matches_reference(self, capsys):
         code, out, _ = run_cli(["ss7star", "--primes", "41", "--format", "json"], capsys)

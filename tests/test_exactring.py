@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fricke7 import exactring
 from fricke7.exactring import (
     CubicNum,
     MPoly,
@@ -89,6 +90,48 @@ def test_homogenize_mpoly(coeffs, a, b):
     num = MPoly.from_univar(a, "x", V) + y
     den = MPoly.from_univar(b, "y", V) - x
     assert homogenize(coeffs, num, den) == _direct_homogenize(coeffs, num, den, MPoly.const(0, V))
+
+
+def _horner_homogenize(coeffs, num, den):
+    """The Horner form: Horner's rule in num, the powers of den built from
+    the top down."""
+    n = len(coeffs) - 1
+    out = num * 0 + coeffs[n]
+    den_pow = 1
+    for c in reversed(coeffs[:n]):
+        den_pow = den_pow * den
+        out = out * num + c * den_pow
+    return out
+
+
+LEAF = exactring._HORNER_LEAF
+# lengths on both sides of the leaf size and of the first two splits
+long_list = st.integers(1, 3 * LEAF + 2).flatmap(
+    lambda n: st.lists(st.integers(-50, 50), min_size=n, max_size=n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(prime, long_list, short_list, short_list, st.integers(-50, 50))
+def test_balanced_homogenize_fppoly(l, coeffs, num, den, k):
+    num, den = FpPoly.make(l, num), FpPoly.make(l, den)
+    assert homogenize(coeffs, num, den) == _horner_homogenize(coeffs, num, den)
+    assert homogenize(coeffs, num, k) == _horner_homogenize(coeffs, num, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(long_list, st.integers(-9, 9), st.integers(-9, 9))
+def test_balanced_homogenize_ints(coeffs, num, den):
+    assert homogenize(coeffs, num, den) == _horner_homogenize(coeffs, num, den)
+
+
+@pytest.mark.parametrize("n", [LEAF - 1, LEAF, LEAF + 1, 2 * LEAF + 1])
+def test_balanced_homogenize_mpoly(n):
+    rng = random.Random(n)
+    V = ("x", "y")
+    coeffs = [rng.randint(-9, 9) for _ in range(n)] + [1]
+    num = MPoly.var("x", V) + MPoly.var("y", V) * 2 - 1
+    den = MPoly.var("y", V) - 3
+    assert homogenize(coeffs, num, den) == _horner_homogenize(coeffs, num, den)
 
 
 def test_known_discriminants():

@@ -1,3 +1,4 @@
+import pickle
 import random
 from unittest import mock
 
@@ -288,20 +289,153 @@ class TestKernelAgainstSchoolbook:
             nq = rng.randint(_NEWTON_MIN_QUOT, 300)
         a = self.coeffs(rng, l, db + nq, monic_like=True)
         b = self.coeffs(rng, l, db + 1, monic_like=True)
-        bv, binv = _vec(l, b), None
+        bv, prepared = _vec(l, b), None
         if path == "reused-inverse":
             n = nq + rng.randint(0, 50)
-            binv = ffpoly._inv_series(l, bv[::-1], n)
-            assert _trimmed(oracles.schoolbook_mul(l, b[::-1], _trimmed(binv))[:n]) == [1]
+            prepared = ffpoly._Modulus(l, bv, n)
+            assert _trimmed(oracles.schoolbook_mul(l, b[::-1], _trimmed(prepared.inv))[:n]) == [1]
         with mock.patch.object(ffpoly, "_mul", wraps=ffpoly._mul) as mul, mock.patch.object(
-            ffpoly, "_inv_series", wraps=ffpoly._inv_series
-        ) as inv:
-            q, r = ffpoly._divmod(l, _vec(l, a), bv, binv)
-        assert mul.called == (path != "loop")
+            ffpoly, "_mul_fft", wraps=ffpoly._mul_fft
+        ) as fft, mock.patch.object(ffpoly, "_inv_series", wraps=ffpoly._inv_series) as inv:
+            q, r = prepared.divmod(_vec(l, a)) if prepared else ffpoly._divmod(l, _vec(l, a), bv)
+        assert (mul.called or fft.called) == (path != "loop")
         assert inv.called == (path == "newton")
         want_q, want_r = oracles.schoolbook_divmod(l, a, b)
         assert _trimmed(q) == _trimmed(want_q)
         assert _trimmed(r) == _trimmed(want_r)
+
+
+class TestFloatEuclid:
+    """`FpPoly.gcd` against Euclid on `oracles.schoolbook_divmod`, on both
+    sides of the float Euclid's bound l (l - 1) < 2^52 (67108859 is the
+    largest prime inside it), with spies pinning which path runs.
+
+    Inputs are built from their remainder sequence, bottom up, as
+    r_(i-1) = q_i r_i + r_(i+1) from the gcd g and r_(k+1) = 0, so the degree
+    of each quotient is chosen rather than hoped for.  A quotient of degree
+    two or more is a degree drop of two or more in the sequence: the
+    coefficients the float step leaves on top of that remainder are multiples
+    of l but not zero (the vectors are unreduced), and the next step has a
+    long quotient, which `_divmod` takes.
+    """
+
+    MODULI = [13, 1999, 9973, 67108859, 268435399]
+    FLOAT = {13, 1999, 9973, 67108859}
+
+    @staticmethod
+    def sequence(rng, l, steps, drops):
+        g = [rng.randrange(l) for _ in range(rng.randint(1, 3))] + [rng.randrange(1, l)]
+        lower, upper = [], g
+        for _ in range(steps):
+            dq = rng.choice([1, 1, 2, 3, 5]) if drops else 1
+            q = [rng.randrange(l) for _ in range(dq)] + [rng.randrange(1, l)]
+            lower, upper = upper, padd(oracles.schoolbook_mul(l, q, upper), lower)
+        return [c % l for c in upper], lower, g
+
+    def test_bound(self):
+        assert 67108859 * 67108858 < ffpoly._FLOAT_EXACT <= 67108879 * 67108878
+        assert is_prime(67108859) and is_prime(67108879)
+
+    @pytest.mark.parametrize("l", MODULI)
+    @pytest.mark.parametrize("drops", [False, True], ids=["normal", "drops"])
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_gcd(self, l, drops, seed):
+        rng = random.Random(seed)
+        a, b, g = self.sequence(rng, l, rng.randint(20, 60), drops)
+        with mock.patch.object(
+            ffpoly, "_euclid_float", wraps=ffpoly._euclid_float
+        ) as flt, mock.patch.object(ffpoly, "_divmod", wraps=ffpoly._divmod) as div:
+            out = FpPoly.make(l, a).gcd(FpPoly.make(l, b))
+        assert flt.called == (l in self.FLOAT)
+        if l in self.FLOAT:
+            # normal steps never leave the float path; a drop of two or more does
+            assert div.called == drops
+        want = oracles.schoolbook_gcd(l, a, b)
+        assert list(out.coeffs) == want == list(FpPoly.make(l, g).monic().coeffs)
+
+    @pytest.mark.parametrize("l", [13, 1999, 9973, 67108859])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_worst_case_growth(self, l, sign):
+        """Quotients c + c x with c = (l -+ 1)/2, the largest centred digits,
+        make the unreduced values grow about as fast as the tracked bound."""
+        for c in ((l - 1) // 2, (l + 1) // 2):
+            lower, upper = [], [1, 1]
+            for _ in range(60):
+                step = padd(oracles.schoolbook_mul(l, [c, c], upper), [sign * v for v in lower])
+                lower, upper = upper, [v % l for v in step]
+            out = FpPoly.make(l, upper).gcd(FpPoly.make(l, lower))
+            assert list(out.coeffs) == oracles.schoolbook_gcd(l, upper, lower) == [1, 1]
+
+    @pytest.mark.parametrize("l", [13, 1999, 67108859])
+    def test_unrelated_and_degenerate(self, l):
+        rng = random.Random(l)
+        for _ in range(10):
+            a = [rng.randrange(l) for _ in range(rng.randint(1, 80))]
+            b = [rng.randrange(l) for _ in range(rng.randint(1, 80))]
+            if not any(a) and not any(b):
+                continue
+            out = FpPoly.make(l, a).gcd(FpPoly.make(l, b))
+            assert list(out.coeffs) == oracles.schoolbook_gcd(l, a, b)
+        f = FpPoly.make(l, [3, 1, 4, 1, 5])
+        assert f.gcd(FpPoly.zero(l)) == f.monic() == FpPoly.zero(l).gcd(f)
+        assert f.gcd(FpPoly.make(l, [7])) == FpPoly.one(l)
+
+
+class TestPreparedModulus:
+    """Division by an `FpPoly` goes through the `_Modulus` it keeps once a
+    quotient is long; results equal plain `_divmod` on both sides of
+    _NEWTON_MIN_QUOT, for int64 and object dtype, whatever order the quotient
+    lengths come in."""
+
+    @pytest.mark.parametrize("l", [1999, (1 << 61) - 1], ids=["int64", "object"])
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_against_plain_divmod(self, l, seed):
+        rng = random.Random(seed)
+        db = rng.randint(1, 200)
+        b = FpPoly.make(l, [rng.randrange(l) for _ in range(db)] + [rng.randrange(1, l)])
+        long_seen = False
+        for _ in range(4):
+            if rng.random() < 0.5:
+                nq = rng.randint(1, _NEWTON_MIN_QUOT - 1)
+            else:
+                nq = rng.randint(_NEWTON_MIN_QUOT, 2 * db + 40)
+            long_seen |= nq >= _NEWTON_MIN_QUOT and db > 0
+            a = FpPoly.make(l, [rng.randrange(l) for _ in range(db + nq - 1)] + [rng.randrange(1, l)])
+            q, r = divmod(a, b)
+            want_q, want_r = ffpoly._divmod(l, a._v, b._v)
+            assert q == FpPoly(l, want_q) and r == FpPoly(l, want_r)
+            assert a // b == q and a % b == r
+            assert (b._mod is not None) == long_seen
+        assert q * b + r == a
+
+    def test_short_quotient_builds_none(self):
+        l = 1999
+        rng = random.Random(1)
+        b = random_poly(rng, l, max_deg=100) * FpPoly.make(l, [0] * 100 + [1])
+        a = b * FpPoly.make(l, [rng.randrange(l) for _ in range(_NEWTON_MIN_QUOT - 1)]) + 5
+        with mock.patch.object(ffpoly, "_Modulus", wraps=ffpoly._Modulus) as prep, mock.patch.object(
+            ffpoly, "_inv_series", wraps=ffpoly._inv_series
+        ) as inv:
+            assert a % b == FpPoly.make(l, [5]) and (a - 5) // b * b == a - 5
+        assert not prep.called and not inv.called and b._mod is None
+
+    def test_powmod_reuses_one_inverse(self):
+        l = 1999
+        f = random_poly(random.Random(2), l, max_deg=300).monic() * FpPoly.make(l, [0] * 200 + [1])
+        with mock.patch.object(ffpoly, "_inv_series", wraps=ffpoly._inv_series) as inv:
+            h = FpPoly.x(l).powmod(l, f)
+            h2 = h.powmod(l, f)
+            assert (h * h2) % f == FpPoly.x(l).powmod(l + l * l, f)
+        assert inv.call_count == 1
+
+    def test_pickle_drops_the_cache(self):
+        f = FpPoly.make(1999, list(range(1, 200)))
+        FpPoly.make(1999, list(range(1, 400))) % f
+        assert f._mod is not None
+        g = pickle.loads(pickle.dumps(f))
+        assert g == f and g._mod is None
 
 
 @pytest.mark.parametrize("l", [13, 101])

@@ -1,3 +1,4 @@
+import math
 import random
 from unittest import mock
 
@@ -52,6 +53,18 @@ class TestDeuringJ:
     def test_rejects_bad_primes(self):
         with pytest.raises(ValueError):
             deuring_J(PrimeContext(l=3, r=1, s=1, n=0, mu7=0))
+
+    @pytest.mark.parametrize("p", [5, 11, 13, 17, 19, 23, 401, 1997, 1999, 9949])
+    def test_coefficients_are_the_binomial_definition(self, p):
+        """The factorial-table coefficients equal the binomials taken as
+        integers, then reduced."""
+        ctx = PrimeContext.make(p)
+        n, s = ctx.n, ctx.s
+        want = [
+            math.comb(2 * n + s, 2 * k + s) * math.comb(2 * n - 2 * k, n - k) * (-432) ** (n - k) % p
+            for k in range(n + 1)
+        ]
+        assert hasse7._deuring_coeffs(ctx) == want
 
 
 class TestHassePoly:
@@ -225,6 +238,55 @@ class TestCountingPath:
         assert f7.called == sextics_allowed
         assert any(c.args == (cubic,) for c in roots.call_args_list) != sextics_allowed
         assert rep.classification_ok
+
+
+    @pytest.mark.parametrize("p", NEAR_2000)
+    def test_one_newton_inverse_of_hasse(self, p):
+        """The powmod chain, the test product and `_at` all reduce mod the
+        Hasse polynomial f through the one `_Modulus` kept on f."""
+        ctx = PrimeContext.make(p)
+        rev = hasse_poly(ctx).monic().coeffs[::-1]
+        with mock.patch.object(ffpoly, "_inv_series", wraps=ffpoly._inv_series) as inv:
+            count_factors(ctx)
+        of_f = [c for c in inv.call_args_list if tuple(map(int, c.args[1])) == rev]
+        assert len(of_f) == 1
+
+
+class TestSplitByPowers:
+    """After a passed certificate, G is split by the powers x^(l^d) mod f
+    already at hand.  Oracles: `_ddf(G)` on every prime below 300, and
+    `oracles.edf_counts` (whose radical and full walk of the Hasse polynomial
+    are slow) on the largest prime below 300 in each class l mod 7."""
+
+    def test_against_ddf_and_edf_below_300(self):
+        split = hasse7._split_by_powers
+        seen = []
+
+        def checked(g, powers, e):
+            parts = split(g, powers, e)
+            assert parts == ffpoly._ddf(g)[0]
+            seen.append(g.modulus)
+            return parts
+
+        primes = [p for p in primes_in(5, 300) if p != 7]
+        top = {p % 7: p for p in primes}
+        assert sorted(top) == [1, 2, 3, 4, 5, 6]
+        with mock.patch.object(hasse7, "_split_by_powers", side_effect=checked):
+            for p in primes:
+                ctx = PrimeContext.make(p)
+                rep = count_factors(ctx)
+                assert rep.classification_ok, p
+                if p in top.values():
+                    assert (rep.N1, rep.N2, rep.N3, rep.N6) == oracles.edf_counts(ctx), p
+        assert seen == primes
+
+    def test_restricted_counts_keep_ddf(self):
+        """Without the histogram there is no certificate, so `_ddf` splits G."""
+        ctx = PrimeContext.make(59)
+        with mock.patch.object(hasse7, "_split_by_powers", wraps=hasse7._split_by_powers) as split, \
+                mock.patch.object(hasse7, "_ddf", wraps=hasse7._ddf) as ddf:
+            rep = count_factors(ctx, need=("N6",), with_histogram=False)
+        assert not split.called and ddf.called and rep.N6 == count_factors(ctx).N6
 
 
 class TestFailedCertificate:
