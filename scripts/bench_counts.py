@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Time the hasse sweep's per-prime work, `verify_count_formulas(count_factors)`,
 and write BENCH_count_factors_<sha>.json: the median of k runs at each prime,
-by default one prime per class l mod 7 near 2000 and near 10^4, with the
-machine and the git sha of the checkout `fricke7` was imported from.
+by default one prime per class l mod 7 near 2000, in (2048, 2200] (where
+the square of the Hasse polynomial, of degree about 2l, first passes 2^13
+coefficients) and near 10^4, with the machine and the git sha of the
+checkout `fricke7` was imported from.
 
     PYTHONPATH=src python scripts/bench_counts.py [--primes 2003,1997] [--repeats 3] [--out-dir .]
 
@@ -25,8 +27,12 @@ import fricke7
 from fricke7.ffpoly import PrimeContext
 from fricke7.hasse7 import count_factors, verify_count_formulas
 
-# one prime per class l mod 7 = 1..6, near 2000 and near 10^4
-PRIMES = (2003, 1997, 1949, 1999, 1993, 1987, 9941, 9949, 9901, 9923, 9973, 9967)
+# one prime per class l mod 7 = 1..6, near 2000, in (2048, 2200] and near 10^4
+PRIMES = (
+    2003, 1997, 1949, 1999, 1993, 1987,
+    2087, 2179, 2131, 2083, 2161, 2113,
+    9941, 9949, 9901, 9923, 9973, 9967,
+)
 
 
 def git_state(root: Path):

@@ -6,7 +6,9 @@ summaries go to standard error.  Identical configuration produces
 byte-identical output (fixed seeds, fixed orderings, no timestamps).
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 usage error,
-3 internal structural error.
+3 internal structural error.  In a prime sweep, a prime whose work raised a
+structural error gets the row {p, stage, error}; the other rows are still
+written, and the exit code is 3.
 """
 
 from __future__ import annotations
@@ -135,6 +137,23 @@ def _verdict_fail(rows: List[Dict]) -> bool:
     return any(scan(r) for r in rows)
 
 
+def _failure_row(row) -> Optional[Dict]:
+    """The row {p, stage, error} of a sweep row whose prime failed, else None."""
+    if row.failure is None:
+        return None
+    return {"p": row.p, "stage": row.failure.stage, "error": row.failure.error}
+
+
+def _exit_code(rows: List[Dict]) -> int:
+    """3 if a prime failed (each is named on stderr), 1 on a FAIL verdict, else 0."""
+    failed = [r for r in rows if "error" in r]
+    for r in failed:
+        _progress(f"structural error: p={r['p']}: {r['error']} (in {r['stage']})")
+    if failed:
+        return 3
+    return 1 if _verdict_fail(rows) else 0
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -149,6 +168,10 @@ def cmd_hasse(args) -> int:
     for row in rows:
         if row.skipped:
             rows_out.append({"p": row.p, "skipped": row.skipped})
+            continue
+        failed = _failure_row(row)
+        if failed:
+            rows_out.append(failed)
             continue
         rep = row.report
         p = row.p
@@ -174,7 +197,7 @@ def cmd_hasse(args) -> int:
             }
         )
     emit(rows_out, args.format, args.out, "hasse")
-    return 1 if _verdict_fail(rows_out) else 0
+    return _exit_code(rows_out)
 
 
 def cmd_ss7star(args) -> int:
@@ -189,6 +212,10 @@ def cmd_ss7star(args) -> int:
     for p in bad:
         rows_out.append({"p": p, "skipped": "excluded by hypothesis"})
     for row in rows:
+        failed = _failure_row(row)
+        if failed:
+            rows_out.append(failed)
+            continue
         rep = row.report
         fac = factorize(rep.ss7star)
         rows_out.append(
@@ -205,7 +232,7 @@ def cmd_ss7star(args) -> int:
         )
     rows_out.sort(key=lambda r: r["p"])
     emit(rows_out, args.format, args.out, "ss7star")
-    return 1 if _verdict_fail(rows_out) else 0
+    return _exit_code(rows_out)
 
 
 def cmd_nakaya(args) -> int:
@@ -217,6 +244,10 @@ def cmd_nakaya(args) -> int:
     rows = nakaya_sweep(primes, jobs=args.jobs, check_oracle=args.check_oracle, with_consistency=True)
     rows_out: List[Dict] = []
     for row in rows:
+        failed = _failure_row(row)
+        if failed:
+            rows_out.append(failed)
+            continue
         rep = row.report
         entry = {
             "p": row.p,
@@ -230,7 +261,7 @@ def cmd_nakaya(args) -> int:
             entry["consistency"] = "PASS" if row.consistency["ok"] else "FAIL"
         rows_out.append(entry)
     emit(rows_out, args.format, args.out, "nakaya")
-    return 1 if _verdict_fail(rows_out) else 0
+    return _exit_code(rows_out)
 
 
 def cmd_identities(args) -> int:

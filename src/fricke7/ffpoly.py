@@ -8,18 +8,24 @@ other module sees that vector.  Products and divisions compute in int64 while
 the sums they build provably fit (the bound is at `_dtype`), and in `object`
 arrays of Python ints otherwise, so moduli up to 2^63 run the same code.
 Long products go through a float64 FFT inside an asserted exactness bound
-(`_fft_error`, Percival's error bound below 1/2), and long quotients through
-the Newton inverse of the reversed divisor (`_inv_series`); short ones keep
-`np.convolve` and the row loop.  A divisor that meets a long quotient keeps
-that inverse, with the transforms of the inverse and of itself, in a
-`_Modulus` on its `FpPoly`, so powmod chains and repeated reductions mod one
-f build them once.  Euclid's steps with a one- or two-coefficient quotient run
-in float64 on unreduced integer vectors (`_euclid_float`), inside a second
-asserted bound: every integer the step computes stays below 2^52, which holds
-for l (l - 1) < 2^52; other steps and larger moduli keep `_divmod`.  All
-randomized steps draw from a PRNG seeded deterministically from the modulus and
-the input coefficients, so every run (and every process) produces identical
-output.
+(`_fft_error`, Percival's error bound below 1/2, at the size each transform
+runs), and long quotients through the Newton inverse of the reversed divisor
+(`_inv_series`); short ones keep `np.convolve` and the row loop.  A product
+a little longer than a power of two N runs as the size-N cyclic product, less
+the top coefficients that wrapped around, which come exactly from a small
+product of the operands' top coefficients.  A divisor that meets a long
+quotient keeps that inverse, with the transforms of the inverse and of
+itself, in a `_Modulus` on its `FpPoly`, so powmod chains and repeated
+reductions mod one f build them once; its remainder a - q b is computed mod
+x^N - 1 with N >= deg b + 1, half the transform of the full q b, and the
+coefficients that must vanish there are checked.  Euclid's steps with a
+one- or two-coefficient quotient run in float64 on unreduced integer vectors
+(`_euclid_float`), inside a second asserted bound: every integer the step
+computes stays below 2^52, which holds for l (l - 1) < 2^52; other steps and
+larger moduli keep `_divmod`.  FFT outputs are reduced mod l on the float
+side by the same exact step.  All randomized steps draw from a PRNG seeded
+deterministically from the modulus and the input coefficients, so every run
+(and every process) produces identical output.
 """
 
 from __future__ import annotations
@@ -177,12 +183,14 @@ def _scale(l: int, a, c: int):
 # with eps = 2^-53 and beta the error of the twiddle factors, taken as eps.
 # Coefficients lie in [0, l-1]; with m the shorter length and the longer one
 # at most 2^n, ||a||_2 ||b||_2 <= (l-1)^2 sqrt(m 2^n).  `_fft_error` is that
-# bound.  Below 1/2, rint recovers every coefficient exactly; the bound is at
-# least ||a|| ||b|| eps >= |coefficient| eps, so each exact coefficient is
-# then also below 2^52 and representable.  At l = 9973 and two operands of
-# length 20000 (n = 16) it is 0.08.  From l = 5 10^5 on it exceeds 1/2 at
-# every length the FFT path takes (m >= _FFT_MIN_LEN), so large moduli, and
-# with them every object-dtype one, always convolve directly.
+# bound.  It covers the cyclic product mod x^(2^n) - 1 that the transforms
+# compute, whether or not it wraps.  Below 1/2, rint recovers every
+# coefficient exactly; the bound is at least ||a|| ||b|| eps >= |coefficient|
+# eps, so each exact coefficient is then also below 2^52 and representable,
+# and `_residues` reduces it exactly.  At l = 9973 and two operands of length
+# 20000 (n = 16) it is 0.08.  From l = 5 10^5 on it exceeds 1/2 at every
+# length the FFT path takes (m >= _FFT_MIN_LEN), so large moduli, and with
+# them every object-dtype one, always convolve directly.
 _EPS = 2.0**-53
 
 
@@ -201,6 +209,30 @@ def _fft_error(l: int, m: int, n: int) -> float:
 # m = 128.
 _FFT_MIN_LEN = 128
 
+# A product of length L with N < L <= N + N / 2^_WRAP_SHIFT, N a power of two
+# holding both operands, runs as the size-N cyclic product: its coefficients
+# [0, t), t = L - N, also hold the top t coefficients of the product, which
+# depend only on the top t coefficients of each operand and come from one
+# small product (`_mul_fft`).  Measured as for _FFT_MIN_LEN (l = 2083, median
+# of 5), size 2N vs wrapped size N for a square and a product of two
+# operands: at N = 8192, 444 vs 316 and 684 vs 416 us for t = N/64, 476 vs
+# 368 and 691 vs 498 us at t = N/8, 498 vs 423 and 695 vs 597 us at t = N/4,
+# and no gain from t = 3N/8; at N = 1024, 72 vs 63 and 104 vs 83 us at
+# t = N/16 and 71 vs 77 and 102 vs 97 us at N/8; at N = 512 neither side wins.
+_WRAP_SHIFT = 3
+
+
+def _fft_log2(la: int, lb: int) -> int:
+    """log2 of the FFT size for a product of lengths la and lb: the smallest
+    power of two N that holds the product, or N/2 when the product passes N/2
+    by at most N/2 / 2^_WRAP_SHIFT and both operands fit in N/2."""
+    L = la + lb - 1
+    n = max(L - 1, 1).bit_length()
+    half = 1 << (n - 1)
+    if max(la, lb) <= half and (L - half) << _WRAP_SHIFT <= half:
+        return n - 1
+    return n
+
 
 def _fft_ok(l: int, m: int, n: int) -> bool:
     """Whether a product with shorter operand length m and FFT size 2^n takes
@@ -212,26 +244,61 @@ def _mul(l: int, a, b):
     """The product of a and b, reduced (a is b squares with one transform)."""
     if not len(a) or not len(b):
         return a[:0]
-    m = min(len(a), len(b))
-    n = (len(a) + len(b) - 2).bit_length()  # 2^n >= the product's length
+    m, n = min(len(a), len(b)), _fft_log2(len(a), len(b))
     if _fft_ok(l, m, n):
-        return _mul_fft(l, a, b, m, n)
+        return _mul_fft(l, a, b, n)
     dt = _dtype(l, len(a) + len(b))
     return np.convolve(a.astype(dt, copy=False), b.astype(dt, copy=False)) % l
 
 
 def _rfft(a, n: int):
+    assert len(a) <= 1 << n, "rfft would truncate its input"
     return np.fft.rfft(a.astype(np.float64), 1 << n)
 
 
-def _mul_fft(l: int, a, b, m: int, n: int, fb=None):
-    """The FFT product; fb, if given, is `_rfft(b, n)`."""
-    assert _fft_error(l, m, n) < 0.5, "FFT product outside its exactness bound"
+def _residues(l: int, v):
+    """The residues in [0, l) of the integer-valued float vector v (|v| < 2^52),
+    as int64; v is overwritten."""
+    r = _reduce_float(l, v).astype(np.int64)
+    r += (r >> 63) & l  # |r| < l: add l to the negative ones
+    return r
+
+
+def _cyclic(l: int, a, b, n: int, fb=None):
+    """The cyclic product a b mod x^(2^n) - 1, unreduced, as integer-valued
+    floats; fb, if given, is `_rfft(b, n)`."""
+    assert _fft_error(l, min(len(a), len(b)), n) < 0.5, "FFT product outside its exactness bound"
     fa = _rfft(a, n)
     if fb is None:
         fb = fa if a is b else _rfft(b, n)
-    c = np.fft.irfft(fa * fb, 1 << n)[: len(a) + len(b) - 1]
-    return np.rint(c).astype(np.int64) % l
+    c = np.fft.irfft(fa * fb, 1 << n)
+    return np.rint(c, out=c)
+
+
+def _mul_fft(l: int, a, b, n: int, fb=None):
+    """The product of a and b from the cyclic product of size N = 2^n (fb as
+    for `_cyclic`).  If the product is t coefficients longer than N, they
+    wrapped onto coefficients [0, t): they are the top t of the product of
+    the operands' top t coefficients, computed apart and subtracted."""
+    c = _cyclic(l, a, b, n, fb)
+    L = len(a) + len(b) - 1
+    t = L - len(c)
+    if t <= 0:
+        return _residues(l, c[:L])
+    at = a[-t:]
+    top = _mul(l, at, at if a is b else b[-t:])[-t:]
+    c[:t] -= top
+    return np.concatenate([_residues(l, c), top])
+
+
+def _fold(l: int, v, n: int):
+    """v mod x^(2^n) - 1, reduced."""
+    size = 1 << n
+    if len(v) <= size:
+        return v
+    w = np.zeros(-(-len(v) // size) * size, dtype=v.dtype)
+    w[: len(v)] = v
+    return w.reshape(-1, size).sum(axis=0) % l
 
 
 def _inv_series(l: int, h, n: int, g=None):
@@ -277,18 +344,14 @@ class _Modulus:
         self.inv = _inv_series(l, b[::-1], n)
         self._ffts: Dict[tuple, np.ndarray] = {}
 
-    def _times(self, v, c, name: str):
-        """v times c, where c is the inverse or the divisor (named by `name`),
-        whose transform is kept."""
-        l = self.l
-        m, n = min(len(v), len(c)), (len(v) + len(c) - 2).bit_length()
-        if not len(v) or not _fft_ok(l, m, n):
-            return _mul(l, v, c)
+    def _transform(self, name: str, c, n: int):
+        """`_rfft(c, n)` of c, the inverse or the divisor (named by `name`),
+        kept."""
         key = (name, len(c), n)
         fc = self._ffts.get(key)
         if fc is None:
             fc = self._ffts[key] = _rfft(c, n)
-        return _mul_fft(l, v, c, m, n, fc)
+        return fc
 
     def divmod(self, a):
         """Quotient and remainder of a, whose quotient is at least one
@@ -298,8 +361,32 @@ class _Modulus:
         nq = len(a) - db
         if len(self.inv) < nq:
             self.inv = _inv_series(l, b[::-1], nq, self.inv)
-        q = _trim(self._times(a[: db - 1 : -1], self.inv[:nq], "inv")[nq - 1 :: -1])
-        return q, _sub(l, a[:db], self._times(q, b, "b")[:db])
+        top, inv = a[: db - 1 : -1], self.inv[:nq]
+        n = _fft_log2(nq, nq)
+        if _fft_ok(l, nq, n):
+            q = _mul_fft(l, top, inv, n, self._transform("inv", inv, n))
+        else:
+            q = _mul(l, top, inv)
+        q = _trim(q[nq - 1 :: -1])
+        return q, self._remainder(a, q)
+
+    def _remainder(self, a, q):
+        """a - q b, which has degree below deg b, computed mod x^N - 1 with N
+        the power of two >= deg b + 1: (a mod x^N - 1) - (q b mod x^N - 1),
+        a cyclic product of size N with b's transform kept.  Coefficients
+        [deg b, N) of the difference must vanish, and are checked."""
+        l, b = self.l, self.b
+        db = len(b) - 1
+        n = db.bit_length()
+        if not _fft_ok(l, min(len(q), 1 << n, len(b)), n):
+            return _sub(l, a[:db], _mul(l, q, b)[:db])
+        c = _cyclic(l, _fold(l, q, n), b, n, self._transform("b", b, n))
+        af = _fold(l, a, n)
+        np.subtract(af, c[: len(af)], out=c[: len(af)])
+        c[len(af) :] *= -1
+        r = _residues(l, c)
+        assert not r[db:].any(), "wrapped remainder is nonzero past deg b"
+        return _trim(r[:db])
 
 
 def _divmod(l: int, a, b):
@@ -335,9 +422,10 @@ def _divmod(l: int, a, b):
 # remainder flipped (a unit, which the gcd ignores).  If |a| <= A and |b| <= B
 # coefficientwise, every product and partial sum in the step is an integer of
 # size at most A + (|q0| + |q1|) B; below 2^52 float64 holds it exactly.  Just
-# before the tracked bound would pass 2^52, a and b are reduced by
-# v - l rint(v / l): for |v| < 2^52 the computed v / l is within 1/2 of the true
-# one, so the result is exact and below l in size.  After a reduction the
+# before the tracked bound would pass 2^52, b (the newer vector, whose bound
+# is the larger) is reduced in place by v - l rint(v / l), and a too if that
+# is not enough: for |v| < 2^52 the computed v / l is within 1/2 of the true
+# one, so the result is exact and below l in size.  After reducing both the
 # bound is at most (l-1) + (l-1)(l-1) = l (l-1), so the float path runs for
 # l (l-1) < 2^52, l <= 2^26.  Long quotients (the first step, and any after a
 # degree drop of two or more), constant divisors and larger moduli take
@@ -346,7 +434,12 @@ _FLOAT_EXACT = 2**52
 
 
 def _reduce_float(l: int, v):
-    return v - l * np.rint(v * (1.0 / l))
+    """v - l rint(v / l), in place; returns v."""
+    t = v * (1.0 / l)
+    np.rint(t, out=t)
+    t *= l
+    v -= t
+    return v
 
 
 def _euclid(l: int, a, b):
@@ -367,8 +460,8 @@ def _euclid_float(l: int, a, b):
     while len(fb):
         nq = len(fa) - len(fb) + 1
         if not 1 <= nq <= 2 or len(fb) == 1:
-            rb = _reduce_float(l, fb).astype(np.int64) % l
-            r = _divmod(l, _reduce_float(l, fa).astype(np.int64) % l, rb)[1]
+            rb = _residues(l, fb)
+            r = _divmod(l, _residues(l, fa), rb)[1]
             fa, fb, ba, bb = rb.astype(np.float64), r.astype(np.float64), l - 1, l - 1
             continue
         inv = pow(int(fb.item(-1)) % l, -1, l)
@@ -376,10 +469,16 @@ def _euclid_float(l: int, a, b):
         q0 = (int(fa.item(-2)) - q1 * int(fb.item(-2))) * inv % l if nq == 2 else 0
         q1 -= l if q1 > half else 0
         q0 -= l if q0 > half else 0
-        bound = ba + (abs(q0) + abs(q1)) * bb
+        s = abs(q0) + abs(q1)
+        bound = ba + s * bb
         if bound >= _FLOAT_EXACT:
-            fa, fb = _reduce_float(l, fa), _reduce_float(l, fb)
-            bound, ba, bb = (abs(q0) + abs(q1) + 1) * (l - 1), l - 1, l - 1
+            _reduce_float(l, fb)
+            bb = l - 1
+            bound = ba + s * bb
+            if bound >= _FLOAT_EXACT:
+                _reduce_float(l, fa)
+                ba = l - 1
+                bound = ba + s * bb
         assert bound < _FLOAT_EXACT, "float Euclid step outside its exactness bound"
         r = np.convolve(fb, (q0, q1) if nq == 2 else (q1,))
         r -= fa
@@ -387,7 +486,7 @@ def _euclid_float(l: int, a, b):
         while n and not r.item(n - 1) % l:
             n -= 1
         fa, fb, ba, bb = fb, r[:n], bb, bound
-    return _reduce_float(l, fa).astype(np.int64) % l
+    return _residues(l, fa)
 
 
 # ---------------------------------------------------------------------------

@@ -139,11 +139,11 @@ def _b_residue(q: FpPoly, h: FpPoly) -> FpPoly:
     return _b_form(-(x + h) % q, x * h % q) % q
 
 
-def _at(p: FpPoly, h: FpPoly, f: FpPoly) -> FpPoly:
-    """p(h) mod f, by Horner."""
-    out = FpPoly.zero(f.modulus)
-    for c in reversed(p.coeffs):
-        out = (out * h + c) % f
+def _at(p: FpPoly, table: List[FpPoly]) -> FpPoly:
+    """p(h) mod f, from table[k] = h^k mod f, k <= deg p."""
+    out = FpPoly.zero(p.modulus)
+    for c, hk in zip(p.coeffs, table):
+        out = out + c * hk
     return out
 
 
@@ -205,7 +205,8 @@ def count_factors(
     over the proper divisors d of e (d = 2, 3 at e = 6 also hold d = 1) and of
     the Frobenius shape test n(h_1) m - n m(h_1) for `_f7_pair` (N6) or
     `_family_pairs` (N2), which vanishes at a root b exactly when (n/m)(b) is
-    in F_l.  The distinct-degree split of G, of small degree, gives the counts.
+    in F_l; n(h_1) and m(h_1) come from one table of h_1^k mod f.  The
+    distinct-degree split of G, of small degree, gives the counts.
     h_e = x mod f certifies that every factor degree divides e, so the degree-e
     count of the histogram is what the smaller degrees leave over, and G splits
     by the h_d already at hand (`_split_by_powers`); if the certificate fails,
@@ -237,9 +238,11 @@ def count_factors(
         powers.append(powers[-1].powmod(l, f))
 
     test = one
+    table = [one]  # table[k] = h_1^k mod f, up to the largest degree in pairs
+    for _ in range(max((max(n.degree, m.degree) for n, m in pairs), default=0)):
+        table.append(table[-1] * powers[1] % f)
     for n, m in pairs:
-        h = powers[1]
-        test = test * ((_at(n, h, f) * m - n * _at(m, h, f)) % f) % f
+        test = test * ((_at(n, table) * m - n * _at(m, table)) % f) % f
     for d in divisors:
         test = test * (powers[d] - x) % f
     certified = with_histogram and powers[e] == x % f

@@ -2,13 +2,15 @@
 
 Workers are module-level functions so multiprocessing can pickle them; results
 come back keyed by prime and are always emitted in ascending prime order, so
-parallel and serial runs produce identical reports.
+parallel and serial runs produce identical reports.  A worker whose prime
+raises a `StructuralError` returns a row carrying a `Failure` (the stage and
+the message) instead, so one bad prime neither ends the sweep nor loses the
+rows of the others.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -24,19 +26,22 @@ def primes_in(lo: int, hi: int) -> List[int]:
 
 
 def run_parallel(worker, args: Sequence, jobs: int) -> List:
+    """worker(a) for each a, in the order of args.  A pool hands out one item
+    at a time (imap), so the slowest primes, last in a sorted sweep, are
+    spread over every worker."""
     if jobs <= 1 or len(args) <= 1:
         return [worker(a) for a in args]
     with multiprocessing.Pool(processes=min(jobs, len(args))) as pool:
-        return pool.map(worker, args)
+        return list(pool.imap(worker, args))
 
 
-@contextmanager
-def _naming_prime(p: int):
-    """Prefix a structural error with its prime; pool.map re-raises it bare."""
-    try:
-        yield
-    except StructuralError as e:
-        raise StructuralError(f"p={p}: {e}") from e
+@dataclass(frozen=True)
+class Failure:
+    """The stage of a prime's work that raised a `StructuralError`, and its
+    message."""
+
+    stage: str
+    error: str
 
 
 # -- hasse sweep
@@ -45,8 +50,9 @@ def _naming_prime(p: int):
 @dataclass(frozen=True)
 class HasseRow:
     p: int
-    report: FactorCountReport
+    report: Optional[FactorCountReport]
     skipped: Optional[str] = None
+    failure: Optional[Failure] = None
 
 
 def _hasse_worker(args: Tuple[int, Tuple[str, ...], bool]) -> HasseRow:
@@ -54,10 +60,13 @@ def _hasse_worker(args: Tuple[int, Tuple[str, ...], bool]) -> HasseRow:
     if p in (2, 3, 7):
         return HasseRow(p=p, report=None, skipped="excluded by hypothesis")
     ctx = PrimeContext.make(p)
-    with _naming_prime(p):
-        rep = verify_count_formulas(
-            ctx, count_factors(ctx, need=need, with_histogram=with_histogram)
-        )
+    stage = "count_factors"
+    try:
+        rep = count_factors(ctx, need=need, with_histogram=with_histogram)
+        stage = "verify_count_formulas"
+        rep = verify_count_formulas(ctx, rep)
+    except StructuralError as e:
+        return HasseRow(p=p, report=None, failure=Failure(stage, str(e)))
     return HasseRow(p=p, report=rep)
 
 
@@ -78,18 +87,22 @@ def hasse_sweep(
 @dataclass(frozen=True)
 class NakayaRow:
     p: int
-    report: SS7StarReport
+    report: Optional[SS7StarReport]
     consistency: Optional[Dict[str, object]]
+    failure: Optional[Failure] = None
 
 
 def _nakaya_worker(args: Tuple[int, bool, bool]) -> NakayaRow:
     p, check_oracle, with_consistency = args
     ctx = PrimeContext.make(p)
-    with _naming_prime(p):
+    stage, sec3 = "counts_and_nakaya", None
+    try:
         rep = counts_and_nakaya(ctx, check_oracle=check_oracle)
-        sec3 = None
         if with_consistency and p >= 11:
+            stage = "count_consistency"
             sec3 = count_consistency(ctx, report=rep)
+    except StructuralError as e:
+        return NakayaRow(p=p, report=None, consistency=None, failure=Failure(stage, str(e)))
     return NakayaRow(p=p, report=rep, consistency=sec3)
 
 

@@ -178,7 +178,9 @@ def test_structural_error_exit_code(monkeypatch, capsys):
     assert code == 3 and "structural error" in err
 
 
-def test_structural_error_names_its_prime(monkeypatch, capsys):
+def _fail_at_13(monkeypatch):
+    """Make the Hasse polynomial, and with it count_factors, raise at l = 13
+    (forked pool workers inherit the patch)."""
     from fricke7 import hasse7
     from fricke7.errors import StructuralError
 
@@ -190,9 +192,34 @@ def test_structural_error_names_its_prime(monkeypatch, capsys):
         return real(ctx)
 
     monkeypatch.setattr(hasse7, "hasse_poly", fails_at_13)
-    code, out, err = run_cli(["hasse", "--primes", "11,13"], capsys)
-    assert code == 3 and out == ""
-    assert "structural error: p=13: injected" in err
+
+
+def test_structural_error_names_its_prime(monkeypatch, capsys):
+    _fail_at_13(monkeypatch)
+    code, out, err = run_cli(["hasse", "--primes", "11,13", "--format", "json"], capsys)
+    assert code == 3
+    assert "structural error: p=13: injected (in count_factors)" in err
+    rows = json.loads(out)["rows"]
+    assert [r["p"] for r in rows] == [11, 13] and rows[0]["verdicts"]
+    assert rows[1] == {"p": 13, "stage": "count_factors", "error": "injected"}
+
+
+@pytest.mark.parametrize("command", ["hasse", "nakaya"])
+def test_failed_prime_keeps_the_other_rows(command, monkeypatch, capsys):
+    """One failing prime of three: the other two rows are written, the
+    failure is a row {p, stage, error}, the exit code is 3, and serial and
+    parallel runs write the same bytes."""
+    _fail_at_13(monkeypatch)
+    argv = [command, "--primes", "11,13,17", "--format", "json"]
+    serial = run_cli([*argv, "--jobs", "1"], capsys)
+    parallel = run_cli([*argv, "--jobs", "2"], capsys)
+    assert serial[0] == parallel[0] == 3
+    assert serial[1] == parallel[1]
+    rows = json.loads(serial[1])["rows"]
+    assert [r["p"] for r in rows] == [11, 13, 17]
+    stage = "count_factors" if command == "hasse" else "count_consistency"
+    assert rows[1] == {"p": 13, "stage": stage, "error": "injected"}
+    assert "error" not in rows[0] and "error" not in rows[2]
 
 
 def test_console_entry_point():
@@ -224,8 +251,8 @@ def test_pool_never_larger_than_the_prime_list(monkeypatch, capsys):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, args):
-            return [fn(a) for a in args]
+        def imap(self, fn, args):
+            return map(fn, args)
 
     monkeypatch.setattr(sweep.multiprocessing, "Pool", SerialPool)
     assert sweep.run_parallel(abs, [-1, -2, -3], jobs=64) == [1, 2, 3]

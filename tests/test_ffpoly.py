@@ -305,6 +305,86 @@ class TestKernelAgainstSchoolbook:
         assert _trimmed(r) == _trimmed(want_r)
 
 
+class TestWrappedProducts:
+    """The cyclic (wrapped) FFT paths against the schoolbook oracles: products
+    whose length L is just past a power of two N run at size N and subtract
+    the wrapped top coefficients, and the remainder of a prepared division is
+    taken mod x^N - 1 with N >= deg b + 1, folding a and quotients longer than
+    N.  Lengths sit on both sides of each switch, with spies pinning the FFT
+    size each case runs at."""
+
+    L = 1999
+
+    @staticmethod
+    def sizes(spy):
+        return [c.args[3] for c in spy.call_args_list]
+
+    @pytest.mark.parametrize("N", [256, 512])
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_mul_around_a_power_of_two(self, N, data):
+        """L from just below N to past the wrap limit N + N / 2^_WRAP_SHIFT."""
+        limit = N + (N >> ffpoly._WRAP_SHIFT)
+        L = data.draw(st.sampled_from([N - 1, N, N + 1, N + 2, limit - 1, limit, limit + 1]))
+        la = data.draw(st.integers(_FFT_MIN_LEN, L + 1 - _FFT_MIN_LEN))
+        lb = L + 1 - la
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+        a = TestKernelAgainstSchoolbook.coeffs(rng, self.L, la)
+        square = la == lb and data.draw(st.booleans())
+        b = a if square else TestKernelAgainstSchoolbook.coeffs(rng, self.L, lb)
+        av = _vec(self.L, a)
+        with mock.patch.object(ffpoly, "_mul_fft", wraps=ffpoly._mul_fft) as fft:
+            out = ffpoly._mul(self.L, av, av if square else _vec(self.L, b))
+        wrapped = N < L <= limit and max(la, lb) <= N
+        assert self.sizes(fft)[0] == N.bit_length() - (1 if L <= N or wrapped else 0)
+        assert len(out) == L
+        assert _trimmed(out) == _trimmed(oracles.schoolbook_mul(self.L, a, b))
+
+    @pytest.mark.parametrize("db", [255, 256, 300])
+    @settings(max_examples=6, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), long_quotient=st.booleans())
+    def test_remainder_mod_x_n_minus_1(self, db, seed, long_quotient):
+        """deg b = 255 wraps at N = 256, deg b = 256 and 300 at N = 512; a long
+        quotient (more than N coefficients) is folded first."""
+        rng = random.Random(seed)
+        size = 1 << db.bit_length()
+        nq = rng.randint(size + 1, size + 200) if long_quotient else rng.randint(_FFT_MIN_LEN, size)
+        a = TestKernelAgainstSchoolbook.coeffs(rng, self.L, db + nq, monic_like=True)
+        b = TestKernelAgainstSchoolbook.coeffs(rng, self.L, db + 1, monic_like=True)
+        prepared = ffpoly._Modulus(self.L, _vec(self.L, b), nq)
+        with mock.patch.object(ffpoly, "_rfft", wraps=ffpoly._rfft) as rfft, mock.patch.object(
+            ffpoly, "_fold", wraps=ffpoly._fold
+        ) as fold:
+            q, r = prepared.divmod(_vec(self.L, a))
+        assert (db + 1, db.bit_length()) in [(len(c.args[0]), c.args[1]) for c in rfft.call_args_list]
+        folded = [len(c.args[1]) > size for c in fold.call_args_list]
+        assert folded == [long_quotient, len(a) > size]  # q, then a
+        want_q, want_r = oracles.schoolbook_divmod(self.L, a, b)
+        assert _trimmed(q) == _trimmed(want_q)
+        assert _trimmed(r) == _trimmed(want_r)
+
+    def test_powmod_at_degree_4164_wraps(self):
+        """The Frobenius powers mod the Hasse polynomial at l = 2083 (degree
+        4164, class 4 mod 7): every square has length 8327 and wraps at 2^13,
+        no transform is larger, and x^(l^6) = x certifies the chain."""
+        from fricke7.hasse7 import hasse_poly
+
+        l = 2083
+        f = hasse_poly(PrimeContext.make(l)).monic()
+        assert f.degree == 4164
+        x = FpPoly.x(l)
+        with mock.patch.object(ffpoly, "_mul_fft", wraps=ffpoly._mul_fft) as fft, mock.patch.object(
+            ffpoly, "_rfft", wraps=ffpoly._rfft
+        ) as rfft:
+            h = x
+            for _ in range(6):
+                h = h.powmod(l, f)
+        assert h == x
+        wrapped = [c for c in fft.call_args_list if len(c.args[1]) + len(c.args[2]) - 1 > 1 << c.args[3]]
+        assert any(len(c.args[1]) + len(c.args[2]) - 1 == 8327 and c.args[3] == 13 for c in wrapped)
+        assert max(c.args[1] for c in rfft.call_args_list) == 13
+
+
 class TestFloatEuclid:
     """`FpPoly.gcd` against Euclid on `oracles.schoolbook_divmod`, on both
     sides of the float Euclid's bound l (l - 1) < 2^52 (67108859 is the
@@ -366,6 +446,29 @@ class TestFloatEuclid:
                 lower, upper = upper, [v % l for v in step]
             out = FpPoly.make(l, upper).gcd(FpPoly.make(l, lower))
             assert list(out.coeffs) == oracles.schoolbook_gcd(l, upper, lower) == [1, 1]
+
+    @pytest.mark.parametrize("l, both", [(9973, False), (67108859, True)])
+    def test_newer_vector_reduced_first(self, l, both):
+        """A step whose bound would pass 2^52 reduces the newer vector b alone
+        when that is enough, and a as well otherwise.  Quotients x let the
+        bounds grow as Fibonacci numbers towards 2^52; a quotient c + c x with
+        c = (l - 1)/2 every 32nd step then needs both reduced at l = 67108859,
+        where (l - 1)^2 is within 2^30 of 2^52, and b alone at l = 9973.  A spy
+        on `_reduce_float` sees the two cases apart: a step that reduces both
+        reduces b and then the longer a, while later steps reduce ever shorter
+        remainders."""
+        c = (l - 1) // 2
+        lower, upper = [], [1, 1]
+        for i in range(100):
+            q = [c, c] if i % 32 == 31 else [0, 1]
+            lower, upper = upper, [v % l for v in padd(oracles.schoolbook_mul(l, q, upper), lower)]
+        with mock.patch.object(ffpoly, "_reduce_float", wraps=ffpoly._reduce_float) as red:
+            out = FpPoly.make(l, upper).gcd(FpPoly.make(l, lower))
+        lengths = [len(call.args[1]) for call in red.call_args_list][:-1]  # the last one reduces the result
+        pairs = sum(b >= a for a, b in zip(lengths, lengths[1:]))
+        assert len(lengths) - 2 * pairs > 0  # steps that reduced b alone
+        assert (pairs > 0) == both
+        assert list(out.coeffs) == oracles.schoolbook_gcd(l, upper, lower) == [1, 1]
 
     @pytest.mark.parametrize("l", [13, 1999, 67108859])
     def test_unrelated_and_degenerate(self, l):

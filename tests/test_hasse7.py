@@ -242,8 +242,8 @@ class TestCountingPath:
 
     @pytest.mark.parametrize("p", NEAR_2000)
     def test_one_newton_inverse_of_hasse(self, p):
-        """The powmod chain, the test product and `_at` all reduce mod the
-        Hasse polynomial f through the one `_Modulus` kept on f."""
+        """The powmod chain, the table of h_1^k and the test product all reduce
+        mod the Hasse polynomial f through the one `_Modulus` kept on f."""
         ctx = PrimeContext.make(p)
         rev = hasse_poly(ctx).monic().coeffs[::-1]
         with mock.patch.object(ffpoly, "_inv_series", wraps=ffpoly._inv_series) as inv:
