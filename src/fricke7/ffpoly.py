@@ -209,27 +209,34 @@ def _fft_error(l: int, m: int, n: int) -> float:
 # m = 128.
 _FFT_MIN_LEN = 128
 
-# A product of length L with N < L <= N + N / 2^_WRAP_SHIFT, N a power of two
-# holding both operands, runs as the size-N cyclic product: its coefficients
-# [0, t), t = L - N, also hold the top t coefficients of the product, which
-# depend only on the top t coefficients of each operand and come from one
-# small product (`_mul_fft`).  Measured as for _FFT_MIN_LEN (l = 2083, median
-# of 5), size 2N vs wrapped size N for a square and a product of two
-# operands: at N = 8192, 444 vs 316 and 684 vs 416 us for t = N/64, 476 vs
-# 368 and 691 vs 498 us at t = N/8, 498 vs 423 and 695 vs 597 us at t = N/4,
-# and no gain from t = 3N/8; at N = 1024, 72 vs 63 and 104 vs 83 us at
-# t = N/16 and 71 vs 77 and 102 vs 97 us at N/8; at N = 512 neither side wins.
+# A product of length L with N < L <= N + N / 2^_WRAP_SHIFT, N >= _WRAP_MIN a
+# power of two holding both operands, runs as the size-N cyclic product: its
+# coefficients [0, t), t = L - N, also hold the top t coefficients of the
+# product, which depend only on the top t coefficients of each operand and
+# come from one small product (`_mul_fft`).  Measured as for _FFT_MIN_LEN
+# (l = 2083, timings interleaved, median of 31), size 2N vs wrapped size N
+# for a square and a product of two operands: at N = 8192, 325 vs 213 and
+# 451 vs 281 us for t = 127, 367 vs 249 and 497 vs 315 us at t = 255 and
+# 449 vs 405 and 664 vs 573 us at t = 2047 = N/4; at N = 4096, 165 vs 118
+# and 242 vs 157 us at t = 127, 180 vs 144 and 269 vs 211 us at t = 511; at
+# N = 2048, 93 vs 82 and 126 vs 100 us at t = 127, 100 vs 105 and 109 vs
+# 102 us at t = 255, 106 vs 122 and 143 vs 156 us at t = 511; at N = 1024,
+# 44 vs 49 and 64 vs 63 us at t = 127, and at N = 512 the wrap never gains:
+# below N = 2048 the fixed cost of the transforms and of the small product
+# outweighs the halved size.
 _WRAP_SHIFT = 3
+_WRAP_MIN = 2048
 
 
 def _fft_log2(la: int, lb: int) -> int:
     """log2 of the FFT size for a product of lengths la and lb: the smallest
-    power of two N that holds the product, or N/2 when the product passes N/2
-    by at most N/2 / 2^_WRAP_SHIFT and both operands fit in N/2."""
+    power of two N that holds the product, or N/2 when N/2 >= _WRAP_MIN, the
+    product passes N/2 by at most N/2 / 2^_WRAP_SHIFT and both operands fit
+    in N/2."""
     L = la + lb - 1
     n = max(L - 1, 1).bit_length()
     half = 1 << (n - 1)
-    if max(la, lb) <= half and (L - half) << _WRAP_SHIFT <= half:
+    if half >= _WRAP_MIN and max(la, lb) <= half and (L - half) << _WRAP_SHIFT <= half:
         return n - 1
     return n
 
@@ -244,9 +251,11 @@ def _mul(l: int, a, b):
     """The product of a and b, reduced (a is b squares with one transform)."""
     if not len(a) or not len(b):
         return a[:0]
-    m, n = min(len(a), len(b)), _fft_log2(len(a), len(b))
-    if _fft_ok(l, m, n):
-        return _mul_fft(l, a, b, n)
+    m = min(len(a), len(b))
+    if m >= _FFT_MIN_LEN:
+        n = _fft_log2(len(a), len(b))
+        if _fft_ok(l, m, n):
+            return _mul_fft(l, a, b, n)
     dt = _dtype(l, len(a) + len(b))
     return np.convolve(a.astype(dt, copy=False), b.astype(dt, copy=False)) % l
 
@@ -256,9 +265,19 @@ def _rfft(a, n: int):
     return np.fft.rfft(a.astype(np.float64), 1 << n)
 
 
+# FFT outputs of at least this length are reduced mod l on the float side
+# (`_residues`); shorter ones by int64 %.  Measured as for _FFT_MIN_LEN
+# (l = 601, rounded outputs), int64 % vs the float side: 5.1 vs 6.8 us at
+# length 512, 12.7 vs 17.8 us at 2048, 22.2 vs 23.4 us at 4096, 30.6 vs 23.7
+# us at 6000 and 42.0 vs 36.4 us at 8192; the two cross near 5000.
+_FLOAT_REDUCE_MIN = 5000
+
+
 def _residues(l: int, v):
     """The residues in [0, l) of the integer-valued float vector v (|v| < 2^52),
-    as int64; v is overwritten."""
+    as int64; v may be overwritten."""
+    if len(v) < _FLOAT_REDUCE_MIN:
+        return v.astype(np.int64) % l
     r = _reduce_float(l, v).astype(np.int64)
     r += (r >> 63) & l  # |r| < l: add l to the negative ones
     return r
@@ -424,13 +443,25 @@ def _divmod(l: int, a, b):
 # size at most A + (|q0| + |q1|) B; below 2^52 float64 holds it exactly.  Just
 # before the tracked bound would pass 2^52, b (the newer vector, whose bound
 # is the larger) is reduced in place by v - l rint(v / l), and a too if that
-# is not enough: for |v| < 2^52 the computed v / l is within 1/2 of the true
-# one, so the result is exact and below l in size.  After reducing both the
-# bound is at most (l-1) + (l-1)(l-1) = l (l-1), so the float path runs for
-# l (l-1) < 2^52, l <= 2^26.  Long quotients (the first step, and any after a
-# degree drop of two or more), constant divisors and larger moduli take
-# `_divmod`.
+# is not enough or `_reduce_both` holds: for |v| < 2^52 the computed v / l is
+# within 1/2 of the true one, so the result is exact and below l in size.
+# After reducing both the bound is at most (l-1) + (l-1)(l-1) = l (l-1), so
+# the float path runs for l (l-1) < 2^52, l <= 2^26.  Long quotients (the
+# first step, and any after a degree drop of two or more), constant divisors
+# and larger moduli take `_divmod`.
 _FLOAT_EXACT = 2**52
+
+
+def _reduce_both(l: int) -> bool:
+    """Whether a reduction of b takes a along.  Reducing b alone leaves a's
+    bound, which comes back in the next remainder, so that about every second
+    step reduces.  Reducing both restarts the bounds near l, and with typical
+    digits (|q0| + |q1| near l/2) they regrow to 2^52 in log(2^52/l) / log(l/2)
+    steps, two reductions per regrowth: fewer while that takes more than four
+    steps, l (l/2)^4 < 2^52, l <= 2352.  Replaying the bound rule on random
+    digits gives 0.35 vs 0.50 reductions per step at l = 307, 0.49 vs 0.50 at
+    1009, and 0.67 vs 0.50 at 9973 (both vs b alone)."""
+    return l**5 < 2**56
 
 
 def _reduce_float(l: int, v):
@@ -454,7 +485,7 @@ def _euclid(l: int, a, b):
 
 def _euclid_float(l: int, a, b):
     """`_euclid` for l (l - 1) < 2^52, with the float steps described above."""
-    half = l // 2
+    half, both = l // 2, _reduce_both(l)
     fa, fb = a.astype(np.float64), b.astype(np.float64)
     ba = bb = l - 1  # bounds on |fa| and |fb|
     while len(fb):
@@ -475,7 +506,7 @@ def _euclid_float(l: int, a, b):
             _reduce_float(l, fb)
             bb = l - 1
             bound = ba + s * bb
-            if bound >= _FLOAT_EXACT:
+            if both or bound >= _FLOAT_EXACT:
                 _reduce_float(l, fa)
                 ba = l - 1
                 bound = ba + s * bb

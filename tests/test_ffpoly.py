@@ -311,7 +311,10 @@ class TestWrappedProducts:
     the wrapped top coefficients, and the remainder of a prepared division is
     taken mod x^N - 1 with N >= deg b + 1, folding a and quotients longer than
     N.  Lengths sit on both sides of each switch, with spies pinning the FFT
-    size each case runs at."""
+    size each case runs at.  The wrapped products run from N = _WRAP_MIN on;
+    the schoolbook tests lower that to 256, where the oracle is quick (the
+    arithmetic does not depend on N), and the degree-4164 powmod runs at the
+    real threshold."""
 
     L = 1999
 
@@ -333,7 +336,9 @@ class TestWrappedProducts:
         square = la == lb and data.draw(st.booleans())
         b = a if square else TestKernelAgainstSchoolbook.coeffs(rng, self.L, lb)
         av = _vec(self.L, a)
-        with mock.patch.object(ffpoly, "_mul_fft", wraps=ffpoly._mul_fft) as fft:
+        with mock.patch.object(ffpoly, "_mul_fft", wraps=ffpoly._mul_fft) as fft, mock.patch.object(
+            ffpoly, "_WRAP_MIN", 256
+        ):
             out = ffpoly._mul(self.L, av, av if square else _vec(self.L, b))
         wrapped = N < L <= limit and max(la, lb) <= N
         assert self.sizes(fft)[0] == N.bit_length() - (1 if L <= N or wrapped else 0)
@@ -447,16 +452,17 @@ class TestFloatEuclid:
             out = FpPoly.make(l, upper).gcd(FpPoly.make(l, lower))
             assert list(out.coeffs) == oracles.schoolbook_gcd(l, upper, lower) == [1, 1]
 
-    @pytest.mark.parametrize("l, both", [(9973, False), (67108859, True)])
-    def test_newer_vector_reduced_first(self, l, both):
+    @pytest.mark.parametrize("l, alone, both", [(1999, False, True), (9973, True, False), (67108859, True, True)])
+    def test_newer_vector_reduced_first(self, l, alone, both):
         """A step whose bound would pass 2^52 reduces the newer vector b alone
-        when that is enough, and a as well otherwise.  Quotients x let the
-        bounds grow as Fibonacci numbers towards 2^52; a quotient c + c x with
-        c = (l - 1)/2 every 32nd step then needs both reduced at l = 67108859,
-        where (l - 1)^2 is within 2^30 of 2^52, and b alone at l = 9973.  A spy
-        on `_reduce_float` sees the two cases apart: a step that reduces both
-        reduces b and then the longer a, while later steps reduce ever shorter
-        remainders."""
+        when that is enough and l > 2352 (`_reduce_both`), and a as well
+        otherwise.  Quotients x let the bounds grow as Fibonacci numbers
+        towards 2^52; a quotient c + c x with c = (l - 1)/2 every 32nd step
+        then needs both reduced at l = 67108859, where (l - 1)^2 is within
+        2^30 of 2^52, b alone at l = 9973, and both by choice at l = 1999.  A
+        spy on `_reduce_float` sees the two cases apart: a step that reduces
+        both reduces b and then the longer a, while later steps reduce ever
+        shorter remainders."""
         c = (l - 1) // 2
         lower, upper = [], [1, 1]
         for i in range(100):
@@ -464,9 +470,9 @@ class TestFloatEuclid:
             lower, upper = upper, [v % l for v in padd(oracles.schoolbook_mul(l, q, upper), lower)]
         with mock.patch.object(ffpoly, "_reduce_float", wraps=ffpoly._reduce_float) as red:
             out = FpPoly.make(l, upper).gcd(FpPoly.make(l, lower))
-        lengths = [len(call.args[1]) for call in red.call_args_list][:-1]  # the last one reduces the result
+        lengths = [len(call.args[1]) for call in red.call_args_list]
         pairs = sum(b >= a for a, b in zip(lengths, lengths[1:]))
-        assert len(lengths) - 2 * pairs > 0  # steps that reduced b alone
+        assert (len(lengths) - 2 * pairs > 0) == alone  # steps that reduced b alone
         assert (pairs > 0) == both
         assert list(out.coeffs) == oracles.schoolbook_gcd(l, upper, lower) == [1, 1]
 
