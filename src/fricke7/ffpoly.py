@@ -22,10 +22,10 @@ coefficients that must vanish there are checked.  Euclid's steps with a
 one- or two-coefficient quotient run in float64 on unreduced integer vectors
 (`_euclid_float`), inside a second asserted bound: every integer the step
 computes stays below 2^52, which holds for l (l - 1) < 2^52; other steps and
-larger moduli keep `_divmod`.  FFT outputs are reduced mod l on the float
-side by the same exact step.  All randomized steps draw from a PRNG seeded
-deterministically from the modulus and the input coefficients, so every run
-(and every process) produces identical output.
+larger moduli keep `_divmod`.  Long FFT outputs are reduced mod l on the
+float side by the same exact step.  All randomized steps draw from a PRNG
+seeded deterministically from the modulus and the input coefficients, so
+every run (and every process) produces identical output.
 """
 
 from __future__ import annotations
