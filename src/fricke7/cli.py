@@ -90,7 +90,7 @@ def emit(rows: List[Dict], fmt: str, out_path: Optional[str], command: str) -> N
     elif fmt == "csv":
         buf = io.StringIO()
         if rows:
-            keys = list(rows[0].keys())
+            keys = _columns(rows)
             w = csv.DictWriter(buf, fieldnames=keys, lineterminator="\n")
             w.writeheader()
             for r in rows:
@@ -105,6 +105,15 @@ def emit(rows: List[Dict], fmt: str, out_path: Optional[str], command: str) -> N
         sys.stdout.write(payload)
 
 
+def _columns(rows: List[Dict]) -> List[str]:
+    """The CSV and table columns: the keys of the first row whose prime did
+    not fail, then a failure row's stage and error if a prime failed."""
+    keys = list(next((r for r in rows if "error" not in r), rows[0]))
+    if any("error" in r for r in rows):
+        keys += [k for k in ("stage", "error") if k not in keys]
+    return keys
+
+
 def _csv_cell(v):
     v = _jsonable(v)
     if isinstance(v, (dict, list)):
@@ -115,7 +124,7 @@ def _csv_cell(v):
 def _table(rows: List[Dict]) -> str:
     if not rows:
         return "(no rows)\n"
-    keys = list(rows[0].keys())
+    keys = _columns(rows)
     cells = [[str(_csv_cell(r.get(k))) for k in keys] for r in rows]
     widths = [max(len(k), *(len(c[i]) for c in cells)) for i, k in enumerate(keys)]
     lines = ["  ".join(k.ljust(w) for k, w in zip(keys, widths)).rstrip()]

@@ -22,8 +22,7 @@ coefficients that must vanish there are checked.  Euclid's steps with a
 one- or two-coefficient quotient run in float64 on unreduced integer vectors
 (`_euclid_float`), inside a second asserted bound: every integer the step
 computes stays below 2^52, which holds for l (l - 1) < 2^52; other steps and
-larger moduli keep `_divmod`.  Long FFT outputs are reduced mod l on the
-float side by the same exact step.  All randomized steps draw from a PRNG
+larger moduli keep `_divmod`.  All randomized steps draw from a PRNG
 seeded deterministically from the modulus and the input coefficients, so
 every run (and every process) produces identical output.
 """
@@ -265,22 +264,10 @@ def _rfft(a, n: int):
     return np.fft.rfft(a.astype(np.float64), 1 << n)
 
 
-# FFT outputs of at least this length are reduced mod l on the float side
-# (`_residues`); shorter ones by int64 %.  Measured as for _FFT_MIN_LEN
-# (l = 601, rounded outputs), int64 % vs the float side: 5.1 vs 6.8 us at
-# length 512, 12.7 vs 17.8 us at 2048, 22.2 vs 23.4 us at 4096, 30.6 vs 23.7
-# us at 6000 and 42.0 vs 36.4 us at 8192; the two cross near 5000.
-_FLOAT_REDUCE_MIN = 5000
-
-
 def _residues(l: int, v):
     """The residues in [0, l) of the integer-valued float vector v (|v| < 2^52),
-    as int64; v may be overwritten."""
-    if len(v) < _FLOAT_REDUCE_MIN:
-        return v.astype(np.int64) % l
-    r = _reduce_float(l, v).astype(np.int64)
-    r += (r >> 63) & l  # |r| < l: add l to the negative ones
-    return r
+    as int64."""
+    return v.astype(np.int64) % l
 
 
 def _cyclic(l: int, a, b, n: int, fb=None):
@@ -443,25 +430,13 @@ def _divmod(l: int, a, b):
 # size at most A + (|q0| + |q1|) B; below 2^52 float64 holds it exactly.  Just
 # before the tracked bound would pass 2^52, b (the newer vector, whose bound
 # is the larger) is reduced in place by v - l rint(v / l), and a too if that
-# is not enough or `_reduce_both` holds: for |v| < 2^52 the computed v / l is
-# within 1/2 of the true one, so the result is exact and below l in size.
+# is not enough: for |v| < 2^52 the computed v / l is within 1/2 of the true
+# one, so the result is exact and below l in size.
 # After reducing both the bound is at most (l-1) + (l-1)(l-1) = l (l-1), so
 # the float path runs for l (l-1) < 2^52, l <= 2^26.  Long quotients (the
 # first step, and any after a degree drop of two or more), constant divisors
 # and larger moduli take `_divmod`.
 _FLOAT_EXACT = 2**52
-
-
-def _reduce_both(l: int) -> bool:
-    """Whether a reduction of b takes a along.  Reducing b alone leaves a's
-    bound, which comes back in the next remainder, so that about every second
-    step reduces.  Reducing both restarts the bounds near l, and with typical
-    digits (|q0| + |q1| near l/2) they regrow to 2^52 in log(2^52/l) / log(l/2)
-    steps, two reductions per regrowth: fewer while that takes more than four
-    steps, l (l/2)^4 < 2^52, l <= 2352.  Replaying the bound rule on random
-    digits gives 0.35 vs 0.50 reductions per step at l = 307, 0.49 vs 0.50 at
-    1009, and 0.67 vs 0.50 at 9973 (both vs b alone)."""
-    return l**5 < 2**56
 
 
 def _reduce_float(l: int, v):
@@ -485,7 +460,7 @@ def _euclid(l: int, a, b):
 
 def _euclid_float(l: int, a, b):
     """`_euclid` for l (l - 1) < 2^52, with the float steps described above."""
-    half, both = l // 2, _reduce_both(l)
+    half = l // 2
     fa, fb = a.astype(np.float64), b.astype(np.float64)
     ba = bb = l - 1  # bounds on |fa| and |fb|
     while len(fb):
@@ -506,7 +481,7 @@ def _euclid_float(l: int, a, b):
             _reduce_float(l, fb)
             bb = l - 1
             bound = ba + s * bb
-            if both or bound >= _FLOAT_EXACT:
+            if bound >= _FLOAT_EXACT:
                 _reduce_float(l, fa)
                 ba = l - 1
                 bound = ba + s * bb

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -220,6 +222,29 @@ def test_failed_prime_keeps_the_other_rows(command, monkeypatch, capsys):
     stage = "count_factors" if command == "hasse" else "count_consistency"
     assert rows[1] == {"p": 13, "stage": stage, "error": "injected"}
     assert "error" not in rows[0] and "error" not in rows[2]
+
+
+@pytest.mark.parametrize("primes", ["13,17", "11,13"])
+def test_failure_row_in_csv_and_table(primes, monkeypatch, capsys):
+    """CSV and table columns hold every row's fields whether the failing
+    prime comes first or not: the normal row keeps its verdicts, and the
+    failure row its stage and error, in columns appended at the end."""
+    _fail_at_13(monkeypatch)
+    code, out, _ = run_cli(["hasse", "--primes", primes, "--format", "csv"], capsys)
+    assert code == 3
+    rows = {r["p"]: r for r in csv.DictReader(io.StringIO(out))}
+    good = rows[primes.replace("13", "").strip(",")]
+    assert list(good)[-2:] == ["stage", "error"]
+    assert "PASS" in good["verdicts"] and good["stage"] == good["error"] == ""
+    assert rows["13"]["stage"] == "count_factors" and rows["13"]["error"] == "injected"
+    assert rows["13"]["verdicts"] == ""
+    code, out, _ = run_cli(["hasse", "--primes", primes], capsys)
+    assert code == 3
+    header, *lines = out.splitlines()
+    assert header.split()[-3:] == ["verdicts", "stage", "error"]
+    by_p = {line.split()[0]: line for line in lines}
+    assert "PASS" in by_p[good["p"]] and "injected" not in by_p[good["p"]]
+    assert by_p["13"].split()[-2:] == ["count_factors", "injected"]
 
 
 def test_console_entry_point():

@@ -452,14 +452,13 @@ class TestFloatEuclid:
             out = FpPoly.make(l, upper).gcd(FpPoly.make(l, lower))
             assert list(out.coeffs) == oracles.schoolbook_gcd(l, upper, lower) == [1, 1]
 
-    @pytest.mark.parametrize("l, alone, both", [(1999, False, True), (9973, True, False), (67108859, True, True)])
-    def test_newer_vector_reduced_first(self, l, alone, both):
-        """A step whose bound would pass 2^52 reduces the newer vector b alone
-        when that is enough and l > 2352 (`_reduce_both`), and a as well
-        otherwise.  Quotients x let the bounds grow as Fibonacci numbers
-        towards 2^52; a quotient c + c x with c = (l - 1)/2 every 32nd step
-        then needs both reduced at l = 67108859, where (l - 1)^2 is within
-        2^30 of 2^52, b alone at l = 9973, and both by choice at l = 1999.  A
+    @pytest.mark.parametrize("l, both", [(9973, False), (67108859, True)])
+    def test_newer_vector_reduced_first(self, l, both):
+        """A step whose bound would pass 2^52 reduces the newer vector b, and a
+        as well only when b alone is not enough.  Quotients x let the bounds
+        grow as Fibonacci numbers towards 2^52; a quotient c + c x with
+        c = (l - 1)/2 every 32nd step then needs both reduced at l = 67108859,
+        where (l - 1)^2 is within 2^30 of 2^52, and b alone at l = 9973.  A
         spy on `_reduce_float` sees the two cases apart: a step that reduces
         both reduces b and then the longer a, while later steps reduce ever
         shorter remainders."""
@@ -472,7 +471,7 @@ class TestFloatEuclid:
             out = FpPoly.make(l, upper).gcd(FpPoly.make(l, lower))
         lengths = [len(call.args[1]) for call in red.call_args_list]
         pairs = sum(b >= a for a, b in zip(lengths, lengths[1:]))
-        assert (len(lengths) - 2 * pairs > 0) == alone  # steps that reduced b alone
+        assert len(lengths) - 2 * pairs > 0  # steps that reduced b alone
         assert (pairs > 0) == both
         assert list(out.coeffs) == oracles.schoolbook_gcd(l, upper, lower) == [1, 1]
 
