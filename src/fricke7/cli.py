@@ -106,9 +106,10 @@ def emit(rows: List[Dict], fmt: str, out_path: Optional[str], command: str) -> N
 
 
 def _columns(rows: List[Dict]) -> List[str]:
-    """The CSV and table columns: the keys of the first row whose prime did
-    not fail, then a failure row's stage and error if a prime failed."""
-    keys = list(next((r for r in rows if "error" not in r), rows[0]))
+    """The CSV and table columns: the keys of the first row that holds a
+    result (its prime neither failed nor was skipped), then a failure row's
+    stage and error if a prime failed."""
+    keys = list(next((r for r in rows if "error" not in r and "skipped" not in r), rows[0]))
     if any("error" in r for r in rows):
         keys += [k for k in ("stage", "error") if k not in keys]
     return keys

@@ -247,6 +247,21 @@ def test_failure_row_in_csv_and_table(primes, monkeypatch, capsys):
     assert by_p["13"].split()[-2:] == ["count_factors", "injected"]
 
 
+@pytest.mark.parametrize("command", ["hasse", "ss7star"])
+@pytest.mark.parametrize("fmt", ["csv", "table"])
+def test_skipped_first_row_keeps_the_columns(command, fmt, capsys):
+    """A range that starts at the excluded prime 7 still writes every field
+    of the rows after it."""
+    code, out, _ = run_cli([command, "--primes", "7,11", "--format", fmt], capsys)
+    assert code == 0
+    if fmt == "table":
+        header, *lines = out.splitlines()
+        row = dict(zip(header.split(), lines[-1].split()))  # cells up to the first with spaces
+    else:
+        row = list(csv.DictReader(io.StringIO(out)))[-1]
+    assert row["p"] == "11" and row["L"] == "2"
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "fricke7.cli", "identities", "--format", "json"],
