@@ -22,14 +22,9 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
 from .errors import StructuralError, UsageError
-from .ffpoly import FpPoly, factorize, is_prime
+from .ffpoly import PRIME_LIMIT, FpPoly, factorize, is_prime
 
 JSON_VERSION = "fricke7/2"
-
-# The sweeps refuse primes above this feasibility limit: J_l and the Hasse
-# polynomial have degree about l/12 and 2l, so a prime far past the l < 10^5
-# band the sweeps are sized for would run for hours or exhaust memory.
-PRIME_LIMIT = 10**6
 
 
 def _check_limit(p: int) -> None:
@@ -63,9 +58,9 @@ def parse_primes(spec: str) -> List[int]:
                 p = int(tok)
             except ValueError as e:
                 raise UsageError(f"bad prime {tok!r}") from e
+            _check_limit(p)
             if not is_prime(p):
                 raise UsageError(f"{p} is not prime")
-            _check_limit(p)
             out.append(p)
         out = sorted(set(out))
     return out

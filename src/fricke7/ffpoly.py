@@ -4,27 +4,27 @@ perfect square roots, and root finding in F_l and F_{l^2}.
 
 `FpPoly` is the one F_l[x] type.  It holds the modulus and one dense numpy
 coefficient vector, reduced, without trailing zeros, lowest degree first; no
-other module sees that vector.  Products and divisions compute in int64 while
-the sums they build provably fit (the bound is at `_dtype`), and in `object`
-arrays of Python ints otherwise, so moduli up to 2^63 run the same code.
-Long products go through a float64 FFT inside an asserted exactness bound
-(`_fft_error`, Percival's error bound below 1/2, at the size each transform
-runs), and long quotients through the Newton inverse of the reversed divisor
-(`_inv_series`); short ones keep `np.convolve` and the row loop.  A product
-a little longer than a power of two N runs as the size-N cyclic product, less
-the top coefficients that wrapped around, which come exactly from a small
-product of the operands' top coefficients.  A divisor that meets a long
-quotient keeps that inverse, with the transforms of the inverse and of
-itself, in a `_Modulus` on its `FpPoly`, so powmod chains and repeated
-reductions mod one f build them once; its remainder a - q b is computed mod
-x^N - 1 with N >= deg b + 1, half the transform of the full q b, and the
-coefficients that must vanish there are checked.  Euclid's steps with a
-one- or two-coefficient quotient run in float64 on unreduced integer vectors
-(`_euclid_float`), inside a second asserted bound: every integer the step
-computes stays below 2^52, which holds for l (l - 1) < 2^52; other steps and
-larger moduli keep `_divmod`.  All randomized steps draw from a PRNG
-seeded deterministically from the modulus and the input coefficients, so
-every run (and every process) produces identical output.
+other module sees that vector.  Moduli are at most `PRIME_LIMIT`, where
+every sum that a product or a division builds fits in int64 (`_INT64_BOUND`,
+asserted where the sums are formed).  Long products go through a float64 FFT
+inside an asserted exactness bound (`_fft_error`, Percival's error bound
+below 1/2, at the size each transform runs), and long quotients through the
+Newton inverse of the reversed divisor (`_inv_series`); short ones keep
+`np.convolve` and the row loop.  A product a little longer than a power of
+two N runs as the size-N cyclic product, less the top coefficients that
+wrapped around, which come exactly from a small product of the operands' top
+coefficients.  A divisor that meets a long quotient keeps that inverse, with
+the transforms of the inverse and of itself, in a `_Modulus` on its
+`FpPoly`, so powmod chains and repeated reductions mod one f build them
+once; its remainder a - q b is computed mod x^N - 1 with N >= deg b + 1,
+half the transform of the full q b, and the coefficients that must vanish
+there are checked.  Euclid's steps with a one- or two-coefficient quotient
+run in float64 on unreduced integer vectors (`_euclid`), inside a second
+asserted bound: every integer the step computes stays below 2^52, which
+holds for l (l - 1) < 2^52; other steps keep `_divmod`.  All randomized
+steps draw from a PRNG seeded deterministically from the modulus and the
+input coefficients, so every run (and every process) produces identical
+output.
 """
 
 from __future__ import annotations
@@ -44,7 +44,8 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid far beyond 2^63."""
+    """Deterministic Miller-Rabin for n <= PRIME_LIMIT (the bases make it
+    exact far beyond that)."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -105,7 +106,11 @@ def smallest_nonresidue(p: int) -> int:
 # prime context
 
 
-MODULUS_LIMIT = 2**63  # PrimeContext takes primes below this
+# The largest modulus, which every exactness bound below covers; PrimeContext,
+# FpPoly.make and the CLI refuse larger ones.  J_l and the Hasse polynomial
+# have degree about l/12 and 2l, so a prime far past the l < 10^5 band the
+# sweeps are sized for would run for hours or exhaust memory.
+PRIME_LIMIT = 10**6
 
 
 @dataclass(frozen=True)
@@ -120,8 +125,8 @@ class PrimeContext:
 
     @classmethod
     def make(cls, l: int) -> "PrimeContext":
-        if l in (2, 7) or l >= MODULUS_LIMIT or not is_prime(l):
-            raise ValueError(f"modulus must be an odd prime != 7 below 2^63, got {l}")
+        if l in (2, 7) or l > PRIME_LIMIT or not is_prime(l):
+            raise ValueError(f"modulus must be an odd prime != 7 at most {PRIME_LIMIT:,}, got {l}")
         return cls(
             l=l,
             r=(1 - kronecker(-3, l)) // 2,
@@ -137,16 +142,14 @@ class PrimeContext:
 # A coefficient of a product of vectors of lengths m and n sums at most
 # min(m, n) < m + n terms below (l-1)^2; a row of the division loop sums at
 # most that many plus one reduced coefficient.  With (l-1)^2 (m + n) < 2^62
-# both stay below 2^62 + l < 2^63, so int64 is exact.  Any vector kept in
-# int64 also has (l-1)^2 < 2^62, so sums and scalings of two reduced vectors
-# fit as well.
+# both stay below 2^62 + l, inside int64 (whose maximum is 2^62 + (2^62 - 1)),
+# so int64 is exact; `_mul` and `_divmod` assert it.  At l <= PRIME_LIMIT it
+# holds up to m + n = 4.6 10^6, and the largest product a count forms, of
+# two residues mod the Hasse polynomial H (m + n <= 2 deg H, about 4 l), uses
+# 0.87 of it at l = 999983.  Sums and scalings of two reduced vectors fit as
+# well.
 _INT64_BOUND = 2**62
 assert 2 * _INT64_BOUND - 1 == np.iinfo(np.int64).max
-
-
-def _dtype(l: int, n: int):
-    """int64 when n terms below (l-1)^2 sum below 2^62, else Python ints."""
-    return np.int64 if (l - 1) ** 2 * n < _INT64_BOUND else object
 
 
 def _trim(v):
@@ -188,8 +191,8 @@ def _scale(l: int, a, c: int):
 # eps, so each exact coefficient is then also below 2^52 and representable,
 # and `_residues` reduces it exactly.  At l = 9973 and two operands of length
 # 20000 (n = 16) it is 0.08.  From l = 5 10^5 on it exceeds 1/2 at every
-# length the FFT path takes (m >= _FFT_MIN_LEN), so large moduli, and with
-# them every object-dtype one, always convolve directly.
+# length the FFT path takes (m >= _FFT_MIN_LEN), so moduli from there up to
+# PRIME_LIMIT always convolve directly, inside `_INT64_BOUND`.
 _EPS = 2.0**-53
 
 
@@ -255,8 +258,8 @@ def _mul(l: int, a, b):
         n = _fft_log2(len(a), len(b))
         if _fft_ok(l, m, n):
             return _mul_fft(l, a, b, n)
-    dt = _dtype(l, len(a) + len(b))
-    return np.convolve(a.astype(dt, copy=False), b.astype(dt, copy=False)) % l
+    assert (l - 1) ** 2 * (len(a) + len(b)) < _INT64_BOUND, "product outside the int64 bound"
+    return np.convolve(a, b) % l
 
 
 def _rfft(a, n: int):
@@ -406,11 +409,11 @@ def _divmod(l: int, a, b):
     nq = len(a) - db
     if nq >= _NEWTON_MIN_QUOT:
         return _Modulus(l, b, nq).divmod(a)
+    assert (l - 1) ** 2 * (len(a) + len(b)) < _INT64_BOUND, "division outside the int64 bound"
     inv = pow(int(b[-1]), -1, l)
-    dt = _dtype(l, len(a) + len(b))
-    r = a.astype(dt)
-    q = np.zeros(nq, dtype=dt)
-    bb = b[:db].astype(dt, copy=False)
+    r = a.copy()
+    q = np.zeros(nq, dtype=np.int64)
+    bb = b[:db]
     for i in range(len(r) - 1, db - 1, -1):
         c = int(r[i]) % l
         if c:
@@ -433,10 +436,11 @@ def _divmod(l: int, a, b):
 # is not enough: for |v| < 2^52 the computed v / l is within 1/2 of the true
 # one, so the result is exact and below l in size.
 # After reducing both the bound is at most (l-1) + (l-1)(l-1) = l (l-1), so
-# the float path runs for l (l-1) < 2^52, l <= 2^26.  Long quotients (the
-# first step, and any after a degree drop of two or more), constant divisors
-# and larger moduli take `_divmod`.
+# the float steps are exact for l (l-1) < 2^52, l <= 2^26, far past
+# PRIME_LIMIT.  Long quotients (the first step, and any after a degree drop
+# of two or more) and constant divisors take `_divmod`.
 _FLOAT_EXACT = 2**52
+assert PRIME_LIMIT * (PRIME_LIMIT - 1) < _FLOAT_EXACT
 
 
 def _reduce_float(l: int, v):
@@ -450,16 +454,7 @@ def _reduce_float(l: int, v):
 
 def _euclid(l: int, a, b):
     """The last nonzero remainder of Euclid's sequence on a and b (a unit
-    multiple of their gcd)."""
-    if l * (l - 1) >= _FLOAT_EXACT:
-        while len(b):
-            a, b = b, _divmod(l, a, b)[1]
-        return a
-    return _euclid_float(l, a, b)
-
-
-def _euclid_float(l: int, a, b):
-    """`_euclid` for l (l - 1) < 2^52, with the float steps described above."""
+    multiple of their gcd), with the float steps described above."""
     half = l // 2
     fa, fb = a.astype(np.float64), b.astype(np.float64)
     ba = bb = l - 1  # bounds on |fa| and |fb|
@@ -520,7 +515,9 @@ class FpPoly:
 
     @classmethod
     def make(cls, l: int, coeffs: Iterable[int]) -> "FpPoly":
-        return cls(l, np.array([c % l for c in coeffs], dtype=_dtype(l, 1)))
+        if l > PRIME_LIMIT:
+            raise ValueError(f"modulus must be at most {PRIME_LIMIT:,}, got {l}")
+        return cls(l, np.array([c % l for c in coeffs], dtype=np.int64))
 
     @classmethod
     def zero(cls, l: int) -> "FpPoly":

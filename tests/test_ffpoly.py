@@ -15,9 +15,9 @@ from fricke7.exactring import padd, pscale, psub
 from fricke7.ffpoly import (
     _FFT_MIN_LEN,
     _NEWTON_MIN_QUOT,
+    PRIME_LIMIT,
     FpPoly,
     PrimeContext,
-    _dtype,
     _edf,
     factorize,
     is_prime,
@@ -46,9 +46,28 @@ class TestPrimeContext:
         assert (ctx.r, ctx.s, ctx.n, ctx.mu7) == (1, 0, 3, 1)
 
     def test_rejects_bad_moduli(self):
-        for bad in (2, 7, 9, 1):
+        """1000003, the first prime above PRIME_LIMIT, is refused, also as the
+        bare modulus of a polynomial, before a product could overflow int64;
+        999983, the largest prime below the limit, is accepted."""
+        assert is_prime(1000003) and is_prime(999983)
+        assert not any(map(is_prime, range(999984, PRIME_LIMIT + 1))) and PRIME_LIMIT < 1000003
+        for bad in (2, 7, 9, 1, 1000003):
             with pytest.raises(ValueError):
                 PrimeContext.make(bad)
+        with pytest.raises(ValueError, match="at most 1,000,000"):
+            FpPoly.make(1000003, [1, 2])
+        assert PrimeContext.make(999983).l == 999983
+        assert FpPoly.make(999983, [1, 2]).coeffs == (1, 2)
+
+    def test_int64_bound_is_asserted(self):
+        """Vectors built past the limit trip the int64 assertion of the
+        direct product and of the division row loop."""
+        l = (1 << 61) - 1
+        v = np.full(10, l - 1, dtype=np.int64)
+        with pytest.raises(AssertionError, match="int64 bound"):
+            ffpoly._mul(l, v, v)
+        with pytest.raises(AssertionError, match="int64 bound"):
+            ffpoly._divmod(l, v, v[:5])
 
 
 class TestFactorize:
@@ -101,9 +120,8 @@ class TestFactorize:
         with pytest.raises(ValueError):
             factorize(FpPoly.zero(5))
 
-    def test_big_modulus_python_path(self):
-        l = (1 << 61) - 1
-        assert is_prime(l)
+    def test_largest_modulus(self):
+        l = 999983
         rng = random.Random(4)
         f = random_poly(rng, l, max_deg=10)
         fac = factorize(f)
@@ -195,38 +213,8 @@ class TestBoundedSplitting:
             _edf(quartic, 2)
 
 
-class TestInt64Boundary:
-    """Exactness on both sides of the int64/object choice.
-
-    At l near 2^28, (l-1)^2 is about 2^56, so int64 holds sums of up to 64
-    coefficient products: degree-20 operands compute in int64, degree-300
-    operands in Python ints (300 products would overflow int64).  Coefficients
-    near l - 1 make the sums close to that worst case.
-    """
-
-    L = 268435399
-
-    @pytest.mark.parametrize("deg, dtype", [(20, np.int64), (300, object)])
-    def test_mul_and_divmod(self, deg, dtype):
-        l = self.L
-        assert is_prime(l)
-        rng = random.Random(deg)
-
-        def poly(n):
-            return FpPoly.make(l, [-1 - rng.randrange(1 << 16) for _ in range(n + 1)])
-
-        f, g, a = poly(deg), poly(deg), poly(2 * deg)
-        assert _dtype(l, 2 * (deg + 1)) is dtype and _dtype(l, 3 * deg + 2) is dtype
-        prod = f * g
-        q, r = divmod(a, f)
-        assert q * f + r == a and r.degree < f.degree
-        for x0 in rng.sample(range(l), 8):
-            assert prod(x0) == f(x0) * g(x0) % l
-            assert a(x0) == (q(x0) * f(x0) + r(x0)) % l
-
-
 def _vec(l, coeffs):
-    return np.array(coeffs, dtype=_dtype(l, 1))
+    return np.array(coeffs, dtype=np.int64)
 
 
 def _trimmed(coeffs):
@@ -242,11 +230,12 @@ class TestKernelAgainstSchoolbook:
     quotient crossover, with the path each case takes pinned by spies.
 
     At operand lengths from _FFT_MIN_LEN to a few hundred the bound holds for
-    l = 13, 1999 and 9973 and fails for l = 268435399 and 2^61 - 1 (object
-    dtype), so those convolve directly.
+    l = 13, 1999 and 9973 and fails for l = 999983, the largest prime at
+    most PRIME_LIMIT (it fails there at every length), which convolves
+    directly.
     """
 
-    MODULI = [13, 1999, 9973, 268435399, (1 << 61) - 1]
+    MODULI = [13, 1999, 9973, 999983]
     FFT_EXACT = {13, 1999, 9973}
 
     @staticmethod
@@ -391,9 +380,9 @@ class TestWrappedProducts:
 
 
 class TestFloatEuclid:
-    """`FpPoly.gcd` against Euclid on `oracles.schoolbook_divmod`, on both
-    sides of the float Euclid's bound l (l - 1) < 2^52 (67108859 is the
-    largest prime inside it), with spies pinning which path runs.
+    """`FpPoly.gcd` against Euclid on `oracles.schoolbook_divmod`, up to
+    l = 999983, the largest prime at most PRIME_LIMIT, with spies pinning
+    which steps leave the float path and which vectors are reduced.
 
     Inputs are built from their remainder sequence, bottom up, as
     r_(i-1) = q_i r_i + r_(i+1) from the gcd g and r_(k+1) = 0, so the degree
@@ -404,8 +393,7 @@ class TestFloatEuclid:
     long quotient, which `_divmod` takes.
     """
 
-    MODULI = [13, 1999, 9973, 67108859, 268435399]
-    FLOAT = {13, 1999, 9973, 67108859}
+    MODULI = [13, 1999, 9973, 999983]
 
     @staticmethod
     def sequence(rng, l, steps, drops):
@@ -417,9 +405,16 @@ class TestFloatEuclid:
             lower, upper = upper, padd(oracles.schoolbook_mul(l, q, upper), lower)
         return [c % l for c in upper], lower, g
 
-    def test_bound(self):
-        assert 67108859 * 67108858 < ffpoly._FLOAT_EXACT <= 67108879 * 67108878
-        assert is_prime(67108859) and is_prime(67108879)
+    def test_limit_inside_both_bounds(self):
+        """At l = 999983 the float Euclid's bound l (l - 1) < 2^52 holds, and so
+        does the int64 bound (l - 1)^2 (m + n) < 2^62 for the largest m + n a
+        count forms: a product of two residues mod the Hasse polynomial, whose
+        degree is 8 r + 12 s + 24 n."""
+        l = 999983
+        ctx = PrimeContext.make(l)
+        deg_h = 8 * ctx.r + 12 * ctx.s + 24 * ctx.n
+        assert l * (l - 1) < ffpoly._FLOAT_EXACT
+        assert (l - 1) ** 2 * 2 * deg_h < ffpoly._INT64_BOUND
 
     @pytest.mark.parametrize("l", MODULI)
     @pytest.mark.parametrize("drops", [False, True], ids=["normal", "drops"])
@@ -428,18 +423,14 @@ class TestFloatEuclid:
     def test_gcd(self, l, drops, seed):
         rng = random.Random(seed)
         a, b, g = self.sequence(rng, l, rng.randint(20, 60), drops)
-        with mock.patch.object(
-            ffpoly, "_euclid_float", wraps=ffpoly._euclid_float
-        ) as flt, mock.patch.object(ffpoly, "_divmod", wraps=ffpoly._divmod) as div:
+        with mock.patch.object(ffpoly, "_divmod", wraps=ffpoly._divmod) as div:
             out = FpPoly.make(l, a).gcd(FpPoly.make(l, b))
-        assert flt.called == (l in self.FLOAT)
-        if l in self.FLOAT:
-            # normal steps never leave the float path; a drop of two or more does
-            assert div.called == drops
+        # normal steps never leave the float path; a drop of two or more does
+        assert div.called == drops
         want = oracles.schoolbook_gcd(l, a, b)
         assert list(out.coeffs) == want == list(FpPoly.make(l, g).monic().coeffs)
 
-    @pytest.mark.parametrize("l", [13, 1999, 9973, 67108859])
+    @pytest.mark.parametrize("l", MODULI)
     @pytest.mark.parametrize("sign", [1, -1])
     def test_worst_case_growth(self, l, sign):
         """Quotients c + c x with c = (l -+ 1)/2, the largest centred digits,
@@ -452,20 +443,25 @@ class TestFloatEuclid:
             out = FpPoly.make(l, upper).gcd(FpPoly.make(l, lower))
             assert list(out.coeffs) == oracles.schoolbook_gcd(l, upper, lower) == [1, 1]
 
-    @pytest.mark.parametrize("l, both", [(9973, False), (67108859, True)])
+    @pytest.mark.parametrize("l, both", [(9973, False), (999983, True)])
     def test_newer_vector_reduced_first(self, l, both):
         """A step whose bound would pass 2^52 reduces the newer vector b, and a
         as well only when b alone is not enough.  Quotients x let the bounds
-        grow as Fibonacci numbers towards 2^52; a quotient c + c x with
-        c = (l - 1)/2 every 32nd step then needs both reduced at l = 67108859,
-        where (l - 1)^2 is within 2^30 of 2^52, and b alone at l = 9973.  A
-        spy on `_reduce_float` sees the two cases apart: a step that reduces
-        both reduces b and then the longer a, while later steps reduce ever
+        grow as Fibonacci numbers towards 2^52, and a quotient c + c x with
+        c = (l - 1)/2 every 32nd step then needs b alone reduced.  Both need
+        it when the older bound is within (l - 1)^2 of 2^52.  At l = 999983
+        the first four steps get there, with quotients whose digit sums
+        s = |q0| + |q1| are 8192, 549631, 1 and l - 1: from l - 1 the tracked
+        bounds reach 8193 (l - 1), then 4.50305 10^15, within (l - 1)^2 of
+        2^52, then that plus 8193 (l - 1), still below 2^52.  A spy on
+        `_reduce_float` sees the two cases apart: a step that reduces both
+        reduces b and then the longer a, while later steps reduce ever
         shorter remainders."""
         c = (l - 1) // 2
+        first = [[4096, 4096], [49640, c], [0, 1], [c, c]] if both else []
+        quotients = first + [[c, c] if i % 32 == 31 else [0, 1] for i in reversed(range(100))]
         lower, upper = [], [1, 1]
-        for i in range(100):
-            q = [c, c] if i % 32 == 31 else [0, 1]
+        for q in reversed(quotients):  # bottom up, the first step's quotient last
             lower, upper = upper, [v % l for v in padd(oracles.schoolbook_mul(l, q, upper), lower)]
         with mock.patch.object(ffpoly, "_reduce_float", wraps=ffpoly._reduce_float) as red:
             out = FpPoly.make(l, upper).gcd(FpPoly.make(l, lower))
@@ -475,7 +471,7 @@ class TestFloatEuclid:
         assert (pairs > 0) == both
         assert list(out.coeffs) == oracles.schoolbook_gcd(l, upper, lower) == [1, 1]
 
-    @pytest.mark.parametrize("l", [13, 1999, 67108859])
+    @pytest.mark.parametrize("l", [13, 1999, 999983])
     def test_unrelated_and_degenerate(self, l):
         rng = random.Random(l)
         for _ in range(10):
@@ -493,10 +489,11 @@ class TestFloatEuclid:
 class TestPreparedModulus:
     """Division by an `FpPoly` goes through the `_Modulus` it keeps once a
     quotient is long; results equal plain `_divmod` on both sides of
-    _NEWTON_MIN_QUOT, for int64 and object dtype, whatever order the quotient
-    lengths come in."""
+    _NEWTON_MIN_QUOT, with long products through the FFT (l = 1999) and
+    through `np.convolve` (l = 999983), whatever order the quotient lengths
+    come in."""
 
-    @pytest.mark.parametrize("l", [1999, (1 << 61) - 1], ids=["int64", "object"])
+    @pytest.mark.parametrize("l", [1999, 999983], ids=["int64", "convolve"])
     @settings(max_examples=8, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_against_plain_divmod(self, l, seed):

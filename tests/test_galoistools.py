@@ -1,8 +1,9 @@
 """sympy's galoistools as an oracle for the F_l[x] kernel.
 
 sympy's dense F_l arithmetic shares no code with the numpy kernel behind
-`factorize` and `count_factors`, so agreement here checks the kernel on both
-of its dtypes (int64, and Python ints in object arrays at l = 2^61 - 1).
+`factorize` and `count_factors`, so agreement here checks the kernel up to
+l = 999983, the largest prime the kernel takes, where every product
+convolves directly.
 """
 
 import random
@@ -38,7 +39,7 @@ def _random_product(rng, l, max_deg):
     return f
 
 
-@pytest.mark.parametrize("l", [5, 13, 101, 1009, (1 << 61) - 1])
+@pytest.mark.parametrize("l", [5, 13, 101, 1009, 999983])
 def test_factorize_matches_sympy(l):
     rng = random.Random(l)
     for _ in range(15):
