@@ -5,7 +5,7 @@ Submodules:
   constants -- every fixed polynomial and table, exact integer coefficients
   exactring -- exact univariate/multivariate polynomial arithmetic, QQ(r)
   exactalg  -- the registry of exact polynomial identities
-  ffpoly    -- F_l[x] toolbox: factorization, resultants, square roots, roots in F_{l^2}
+  ffpoly    -- F_l[x] toolbox: factorization, resultants, roots in F_l
   classnum  -- imaginary quadratic class numbers by reduced-form counting
   hasse7    -- the Hasse invariant of E_7 and its factor-type counts
   ss7star   -- ss_p(X), ss_p^(7*)(Y) by resultant and by a norm-based oracle, Nakaya's formula

@@ -18,7 +18,6 @@ from .exactring import (
     MPoly,
     discriminant_zz,
     homogenize,
-    padd,
     pderiv,
     pdeg,
     pdiv_exact,
@@ -339,13 +338,9 @@ def self_check() -> List[Tuple[str, bool]]:
     check("qz_norm_form", list(Q_Z) == psub(ppow((29, -9, 1), 2), pscale(ppow((-4, 1), 2), 28)))
 
     # f1728(x) = x^4 (x-1)^4 q((x^3-3x+1)/(x(x-1))), cleared of denominators
-    acc: list = []
-    xx1 = pmul((0, 1), (-1, 1))  # x(x-1)
-    core = (1, -3, 0, 1)  # x^3 - 3x + 1
-    for k, c in enumerate(Q_Z):
-        term = pscale(pmul(ppow(core, k), ppow(xx1, 4 - k)), c)
-        acc = padd(acc, term)
-    check("f1728_via_qz", acc == list(F1728))
+    x = MPoly.var("x", ("x",))
+    via_qz = homogenize(Q_Z, x**3 - 3 * x + 1, x * (x - 1))
+    check("f1728_via_qz", via_qz == _uni(F1728, "x", ("x",)))
 
     # discriminants quoted in the factor-orbit argument
     check("disc_cubic_d7", discriminant_zz(CUBIC_D7) == 49)

@@ -9,9 +9,5 @@ class StructuralError(Exception):
     """
 
 
-class NotASquareError(StructuralError):
-    """Input to a polynomial square root was not a perfect square."""
-
-
 class UsageError(Exception):
     """Bad configuration or command-line input."""

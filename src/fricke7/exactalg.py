@@ -21,8 +21,6 @@ from .exactring import (
     discriminant_zz,
     homogenize,
     mpoly_resultant,
-    padd,
-    pdeg,
     peval,
     pgcd_monic,
     pmul,
@@ -274,17 +272,17 @@ def _case_lemma2_f():
 
 
 def _case_minpoly_gcd():
+    vars = ("z",)
+    z = MPoly.var("z", vars)
+    F, G = MPoly.from_univar(C.F_Z_NUM, "z", vars), MPoly.from_univar(C.G1_Z_NUM, "z", vars)
+
+    def coeffs(P: MPoly) -> list:
+        return [Fraction(P.terms.get((k,), 0)) for k in range(P.degree("z") + 1)]
+
     residues = []
     for d, m in C.M_D.items():
-        h_poly = C.H_MINUS[d]
-        h = pdeg(list(h_poly))
-        Fd: list = []
-        Gd: list = []
-        for k, c in enumerate(h_poly):
-            if c:
-                Fd = padd(Fd, pscale(pmul(ppow(C.F_Z_NUM, k), ppow((-8, 1), h - k)), c))
-                Gd = padd(Gd, pscale(pmul(ppow(C.G1_Z_NUM, k), ppow((-8, 1), 7 * (h - k))), c))
-        g = pgcd_monic([Fraction(c) for c in Fd], [Fraction(c) for c in Gd])
+        h = C.H_MINUS[d]
+        g = pgcd_monic(coeffs(homogenize(h, F, z - 8)), coeffs(homogenize(h, G, (z - 8) ** 7)))
         residues.append(psub(g, [Fraction(c) for c in m]))
     return residues
 

@@ -1,6 +1,6 @@
 """Prime-field arithmetic plus a univariate polynomial toolbox over F_l:
 factorization (squarefree / distinct-degree / equal-degree), resultants,
-perfect square roots, and root finding in F_l and F_{l^2}.
+and root finding in F_l.
 
 `FpPoly` is the one F_l[x] type.  It holds the modulus and one dense numpy
 coefficient vector, reduced, without trailing zeros, lowest degree first; no
@@ -38,7 +38,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from .classnum import kronecker
-from .errors import NotASquareError, StructuralError
+from .errors import StructuralError
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -756,13 +756,9 @@ def squarefree_decomposition(f: FpPoly) -> List[Tuple[FpPoly, int]]:
     return out
 
 
-def _ddf(f: FpPoly, upto: Optional[int] = None):
-    """Distinct-degree split of monic squarefree f.
-
-    Returns (parts, rem): parts maps d -> product of the irreducible degree-d
-    factors; rem is the unsplit remainder (nontrivial only when `upto` stopped
-    the walk early).
-    """
+def _ddf(f: FpPoly) -> Dict[int, FpPoly]:
+    """Distinct-degree split of monic squarefree f: maps d -> the product of
+    the irreducible degree-d factors."""
     l = f.modulus
     parts: Dict[int, FpPoly] = {}
     x = FpPoly.x(l)
@@ -770,11 +766,8 @@ def _ddf(f: FpPoly, upto: Optional[int] = None):
     d = 0
     while f.degree > 0:
         d += 1
-        if upto is not None and d > upto:
-            return parts, f
         if 2 * d > f.degree:
             parts[f.degree] = f
-            f = FpPoly.one(l)
             break
         h = h.powmod(l, f)
         g = f.gcd(h - x)
@@ -782,7 +775,7 @@ def _ddf(f: FpPoly, upto: Optional[int] = None):
             parts[d] = g
             f = f // g
             h = h % f
-    return parts, f
+    return parts
 
 
 # Random splitting attempts per factor.  A product of distinct degree-d
@@ -830,9 +823,7 @@ def factorize(f: FpPoly) -> Factorization:
         return Factorization(unit=f.lc, factors=())
     found: List[Tuple[FpPoly, int]] = []
     for comp, mult in squarefree_decomposition(f):
-        parts, rem = _ddf(comp)
-        assert rem.degree <= 0
-        for d, prod in sorted(parts.items()):
+        for d, prod in sorted(_ddf(comp).items()):
             found.extend((g.monic(), mult) for g in _edf(prod, d))
     found.sort(key=lambda fm: _sort_key(fm[0]))
     return Factorization(unit=f.lc, factors=tuple(found))
@@ -843,23 +834,6 @@ def radical(f: FpPoly) -> FpPoly:
     out = FpPoly.one(f.modulus)
     for comp, _ in squarefree_decomposition(f):
         out = out * comp
-    return out
-
-
-def poly_sqrt(f: FpPoly) -> FpPoly:
-    """Monic g with g^2 = f / lc(f) for f a square; raises NotASquareError
-    otherwise, also when lc(f) is not a square in F_l."""
-    if f.is_zero:
-        raise NotASquareError("zero polynomial")
-    if f.degree % 2:
-        raise NotASquareError("odd degree")
-    if kronecker(f.lc, f.modulus) != 1:
-        raise NotASquareError("leading coefficient is not a square")
-    out = FpPoly.one(f.modulus)
-    for comp, mult in squarefree_decomposition(f):
-        if mult % 2:
-            raise NotASquareError(f"odd multiplicity {mult}")
-        out = out * comp ** (mult // 2)
     return out
 
 
@@ -926,46 +900,3 @@ def resultant_in_X(f: FpPoly, a1: FpPoly, a0: FpPoly) -> FpPoly:
         u, v = _add(l, v, _mul(l, na1, u)), _add(l, _mul(l, na0, u), fv[k : k + 1])
     uu, uv, vv = _mul(l, u, u), _mul(l, u, v), _mul(l, v, v)
     return FpPoly(l, _add(l, _sub(l, _mul(l, uu, a0._v), _mul(l, uv, a1._v)), vv))
-
-
-# ---------------------------------------------------------------------------
-# roots in F_{l^2}
-
-
-@dataclass(frozen=True)
-class Fp2Elem:
-    """a + b*theta in F_{l^2} = F_l(theta), theta^2 = smallest_nonresidue(l)."""
-
-    modulus: int
-    a: int
-    b: int
-
-    @property
-    def in_prime_field(self) -> bool:
-        return self.b == 0
-
-
-def roots_in_fp2(f: FpPoly) -> List[Fp2Elem]:
-    """The distinct roots of f in F_{l^2}, sorted by (a, b).
-
-    They are the roots of the linear and quadratic factors of rad(f), which
-    one distinct-degree split stopped at degree 2 separates.
-    """
-    if f.is_zero:
-        raise ValueError("zero polynomial")
-    l = f.modulus
-    parts, _ = _ddf(radical(f), upto=2)
-    out = [Fp2Elem(l, -g.coeffs[0] % l, 0) for g in _edf(parts[1], 1)] if 1 in parts else []
-    if 2 in parts:
-        nu_inv = pow(smallest_nonresidue(l), -1, l)
-        inv2 = pow(2, -1, l)
-        for g in _edf(parts[2], 2):
-            # x^2 + a x + b irreducible: the discriminant is nu s^2, and the
-            # roots are (-a +- s theta) / 2
-            b, a = g.coeffs[:2]
-            s = sqrt_mod((a * a - 4 * b) * nu_inv, l)
-            if s is None:
-                raise StructuralError("quadratic with no root in F_{l^2}?")
-            out.extend(Fp2Elem(l, -a * inv2 % l, sign * s * inv2 % l) for sign in (1, -1))
-    out.sort(key=lambda e: (e.a, e.b))
-    return out

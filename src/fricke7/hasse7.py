@@ -247,7 +247,7 @@ def count_factors(
         test = test * (powers[d] - x) % f
     certified = with_histogram and powers[e] == x % f
     g = f.gcd(test)
-    parts = _split_by_powers(g, powers, e) if certified else _ddf(g)[0]
+    parts = _split_by_powers(g, powers, e) if certified else _ddf(g)
 
     def count(d: int) -> int:
         return parts.get(d, one).degree // d
@@ -272,7 +272,7 @@ def count_factors(
             classification_ok = _factor_type_rules(ctx, histogram, done)
         else:  # some factor degree does not divide e: split the rest to show it
             rest = f // math.prod(done.values(), start=one)
-            histogram.update((d, g.degree // d) for d, g in _ddf(rest)[0].items())
+            histogram.update((d, g.degree // d) for d, g in _ddf(rest).items())
             classification_ok = False
         histogram = dict(sorted(histogram.items()))
 
@@ -417,8 +417,7 @@ def verify_count_formulas(ctx: PrimeContext, report: Optional[FactorCountReport]
 
 
 def _factor_degrees(f: FpPoly) -> List[int]:
-    parts, rem = _ddf(_radical(f))
-    assert rem.degree <= 0
+    parts = _ddf(_radical(f))
     return [d for d, p in sorted(parts.items()) for _ in range(p.degree // d)]
 
 

@@ -5,14 +5,15 @@ factor-count consistency identities that tie L^(7*) to the Hasse-invariant
 counts.
 
 ss_p(X) comes from `hasse7.ss_poly`, which certifies J_p squarefree for both
-sweeps; L is its number of roots in F_p.
+sweeps, so the oracle reads its roots in F_{p^2} off ss_p's factors without
+decomposing it again; L is its number of roots in F_p.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
 from . import constants as C
 from .classnum import kronecker, nakaya_class_term
@@ -20,12 +21,12 @@ from .errors import StructuralError
 from .ffpoly import (
     FpPoly,
     PrimeContext,
+    _ddf,
+    _edf,
     count_roots_in_fp,
-    poly_sqrt,
     radical,
     resultant_in_X,
-    roots_in_fp2,
-    smallest_nonresidue,
+    squarefree_decomposition,
 )
 from .hasse7 import FactorCountReport, count_factors, ss_poly  # perfbench times ss7star.ss_poly
 
@@ -42,8 +43,11 @@ def ss7star_resultant(ctx: PrimeContext, ss: FpPoly) -> FpPoly:
         (Y^2+224Y+448)^(2r) (Y^4-528Y^3-9024Y^2-5120Y-1728)^s ss_p^(7*)(Y)^2,
 
     where R_7 = X^2 - A(Y) X + B(Y) and `ss` is ss_p(X) from `ss_poly`.
-    The exact divisions and the square root are demanded; failure of either is
-    a structural error, not a data condition.
+    The exact divisions are demanded, and one squarefree decomposition of
+    what is left both takes its square root and certifies that root
+    squarefree: it must be c g^2 with c a square in F_p and g squarefree (no
+    component, or one of multiplicity 2), and g is returned.  Any other shape
+    is a structural error, not a data condition.
     """
     _check_p(ctx)
     p = ctx.l
@@ -58,10 +62,36 @@ def ss7star_resultant(ctx: PrimeContext, ss: FpPoly) -> FpPoly:
                     f"correction factor {corr} does not divide the resultant at p={p}"
                 )
             lhs = q
-    out = poly_sqrt(lhs)
-    if out.gcd(out.derivative()).degree > 0:
-        raise StructuralError(f"ss^(7*)_{p} from resultant is not squarefree")
-    return out
+    if lhs.is_zero:
+        raise StructuralError(f"the resultant side of ss^(7*) is zero at p={p}")
+    parts = squarefree_decomposition(lhs)
+    if [m for _, m in parts] not in ([], [2]) or kronecker(lhs.lc, p) != 1:
+        raise StructuralError(
+            f"the resultant side at p={p} is not c g^2 with c a square and g squarefree"
+        )
+    return parts[0][0] if parts else FpPoly.one(p)
+
+
+def _root_pairs(ss: FpPoly) -> List[Tuple[int, int]]:
+    """The pairs (a, c), a = (j + j^p)/2 and c = (j - a)^2, both in F_p, over
+    the roots j of the monic squarefree `ss` in F_{p^2}; one pair per
+    conjugate pair, sorted.
+
+    They are read off ss's factors over F_p: x - j gives (j, 0), and an
+    irreducible x^2 + u x + v, with roots (-u +- sqrt(u^2 - 4v))/2, gives
+    (-u/2, (u^2 - 4v)/4).  A factor of degree > 2 has its roots outside
+    F_{p^2}, a structural error for ss_p.
+    """
+    p = ss.modulus
+    parts = _ddf(ss)
+    if max(parts, default=0) > 2:
+        raise StructuralError(f"ss_{p} has a factor of degree {max(parts)} > 2")
+    pairs = [(-g.coeffs[0] % p, 0) for g in _edf(parts[1], 1)] if 1 in parts else []
+    half = pow(2, -1, p)
+    for g in _edf(parts[2], 2) if 2 in parts else []:
+        v, u = g.coeffs[:2]
+        pairs.append((-u * half % p, (u * u - 4 * v) * half * half % p))
+    return sorted(pairs)
 
 
 def ss7star_bruteforce(ctx: PrimeContext, ss: FpPoly) -> FpPoly:
@@ -69,8 +99,8 @@ def ss7star_bruteforce(ctx: PrimeContext, ss: FpPoly) -> FpPoly:
     distinct roots j_7^* of R_7(j, Y), j running over the supersingular j in
     F_{p^2} (the roots of `ss`, which is ss_p(X) from `ss_poly`).
 
-    With j = a + b theta and c = (j - a)^2 = nu b^2 in F_p,
-    R_7(j, Y) = P + (j - a)(2a - A) with P = B - aA + a^2 + c over F_p[Y].
+    With (a, c) from `_root_pairs`, R_7(j, Y) = P + (j - a)(2a - A) with
+    P = B - aA + a^2 + c over F_p[Y].
     Its norm P^2 - c (2a - A)^2 has the roots of R_7(j, Y) and of its
     conjugate R_7(j^p, Y), so the lcm of the radicals of the norms is the
     product.  A root outside F_{p^2} (a radical not dividing Y^(p^2) - Y)
@@ -78,11 +108,10 @@ def ss7star_bruteforce(ctx: PrimeContext, ss: FpPoly) -> FpPoly:
     """
     _check_p(ctx)
     p = ctx.l
-    nu = smallest_nonresidue(p)
     A, B, Y = FpPoly.make(p, C.R7_A), FpPoly.make(p, C.R7_B), FpPoly.x(p)
     out = FpPoly.one(p)
     # j and its conjugate share (a, c), hence the norm
-    for a, c in sorted({(j.a, nu * j.b * j.b % p) for j in roots_in_fp2(ss)}):
+    for a, c in _root_pairs(ss):
         P = B - a * A + (a * a + c)
         rad = radical(P * P - c * (2 * a - A) ** 2)
         if Y.powmod(p * p, rad) != Y % rad:
@@ -113,9 +142,12 @@ class SS7StarReport:
 def counts_and_nakaya(ctx: PrimeContext, check_oracle: bool = False) -> SS7StarReport:
     """Compute ss_p^(7*) from the resultant congruence and the Nakaya verdict.
 
-    `ss7star_bruteforce` (the definition) is the independent oracle.  It is
-    only cheap for small p, so it runs for p <= 300, or for every p with
-    `check_oracle`; the two must agree exactly.
+    `ss7star_bruteforce` (the definition) is the independent oracle; the two
+    must agree exactly.  It runs for p <= 300, or for every p with
+    `check_oracle`.  The cut-off is not a matter of cost (the oracle takes
+    well under a second at p ~ 2000): `oracle_match` is null above it, and the
+    golden payload digests and the benchmark's expected payloads record that,
+    so moving it is a change of results.
     """
     _check_p(ctx)
     p = ctx.l

@@ -147,7 +147,7 @@ def divisor_counts(ctx: PrimeContext):
     irreducible)."""
     l = ctx.l
     sf = radical(hasse_poly(ctx))
-    parts, _ = _ddf(sf)
+    parts = _ddf(sf)
     n1 = parts[1].degree if 1 in parts else 0
     n3 = parts[3].degree // 3 if 3 in parts else 0
     if l % 7 in (1, 6):
@@ -174,7 +174,7 @@ def edf_counts(ctx: PrimeContext):
     reading off which factors have the B(a, b) = 0 or f_7(x, t) shape; the
     production counts find those factors with a Frobenius shape test instead."""
     l = ctx.l
-    parts, _ = _ddf(radical(hasse_poly(ctx)))
+    parts = _ddf(radical(hasse_poly(ctx)))
 
     def factors(d):
         return [g.monic().coeffs for g in _edf(parts[d], d)] if d in parts else []

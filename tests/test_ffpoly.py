@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from fricke7 import constants as C
 from fricke7 import ffpoly
-from fricke7.errors import NotASquareError, StructuralError
+from fricke7.errors import StructuralError
 from fricke7.exactring import padd, pscale, psub
+from fricke7.ss7star import _root_pairs
 from fricke7.ffpoly import (
     _FFT_MIN_LEN,
     _NEWTON_MIN_QUOT,
@@ -21,11 +22,10 @@ from fricke7.ffpoly import (
     _edf,
     factorize,
     is_prime,
-    poly_sqrt,
+    radical,
     resultant,
     distinct_roots_in_fp,
     resultant_in_X,
-    roots_in_fp2,
     smallest_nonresidue,
     sqrt_mod,
     squarefree_decomposition,
@@ -561,75 +561,73 @@ def test_divisor_points_against_pointwise_division(l):
 
 
 class TestPolySqrt:
+    """A square root read off one squarefree decomposition, as
+    `ss7star_resultant` takes it: f / lc(f) = g^2 exactly when every
+    multiplicity is even, and halving them gives g."""
+
     def test_constructed_square(self):
-        f = FpPoly.make(7, [1, 1]) ** 2 * FpPoly.make(7, [3, 1]) ** 4
-        assert poly_sqrt(f) == FpPoly.make(7, [1, 1]) * FpPoly.make(7, [3, 1]) ** 2
+        x1, x3 = FpPoly.make(7, [1, 1]), FpPoly.make(7, [3, 1])
+        assert squarefree_decomposition(x1**2 * x3**4) == [(x1, 2), (x3, 4)]
 
     def test_f7_at_27(self):
-        assert poly_sqrt(FpPoly.make(11, C.expand_f7(27))) == FpPoly.make(11, C.CUBIC_D28)
+        f = FpPoly.make(11, C.expand_f7(27))
+        assert squarefree_decomposition(f) == [(FpPoly.make(11, C.CUBIC_D28), 2)]
 
     def test_non_square_rejected(self):
-        with pytest.raises(NotASquareError):
-            poly_sqrt(FpPoly.make(7, [1, 0, 1]))
+        f = FpPoly.make(7, [1, 0, 1])
+        assert squarefree_decomposition(f) == [(f, 1)]
 
     def test_round_trip_100_cases(self):
         rng = random.Random(10)
         for _ in range(100):
             l = rng.choice(PRIMES)
             g = random_poly(rng, l, max_deg=32).monic()
-            assert poly_sqrt(g * g) == g
+            assert squarefree_decomposition(g * g) == [(c, 2 * m) for c, m in squarefree_decomposition(g)]
 
     def test_high_multiplicity_at_small_modulus(self):
         # multiplicities divisible by l exercise the l-th power branch
-        g = FpPoly.make(5, [1, 1]) ** 10 * FpPoly.make(5, [2, 1]) ** 2
-        assert poly_sqrt(g) == FpPoly.make(5, [1, 1]) ** 5 * FpPoly.make(5, [2, 1])
+        x1, x2 = FpPoly.make(5, [1, 1]), FpPoly.make(5, [2, 1])
+        assert squarefree_decomposition(x1**10 * x2**2) == [(x2, 2), (x1, 10)]
 
 
 class TestFp2:
+    """The roots of a squarefree f in F_{l^2} as the ss^(7*) oracle reads them
+    off f's linear and quadratic factors: one pair (a, c) = (Re j, (j - a)^2)
+    per conjugate pair j, j^l."""
+
     def test_roots_of_x2_plus_1_mod_3(self):
-        roots = roots_in_fp2(FpPoly.make(3, [1, 0, 1]))
-        assert len(roots) == 2 and all(r.b != 0 for r in roots)
-        nu = smallest_nonresidue(3)
-        for r in roots:
-            # (a + b theta)^2 = (a^2 + nu b^2) + 2ab theta
-            sq = ((r.a * r.a + nu * r.b * r.b) % 3, 2 * r.a * r.b % 3)
-            assert sq == (2, 0)  # -1 mod 3
+        # j = +-theta with theta^2 = -1: a = 0, c = -1
+        assert _root_pairs(FpPoly.make(3, [1, 0, 1])) == [(0, 2)]
 
     def test_ss13_single_rational_root(self):
-        assert [(r.a, r.b) for r in roots_in_fp2(FpPoly.make(13, [8, 1]))] == [(5, 0)]
+        assert _root_pairs(FpPoly.make(13, [8, 1])) == [(5, 0)]
 
     def test_conjugate_quadratic_roots(self):
-        roots = roots_in_fp2(FpPoly.make(5, [1, -1, 1]))
-        assert len(roots) == 2
-        assert all(not r.in_prime_field for r in roots)
-        assert roots[0].b == (5 - roots[1].b) % 5  # conjugates
-
-    def test_multiplicity(self):
-        f = FpPoly.make(5, [1, 1]) ** 3
-        roots = roots_in_fp2(f)
-        assert [(r.a, r.b) for r in roots] == [(4, 0)]
+        # x^2 - x + 1: a = 1/2 = 3, c = (1 - 4)/4 = 3, a nonresidue mod 5
+        assert _root_pairs(FpPoly.make(5, [1, -1, 1])) == [(3, 3)]
 
     @pytest.mark.parametrize("l", [5, 13, 31])
     def test_against_every_point_of_fp2(self, l):
-        """The roots are the a + b theta at which f vanishes, found by
-        evaluating f at all l^2 points, for f with repeated factors and
-        factors of degree > 2."""
+        """The pairs are those of the a + b theta at which f vanishes, found
+        by evaluating f at all l^2 points, for squarefree f built from random
+        linear and quadratic factors."""
         rng = random.Random(l)
         nu = smallest_nonresidue(l)
         points = [(a, b) for a in range(l) for b in range(l)]
         for _ in range(12):
             f = FpPoly.one(l)
-            for _ in range(rng.randint(1, 4)):
-                f = f * random_poly(rng, l, max_deg=5) ** rng.randint(1, 3)
-            want = []
+            for _ in range(rng.randint(1, 6)):
+                f = f * random_poly(rng, l, max_deg=2)
+            f = radical(f)
+            want = set()
             for a, b in points:
                 # Horner in F_l(theta): (u + v theta)(a + b theta) = (ua + nu vb) + (ub + va) theta
                 u = v = 0
                 for c in reversed(f.coeffs):
                     u, v = (u * a + nu * v * b + c) % l, (u * b + v * a) % l
                 if not u and not v:
-                    want.append((a, b))
-            assert [(r.a, r.b) for r in roots_in_fp2(f)] == want, f
+                    want.add((a, nu * b * b % l))
+            assert _root_pairs(f) == sorted(want), f
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,10 +1,11 @@
+from contextlib import contextmanager
 from fractions import Fraction
 from unittest import mock
 
 import pytest
 
 from fricke7 import constants as C
-from fricke7 import ffpoly, sweep
+from fricke7 import ffpoly, ss7star, sweep
 from fricke7.classnum import class_number
 from fricke7.errors import StructuralError
 from fricke7.ffpoly import FpPoly, PrimeContext, count_roots_in_fp, factorize
@@ -19,6 +20,21 @@ from fricke7.ss7star import (
 from fricke7.sweep import primes_in
 
 SMALL_PRIMES = [p for p in primes_in(5, 300) if p != 7]
+
+
+@contextmanager
+def _decompositions():
+    """Patch `squarefree_decomposition` in every module that binds it, and
+    yield the list of the polynomials it is called on."""
+    orig, seen = ffpoly.squarefree_decomposition, []
+
+    def spy(f):
+        seen.append(f)
+        return orig(f)
+
+    with mock.patch.object(ffpoly, "squarefree_decomposition", spy), \
+            mock.patch.object(ss7star, "squarefree_decomposition", spy):
+        yield seen
 
 
 class TestSsPoly:
@@ -52,6 +68,13 @@ class TestRoutes:
         ctx = PrimeContext.make(11)
         b = ss7star_bruteforce(ctx, ss_poly(ctx))
         assert b.is_monic and b.degree >= 2
+
+    def test_bruteforce_rejects_irreducible_cubic_in_ss(self):
+        # x^3 + x + 1 has no root mod 5, so its roots lie outside F_(5^2)
+        cubic = FpPoly.make(5, [1, 1, 0, 1])
+        assert all(cubic(t) for t in range(5))
+        with pytest.raises(StructuralError, match="degree 3"):
+            ss7star_bruteforce(PrimeContext.make(5), FpPoly.x(5) * cubic)
 
     def test_bruteforce_rejects_non_supersingular_j(self):
         # j = 1 is not supersingular mod 13, so some j_7^* over it leaves F_(13^2)
@@ -99,14 +122,22 @@ class TestNakaya:
     @pytest.mark.parametrize("p", [307, 311])
     def test_nakaya_row_decomposes_once(self, p):
         """Above the oracle cut-off a sweep row runs one squarefree
-        decomposition, the square root's; ss_p and the root of the resultant
-        are checked by gcds."""
-        with mock.patch.object(
-            ffpoly, "squarefree_decomposition", wraps=ffpoly.squarefree_decomposition
-        ) as sqf:
+        decomposition, the resultant's, which gives its root and certifies it
+        squarefree; ss_p is certified by gcds."""
+        with _decompositions() as seen:
             row = sweep._nakaya_worker((p, False, True))
-        assert sqf.call_count == 1
+        assert len(seen) == 1
         assert row.report.oracle_match is None and row.consistency["ok"]
+
+    @pytest.mark.parametrize("p", [281, 293])
+    def test_oracle_never_decomposes_ss(self, p):
+        """Below the cut-off the oracle reads its (a, c) pairs off ss_p's
+        factors; it decomposes only the norms, never ss_p itself."""
+        with _decompositions() as seen:
+            row = sweep._nakaya_worker((p, False, True))
+        ss = row.report.ss
+        assert row.report.oracle_match is True and ss.degree > 1
+        assert len(seen) > 1 and all(f.monic() != ss for f in seen)
 
     def test_oracle_flag_set_small(self):
         rep = counts_and_nakaya(PrimeContext.make(53))
@@ -115,6 +146,44 @@ class TestNakaya:
         assert rep.oracle_match is None
         rep = counts_and_nakaya(PrimeContext.make(307), check_oracle=True)
         assert rep.oracle_match is True
+
+
+class TestResultantShape:
+    """`ss7star_resultant` accepts a left side c g^2, c a square in F_p and g
+    squarefree, and returns g; any other shape is a structural error.  At
+    p = 37 no correction factor applies (r = s = mu = 0), so a patched
+    resultant is the whole left side."""
+
+    P = 37
+    Y1, Y2 = FpPoly.make(37, [1, 1]), FpPoly.make(37, [2, 0, 1])  # Y + 1, Y^2 + 2
+
+    def _root(self, lhs):
+        ctx = PrimeContext.make(self.P)
+        assert (ctx.r, ctx.s, ctx.mu7) == (0, 0, 0)
+        with mock.patch.object(ss7star, "resultant_in_X", return_value=lhs):
+            return ss7star_resultant(ctx, ss_poly(ctx))
+
+    def test_square_accepted(self):
+        g = self.Y1 * self.Y2
+        assert self._root(g * g * 4) == g
+        assert self._root(FpPoly.make(self.P, [9])) == FpPoly.one(self.P)
+
+    @pytest.mark.parametrize(
+        "lhs",
+        [
+            Y1**4,
+            Y1**2 * Y2**4,
+            Y1**3,
+            Y1**2 * Y2,
+            Y1**2 * 2,  # 2 is not a square mod 37
+            FpPoly.make(37, [2]),
+            FpPoly.zero(37),
+        ],
+        ids=["mult4", "mult2-and-4", "mult3", "mult1", "nonsquare-lc", "nonsquare-constant", "zero"],
+    )
+    def test_other_shapes_rejected(self, lhs):
+        with pytest.raises(StructuralError, match="p=37"):
+            self._root(lhs)
 
 
 class TestCountConsistency:
