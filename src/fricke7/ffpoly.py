@@ -10,7 +10,12 @@ asserted where the sums are formed).  Long products go through a float64 FFT
 inside an asserted exactness bound (`_fft_error`, Percival's error bound
 below 1/2, at the size each transform runs), and long quotients through the
 Newton inverse of the reversed divisor (`_inv_series`); short ones keep
-`np.convolve` and the row loop.  A product a little longer than a power of
+`np.convolve` and the row loop.  A powmod by a divisor b of degree d up to
+`_MATRIX_MAX_DEG` (96) reduces each product of two residues instead by a
+matrix kept on b, whose row i is x^(d+i) mod b: one int64 vector-matrix
+product, 12 us against 65 us for the row loop and 20 us for Newton at
+d = 31 and l = 997, build included; larger divisors take Newton, and the
+row loop is left to one-off short quotients.  A product a little longer than a power of
 two N runs as the size-N cyclic product, less the top coefficients that
 wrapped around, which come exactly from a small product of the operands' top
 coefficients.  A divisor that meets a long quotient keeps that inverse, with
@@ -326,14 +331,47 @@ def _inv_series(l: int, h, n: int, g=None):
 
 # Division computes the quotient from the inverse of the reversed divisor
 # (Newton) once the quotient has this many coefficients, and runs the row
-# loop below it; Euclid steps in gcd have quotients of length 1-2.  Measured
-# as for _FFT_MIN_LEN, row loop vs Newton with a fresh inverse vs Newton with
-# a reused one: a degree-(2d-2) dividend by a degree-d divisor (a powmod
-# step) took 45 / 69 / 16 us at d = 17, 86 / 84 / 17 us at d = 33 and
-# 175 / 113 / 25 us at d = 65; a divisor of degree 2000 took 85 / 133 / 73 us
-# for a quotient of length 16, 151 / 165 / 91 us at 32 and 277 / 221 / 133 us
-# at 64.
+# loop below it.  Measured as for _FFT_MIN_LEN, row loop vs Newton with a
+# fresh inverse vs Newton with a reused one: a degree-(2d-2) dividend by a
+# degree-d divisor took 45 / 69 / 16 us at d = 17, 86 / 84 / 17 us at d = 33
+# and 175 / 113 / 25 us at d = 65; a divisor of degree 2000 took
+# 85 / 133 / 73 us for a quotient of length 16, 151 / 165 / 91 us at 32 and
+# 277 / 221 / 133 us at 64.  A powmod by a divisor of degree at most
+# _MATRIX_MAX_DEG takes neither path (below), so the row loop runs only
+# one-off short quotients: exact divisions, a reduction after a factor
+# splits off, and Euclid's steps after a degree drop.
 _NEWTON_MIN_QUOT = 32
+
+# A powmod by a divisor b of degree d <= _MATRIX_MAX_DEG reduces each product
+# of two residues (length at most 2d - 1) by a matrix R kept on b: row i of R
+# is x^(d+i) mod b, so the product a reduces to a[:d] + a[d:] R, one int64
+# vector-matrix product (numpy's own loop, not BLAS, so no BLAS threads).
+# Larger divisors keep the Newton path.  Measured as for _FFT_MIN_LEN: a
+# whole powmod by a fresh divisor, so R and the inverse are built inside the
+# timing, per reduction, row loop / Newton / matrix (one process, the paths
+# alternating, median of 31).  At l = 997 and e = l (16 reductions):
+# 61 / 21 / 15 us at d = 31, 123 / 28 / 28 us at 64 and 179 / 42 / 41 us at
+# 96; Newton / matrix 47 / 50 us at 112, 67 / 75 us at 128 and 107 / 126 us
+# at 192.  At e = (l^2 - 1)/2 (29 reductions): 65 / 20 / 12 us at d = 31,
+# 133 / 29 / 21 us at 64, 372 / 72 / 59 us at 96 and, Newton / matrix,
+# 174 / 166 us at 192.  Past d = 96 building R (about 7 us a row) outweighs
+# its gain for short exponents: x^l mod J_l at l = 1801 (degree 150) took
+# 1.8 ms by the matrix and 1.4 ms by Newton.
+_MATRIX_MAX_DEG = 96
+
+
+def _reduction_matrix(l: int, b):
+    """The (d - 1) x d matrix R, d = deg b >= 2, whose row i is x^(d+i) mod b:
+    row 0 is x^d = -b[:d] / lc(b), and row i is x times row i - 1, whose x^d
+    term reduces by row 0."""
+    d = len(b) - 1
+    R = np.zeros((d - 1, d), dtype=np.int64)
+    R[0] = -b[:d] * pow(int(b[-1]), -1, l) % l
+    for i in range(1, d - 1):
+        R[i, 1:] = R[i - 1, :-1]
+        R[i] += R[i - 1, -1] * R[0]
+        R[i] %= l
+    return R
 
 
 class _Modulus:
@@ -501,7 +539,7 @@ class FpPoly:
     and `hash` compare the modulus and the coefficients.
     """
 
-    __slots__ = ("modulus", "_v", "_mod")
+    __slots__ = ("modulus", "_v", "_mod", "_mat")
 
     def __init__(self, modulus: int, v):
         """Wrap a coefficient vector already reduced mod `modulus` (low degree
@@ -509,6 +547,7 @@ class FpPoly:
         self.modulus = modulus
         self._v = _trim(v)
         self._mod = None  # the `_Modulus` of self as a divisor, once needed
+        self._mat = None  # the reduction matrix of self, once needed
 
     def __reduce__(self):
         return FpPoly, (self.modulus, self._v)
@@ -623,6 +662,22 @@ class FpPoly:
             self._mod = _Modulus(l, b, nq)
         return self._mod.divmod(a)
 
+    def _residue(self, a):
+        """a mod self, for a product a of two residues mod self (length at
+        most 2 deg - 1).  Up to `_MATRIX_MAX_DEG` it is a[:d] + a[d:] R with
+        the reduction matrix R kept on self, built at the first such product;
+        otherwise `_divide`, prepared for quotients of deg - 1 coefficients."""
+        l, d = self.modulus, self.degree
+        if not 2 <= d <= _MATRIX_MAX_DEG:
+            return self._divide(a, d - 1)[1]
+        if len(a) <= d:
+            return a
+        assert len(a) < 2 * d, "reduction matrix applied to a longer vector"
+        assert (l - 1) ** 2 * len(a) < _INT64_BOUND, "reduction outside the int64 bound"
+        if self._mat is None:
+            self._mat = _reduction_matrix(l, self._v)
+        return _trim((a[:d] + a[d:] @ self._mat[: len(a) - d]) % l)
+
     def __floordiv__(self, other):
         return divmod(self, other)[0]
 
@@ -651,15 +706,15 @@ class FpPoly:
     def powmod(self, e: int, mod: "FpPoly") -> "FpPoly":
         if mod.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        l, nq = self.modulus, mod.degree - 1  # the quotient length of a reduced product
+        l = self.modulus
         out = np.ones(1, dtype=mod._v.dtype)
-        base = mod._divide(self._v, nq)[1]
+        base = mod._divide(self._v, mod.degree - 1)[1]
         while e:
             if e & 1:
-                out = mod._divide(_mul(l, out, base), nq)[1]
+                out = mod._residue(_mul(l, out, base))
             e >>= 1
             if e:
-                base = mod._divide(_mul(l, base, base), nq)[1]
+                base = mod._residue(_mul(l, base, base))
         return FpPoly(l, out)
 
     def pretty(self, var: str = "x") -> str:

@@ -27,12 +27,14 @@ def primes_in(lo: int, hi: int) -> List[int]:
 
 def run_parallel(worker, args: Sequence, jobs: int) -> List:
     """worker(a) for each a, in the order of args.  A pool hands out one item
-    at a time (imap), so the slowest primes, last in a sorted sweep, are
-    spread over every worker."""
+    at a time (imap), from the last of args back: a sweep's args ascend by
+    prime and the work grows with the prime, so the costliest items start
+    first and the cheap ones fill in behind them, instead of one costly item
+    starting last while the other workers idle."""
     if jobs <= 1 or len(args) <= 1:
         return [worker(a) for a in args]
     with multiprocessing.Pool(processes=min(jobs, len(args))) as pool:
-        return list(pool.imap(worker, args))
+        return list(pool.imap(worker, args[::-1]))[::-1]
 
 
 @dataclass(frozen=True)

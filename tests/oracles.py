@@ -6,8 +6,10 @@ import numpy as np
 
 from fricke7 import constants as C
 from fricke7.classnum import kronecker
+from fricke7.errors import StructuralError
 from fricke7.ffpoly import FpPoly, PrimeContext, _ddf, _edf, distinct_roots_in_fp, radical
 from fricke7.hasse7 import _b_value, hasse_poly
+from fricke7.ss7star import _root_pairs
 
 
 def dirichlet_class_number(D: int) -> int:
@@ -62,6 +64,17 @@ def schoolbook_divmod(l: int, a, b):
         for j, y in enumerate(b):
             r[i + j] = (r[i + j] - c * y) % l
     return q, r[: len(b) - 1]
+
+
+def schoolbook_powmod(l: int, a, e: int, b):
+    """a^e mod b for coefficient lists, by square-and-multiply on
+    `schoolbook_mul` and `schoolbook_divmod`."""
+    out, a = [1], schoolbook_divmod(l, a, b)[1]
+    for bit in bin(e)[2:]:
+        out = schoolbook_divmod(l, schoolbook_mul(l, out, out), b)[1]
+        if bit == "1":
+            out = schoolbook_divmod(l, schoolbook_mul(l, out, a), b)[1]
+    return out
 
 
 def schoolbook_gcd(l: int, a, b):
@@ -184,3 +197,20 @@ def edf_counts(ctx: PrimeContext):
     n2 = sum(_b_value(l, g[1], g[0]) == 0 for g in factors(2))
     n6 = sum(g == tuple(c % l for c in C.expand_f7((-g[5] - 3) % l)) for g in factors(6))
     return n1, n2, n3, n6
+
+
+def ss7star_per_pair(ctx: PrimeContext, ss: FpPoly) -> FpPoly:
+    """ss_p^(7*) by the norm route one pair (a, c) at a time: the radical of
+    each norm, its own check that it divides Y^(p^2) - Y, and the running lcm
+    of the radicals; `ss7star_bruteforce` takes one radical of the product of
+    the norms and checks it once."""
+    p = ctx.l
+    A, B, Y = FpPoly.make(p, C.R7_A), FpPoly.make(p, C.R7_B), FpPoly.x(p)
+    out = FpPoly.one(p)
+    for a, c in _root_pairs(ss):
+        P = B - a * A + (a * a + c)
+        rad = radical(P * P - c * (2 * a - A) ** 2)
+        if Y.powmod(p * p, rad) != Y % rad:
+            raise StructuralError(f"j_7^* value outside F_(p^2) at p={p}")
+        out = out * (rad // out.gcd(rad))
+    return out

@@ -277,10 +277,11 @@ def test_console_entry_point():
 def test_pool_never_larger_than_the_prime_list(monkeypatch, capsys):
     from fricke7 import sweep
 
-    sizes = []
+    sizes, handed = [], []
 
     class SerialPool:
-        """Stands in for multiprocessing.Pool: records `processes`, maps in-process."""
+        """Stands in for multiprocessing.Pool: records `processes` and the
+        order imap gets its args in, maps in-process."""
 
         def __init__(self, processes):
             sizes.append(processes)
@@ -292,17 +293,21 @@ def test_pool_never_larger_than_the_prime_list(monkeypatch, capsys):
             return False
 
         def imap(self, fn, args):
+            handed.append(list(args))
             return map(fn, args)
 
     monkeypatch.setattr(sweep.multiprocessing, "Pool", SerialPool)
     assert sweep.run_parallel(abs, [-1, -2, -3], jobs=64) == [1, 2, 3]
     assert sweep.run_parallel(abs, [-1, -2, -3], jobs=2) == [1, 2, 3]
     assert sizes == [3, 2]
+    # the largest prime of a sorted sweep first; the rows come back in order
+    assert handed == [[-3, -2, -1]] * 2
 
     serial = run_cli(["hasse", "--primes", "13,17", "--format", "json"], capsys)
     parallel = run_cli(["hasse", "--primes", "13,17", "--format", "json", "--jobs", "64"], capsys)
     assert parallel[:2] == serial[:2]
     assert sizes == [3, 2, 2]
+    assert [a[0] for a in handed[2]] == [17, 13]
     # one prime runs serially: no pool at all
     run_cli(["hasse", "--primes", "13", "--jobs", "64"], capsys)
     assert sizes == [3, 2, 2]

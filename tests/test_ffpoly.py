@@ -15,6 +15,7 @@ from fricke7.exactring import padd, pscale, psub
 from fricke7.ss7star import _root_pairs
 from fricke7.ffpoly import (
     _FFT_MIN_LEN,
+    _MATRIX_MAX_DEG,
     _NEWTON_MIN_QUOT,
     PRIME_LIMIT,
     FpPoly,
@@ -541,6 +542,86 @@ class TestPreparedModulus:
         assert f._mod is not None
         g = pickle.loads(pickle.dumps(f))
         assert g == f and g._mod is None
+
+
+class TestReductionMatrix:
+    """A powmod by a divisor of degree at most _MATRIX_MAX_DEG reduces every
+    product of two residues by the matrix kept on the divisor; reductions and
+    whole powmods equal the schoolbook oracle at degree 2 and on both sides
+    of the threshold, at l = 999983 with coefficients near l - 1 as well,
+    where the sums come nearest the int64 bound."""
+
+    DEGREES = [2, _MATRIX_MAX_DEG - 1, _MATRIX_MAX_DEG, _MATRIX_MAX_DEG + 1]
+
+    @staticmethod
+    def coeffs(rng, l, n):
+        return TestKernelAgainstSchoolbook.coeffs(rng, l, n, monic_like=True)
+
+    @pytest.mark.parametrize("l", [3, 1999, 999983])
+    @pytest.mark.parametrize("d", DEGREES)
+    @settings(max_examples=6, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_reduction(self, l, d, seed):
+        rng = random.Random(seed)
+        b = self.coeffs(rng, l, d + 1)
+        f = FpPoly.make(l, b)
+        for n in (d + 1, rng.randint(d + 1, 2 * d - 1), 2 * d - 1):
+            a = self.coeffs(rng, l, n)
+            assert _trimmed(f._residue(_vec(l, a))) == _trimmed(oracles.schoolbook_divmod(l, a, b)[1])
+        assert (f._mat is not None) == (d <= _MATRIX_MAX_DEG)
+
+    @pytest.mark.parametrize("l", [3, 1999, 999983])
+    @pytest.mark.parametrize("d", DEGREES)
+    @settings(max_examples=2, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_powmod(self, l, d, seed):
+        rng = random.Random(seed)
+        b = self.coeffs(rng, l, d + 1)
+        base = self.coeffs(rng, l, rng.randint(1, 2 * d))
+        e = rng.randint(2, 40)
+        f = FpPoly.make(l, b)
+        out = FpPoly.make(l, base).powmod(e, f)
+        assert list(out.coeffs) == _trimmed(oracles.schoolbook_powmod(l, base, e, b))
+
+    def test_matrix_rows(self):
+        """Row i of the matrix is x^(d+i) mod b, also for a non-monic b."""
+        l, b = 1999, [5, 0, 7, 1, 3]
+        R = ffpoly._reduction_matrix(l, _vec(l, b))
+        assert R.shape == (3, 4)
+        for i, row in enumerate(R):
+            assert _trimmed(row) == _trimmed(oracles.schoolbook_divmod(l, [0] * (4 + i) + [1], b)[1])
+
+    def test_powmod_by_degree_31_skips_the_row_loop(self):
+        """Every reduction of a powmod mod a degree-31 divisor goes through
+        the one matrix built on it; `_divmod` (whose row loop would run
+        those 30-coefficient quotients) is reached only for the base, which
+        is already reduced.  With the matrix path off, the row loop runs."""
+        l = 997
+        rng = random.Random(3)
+        f = FpPoly.make(l, [rng.randrange(l) for _ in range(31)] + [1])
+        e = (l * l - 1) // 2
+
+        def quotients(spy):
+            return [len(c.args[1]) - len(c.args[2]) + 1 for c in spy.call_args_list]
+
+        with mock.patch.object(ffpoly, "_divmod", wraps=ffpoly._divmod) as div, mock.patch.object(
+            ffpoly, "_reduction_matrix", wraps=ffpoly._reduction_matrix
+        ) as build:
+            h = FpPoly.x(l).powmod(e, f)
+            assert FpPoly.x(l).powmod(e, f) == h
+        assert all(q <= 0 for q in quotients(div)) and build.call_count == 1
+        g = FpPoly(l, f._v)
+        with mock.patch.object(ffpoly, "_MATRIX_MAX_DEG", 0), mock.patch.object(
+            ffpoly, "_divmod", wraps=ffpoly._divmod
+        ) as div:
+            assert FpPoly.x(l).powmod(e, g) == h
+        assert any(q == 30 for q in quotients(div)) and g._mat is None
+
+    def test_int64_bound_is_asserted(self):
+        l = (1 << 61) - 1
+        f = FpPoly(l, np.full(5, l - 1, dtype=np.int64))
+        with pytest.raises(AssertionError, match="int64 bound"):
+            f._residue(np.full(7, l - 1, dtype=np.int64))
 
 
 @pytest.mark.parametrize("l", [13, 101])

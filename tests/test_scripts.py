@@ -37,4 +37,9 @@ def test_bench_counts_runs(tmp_path):
     bench = json.loads(out.read_text())
     assert [r["p"] for r in bench["rows"]] == [41, 59]
     assert all(len(r["runs_s"]) == 2 and r["verdicts"]["factor_types"] == "PASS" for r in bench["rows"])
+    assert [r["p"] for r in bench["nakaya_rows"]] == [41, 59]
+    assert all(
+        len(r["runs_s"]) == 2 and r["oracle_match"] and r["nakaya_ok"] and r["consistency_ok"]
+        for r in bench["nakaya_rows"]
+    )
     assert bench["machine"]["cpus"] and bench["sha"]

@@ -2,6 +2,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from unittest import mock
 
+import oracles
 import pytest
 
 from fricke7 import constants as C
@@ -102,6 +103,35 @@ class TestRoutes:
             rep = counts_and_nakaya(PrimeContext.make(p))
             assert rep.ss7star.is_monic
             assert rep.ss7star.degree >= rep.L7star
+
+
+class TestBatchedOracle:
+    """`ss7star_bruteforce` takes one radical of the product of the norms and
+    checks Y^(p^2) = Y once on it; the per-pair route of `tests/oracles.py`
+    takes each norm's radical, checks each, and forms their lcm."""
+
+    @pytest.mark.parametrize("p", SMALL_PRIMES + [997, 1999])
+    def test_equals_per_pair_route(self, p):
+        ctx = PrimeContext.make(p)
+        ss = ss_poly(ctx)
+        assert ss7star_bruteforce(ctx, ss) == oracles.ss7star_per_pair(ctx, ss)
+
+    @pytest.mark.parametrize("p", [41, 293, 997])
+    def test_one_frobenius_check(self, p):
+        ctx = PrimeContext.make(p)
+        ss = ss_poly(ctx)
+        orig, exponents = FpPoly.powmod, []
+
+        def spy(self, e, mod):
+            exponents.append(e)
+            return orig(self, e, mod)
+
+        with mock.patch.object(FpPoly, "powmod", spy):
+            ss7star_bruteforce(ctx, ss)
+            assert exponents.count(p * p) == 1
+            exponents.clear()
+            oracles.ss7star_per_pair(ctx, ss)
+        assert exponents.count(p * p) == len(ss7star._root_pairs(ss)) > 1
 
 
 class TestNakaya:
