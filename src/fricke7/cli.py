@@ -103,10 +103,13 @@ def emit(rows: List[Dict], fmt: str, out_path: Optional[str], command: str) -> N
 def _columns(rows: List[Dict]) -> List[str]:
     """The CSV and table columns: the keys of the first row that holds a
     result (its prime neither failed nor was skipped), then a failure row's
-    stage and error if a prime failed."""
+    stage and error if a prime failed, and the reason a prime was skipped if
+    one was."""
     keys = list(next((r for r in rows if "error" not in r and "skipped" not in r), rows[0]))
     if any("error" in r for r in rows):
         keys += [k for k in ("stage", "error") if k not in keys]
+    if any("skipped" in r for r in rows) and "skipped" not in keys:
+        keys.append("skipped")
     return keys
 
 

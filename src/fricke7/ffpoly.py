@@ -5,31 +5,32 @@ and root finding in F_l.
 `FpPoly` is the one F_l[x] type.  It holds the modulus and one dense numpy
 coefficient vector, reduced, without trailing zeros, lowest degree first; no
 other module sees that vector.  Moduli are at most `PRIME_LIMIT`, where
-every sum that a product or a division builds fits in int64 (`_INT64_BOUND`,
+every sum that a product or a reduction builds fits in int64 (`_INT64_BOUND`,
 asserted where the sums are formed).  Long products go through a float64 FFT
 inside an asserted exactness bound (`_fft_error`, Percival's error bound
-below 1/2, at the size each transform runs), and long quotients through the
-Newton inverse of the reversed divisor (`_inv_series`); short ones keep
-`np.convolve` and the row loop.  A powmod by a divisor b of degree d up to
-`_MATRIX_MAX_DEG` (96) reduces each product of two residues instead by a
-matrix kept on b, whose row i is x^(d+i) mod b: one int64 vector-matrix
-product, 12 us against 65 us for the row loop and 20 us for Newton at
-d = 31 and l = 997, build included; larger divisors take Newton, and the
-row loop is left to one-off short quotients.  A product a little longer than a power of
-two N runs as the size-N cyclic product, less the top coefficients that
-wrapped around, which come exactly from a small product of the operands' top
-coefficients.  A divisor that meets a long quotient keeps that inverse, with
-the transforms of the inverse and of itself, in a `_Modulus` on its
-`FpPoly`, so powmod chains and repeated reductions mod one f build them
-once; its remainder a - q b is computed mod x^N - 1 with N >= deg b + 1,
-half the transform of the full q b, and the coefficients that must vanish
-there are checked.  Euclid's steps with a one- or two-coefficient quotient
-run in float64 on unreduced integer vectors (`_euclid`), inside a second
-asserted bound: every integer the step computes stays below 2^52, which
-holds for l (l - 1) < 2^52; other steps keep `_divmod`.  All randomized
-steps draw from a PRNG seeded deterministically from the modulus and the
-input coefficients, so every run (and every process) produces identical
-output.
+below 1/2, at the size each transform runs); short ones keep `np.convolve`.
+A product a little longer than a power of two N runs as the size-N cyclic
+product, less the top coefficients that wrapped around, which come exactly
+from a small product of the operands' top coefficients.
+
+Every division goes through one `_Modulus`, the divisor prepared: a constant
+divisor scales by its inverse, and otherwise the quotient is the product of
+the dividend's top with the Newton inverse of the reversed divisor
+(`_inv_series`).  Each `FpPoly` keeps the `_Modulus` of itself as a divisor,
+and that keeps the prefix of the inverse its quotients have needed, extended
+on demand, with the transforms of the inverse and of the divisor, so powmod
+chains and repeated reductions mod one f build them once.  The remainder
+a - q b is computed mod x^N - 1 with N >= deg b + 1, half the transform of
+the full q b, and the coefficients that must vanish there are checked.  A
+powmod by a divisor b of degree d up to `_MATRIX_MAX_DEG` (96) reduces each
+product of two residues instead by a matrix kept on b, whose row i is
+x^(d+i) mod b: one int64 vector-matrix product.  Euclid's steps with a one-
+or two-coefficient quotient run in float64 on unreduced integer vectors
+(`_euclid`), inside a second asserted bound: every integer the step computes
+stays below 2^52, which holds for l (l - 1) < 2^52; other steps divide
+through a one-off `_Modulus`.  All randomized steps draw from a PRNG seeded
+deterministically from the modulus and the input coefficients, so every run
+(and every process) produces identical output.
 """
 
 from __future__ import annotations
@@ -145,14 +146,15 @@ class PrimeContext:
 # coefficient-vector kernel (private; `FpPoly` is its only interface)
 
 # A coefficient of a product of vectors of lengths m and n sums at most
-# min(m, n) < m + n terms below (l-1)^2; a row of the division loop sums at
-# most that many plus one reduced coefficient.  With (l-1)^2 (m + n) < 2^62
+# min(m, n) < m + n terms below (l-1)^2; a coefficient of the reduction of a
+# length-m vector by a reduction matrix sums fewer than m such terms plus one
+# reduced coefficient.  With (l-1)^2 (m + n) < 2^62, or (l-1)^2 m < 2^62,
 # both stay below 2^62 + l, inside int64 (whose maximum is 2^62 + (2^62 - 1)),
-# so int64 is exact; `_mul` and `_divmod` assert it.  At l <= PRIME_LIMIT it
-# holds up to m + n = 4.6 10^6, and the largest product a count forms, of
-# two residues mod the Hasse polynomial H (m + n <= 2 deg H, about 4 l), uses
-# 0.87 of it at l = 999983.  Sums and scalings of two reduced vectors fit as
-# well.
+# so int64 is exact; `_mul` and `_Modulus.residue` assert it.  At
+# l <= PRIME_LIMIT it holds up to m + n = 4.6 10^6, and the largest product a
+# count forms, of two residues mod the Hasse polynomial H (m + n <= 2 deg H,
+# about 4 l), uses 0.87 of it at l = 999983.  Sums and scalings of two
+# reduced vectors fit as well.
 _INT64_BOUND = 2**62
 assert 2 * _INT64_BOUND - 1 == np.iinfo(np.int64).max
 
@@ -315,13 +317,11 @@ def _fold(l: int, v, n: int):
     return w.reshape(-1, size).sum(axis=0) % l
 
 
-def _inv_series(l: int, h, n: int, g=None):
+def _inv_series(l: int, h, n: int, g):
     """g with h g = 1 mod x^n (h[0] a unit), length n, by Newton iteration from
-    the prefix g if one is given: if h g = 1 + e x^k mod x^2k, then g - g e x^k
-    is the inverse mod x^2k."""
+    the prefix g, the inverse mod x^len(g): if h g = 1 + e x^k mod x^2k, then
+    g - g e x^k is the inverse mod x^2k."""
     h = np.concatenate([h[:n], np.zeros(max(0, n - len(h)), dtype=h.dtype)])
-    if g is None:
-        g = np.array([pow(int(h[0]), -1, l)], dtype=h.dtype)
     while len(g) < n:
         k = min(2 * len(g), n)
         e = _mul(l, h[:k], g)[len(g) : k]
@@ -329,31 +329,17 @@ def _inv_series(l: int, h, n: int, g=None):
     return g
 
 
-# Division computes the quotient from the inverse of the reversed divisor
-# (Newton) once the quotient has this many coefficients, and runs the row
-# loop below it.  Measured as for _FFT_MIN_LEN, row loop vs Newton with a
-# fresh inverse vs Newton with a reused one: a degree-(2d-2) dividend by a
-# degree-d divisor took 45 / 69 / 16 us at d = 17, 86 / 84 / 17 us at d = 33
-# and 175 / 113 / 25 us at d = 65; a divisor of degree 2000 took
-# 85 / 133 / 73 us for a quotient of length 16, 151 / 165 / 91 us at 32 and
-# 277 / 221 / 133 us at 64.  A powmod by a divisor of degree at most
-# _MATRIX_MAX_DEG takes neither path (below), so the row loop runs only
-# one-off short quotients: exact divisions, a reduction after a factor
-# splits off, and Euclid's steps after a degree drop.
-_NEWTON_MIN_QUOT = 32
-
-# A powmod by a divisor b of degree d <= _MATRIX_MAX_DEG reduces each product
-# of two residues (length at most 2d - 1) by a matrix R kept on b: row i of R
-# is x^(d+i) mod b, so the product a reduces to a[:d] + a[d:] R, one int64
+# A divisor b of degree d with 2 <= d <= _MATRIX_MAX_DEG reduces a product of
+# two residues (length at most 2d - 1) by a matrix R kept on b: row i of R is
+# x^(d+i) mod b, so the product a reduces to a[:d] + a[d:] R, one int64
 # vector-matrix product (numpy's own loop, not BLAS, so no BLAS threads).
-# Larger divisors keep the Newton path.  Measured as for _FFT_MIN_LEN: a
+# Larger divisors take the Newton quotient.  Measured as for _FFT_MIN_LEN: a
 # whole powmod by a fresh divisor, so R and the inverse are built inside the
-# timing, per reduction, row loop / Newton / matrix (one process, the paths
-# alternating, median of 31).  At l = 997 and e = l (16 reductions):
-# 61 / 21 / 15 us at d = 31, 123 / 28 / 28 us at 64 and 179 / 42 / 41 us at
-# 96; Newton / matrix 47 / 50 us at 112, 67 / 75 us at 128 and 107 / 126 us
-# at 192.  At e = (l^2 - 1)/2 (29 reductions): 65 / 20 / 12 us at d = 31,
-# 133 / 29 / 21 us at 64, 372 / 72 / 59 us at 96 and, Newton / matrix,
+# timing, per reduction, Newton / matrix (one process, the paths alternating,
+# median of 31).  At l = 997 and e = l (16 reductions):
+# 21 / 15 us at d = 31, 28 / 28 us at 64, 42 / 41 us at 96, 47 / 50 us at
+# 112, 67 / 75 us at 128 and 107 / 126 us at 192.  At e = (l^2 - 1)/2 (29
+# reductions): 20 / 12 us at d = 31, 29 / 21 us at 64, 72 / 59 us at 96 and
 # 174 / 166 us at 192.  Past d = 96 building R (about 7 us a row) outweighs
 # its gain for short exponents: x^l mod J_l at l = 1801 (degree 150) took
 # 1.8 ms by the matrix and 1.4 ms by Newton.
@@ -375,21 +361,28 @@ def _reduction_matrix(l: int, b):
 
 
 class _Modulus:
-    """A divisor b prepared for long-quotient division: the Newton inverse of
-    b reversed, and the transforms of that inverse and of b, kept per size.
+    """A nonzero divisor b prepared for division: the prefix of the Newton
+    inverse of b reversed that its quotients have needed so far (from
+    lc(b)^-1, extended on demand), the transforms of that inverse and of b,
+    kept per size, and the reduction matrix of a small b.
 
-    `FpPoly` keeps one on each divisor that a long quotient has met, so a
-    powmod chain, or the many reductions mod one f, build the inverse once.
+    `FpPoly` keeps one on each divisor, so a powmod chain, or the many
+    reductions mod one f, build the inverse once.
     """
 
-    __slots__ = ("l", "b", "inv", "_ffts")
+    __slots__ = ("l", "b", "inv", "_ffts", "_mat")
 
-    def __init__(self, l: int, b, n: int):
-        """Prepared for quotients of up to n coefficients; longer ones extend
-        the inverse."""
+    def __init__(self, l: int, b):
         self.l, self.b = l, b
-        self.inv = _inv_series(l, b[::-1], n)
+        self.inv = np.array([pow(int(b[-1]), -1, l)], dtype=b.dtype)
         self._ffts: Dict[tuple, np.ndarray] = {}
+        self._mat = None  # the reduction matrix, once needed
+
+    def _inverse(self, n: int):
+        """The inverse of b reversed mod x^n, extending the kept prefix."""
+        if len(self.inv) < n:
+            self.inv = _inv_series(self.l, self.b[::-1], n, self.inv)
+        return self.inv[:n]
 
     def _transform(self, name: str, c, n: int):
         """`_rfft(c, n)` of c, the inverse or the divisor (named by `name`),
@@ -401,14 +394,15 @@ class _Modulus:
         return fc
 
     def divmod(self, a):
-        """Quotient and remainder of a, whose quotient is at least one
-        coefficient long."""
+        """Quotient and remainder of a."""
         l, b = self.l, self.b
         db = len(b) - 1
+        if db == 0:
+            return _scale(l, a, int(self.inv[0])), a[:0]
         nq = len(a) - db
-        if len(self.inv) < nq:
-            self.inv = _inv_series(l, b[::-1], nq, self.inv)
-        top, inv = a[: db - 1 : -1], self.inv[:nq]
+        if nq <= 0:
+            return a[:0], a
+        top, inv = a[: db - 1 : -1], self._inverse(nq)
         n = _fft_log2(nq, nq)
         if _fft_ok(l, nq, n):
             q = _mul_fft(l, top, inv, n, self._transform("inv", inv, n))
@@ -416,6 +410,23 @@ class _Modulus:
             q = _mul(l, top, inv)
         q = _trim(q[nq - 1 :: -1])
         return q, self._remainder(a, q)
+
+    def residue(self, a):
+        """a mod b, for a product a of two residues mod b (length at most
+        2 deg b - 1).  Up to `_MATRIX_MAX_DEG` it is a[:d] + a[d:] R with the
+        reduction matrix R, built at the first such product; otherwise the
+        quotient, with the inverse sized for every such product at once."""
+        l, d = self.l, len(self.b) - 1
+        if not 2 <= d <= _MATRIX_MAX_DEG:
+            self._inverse(d - 1)
+            return self.divmod(a)[1]
+        if len(a) <= d:
+            return a
+        assert len(a) < 2 * d, "reduction matrix applied to a longer vector"
+        assert (l - 1) ** 2 * len(a) < _INT64_BOUND, "reduction outside the int64 bound"
+        if self._mat is None:
+            self._mat = _reduction_matrix(l, self.b)
+        return _trim((a[:d] + a[d:] @ self._mat[: len(a) - d]) % l)
 
     def _remainder(self, a, q):
         """a - q b, which has degree below deg b, computed mod x^N - 1 with N
@@ -436,31 +447,6 @@ class _Modulus:
         return _trim(r[:db])
 
 
-def _divmod(l: int, a, b):
-    """Quotient and remainder of a by the nonzero trimmed b; a long quotient
-    goes through a one-off `_Modulus`."""
-    db = len(b) - 1
-    if db == 0:
-        return _scale(l, a, pow(int(b[0]), -1, l)), a[:0]
-    if len(a) <= db:
-        return a[:0], a
-    nq = len(a) - db
-    if nq >= _NEWTON_MIN_QUOT:
-        return _Modulus(l, b, nq).divmod(a)
-    assert (l - 1) ** 2 * (len(a) + len(b)) < _INT64_BOUND, "division outside the int64 bound"
-    inv = pow(int(b[-1]), -1, l)
-    r = a.copy()
-    q = np.zeros(nq, dtype=np.int64)
-    bb = b[:db]
-    for i in range(len(r) - 1, db - 1, -1):
-        c = int(r[i]) % l
-        if c:
-            c = c * inv % l
-            q[i - db] = c
-            r[i - db : i] -= c * bb
-    return _trim(q), _trim(r[:db] % l)
-
-
 # Float Euclid.  A normal Euclid step has a quotient of one or two
 # coefficients, q1 x + q0 (q1 alone if deg a = deg b), so its remainder
 # a - (q1 x + q0) b is one short convolution.
@@ -476,7 +462,7 @@ def _divmod(l: int, a, b):
 # After reducing both the bound is at most (l-1) + (l-1)(l-1) = l (l-1), so
 # the float steps are exact for l (l-1) < 2^52, l <= 2^26, far past
 # PRIME_LIMIT.  Long quotients (the first step, and any after a degree drop
-# of two or more) and constant divisors take `_divmod`.
+# of two or more) and constant divisors divide through a one-off `_Modulus`.
 _FLOAT_EXACT = 2**52
 assert PRIME_LIMIT * (PRIME_LIMIT - 1) < _FLOAT_EXACT
 
@@ -500,7 +486,7 @@ def _euclid(l: int, a, b):
         nq = len(fa) - len(fb) + 1
         if not 1 <= nq <= 2 or len(fb) == 1:
             rb = _residues(l, fb)
-            r = _divmod(l, _residues(l, fa), rb)[1]
+            r = _Modulus(l, rb).divmod(_residues(l, fa))[1]
             fa, fb, ba, bb = rb.astype(np.float64), r.astype(np.float64), l - 1, l - 1
             continue
         inv = pow(int(fb.item(-1)) % l, -1, l)
@@ -539,7 +525,7 @@ class FpPoly:
     and `hash` compare the modulus and the coefficients.
     """
 
-    __slots__ = ("modulus", "_v", "_mod", "_mat")
+    __slots__ = ("modulus", "_v", "_mod")
 
     def __init__(self, modulus: int, v):
         """Wrap a coefficient vector already reduced mod `modulus` (low degree
@@ -547,7 +533,6 @@ class FpPoly:
         self.modulus = modulus
         self._v = _trim(v)
         self._mod = None  # the `_Modulus` of self as a divisor, once needed
-        self._mat = None  # the reduction matrix of self, once needed
 
     def __reduce__(self):
         return FpPoly, (self.modulus, self._v)
@@ -647,36 +632,14 @@ class FpPoly:
         other = self._bin(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        q, r = other._divide(self._v)
+        q, r = other._prepared().divmod(self._v)
         return FpPoly(self.modulus, q), FpPoly(self.modulus, r)
 
-    def _divide(self, a, nq: int = 0):
-        """divmod of the vector a by self.  A long quotient goes through the
-        `_Modulus` kept on self, built (for quotients of up to nq coefficients
-        at least) at the first one."""
-        l, b = self.modulus, self._v
-        nq = max(nq, len(a) - len(b) + 1)
-        if len(b) < 2 or len(a) - len(b) + 1 < _NEWTON_MIN_QUOT:
-            return _divmod(l, a, b)
+    def _prepared(self) -> _Modulus:
+        """The `_Modulus` of self as a nonzero divisor, built once and kept."""
         if self._mod is None:
-            self._mod = _Modulus(l, b, nq)
-        return self._mod.divmod(a)
-
-    def _residue(self, a):
-        """a mod self, for a product a of two residues mod self (length at
-        most 2 deg - 1).  Up to `_MATRIX_MAX_DEG` it is a[:d] + a[d:] R with
-        the reduction matrix R kept on self, built at the first such product;
-        otherwise `_divide`, prepared for quotients of deg - 1 coefficients."""
-        l, d = self.modulus, self.degree
-        if not 2 <= d <= _MATRIX_MAX_DEG:
-            return self._divide(a, d - 1)[1]
-        if len(a) <= d:
-            return a
-        assert len(a) < 2 * d, "reduction matrix applied to a longer vector"
-        assert (l - 1) ** 2 * len(a) < _INT64_BOUND, "reduction outside the int64 bound"
-        if self._mat is None:
-            self._mat = _reduction_matrix(l, self._v)
-        return _trim((a[:d] + a[d:] @ self._mat[: len(a) - d]) % l)
+            self._mod = _Modulus(self.modulus, self._v)
+        return self._mod
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -706,15 +669,15 @@ class FpPoly:
     def powmod(self, e: int, mod: "FpPoly") -> "FpPoly":
         if mod.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        l = self.modulus
+        l, m = self.modulus, mod._prepared()
         out = np.ones(1, dtype=mod._v.dtype)
-        base = mod._divide(self._v, mod.degree - 1)[1]
+        base = m.divmod(self._v)[1]
         while e:
             if e & 1:
-                out = mod._residue(_mul(l, out, base))
+                out = m.residue(_mul(l, out, base))
             e >>= 1
             if e:
-                base = mod._residue(_mul(l, base, base))
+                base = m.residue(_mul(l, base, base))
         return FpPoly(l, out)
 
     def pretty(self, var: str = "x") -> str:

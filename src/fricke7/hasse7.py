@@ -19,7 +19,6 @@ from .ffpoly import (
     FpPoly,
     PrimeContext,
     _ddf,
-    _edf,
     count_roots_in_fp,
     distinct_roots_in_fp,
     radical as _radical,  # perfbench/traced.py times hasse7._radical and hasse7._ddf
@@ -124,16 +123,12 @@ def _b_form(a, b):
     return a**3 + (8 - 5 * b) * a**2 + (5 + 6 * b - 8 * b**2) * a - b**3 - 5 * b**2 + 8 * b - 1
 
 
-def _b_value(l: int, a: int, b: int) -> int:
-    """B(a, b) mod l for the quadratic-factor membership test."""
-    return _b_form(a, b) % l
-
-
 def _b_residue(q: FpPoly, h: FpPoly) -> FpPoly:
     """B(-(x + h), x h) mod q, for q a product of distinct irreducible quadratics
     and h = x^l mod a multiple of q.  On a factor x^2 + a x + b with roots r, r^l,
     x maps to r and h to r^l, so -(x + h) and x h reduce to a and b: by the CRT
-    the residue is zero exactly when B(a, b) = 0 on every factor, unsplit."""
+    the residue is zero exactly when B(a, b) = 0 on every factor, unsplit, and
+    its gcd with q is the product of the factors with B(a, b) = 0."""
     x = FpPoly.x(q.modulus)
     h = h % q
     return _b_form(-(x + h) % q, x * h % q) % q
@@ -211,8 +206,10 @@ def count_factors(
     count of the histogram is what the smaller degrees leave over, and G splits
     by the h_d already at hand (`_split_by_powers`); if the certificate fails,
     so does the classification, G is split by `_ddf`, and the rest of f is
-    split to show the offending degree.  N2 checks B(a, b) = 0 on every family
-    quadratic by one residue (`_b_residue`) at e = 2 and by splitting at e = 6.
+    split to show the offending degree.  N2 is half the degree of the gcd of
+    the degree-2 part with its B residue (`_b_residue`), unsplit, at both e;
+    at e = 2 every family quadratic must have B(a, b) = 0, so that count must
+    equal the degree-2 count.
     `with_histogram=False` takes only the tests and powers that `need` asks for.
     """
     need = frozenset(need)
@@ -253,13 +250,11 @@ def count_factors(
         return parts.get(d, one).degree // d
 
     n2 = None
-    if "N2" in need and e == 6:
-        quads = _edf(parts[2], 2) if 2 in parts else []
-        n2 = sum(_b_value(l, g.coeffs[1], g.coeffs[0]) == 0 for g in quads)
-    elif "N2" in need:
-        if 2 in parts and not _b_residue(parts[2], powers[1]).is_zero:
+    if "N2" in need:
+        q = parts.get(2)
+        n2 = q.gcd(_b_residue(q, powers[1])).degree // 2 if q is not None else 0
+        if e == 2 and n2 != count(2):
             raise StructuralError("family quadratic violates B(a, b) = 0")
-        n2 = count(2)
 
     histogram = classification_ok = None
     if with_histogram:

@@ -8,8 +8,13 @@ from fricke7 import constants as C
 from fricke7.classnum import kronecker
 from fricke7.errors import StructuralError
 from fricke7.ffpoly import FpPoly, PrimeContext, _ddf, _edf, distinct_roots_in_fp, radical
-from fricke7.hasse7 import _b_value, hasse_poly
+from fricke7.hasse7 import _b_form, hasse_poly
 from fricke7.ss7star import _root_pairs
+
+
+def b_value(l: int, a: int, b: int) -> int:
+    """B(a, b) mod l, the membership test of the quadratic families."""
+    return _b_form(a, b) % l
 
 
 def dirichlet_class_number(D: int) -> int:
@@ -174,7 +179,7 @@ def divisor_counts(ctx: PrimeContext):
         n2 = len(found)
     else:
         quads = [q.coeffs for q in _edf(parts[2], 2)] if 2 in parts else []
-        n2 = sum(_b_value(l, q[1], q[0]) == 0 for q in quads)
+        n2 = sum(b_value(l, q[1], q[0]) == 0 for q in quads)
     at0, at1 = C.expand_f7(0), C.expand_f7(1)
     f7 = [FpPoly.make(l, [c0, c1 - c0]) for c0, c1 in zip(at0[:6], at1[:6])]
     n6 = sum(is_irreducible(FpPoly.make(l, C.expand_f7(t0))) for t0 in divisor_points(sf, f7))
@@ -194,7 +199,7 @@ def edf_counts(ctx: PrimeContext):
 
     n1 = parts[1].degree if 1 in parts else 0
     n3 = parts[3].degree // 3 if 3 in parts else 0
-    n2 = sum(_b_value(l, g[1], g[0]) == 0 for g in factors(2))
+    n2 = sum(b_value(l, g[1], g[0]) == 0 for g in factors(2))
     n6 = sum(g == tuple(c % l for c in C.expand_f7((-g[5] - 3) % l)) for g in factors(6))
     return n1, n2, n3, n6
 

@@ -251,14 +251,19 @@ def test_failure_row_in_csv_and_table(primes, monkeypatch, capsys):
 @pytest.mark.parametrize("fmt", ["csv", "table"])
 def test_skipped_first_row_keeps_the_columns(command, fmt, capsys):
     """A range that starts at the excluded prime 7 still writes every field
-    of the rows after it."""
+    of the rows after it, and the skipped row keeps its reason in a last
+    column."""
     code, out, _ = run_cli([command, "--primes", "7,11", "--format", fmt], capsys)
     assert code == 0
     if fmt == "table":
         header, *lines = out.splitlines()
         row = dict(zip(header.split(), lines[-1].split()))  # cells up to the first with spaces
+        assert header.split()[-1] == "skipped"
+        assert lines[0].split()[0] == "7" and lines[0].endswith("  excluded by hypothesis")
     else:
-        row = list(csv.DictReader(io.StringIO(out)))[-1]
+        skipped, row = list(csv.DictReader(io.StringIO(out)))
+        assert skipped["p"] == "7" and skipped["skipped"] == "excluded by hypothesis"
+        assert row["skipped"] == ""
     assert row["p"] == "11" and row["L"] == "2"
 
 

@@ -16,7 +16,6 @@ from fricke7.ss7star import _root_pairs
 from fricke7.ffpoly import (
     _FFT_MIN_LEN,
     _MATRIX_MAX_DEG,
-    _NEWTON_MIN_QUOT,
     PRIME_LIMIT,
     FpPoly,
     PrimeContext,
@@ -62,13 +61,11 @@ class TestPrimeContext:
 
     def test_int64_bound_is_asserted(self):
         """Vectors built past the limit trip the int64 assertion of the
-        direct product and of the division row loop."""
+        direct product."""
         l = (1 << 61) - 1
         v = np.full(10, l - 1, dtype=np.int64)
         with pytest.raises(AssertionError, match="int64 bound"):
             ffpoly._mul(l, v, v)
-        with pytest.raises(AssertionError, match="int64 bound"):
-            ffpoly._divmod(l, v, v[:5])
 
 
 class TestFactorize:
@@ -226,9 +223,9 @@ def _trimmed(coeffs):
 
 
 class TestKernelAgainstSchoolbook:
-    """`_mul` and `_divmod` against the schoolbook oracles, on both sides of
-    the FFT length crossover, of the FFT exactness bound and of the Newton
-    quotient crossover, with the path each case takes pinned by spies.
+    """`_mul` and `_Modulus.divmod` against the schoolbook oracles, on both
+    sides of the FFT length crossover and of the FFT exactness bound, with
+    the path each case takes pinned by spies.
 
     At operand lengths from _FFT_MIN_LEN to a few hundred the bound holds for
     l = 13, 1999 and 9973 and fails for l = 999983, the largest prime at
@@ -267,32 +264,42 @@ class TestKernelAgainstSchoolbook:
         assert _trimmed(out) == _trimmed(oracles.schoolbook_mul(l, a, b))
 
     @pytest.mark.parametrize("l", MODULI)
-    @pytest.mark.parametrize("path", ["loop", "newton", "reused-inverse"])
-    @settings(max_examples=8, deadline=None)
+    @pytest.mark.parametrize("path", ["newton", "reused-inverse"])
+    @settings(max_examples=6, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_divmod(self, l, path, seed):
+        """Quotients of 1, 31, 32 and a drawn 1 to 300 coefficients, by a
+        constant divisor and by one of degree 1 to 150.  "newton" divides
+        through a one-off `_Modulus`, whose inverse starts at lc(b)^-1;
+        "reused-inverse" through one kept `_Modulus` per divisor, met first by
+        a drawn quotient, whose inverse each longer quotient extends from the
+        prefix the earlier ones left."""
         rng = random.Random(seed)
-        db = rng.randint(1, 150)
-        if path == "loop":
-            nq = rng.randint(1, _NEWTON_MIN_QUOT - 1)
-        else:
-            nq = rng.randint(_NEWTON_MIN_QUOT, 300)
-        a = self.coeffs(rng, l, db + nq, monic_like=True)
-        b = self.coeffs(rng, l, db + 1, monic_like=True)
-        bv, prepared = _vec(l, b), None
-        if path == "reused-inverse":
-            n = nq + rng.randint(0, 50)
-            prepared = ffpoly._Modulus(l, bv, n)
-            assert _trimmed(oracles.schoolbook_mul(l, b[::-1], _trimmed(prepared.inv))[:n]) == [1]
-        with mock.patch.object(ffpoly, "_mul", wraps=ffpoly._mul) as mul, mock.patch.object(
-            ffpoly, "_mul_fft", wraps=ffpoly._mul_fft
-        ) as fft, mock.patch.object(ffpoly, "_inv_series", wraps=ffpoly._inv_series) as inv:
-            q, r = prepared.divmod(_vec(l, a)) if prepared else ffpoly._divmod(l, _vec(l, a), bv)
-        assert (mul.called or fft.called) == (path != "loop")
-        assert inv.called == (path == "newton")
-        want_q, want_r = oracles.schoolbook_divmod(l, a, b)
-        assert _trimmed(q) == _trimmed(want_q)
-        assert _trimmed(r) == _trimmed(want_r)
+        lengths = [1, 31, 32, rng.randint(1, 300)]
+        for db in (0, rng.randint(1, 150)):
+            b = self.coeffs(rng, l, db + 1, monic_like=True)
+            bv = _vec(l, b)
+            kept = ffpoly._Modulus(l, bv)
+            if path == "reused-inverse":
+                kept.divmod(_vec(l, self.coeffs(rng, l, db + rng.randint(1, 300))))
+                n = len(kept.inv)
+                assert _trimmed(oracles.schoolbook_mul(l, b[::-1], _trimmed(kept.inv))[:n]) == [1]
+            for nq in lengths:
+                a = self.coeffs(rng, l, db + nq, monic_like=True)
+                prepared = kept if path == "reused-inverse" else ffpoly._Modulus(l, bv)
+                had = len(prepared.inv)
+                with mock.patch.object(ffpoly, "_mul", wraps=ffpoly._mul) as mul, mock.patch.object(
+                    ffpoly, "_mul_fft", wraps=ffpoly._mul_fft
+                ) as fft, mock.patch.object(ffpoly, "_inv_series", wraps=ffpoly._inv_series) as inv:
+                    q, r = prepared.divmod(_vec(l, a))
+                assert (mul.called or fft.called) == (db > 0)
+                assert [(len(c.args[3]), c.args[2]) for c in inv.call_args_list] == (
+                    [(had, nq)] if db and nq > had else []
+                )
+                assert len(prepared.inv) == (max(had, nq) if db else 1)
+                want_q, want_r = oracles.schoolbook_divmod(l, a, b)
+                assert _trimmed(q) == _trimmed(want_q)
+                assert _trimmed(r) == _trimmed(want_r)
 
 
 class TestWrappedProducts:
@@ -346,7 +353,8 @@ class TestWrappedProducts:
         nq = rng.randint(size + 1, size + 200) if long_quotient else rng.randint(_FFT_MIN_LEN, size)
         a = TestKernelAgainstSchoolbook.coeffs(rng, self.L, db + nq, monic_like=True)
         b = TestKernelAgainstSchoolbook.coeffs(rng, self.L, db + 1, monic_like=True)
-        prepared = ffpoly._Modulus(self.L, _vec(self.L, b), nq)
+        prepared = ffpoly._Modulus(self.L, _vec(self.L, b))
+        prepared._inverse(nq)
         with mock.patch.object(ffpoly, "_rfft", wraps=ffpoly._rfft) as rfft, mock.patch.object(
             ffpoly, "_fold", wraps=ffpoly._fold
         ) as fold:
@@ -391,7 +399,7 @@ class TestFloatEuclid:
     two or more is a degree drop of two or more in the sequence: the
     coefficients the float step leaves on top of that remainder are multiples
     of l but not zero (the vectors are unreduced), and the next step has a
-    long quotient, which `_divmod` takes.
+    long quotient, which a one-off `_Modulus` takes.
     """
 
     MODULI = [13, 1999, 9973, 999983]
@@ -424,7 +432,7 @@ class TestFloatEuclid:
     def test_gcd(self, l, drops, seed):
         rng = random.Random(seed)
         a, b, g = self.sequence(rng, l, rng.randint(20, 60), drops)
-        with mock.patch.object(ffpoly, "_divmod", wraps=ffpoly._divmod) as div:
+        with mock.patch.object(ffpoly, "_Modulus", wraps=ffpoly._Modulus) as div:
             out = FpPoly.make(l, a).gcd(FpPoly.make(l, b))
         # normal steps never leave the float path; a drop of two or more does
         assert div.called == drops
@@ -488,11 +496,12 @@ class TestFloatEuclid:
 
 
 class TestPreparedModulus:
-    """Division by an `FpPoly` goes through the `_Modulus` it keeps once a
-    quotient is long; results equal plain `_divmod` on both sides of
-    _NEWTON_MIN_QUOT, with long products through the FFT (l = 1999) and
+    """Division by an `FpPoly` goes through the `_Modulus` it keeps, built at
+    the first division; results equal the schoolbook division for quotients
+    of every length, with long products through the FFT (l = 1999) and
     through `np.convolve` (l = 999983), whatever order the quotient lengths
-    come in."""
+    come in, and the kept inverse grows only as far as the longest quotient
+    so far needs."""
 
     @pytest.mark.parametrize("l", [1999, 999983], ids=["int64", "convolve"])
     @settings(max_examples=8, deadline=None)
@@ -500,32 +509,37 @@ class TestPreparedModulus:
     def test_against_plain_divmod(self, l, seed):
         rng = random.Random(seed)
         db = rng.randint(1, 200)
-        b = FpPoly.make(l, [rng.randrange(l) for _ in range(db)] + [rng.randrange(1, l)])
-        long_seen = False
+        bc = [rng.randrange(l) for _ in range(db)] + [rng.randrange(1, l)]
+        b = FpPoly.make(l, bc)
+        longest = 1
         for _ in range(4):
-            if rng.random() < 0.5:
-                nq = rng.randint(1, _NEWTON_MIN_QUOT - 1)
-            else:
-                nq = rng.randint(_NEWTON_MIN_QUOT, 2 * db + 40)
-            long_seen |= nq >= _NEWTON_MIN_QUOT and db > 0
-            a = FpPoly.make(l, [rng.randrange(l) for _ in range(db + nq - 1)] + [rng.randrange(1, l)])
+            nq = rng.randint(1, 31) if rng.random() < 0.5 else rng.randint(32, 2 * db + 40)
+            longest = max(longest, nq)
+            ac = [rng.randrange(l) for _ in range(db + nq - 1)] + [rng.randrange(1, l)]
+            a = FpPoly.make(l, ac)
             q, r = divmod(a, b)
-            want_q, want_r = ffpoly._divmod(l, a._v, b._v)
-            assert q == FpPoly(l, want_q) and r == FpPoly(l, want_r)
+            want_q, want_r = oracles.schoolbook_divmod(l, ac, bc)
+            assert list(q.coeffs) == _trimmed(want_q) and list(r.coeffs) == _trimmed(want_r)
             assert a // b == q and a % b == r
-            assert (b._mod is not None) == long_seen
+            assert len(b._mod.inv) == longest
         assert q * b + r == a
 
-    def test_short_quotient_builds_none(self):
+    def test_short_then_long_extends_one_inverse(self):
+        """A short quotient builds the kept inverse only as far as it needs;
+        a long one then extends that prefix, and no `_inv_series` call starts
+        again from lc(b)^-1."""
         l = 1999
         rng = random.Random(1)
         b = random_poly(rng, l, max_deg=100) * FpPoly.make(l, [0] * 100 + [1])
-        a = b * FpPoly.make(l, [rng.randrange(l) for _ in range(_NEWTON_MIN_QUOT - 1)]) + 5
+        short = b * FpPoly.make(l, [rng.randrange(l) for _ in range(4)] + [1]) + 5
+        long = b * FpPoly.make(l, [rng.randrange(l) for _ in range(149)] + [1]) + 7
         with mock.patch.object(ffpoly, "_Modulus", wraps=ffpoly._Modulus) as prep, mock.patch.object(
             ffpoly, "_inv_series", wraps=ffpoly._inv_series
         ) as inv:
-            assert a % b == FpPoly.make(l, [5]) and (a - 5) // b * b == a - 5
-        assert not prep.called and not inv.called and b._mod is None
+            assert short % b == FpPoly.make(l, [5]) and (short - 5) // b * b == short - 5
+            assert long % b == FpPoly.make(l, [7]) and (long - 7) // b * b == long - 7
+        assert prep.call_count == 1
+        assert [(len(c.args[3]), c.args[2]) for c in inv.call_args_list] == [(1, 5), (5, 150)]
 
     def test_powmod_reuses_one_inverse(self):
         l = 1999
@@ -546,10 +560,11 @@ class TestPreparedModulus:
 
 class TestReductionMatrix:
     """A powmod by a divisor of degree at most _MATRIX_MAX_DEG reduces every
-    product of two residues by the matrix kept on the divisor; reductions and
-    whole powmods equal the schoolbook oracle at degree 2 and on both sides
-    of the threshold, at l = 999983 with coefficients near l - 1 as well,
-    where the sums come nearest the int64 bound."""
+    product of two residues by the matrix its `_Modulus` keeps
+    (`_Modulus.residue`); reductions and whole powmods equal the schoolbook
+    oracle at degree 2 and on both sides of the threshold, at l = 999983 with
+    coefficients near l - 1 as well, where the sums come nearest the int64
+    bound."""
 
     DEGREES = [2, _MATRIX_MAX_DEG - 1, _MATRIX_MAX_DEG, _MATRIX_MAX_DEG + 1]
 
@@ -567,8 +582,9 @@ class TestReductionMatrix:
         f = FpPoly.make(l, b)
         for n in (d + 1, rng.randint(d + 1, 2 * d - 1), 2 * d - 1):
             a = self.coeffs(rng, l, n)
-            assert _trimmed(f._residue(_vec(l, a))) == _trimmed(oracles.schoolbook_divmod(l, a, b)[1])
-        assert (f._mat is not None) == (d <= _MATRIX_MAX_DEG)
+            want = oracles.schoolbook_divmod(l, a, b)[1]
+            assert _trimmed(f._prepared().residue(_vec(l, a))) == _trimmed(want)
+        assert (f._mod._mat is not None) == (d <= _MATRIX_MAX_DEG)
 
     @pytest.mark.parametrize("l", [3, 1999, 999983])
     @pytest.mark.parametrize("d", DEGREES)
@@ -591,37 +607,37 @@ class TestReductionMatrix:
         for i, row in enumerate(R):
             assert _trimmed(row) == _trimmed(oracles.schoolbook_divmod(l, [0] * (4 + i) + [1], b)[1])
 
-    def test_powmod_by_degree_31_skips_the_row_loop(self):
+    def test_powmod_by_degree_31_reduces_by_the_matrix(self):
         """Every reduction of a powmod mod a degree-31 divisor goes through
-        the one matrix built on it; `_divmod` (whose row loop would run
-        those 30-coefficient quotients) is reached only for the base, which
-        is already reduced.  With the matrix path off, the row loop runs."""
+        the one matrix built on it: no quotient is formed (the base is
+        already reduced), and no inverse is built.  With the matrix path off,
+        the products take Newton quotients of up to 30 coefficients."""
         l = 997
         rng = random.Random(3)
         f = FpPoly.make(l, [rng.randrange(l) for _ in range(31)] + [1])
         e = (l * l - 1) // 2
 
         def quotients(spy):
-            return [len(c.args[1]) - len(c.args[2]) + 1 for c in spy.call_args_list]
+            return [len(c.args[1]) - 31 for c in spy.call_args_list if len(c.args[1]) > 31]
 
-        with mock.patch.object(ffpoly, "_divmod", wraps=ffpoly._divmod) as div, mock.patch.object(
-            ffpoly, "_reduction_matrix", wraps=ffpoly._reduction_matrix
-        ) as build:
+        divmod_ = ffpoly._Modulus.divmod
+        with mock.patch.object(ffpoly._Modulus, "divmod", autospec=True, side_effect=divmod_) as div, \
+                mock.patch.object(ffpoly, "_reduction_matrix", wraps=ffpoly._reduction_matrix) as build:
             h = FpPoly.x(l).powmod(e, f)
             assert FpPoly.x(l).powmod(e, f) == h
-        assert all(q <= 0 for q in quotients(div)) and build.call_count == 1
+        assert quotients(div) == [] and build.call_count == 1 and len(f._mod.inv) == 1
         g = FpPoly(l, f._v)
         with mock.patch.object(ffpoly, "_MATRIX_MAX_DEG", 0), mock.patch.object(
-            ffpoly, "_divmod", wraps=ffpoly._divmod
+            ffpoly._Modulus, "divmod", autospec=True, side_effect=divmod_
         ) as div:
             assert FpPoly.x(l).powmod(e, g) == h
-        assert any(q == 30 for q in quotients(div)) and g._mat is None
+        assert 30 in quotients(div) and g._mod._mat is None
 
     def test_int64_bound_is_asserted(self):
         l = (1 << 61) - 1
         f = FpPoly(l, np.full(5, l - 1, dtype=np.int64))
         with pytest.raises(AssertionError, match="int64 bound"):
-            f._residue(np.full(7, l - 1, dtype=np.int64))
+            f._prepared().residue(np.full(7, l - 1, dtype=np.int64))
 
 
 @pytest.mark.parametrize("l", [13, 101])

@@ -11,7 +11,6 @@ from fricke7.classnum import kronecker
 from fricke7.errors import StructuralError
 from fricke7.ffpoly import FpPoly, PrimeContext, distinct_roots_in_fp, factorize, radical
 from fricke7.hasse7 import (
-    _b_value,
     count_factors,
     deuring_J,
     g_of_x_j,
@@ -251,6 +250,46 @@ class TestCountingPath:
         of_f = [c for c in inv.call_args_list if tuple(map(int, c.args[1])) == rev]
         assert len(of_f) == 1
 
+    def test_every_division_enters_a_modulus(self):
+        """Over one `count_factors` at l = 1999 and one nakaya worker at 283,
+        every division by a non-constant `FpPoly` enters `_Modulus.divmod`
+        once, and every powmod by one reduces its base there and each of its
+        products through `_Modulus.residue`."""
+        entered = {"divmod": 0, "residue": 0}
+        modulus_divmod, modulus_residue = ffpoly._Modulus.divmod, ffpoly._Modulus.residue
+        poly_divmod, poly_powmod = FpPoly.__divmod__, FpPoly.powmod
+        divisions, powmods = [], []
+
+        def counted(name, method):
+            def run(self, a):
+                entered[name] += 1
+                return method(self, a)
+            return run
+
+        def divmod_(self, other):
+            before = entered["divmod"]
+            out = poly_divmod(self, other)
+            if isinstance(other, FpPoly) and other.degree > 0:
+                divisions.append(entered["divmod"] - before)
+            return out
+
+        def powmod(self, e, mod):
+            before = dict(entered)
+            out = poly_powmod(self, e, mod)
+            if mod.degree > 0:
+                products = bin(e).count("1") + e.bit_length() - 1
+                powmods.append((entered["divmod"] > before["divmod"], entered["residue"] - before["residue"] - products))
+            return out
+
+        with mock.patch.object(ffpoly._Modulus, "divmod", counted("divmod", modulus_divmod)), \
+                mock.patch.object(ffpoly._Modulus, "residue", counted("residue", modulus_residue)), \
+                mock.patch.object(FpPoly, "__divmod__", divmod_), mock.patch.object(FpPoly, "powmod", powmod):
+            rep = count_factors(PrimeContext.make(1999))
+            row = sweep._nakaya_worker((283, False, True))
+        assert rep.classification_ok and row.failure is None and row.consistency is not None
+        assert len(divisions) > 50 and set(divisions) == {1}
+        assert len(powmods) > 10 and set(powmods) == {(True, 0)}
+
 
 class TestSplitByPowers:
     """After a passed certificate, G is split by the powers x^(l^d) mod f
@@ -315,15 +354,16 @@ class TestFailedCertificate:
 
 
 class TestBResidue:
-    """`_b_residue` checks B(a, b) = 0 on every quadratic of a product at once;
-    the oracle splits the product and reads B on each factor."""
+    """`_b_residue` checks B(a, b) = 0 on every quadratic of a product at once,
+    and its gcd with the product counts the quadratics with B(a, b) = 0; the
+    oracle splits the product and reads B on each factor."""
 
     @pytest.mark.parametrize("l", [29, 41, 43, 83])
     def test_against_split_oracle(self, l):
         rng = random.Random(l)
         irreducible = [(a, b) for a in range(l) for b in range(l) if kronecker(a * a - 4 * b, l) == -1]
-        on_b = [q for q in irreducible if _b_value(l, *q) == 0]
-        off_b = [q for q in irreducible if _b_value(l, *q) != 0]
+        on_b = [q for q in irreducible if oracles.b_value(l, *q) == 0]
+        off_b = [q for q in irreducible if oracles.b_value(l, *q) != 0]
         assert on_b and off_b
         seen = set()
         for _ in range(40):
@@ -332,8 +372,11 @@ class TestBResidue:
             for a, b in picks:
                 q = q * FpPoly.make(l, [b, a, 1])
             h = FpPoly.x(l).powmod(l, q)
-            split = all(_b_value(l, g.coeffs[1], g.coeffs[0]) == 0 for g in ffpoly._edf(q, 2))
-            assert hasse7._b_residue(q, h).is_zero == split, picks
+            on = [oracles.b_value(l, g.coeffs[1], g.coeffs[0]) == 0 for g in ffpoly._edf(q, 2)]
+            split = all(on)
+            residue = hasse7._b_residue(q, h)
+            assert residue.is_zero == split, picks
+            assert q.gcd(residue).degree // 2 == sum(on), picks
             seen.add(split)
         assert seen == {True, False}
 

@@ -1,5 +1,6 @@
 """Every name a module of the package imports is used in that module, and
-every name it defines at module level is used somewhere in the repository.
+every name it defines at module level, and every method of a module-level
+class, is used somewhere in the repository.
 
 There is no linter in the toolchain, so these are the unused-import and
 dead-name checks.  ``__init__`` is exempt from the first: its imports are
@@ -43,11 +44,16 @@ def test_the_check_sees_an_unused_import():
 
 
 def defined_names(source: str):
-    """Module-level functions, classes and assigned names, with their lines."""
+    """Module-level functions, classes and assigned names, and the methods of
+    module-level classes (as class.method), with their lines."""
     out = {}
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             out[node.name] = node.lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    out[f"{node.name}.{item.name}"] = item.lineno
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
@@ -74,12 +80,14 @@ def loaded_names(source: str):
 
 
 def dead_names(source: str, loaded):
-    """Names `source` defines at module level that `loaded` lacks; dunders are exempt."""
-    return sorted(
-        (line, name)
-        for name, line in defined_names(source).items()
-        if name not in loaded and not (name.startswith("__") and name.endswith("__"))
-    )
+    """Names `source` defines at module level, and methods, that `loaded`
+    lacks (a method by its own name); dunders are exempt."""
+    out = []
+    for name, line in defined_names(source).items():
+        own = name.rpartition(".")[2]
+        if own not in loaded and not (own.startswith("__") and own.endswith("__")):
+            out.append((line, name))
+    return sorted(out)
 
 
 def test_no_dead_module_names():
@@ -96,9 +104,14 @@ def test_the_check_sees_a_dead_name():
         "def f():\n"
         "    return A\n"
         "class K:\n"
-        "    pass\n"
+        "    def __len__(self):\n"
+        "        return 0\n"
+        "    def used(self):\n"
+        "        pass\n"
+        "    def _unused(self):\n"
+        "        pass\n"
         "def g():\n"
         "    pass\n"
     )
-    user = "import m.K\nfrom m import D\nm.f()\nwrap(m, 'B')\n"
-    assert dead_names(src, loaded_names(src) | loaded_names(user)) == [(2, "C"), (8, "g")]
+    user = "import m.K\nfrom m import D\nm.f()\nwrap(m, 'B')\nm.K().used()\n"
+    assert dead_names(src, loaded_names(src) | loaded_names(user)) == [(2, "C"), (11, "K._unused"), (13, "g")]
