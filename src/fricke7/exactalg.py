@@ -4,7 +4,9 @@ ZZ[t][z]/(z^2-(t+3)z+(8t+9)).
 
 Every case evaluates both sides with exact arithmetic and reports the residual;
 a pass is a proof of the identity (grid checks use strictly more points per
-variable than the degree bound, so they are proofs too).
+variable than the degree bound, so they are proofs too).  `verify_identity`
+runs one case of `REGISTRY` by id; the `identities` command of the CLI runs
+them all.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Sequence
 
 from . import constants as C
 from .exactring import (
@@ -348,12 +350,3 @@ def verify_identity(case_id: str) -> IdentityResult:
     dt = time.perf_counter() - t0
     detail = "" if ok else f"nonzero residual: {residual!r:.200s}"
     return IdentityResult(id=case_id, ok=ok, seconds=dt, detail=detail)
-
-
-def run_all_identities(ids: Optional[Sequence[str]] = None) -> List[IdentityResult]:
-    if ids is None:
-        ids = list(REGISTRY)
-    ids = list(ids)
-    if not ids:
-        raise ValueError("no identity cases selected")
-    return [verify_identity(i) for i in ids]

@@ -382,14 +382,6 @@ class CubicNum:
             raise ArithmeticError("element not rational")
         return self.c[0]
 
-    def mul_matrix(self):
-        """3x3 rational matrix of multiplication by self on the basis 1, r, r^2."""
-        cols = []
-        for basis in (CubicNum(1), CubicNum.gen(), CubicNum.gen() ** 2):
-            cols.append((self * basis).c)
-        # columns are images; return row-major matrix
-        return [[cols[j][i] for j in range(3)] for i in range(3)]
-
     def __repr__(self):
         return f"CubicNum({self.c[0]}, {self.c[1]}, {self.c[2]})"
 
@@ -540,17 +532,6 @@ class MPoly:
         """Coefficient list in `name`, low degree first."""
         d = self.degree(name)
         return [self.coeff_of(name, k) for k in range(d + 1)]
-
-    def eval_all(self, point: Dict[str, object]):
-        """Full evaluation; returns a coefficient-ring element."""
-        out = 0
-        for e, c in self.terms.items():
-            t = c
-            for name, k in zip(self.vars, e):
-                if k:
-                    t = t * point[name] ** k
-            out = out + t
-        return out
 
     def map_coeffs(self, fn: Callable) -> "MPoly":
         return MPoly(self.vars, {e: fn(c) for e, c in self.terms.items()})

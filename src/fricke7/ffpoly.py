@@ -1,6 +1,8 @@
 """Prime-field arithmetic plus a univariate polynomial toolbox over F_l:
-factorization (squarefree / distinct-degree / equal-degree), resultants,
-and root finding in F_l.
+factorization (squarefree / distinct-degree / equal-degree), the resultant
+in X behind ss^(7*), and root finding in F_l.  `_ddf` is the one split of a
+squarefree polynomial by degree: a caller that already holds Frobenius powers
+x^(l^d) passes them in, and a last power equal to x limits the degrees.
 
 `FpPoly` is the one F_l[x] type.  It holds the modulus and one dense numpy
 coefficient vector, reduced, without trailing zeros, lowest degree first; no
@@ -39,7 +41,7 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -72,40 +74,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def sqrt_mod(a: int, p: int) -> Optional[int]:
-    """A square root of a mod p (odd prime), or None if a is a non-residue."""
-    a %= p
-    if a == 0:
-        return 0
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    # Tonelli-Shanks
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = smallest_nonresidue(p)
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
-
-
-def smallest_nonresidue(p: int) -> int:
-    for z in range(2, p):
-        if pow(z, (p - 1) // 2, p) == p - 1:
-            return z
-    raise ValueError(f"no nonresidue mod {p}?")
 
 
 # ---------------------------------------------------------------------------
@@ -708,16 +676,6 @@ class Factorization:
     unit: int
     factors: Tuple[Tuple[FpPoly, int], ...]
 
-    def expand(self, l: Optional[int] = None) -> FpPoly:
-        if self.factors:
-            l = self.factors[0][0].modulus
-        if l is None:
-            raise ValueError("empty factorization needs an explicit modulus")
-        out = FpPoly.make(l, [self.unit])
-        for f, m in self.factors:
-            out = out * f**m
-        return out
-
     def pretty(self, var: str = "x") -> str:
         bits = [] if self.unit == 1 else [str(self.unit)]
         for f, m in self.factors:
@@ -774,25 +732,40 @@ def squarefree_decomposition(f: FpPoly) -> List[Tuple[FpPoly, int]]:
     return out
 
 
-def _ddf(f: FpPoly) -> Dict[int, FpPoly]:
+def _ddf(f: FpPoly, powers: Sequence[FpPoly] = ()) -> Dict[int, FpPoly]:
     """Distinct-degree split of monic squarefree f: maps d -> the product of
-    the irreducible degree-d factors."""
+    the irreducible degree-d factors (von zur Gathen-Gerhard, ch. 14).
+
+    powers[d] = x^(l^d) mod a multiple of f, d <= e = len(powers) - 1, are the
+    Frobenius powers a caller already holds (powers[0] = x).  Step d reduces
+    powers[d] mod the f left at that step, through the input f, whose inverse
+    is thus built once; past e it continues by powmod.  If powers[e] = x mod f,
+    f divides x^(l^e) - x, so every factor degree divides e: the split takes
+    gcds only at the proper divisors of e and what is left is the degree-e
+    part."""
     l = f.modulus
     parts: Dict[int, FpPoly] = {}
     x = FpPoly.x(l)
+    e = len(powers) - 1
+    start = f
+    certified = e > 0 and powers[e] % f == x % f
     h = x
     d = 0
     while f.degree > 0:
         d += 1
+        if certified and d == e:
+            parts[e] = f
+            break
         if 2 * d > f.degree:
             parts[f.degree] = f
             break
-        h = h.powmod(l, f)
+        if certified and e % d:
+            continue
+        h = powers[d] % start % f if d <= e else h.powmod(l, f)
         g = f.gcd(h - x)
         if g.degree > 0:
             parts[d] = g
             f = f // g
-            h = h % f
     return parts
 
 
@@ -877,27 +850,7 @@ def count_roots_in_fp(f: FpPoly) -> int:
 
 
 # ---------------------------------------------------------------------------
-# resultants
-
-
-def resultant(f: FpPoly, g: FpPoly) -> int:
-    """Res(f, g) in F_l via the Euclidean remainder sequence."""
-    if f.is_zero or g.is_zero:
-        raise ValueError("resultant of the zero polynomial")
-    l = f.modulus
-    res = 1
-    a, b = f, g
-    while True:
-        da, db = a.degree, b.degree
-        if db == 0:
-            return res * pow(b.coeffs[0], da, l) % l
-        rem = a % b
-        if rem.is_zero:
-            return 0
-        if (da * db) & 1:
-            res = -res
-        res = res * pow(b.lc, da - rem.degree, l) % l
-        a, b = b, rem
+# the resultant in X
 
 
 def resultant_in_X(f: FpPoly, a1: FpPoly, a0: FpPoly) -> FpPoly:

@@ -1,7 +1,8 @@
 """The Hasse invariant of the order-7 Tate normal form over F_l: construction,
-factor-type counting (N1, N2, N3, N6), and the verification routines for the
-factor-type classification, the class-number count formulas, and the
-supporting factorization statements about f_0, f_1728 and G(x, j).
+factor-type counting (N1, N2, N3, N6) from one gcd and one distinct-degree
+split, and the verdicts on the factor-type classification and the
+class-number count formulas.  The factorization statements about f_0, f_1728
+and G(x, j), which no sweep reports, are checked in `tests/paper_checks.py`.
 """
 
 from __future__ import annotations
@@ -18,11 +19,9 @@ from .exactring import homogenize
 from .ffpoly import (
     FpPoly,
     PrimeContext,
-    _ddf,
+    _ddf,  # perfbench/traced.py times hasse7._ddf
     count_roots_in_fp,
     distinct_roots_in_fp,
-    radical as _radical,  # perfbench/traced.py times hasse7._radical and hasse7._ddf
-    sqrt_mod,
 )
 
 ALL_COUNTS = frozenset({"N1", "N2", "N3", "N6"})
@@ -162,25 +161,6 @@ def _family_pairs(l: int):
     return [(FpPoly.make(l, [0, -alpha, 1]), FpPoly.make(l, [1, alpha - 1])) for alpha in alphas]
 
 
-def _split_by_powers(g: FpPoly, powers: List[FpPoly], e: int) -> Dict[int, FpPoly]:
-    """The distinct-degree split of g, a monic divisor of f, when every factor
-    degree of f divides e and powers[d] = x^(l^d) mod f for d < e: since g | f,
-    x^(l^d) mod g is powers[d] mod g.  The proper divisors d of e are peeled
-    off in increasing order, and what is left has degree-e factors only."""
-    x = FpPoly.x(g.modulus)
-    parts = {}
-    for d in range(1, e):
-        if e % d or g.degree <= 0:
-            continue
-        part = g.gcd(powers[d] % g - x)
-        if part.degree > 0:
-            parts[d] = part
-            g = g // part
-    if g.degree > 0:
-        parts[e] = g
-    return parts
-
-
 def count_factors(
     ctx: PrimeContext,
     need: Sequence[str] = ("N1", "N2", "N3", "N6"),
@@ -201,12 +181,13 @@ def count_factors(
     the Frobenius shape test n(h_1) m - n m(h_1) for `_f7_pair` (N6) or
     `_family_pairs` (N2), which vanishes at a root b exactly when (n/m)(b) is
     in F_l; n(h_1) and m(h_1) come from one table of h_1^k mod f.  The
-    distinct-degree split of G, of small degree, gives the counts.
-    h_e = x mod f certifies that every factor degree divides e, so the degree-e
-    count of the histogram is what the smaller degrees leave over, and G splits
-    by the h_d already at hand (`_split_by_powers`); if the certificate fails,
-    so does the classification, G is split by `_ddf`, and the rest of f is
-    split to show the offending degree.  N2 is half the degree of the gcd of
+    distinct-degree split of G, of small degree, gives the counts: one
+    `_ddf(G, powers)` with the h_d already at hand, which needs no further
+    power when the last one certifies G.  h_e = x mod f certifies that every
+    factor degree divides e, so the degree-e count of the histogram is what
+    the smaller degrees leave over; if that certificate fails, so does the
+    classification, and the rest of f is split, by the same powers, to show
+    the offending degree.  N2 is half the degree of the gcd of
     the degree-2 part with its B residue (`_b_residue`), unsplit, at both e;
     at e = 2 every family quadratic must have B(a, b) = 0, so that count must
     equal the degree-2 count.
@@ -244,7 +225,7 @@ def count_factors(
         test = test * (powers[d] - x) % f
     certified = with_histogram and powers[e] == x % f
     g = f.gcd(test)
-    parts = _split_by_powers(g, powers, e) if certified else _ddf(g)
+    parts = _ddf(g, powers)
 
     def count(d: int) -> int:
         return parts.get(d, one).degree // d
@@ -267,7 +248,7 @@ def count_factors(
             classification_ok = _factor_type_rules(ctx, histogram, done)
         else:  # some factor degree does not divide e: split the rest to show it
             rest = f // math.prod(done.values(), start=one)
-            histogram.update((d, g.degree // d) for d, g in _ddf(rest).items())
+            histogram.update((d, g.degree // d) for d, g in _ddf(rest, powers).items())
             classification_ok = False
         histogram = dict(sorted(histogram.items()))
 
@@ -405,85 +386,3 @@ def verify_count_formulas(ctx: PrimeContext, report: Optional[FactorCountReport]
         h_minus_7l=h_7l,
         verdicts=verdicts,
     )
-
-
-# ---------------------------------------------------------------------------
-# factor counts of the fixed special polynomials and of G(x, j)
-
-
-def _factor_degrees(f: FpPoly) -> List[int]:
-    parts = _ddf(_radical(f))
-    return [d for d, p in sorted(parts.items()) for _ in range(p.degree // d)]
-
-
-def _six_linear_or_two_cubics(degs: List[int], want_linear: bool) -> bool:
-    """Exactly six distinct linear factors (l = 6 mod 7), or exactly two
-    irreducible cubics and no linear factor (l = 3, 5 mod 7)."""
-    if want_linear:
-        return degs.count(1) == 6
-    return degs.count(3) == 2 and degs.count(1) == 0
-
-
-def verify_special_factorizations(ctx: PrimeContext) -> Dict[str, str]:
-    """Linear/cubic factor counts of f_0 and f_1728, plus the C+/C- parity split.
-
-    f_0 (when l = 2 mod 3) and f_1728 (when l = 3 mod 4) must show exactly six
-    distinct linear factors for l = 6 mod 7, and exactly two irreducible cubic
-    factors for l = 3, 5 mod 7.  The f_1728 case additionally splits over
-    F_l(sqrt 7) as C+ C- with one all-linear (or two-cubic) and one
-    all-quadratic (or one-sextic) half.
-    """
-    l = ctx.l
-    out: Dict[str, str] = {}
-    # the linear case assumes l > 7 with l = 6 mod 7; the cubic case l > 3, l != 7
-    if l <= 3 or l == 7 or l % 7 not in (3, 5, 6):
-        return {"f0": "SKIP", "f1728": "SKIP", "psv_split": "SKIP"}
-    want_linear = l % 7 == 6
-
-    if l % 3 == 2:
-        ok = _six_linear_or_two_cubics(_factor_degrees(FpPoly.make(l, C.F0)), want_linear)
-        out["f0"] = "PASS" if ok else "FAIL"
-    else:
-        out["f0"] = "SKIP"
-
-    if l % 4 == 3:
-        ok = _six_linear_or_two_cubics(_factor_degrees(FpPoly.make(l, C.F1728)), want_linear)
-        out["f1728"] = "PASS" if ok else "FAIL"
-        s7 = sqrt_mod(7, l)
-        if s7 is None:
-            out["psv_split"] = "FAIL"  # sqrt(7) must exist when (-7/l) = -1, l = 3 mod 4
-        else:
-            xb = FpPoly.make(l, [0, 1]) * FpPoly.make(l, [-1, 1]) * FpPoly.make(l, C.B_POLY)
-            a_poly = FpPoly.make(l, C.A_POLY)
-            c_plus = a_poly + (2 * s7) * xb
-            c_minus = a_poly - (2 * s7) * xb
-            shapes = sorted(tuple(sorted(_factor_degrees(c))) for c in (c_plus, c_minus))
-            if want_linear:
-                ok = shapes == [(1, 1, 1, 1, 1, 1), (2, 2, 2)]
-            else:
-                ok = shapes == [(3, 3), (6,)]
-            out["psv_split"] = "PASS" if ok else "FAIL"
-    else:
-        out["f1728"] = "SKIP"
-        out["psv_split"] = "SKIP"
-    return out
-
-
-def g_of_x_j(l: int, j: int) -> FpPoly:
-    """G(x, j) mod l."""
-    return FpPoly.make(l, C.J77_NUM) - j * FpPoly.make(l, C.J77_DEN)
-
-
-def verify_g_factor_counts(ctx: PrimeContext) -> Dict[str, object]:
-    """For each supersingular j != 0, 1728 in F_l: G(x, j) has exactly six
-    distinct linear factors (l = 6 mod 7) or exactly two irreducible cubic
-    factors (l = 3, 5 mod 7)."""
-    l = ctx.l
-    if l % 7 not in (3, 5, 6):
-        return {"status": "SKIP", "checked": 0}
-    js = [j for j in supersingular_j_in_fp(ctx) if j not in (0, 1728 % l)]
-    for j in js:
-        degs = _factor_degrees(g_of_x_j(l, j))
-        if not _six_linear_or_two_cubics(degs, l % 7 == 6):
-            return {"status": "FAIL", "checked": len(js), "j": j, "degrees": degs}
-    return {"status": "PASS" if js else "PASS-VACUOUS", "checked": len(js)}

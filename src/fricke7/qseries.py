@@ -5,7 +5,8 @@ q-expansion identities they satisfy.
 A series knows its least exponent (offset, in units of the scale variable),
 its coefficient window, and nothing beyond it: arithmetic propagates the
 valid window, so an identity passing "through prec" is a verified congruence
-of that many coefficients.
+of that many coefficients.  `verify_series_identity` runs one case of
+`REGISTRY` by id; the `qseries` command of the CLI runs them all.
 """
 
 from __future__ import annotations
@@ -197,9 +198,6 @@ class LaurentSeries:
         if not (self.offset <= exponent < self.end):
             raise IndexError(f"exponent {exponent} outside window [{self.offset}, {self.end})")
         return self.coeffs[exponent - self.offset]
-
-    def is_zero_through(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
 
     def first_nonzero_exponent(self) -> Optional[int]:
         for i, c in enumerate(self.coeffs):
@@ -456,7 +454,3 @@ def verify_series_identity(case_id: str, prec: int = DEFAULT_PREC) -> SeriesIden
     if prec < MIN_PREC:
         raise ValueError(f"prec >= {MIN_PREC} required")
     return REGISTRY[case_id](prec)
-
-
-def run_all_series_identities(prec: int = DEFAULT_PREC) -> List[SeriesIdentityResult]:
-    return [verify_series_identity(i, prec) for i in REGISTRY]

@@ -1,13 +1,14 @@
 """Independent test oracles, kept out of the production code paths."""
 
 import math
+from typing import Optional
 
 import numpy as np
 
 from fricke7 import constants as C
 from fricke7.classnum import kronecker
 from fricke7.errors import StructuralError
-from fricke7.ffpoly import FpPoly, PrimeContext, _ddf, _edf, distinct_roots_in_fp, radical
+from fricke7.ffpoly import Factorization, FpPoly, PrimeContext, _ddf, _edf, distinct_roots_in_fp, radical
 from fricke7.hasse7 import _b_form, hasse_poly
 from fricke7.ss7star import _root_pairs
 
@@ -97,6 +98,39 @@ def schoolbook_gcd(l: int, a, b):
         a, b = b, trim(schoolbook_divmod(l, a, b)[1])
     inv = pow(a[-1], -1, l)
     return [c * inv % l for c in a]
+
+
+def resultant(f: FpPoly, g: FpPoly) -> int:
+    """Res(f, g) in F_l via the Euclidean remainder sequence."""
+    if f.is_zero or g.is_zero:
+        raise ValueError("resultant of the zero polynomial")
+    l = f.modulus
+    res = 1
+    a, b = f, g
+    while True:
+        da, db = a.degree, b.degree
+        if db == 0:
+            return res * pow(b.coeffs[0], da, l) % l
+        rem = a % b
+        if rem.is_zero:
+            return 0
+        if (da * db) & 1:
+            res = -res
+        res = res * pow(b.lc, da - rem.degree, l) % l
+        a, b = b, rem
+
+
+def expand(fac: Factorization, l: Optional[int] = None) -> FpPoly:
+    """unit * prod factor^mult of a `Factorization`; l is needed only when it
+    has no factors."""
+    if fac.factors:
+        l = fac.factors[0][0].modulus
+    if l is None:
+        raise ValueError("empty factorization needs an explicit modulus")
+    out = FpPoly.make(l, [fac.unit])
+    for f, m in fac.factors:
+        out = out * f**m
+    return out
 
 
 def is_irreducible(g: FpPoly) -> bool:

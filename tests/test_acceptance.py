@@ -10,6 +10,8 @@ import random
 import time
 
 import oracles
+from oracles import resultant
+from paper_checks import run_all_identities, run_all_series_identities
 from fricke7 import constants as C
 from fricke7.classnum import class_number, field_discriminant, is_squarefree
 from fricke7.cli import main as cli_main
@@ -19,18 +21,15 @@ from fricke7.cmeval import (
     verify_psi7_factorization,
     verify_psi7_root,
 )
-from fricke7.exactalg import run_all_identities
 from fricke7.ffpoly import (
     FpPoly,
     PrimeContext,
     factorize,
-    resultant,
 )
 from fricke7.hasse7 import linear_count_formula, cubic_count_formula
 from fricke7.qseries import (
     eta_quotient4,
     j7star_series,
-    run_all_series_identities,
     verify_series_identity,
 )
 from fricke7.ss7star import count_consistency, ss7star_bruteforce, ss7star_resultant, ss_poly
@@ -206,7 +205,7 @@ def test_criterion_11_property_suites(capsys):
         deg = rng.randint(1, 40)
         f = FpPoly.make(l, [rng.randrange(l) for _ in range(deg)] + [rng.randrange(1, l)])
         fac = factorize(f)
-        ok = ok and fac.expand() == f
+        ok = ok and oracles.expand(fac) == f
         for g, _ in fac.factors:
             ok = ok and oracles.is_irreducible(g)
             certified += 1

@@ -2,7 +2,8 @@ import pytest
 
 from fricke7 import constants as C
 from fricke7 import exactalg
-from fricke7.exactalg import REGISTRY, run_all_identities, verify_identity
+from fricke7.exactalg import REGISTRY, verify_identity
+from paper_checks import run_all_identities
 
 
 def test_registry_has_17_cases():

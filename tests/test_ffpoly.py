@@ -1,3 +1,4 @@
+import math
 import pickle
 import random
 from unittest import mock
@@ -23,13 +24,12 @@ from fricke7.ffpoly import (
     factorize,
     is_prime,
     radical,
-    resultant,
     distinct_roots_in_fp,
     resultant_in_X,
-    smallest_nonresidue,
-    sqrt_mod,
     squarefree_decomposition,
 )
+from oracles import resultant
+from paper_checks import smallest_nonresidue, sqrt_mod
 
 PRIMES = [5, 11, 13, 41, 97, 1009]
 
@@ -93,7 +93,7 @@ class TestFactorize:
             l = PRIMES[i % len(PRIMES)]
             f = random_poly(rng, l, max_deg=64 if l > 64 else 20)
             fac = factorize(f)
-            assert fac.expand() == f
+            assert oracles.expand(fac) == f
             for g, _ in fac.factors:
                 assert g.is_monic
 
@@ -123,7 +123,7 @@ class TestFactorize:
         rng = random.Random(4)
         f = random_poly(rng, l, max_deg=10)
         fac = factorize(f)
-        assert fac.expand() == f
+        assert oracles.expand(fac) == f
         assert all(oracles.is_irreducible(g) for g, _ in fac.factors)
 
 
@@ -209,6 +209,34 @@ class TestBoundedSplitting:
         assert factorize(quartic).factors[0][0].degree == 4  # irreducible mod 13
         with pytest.raises(StructuralError, match=r"degree-2 .*l=13"):
             _edf(quartic, 2)
+
+
+class TestDistinctDegreeSplit:
+    """`_ddf(f, powers)`, given powers[d] = x^(l^d) mod a multiple of f for
+    d <= e, splits f as the plain `_ddf(f)` does: for random e, and for e the
+    lcm of the factor degrees, where powers[e] = x mod f limits the split to
+    the divisors of e."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([3, 5, 7, 13]), st.integers(0, 2**32 - 1), st.booleans(), st.integers(0, 7))
+    def test_given_powers_split_as_the_plain_ddf(self, l, seed, certify, e):
+        rng = random.Random(seed)
+
+        def monic(deg):
+            return FpPoly.make(l, [rng.randrange(l) for _ in range(deg)] + [1])
+
+        f = radical(math.prod((monic(rng.randint(1, 8)) for _ in range(rng.randint(1, 4))), start=FpPoly.one(l)))
+        plain = ffpoly._ddf(f)
+        x = FpPoly.x(l)
+        if certify:
+            e = math.lcm(*plain)
+        multiple = f * monic(rng.randint(0, 8))
+        powers = [x]
+        for _ in range(e):
+            powers.append(powers[-1].powmod(l, multiple))
+        if certify:
+            assert powers[-1] % f == x % f
+        assert ffpoly._ddf(f, powers) == plain
 
 
 def _vec(l, coeffs):

@@ -1,5 +1,7 @@
+import json
 import math
 import random
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -13,21 +15,21 @@ from fricke7.ffpoly import FpPoly, PrimeContext, distinct_roots_in_fp, factorize
 from fricke7.hasse7 import (
     count_factors,
     deuring_J,
-    g_of_x_j,
     hasse_poly,
     supersingular_j_in_fp,
     verify_count_formulas,
-    verify_special_factorizations,
-    verify_g_factor_counts,
 )
 from fricke7.ss7star import counts_and_nakaya
 from fricke7.sweep import primes_in
+from paper_checks import g_of_x_j, verify_g_factor_counts, verify_special_factorizations
 
 SWEEP_PRIMES = [p for p in primes_in(5, 400) if p != 7]
 NEAR_2000 = [2003, 1997, 1949, 1999, 1993, 1987]  # one prime per class l mod 7, 1..6
 ONE_PER_CLASS = [113, 37, 59, 53, 61, 41]  # the same, small
 # count_factors' restricted calls in ss7star.count_consistency, by l mod 7
 CONSISTENCY_NEED = {1: ("N2",), 6: ("N1", "N2"), 2: ("N6",), 4: ("N6",), 3: ("N3", "N6"), 5: ("N3", "N6")}
+# prime -> [N1, N2, N3, N6, L, classification_ok, degree histogram] of count_factors(PrimeContext.make(prime))
+COUNT_REPORTS = json.loads((Path(__file__).parent / "count_reports_below_700.json").read_text())
 
 
 class TestDeuringJ:
@@ -178,16 +180,15 @@ class TestCountingPath:
             for mod, name in (
                 (ffpoly, "radical"),
                 (ffpoly, "squarefree_decomposition"),
-                (hasse7, "_radical"),
                 (oracles, "divisor_points"),
                 (oracles, "is_irreducible"),
             )
         ]
         ctx = PrimeContext.make(p)
         for full in (True, False):
-            with spies[0] as a, spies[1] as b, spies[2] as c, spies[3] as d, spies[4] as e:
+            with spies[0] as a, spies[1] as b, spies[2] as d, spies[3] as e:
                 count_factors(ctx, with_histogram=full)
-            assert not any(s.called for s in (a, b, c, d, e)), (p, full)
+            assert not any(s.called for s in (a, b, d, e)), (p, full)
 
     @pytest.mark.parametrize("p", ONE_PER_CLASS)
     def test_hasse_row_certifies_J_once(self, p):
@@ -292,17 +293,20 @@ class TestCountingPath:
 
 
 class TestSplitByPowers:
-    """After a passed certificate, G is split by the powers x^(l^d) mod f
-    already at hand.  Oracles: `_ddf(G)` on every prime below 300, and
-    `oracles.edf_counts` (whose radical and full walk of the Hasse polynomial
-    are slow) on the largest prime below 300 in each class l mod 7."""
+    """G is split by one `_ddf(G, powers)` with the powers x^(l^d) mod f that
+    the count already holds.  Oracles: the plain `_ddf(G)` on every prime
+    below 300, `oracles.edf_counts` (whose radical and full walk of the Hasse
+    polynomial are slow) on the largest prime below 300 in each class l mod 7,
+    and the reports of every prime 11 <= l < 700 recorded in
+    count_reports_below_700.json from the split of commit 7d0000f, which took
+    the powers only after a passed certificate and split G afresh otherwise."""
 
     def test_against_ddf_and_edf_below_300(self):
-        split = hasse7._split_by_powers
+        ddf = hasse7._ddf
         seen = []
 
-        def checked(g, powers, e):
-            parts = split(g, powers, e)
+        def checked(g, powers=()):
+            parts = ddf(g, powers)
             assert parts == ffpoly._ddf(g)
             seen.append(g.modulus)
             return parts
@@ -310,7 +314,7 @@ class TestSplitByPowers:
         primes = [p for p in primes_in(5, 300) if p != 7]
         top = {p % 7: p for p in primes}
         assert sorted(top) == [1, 2, 3, 4, 5, 6]
-        with mock.patch.object(hasse7, "_split_by_powers", side_effect=checked):
+        with mock.patch.object(hasse7, "_ddf", side_effect=checked):
             for p in primes:
                 ctx = PrimeContext.make(p)
                 rep = count_factors(ctx)
@@ -319,13 +323,59 @@ class TestSplitByPowers:
                     assert (rep.N1, rep.N2, rep.N3, rep.N6) == oracles.edf_counts(ctx), p
         assert seen == primes
 
-    def test_restricted_counts_keep_ddf(self):
-        """Without the histogram there is no certificate, so `_ddf` splits G."""
+    def test_reports_below_700_are_the_recorded_ones(self):
+        """The full report, and the need-restricted ones, which hold the
+        recorded counts they ask for and L, and None elsewhere."""
+        assert [int(p) for p in COUNT_REPORTS] == primes_in(11, 699)
+        for p, (n1, n2, n3, n6, L, ok, histogram) in COUNT_REPORTS.items():
+            l, counts = int(p), {"N1": n1, "N2": n2, "N3": n3, "N6": n6}
+            ctx = PrimeContext.make(l)
+            want = hasse7.FactorCountReport(
+                l=l, **counts, degree_histogram={int(d): c for d, c in histogram.items()},
+                classification_ok=ok, L=L)
+            assert count_factors(ctx) == want, l
+            for need in (("N1",), ("N2",), ("N3",), ("N6",), ("N1", "N3")):
+                want = hasse7.FactorCountReport(l=l, L=L, **{k: counts[k] for k in need})
+                assert count_factors(ctx, need=need, with_histogram=False) == want, (l, need)
+
+    def test_restricted_split_takes_the_given_powers(self):
+        """At l = 59 (3 mod 7) the N1/N3 count holds h_d = x^(l^d) mod f for
+        d <= 3, and G = gcd(f, h_3 - x) has only cubic factors: its split
+        takes one gcd, at d = 1, and no powmod.  The N6 count holds h_1 alone:
+        step 1 takes it, and only the later steps run a powmod."""
         ctx = PrimeContext.make(59)
-        with mock.patch.object(hasse7, "_split_by_powers", wraps=hasse7._split_by_powers) as split, \
-                mock.patch.object(hasse7, "_ddf", wraps=hasse7._ddf) as ddf:
-            rep = count_factors(ctx, need=("N6",), with_histogram=False)
-        assert not split.called and ddf.called and rep.N6 == count_factors(ctx).N6
+        ddf, powmod, gcd = hasse7._ddf, FpPoly.powmod, FpPoly.gcd
+        runs, log = [], None
+
+        def ddf_spy(g, powers=()):
+            nonlocal log
+            log = []
+            try:
+                return ddf(g, powers)
+            finally:
+                runs.append((len(powers) - 1, log))
+                log = None
+
+        def powmod_spy(self, e, mod):
+            if log is not None:
+                log.append("powmod")
+            return powmod(self, e, mod)
+
+        def gcd_spy(self, other):
+            if log is not None:
+                log.append("gcd")
+            return gcd(self, other)
+
+        with mock.patch.object(hasse7, "_ddf", ddf_spy), mock.patch.object(FpPoly, "powmod", powmod_spy), \
+                mock.patch.object(FpPoly, "gcd", gcd_spy):
+            n3 = count_factors(ctx, need=("N1", "N3"), with_histogram=False)
+            assert runs == [(3, ["gcd"])] and n3.N3 > 0
+            runs.clear()
+            n6 = count_factors(ctx, need=("N6",), with_histogram=False)
+        ((e, steps),) = runs
+        assert e == 1 and n6.N6 > 0
+        assert steps[0] == "gcd" and steps.count("powmod") == steps.count("gcd") - 1 > 0
+        assert (n3.N3, n6.N6) == (count_factors(ctx).N3, count_factors(ctx).N6)
 
 
 class TestFailedCertificate:

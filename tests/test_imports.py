@@ -1,10 +1,12 @@
-"""Every name a module of the package imports is used in that module, and
-every name it defines at module level, and every method of a module-level
-class, is used somewhere in the repository.
+"""Every name a module of the package imports is used in that module; every
+name it defines at module level, and every method of a module-level class, is
+used somewhere in the repository; and every public function, class and method
+is used by the program itself, its scripts or the benchmark, not by the tests
+alone.
 
-There is no linter in the toolchain, so these are the unused-import and
-dead-name checks.  ``__init__`` is exempt from the first: its imports are
-re-exports.
+There is no linter in the toolchain, so these are the unused-import,
+dead-name and test-only-name checks.  ``__init__`` is exempt from the first:
+its imports are re-exports.
 """
 
 import ast
@@ -17,6 +19,10 @@ PACKAGE = ROOT / "src" / "fricke7"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 # where a module-level name may be used; perfbench wraps program names by string
 USERS = sorted(p for d in ("src", "tests", "scripts", "perfbench") for p in (ROOT / d).rglob("*.py"))
+# where a public name must be used for the program to need it
+PROGRAM_USERS = [p for p in USERS if p.relative_to(ROOT).parts[0] != "tests"]
+# public names that only tests load, by module, each with the reason it stays
+TEST_ONLY_EXCEPTIONS: dict = {}
 
 
 def unused_imports(source: str):
@@ -115,3 +121,56 @@ def test_the_check_sees_a_dead_name():
     )
     user = "import m.K\nfrom m import D\nm.f()\nwrap(m, 'B')\nm.K().used()\n"
     assert dead_names(src, loaded_names(src) | loaded_names(user)) == [(2, "C"), (11, "K._unused"), (13, "g")]
+
+
+def only_tested_names(source: str, loaded):
+    """Public functions, classes and methods (as class.method) that `source`
+    defines at module level and `loaded` lacks; assigned names are left to
+    the dead-name check."""
+    out = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        defs = [(node.name, node)]
+        if isinstance(node, ast.ClassDef):
+            defs += [(f"{node.name}.{item.name}", item) for item in node.body
+                     if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for name, item in defs:
+            own = name.rpartition(".")[2]
+            if not own.startswith("_") and own not in loaded:
+                out.append((item.lineno, name))
+    return sorted(out)
+
+
+def test_no_public_name_only_tests_load():
+    loaded = set().union(*(loaded_names(p.read_text()) for p in PROGRAM_USERS))
+    found = {p.name: only_tested_names(p.read_text(), loaded) for p in sorted(PACKAGE.glob("*.py"))}
+    found = {k: {name for _, name in v} for k, v in found.items() if v}
+    assert found == {k: set(v) for k, v in TEST_ONLY_EXCEPTIONS.items()}
+
+
+def test_the_check_sees_a_test_only_name():
+    src = (
+        "def used():\n"
+        "    return helper()\n"
+        "def helper():\n"
+        "    pass\n"
+        "def only_tested():\n"
+        "    pass\n"
+        "def _private():\n"
+        "    pass\n"
+        "class K:\n"
+        "    def __init__(self):\n"
+        "        pass\n"
+        "    def run(self):\n"
+        "        pass\n"
+        "    def only_tested_method(self):\n"
+        "        pass\n"
+        "    def named(self):\n"
+        "        pass\n"
+    )
+    program = "import m\nm.used()\nm.K().run()\ngetattr(m.K(), 'named')\n"
+    test = "m.only_tested()\nm.K().only_tested_method()\nm._private()\n"
+    assert only_tested_names(src, loaded_names(src) | loaded_names(program)) == [
+        (5, "only_tested"), (14, "K.only_tested_method")]
+    assert only_tested_names(src, loaded_names(src) | loaded_names(program) | loaded_names(test)) == []

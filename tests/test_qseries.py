@@ -14,11 +14,15 @@ from fricke7.qseries import (
     hA_series,
     hm1_series,
     j7star_series,
-    run_all_series_identities,
     s_series,
     t_series,
     verify_series_identity,
 )
+
+
+def is_zero_through(series: LaurentSeries) -> bool:
+    """Every coefficient in the window of `series` is zero."""
+    return all(c == 0 for c in series.coeffs)
 
 
 class TestReferenceExpansions:
@@ -53,11 +57,11 @@ class TestReferenceExpansions:
 
     def test_hm1_plus_one_is_h(self):
         m = 40
-        assert (hm1_series(m) + 1 - h_series(m)).is_zero_through()
+        assert is_zero_through(hm1_series(m) + 1 - h_series(m))
 
     def test_reciprocal_identity(self):
         e = eta_quotient4(40)
-        assert (e * (49 * e.inverse()) - 49).is_zero_through()
+        assert is_zero_through(e * (49 * e.inverse()) - 49)
 
 
 class TestArithmetic:
@@ -70,7 +74,7 @@ class TestArithmetic:
             a = LaurentSeries(1, rng.randint(-3, 3), tuple(a_coeffs))
             b = LaurentSeries(1, rng.randint(-3, 3), tuple(b_coeffs))
             q = a / b
-            assert ((q * b) - a).is_zero_through()
+            assert is_zero_through((q * b) - a)
 
     def test_inverse_requires_unit(self):
         with pytest.raises(StructuralError):
@@ -86,13 +90,13 @@ class TestArithmetic:
     def test_down_up_round_trip(self):
         h = h_series(12)
         again = h.to_scale7().to_scale1()
-        assert (again - h).is_zero_through()
+        assert is_zero_through(again - h)
 
     def test_polynomial_evaluation(self):
         h = h_series(12)
         direct = h * h - h + 1
         via = from_polynomial((1, -1, 1), h)
-        assert (direct - via).is_zero_through()
+        assert is_zero_through(direct - via)
 
     def test_coefficient_window_guard(self):
         h = h_series(8)
