@@ -19,7 +19,8 @@ OTHER_SRC together: at each prime it runs k = `--repeats` alternations, each
 one child process per tree (the first tree alternating), so both trees see
 the same drift of the machine.  It writes both BENCH files, and each row
 gains `paired_ratio`, the median over the alternations of its tree's time
-over the other tree's.
+over the other tree's; two trees with the same sha (copies outside git, say)
+get the names BENCH_count_factors_<sha>-this.json and -other.json.
 """
 
 import argparse
@@ -192,14 +193,12 @@ def main() -> int:
     if len(names) == 2 and names[0] == names[1]:
         names = [f"{names[0]}-this", f"{names[1]}-other"]
     outs = [Path(args.out_dir) / f"BENCH_count_factors_{name}.json" for name in names]
-    for t, ((s, rows, nakaya_rows), (sha, dirty), out) in enumerate(zip(tagged, states, outs)):
+    for t, ((_, rows, nakaya_rows), (sha, dirty), out) in enumerate(zip(tagged, states, outs)):
         bench = payload(sha, dirty, args.repeats, rows, nakaya_rows)
         if len(tagged) == 2:
             other = tagged[1 - t]
             bench["paired"] = {
-                "src": str(s),
                 "with": outs[1 - t].name,
-                "with_src": str(other[0]),
                 "order": "per prime, k alternations of one child process per tree, the first tree alternating",
                 "total_ratio": round(bench["total_median_s"] / sum(r["median_s"] for r in other[1]), 4),
                 "nakaya_total_ratio": round(

@@ -186,9 +186,9 @@ class TestCountingPath:
         ]
         ctx = PrimeContext.make(p)
         for full in (True, False):
-            with spies[0] as a, spies[1] as b, spies[2] as d, spies[3] as e:
+            with spies[0] as a, spies[1] as b, spies[2] as c, spies[3] as d:
                 count_factors(ctx, with_histogram=full)
-            assert not any(s.called for s in (a, b, d, e)), (p, full)
+            assert not any(s.called for s in (a, b, c, d)), (p, full)
 
     @pytest.mark.parametrize("p", ONE_PER_CLASS)
     def test_hasse_row_certifies_J_once(self, p):

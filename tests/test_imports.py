@@ -124,22 +124,12 @@ def test_the_check_sees_a_dead_name():
 
 
 def only_tested_names(source: str, loaded):
-    """Public functions, classes and methods (as class.method) that `source`
-    defines at module level and `loaded` lacks; assigned names are left to
-    the dead-name check."""
-    out = []
-    for node in ast.parse(source).body:
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            continue
-        defs = [(node.name, node)]
-        if isinstance(node, ast.ClassDef):
-            defs += [(f"{node.name}.{item.name}", item) for item in node.body
-                     if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
-        for name, item in defs:
-            own = name.rpartition(".")[2]
-            if not own.startswith("_") and own not in loaded:
-                out.append((item.lineno, name))
-    return sorted(out)
+    """The dead names of `source` under `loaded` that are public functions,
+    classes or methods; assigned names are left to the dead-name check."""
+    defs = {node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    return [(line, name) for line, name in dead_names(source, loaded)
+            if name.partition(".")[0] in defs and not name.rpartition(".")[2].startswith("_")]
 
 
 def test_no_public_name_only_tests_load():
@@ -168,9 +158,10 @@ def test_the_check_sees_a_test_only_name():
         "        pass\n"
         "    def named(self):\n"
         "        pass\n"
+        "LIMIT = 3\n"
     )
     program = "import m\nm.used()\nm.K().run()\ngetattr(m.K(), 'named')\n"
-    test = "m.only_tested()\nm.K().only_tested_method()\nm._private()\n"
+    test = "m.only_tested()\nm.K().only_tested_method()\nm._private()\nassert m.LIMIT\n"
     assert only_tested_names(src, loaded_names(src) | loaded_names(program)) == [
         (5, "only_tested"), (14, "K.only_tested_method")]
     assert only_tested_names(src, loaded_names(src) | loaded_names(program) | loaded_names(test)) == []
