@@ -20,9 +20,8 @@ from . import constants as C
 from .exactring import (
     CubicNum,
     MPoly,
-    discriminant_zz,
+    discriminant,
     homogenize,
-    mpoly_resultant,
     peval,
     pgcd_monic,
     pmul,
@@ -31,7 +30,7 @@ from .exactring import (
     pscale,
     pshift,
     psub,
-    resultant_zz,
+    resultant,
 )
 
 # RES_G_F7_R7 evaluation grid: both sides have deg_X <= 6, deg_Y <= 24, and the
@@ -88,9 +87,7 @@ def _phi_clear(coeffs: Sequence, vars) -> MPoly:
 
 
 def _case_disc_f7():
-    f7 = C.f7_mpoly()
-    res = mpoly_resultant(f7, f7.derivative("x"), "x")
-    disc = -res  # degree 6: sign (-1)^(6*5/2), leading coefficient 1
+    disc = discriminant(C.f7_mpoly().as_univar("x"))
     t = MPoly.var("t", ("x", "t"))
     rhs = 7**4 * t**4 * (t + 1) ** 3 * (t - 27) ** 3
     return disc - rhs
@@ -103,24 +100,18 @@ def _case_res_g_f7():
     t = MPoly.var("t", vars)
     g = x**3 + a * x**2 - (a + 3) * x + 1
     f7 = (x**2 - x + 1) ** 3 - t * x * (x - 1) * MPoly.from_univar(C.P_CUBIC, "x", vars)
-    res = mpoly_resultant(g, f7, "x")
+    res = resultant(g.as_univar("x"), f7.as_univar("x"))
     rhs = ((a + 8) * t + a**2 + 3 * a + 9) ** 3
     return res - rhs
 
 
 def _case_lemma_b_disc():
-    # Res_x(x^2 + ax + b, f7(x,t)) via the remainder: reduce x^k = u_k x + v_k
+    # Res_x(x^2 + ax + b, f7(x,t)), a quadratic in t
     vars = ("x", "y", "t")  # a, b named x, y to align with B(x, y); t is t
     a = MPoly.var("x", vars)
     b = MPoly.var("y", vars)
     t = MPoly.var("t", vars)
-    u, v = MPoly.const(0, vars), MPoly.const(1, vars)
-    U, V = MPoly.const(0, vars), MPoly.const(0, vars)
-    for c in C.expand_f7(t):
-        U = U + c * u
-        V = V + c * v
-        u, v = v - a * u, -b * u  # x^(k+1) = x*(u x + v) with x^2 = -a x - b
-    res = U**2 * b - a * U * V + V**2
+    res = resultant([b, a, 1], C.expand_f7(t))
     # term-for-term comparison against the reference quadratic in t
     t2_d, t1_d, t0_d = C.quadratic_resultant_ref()
     residues = []
@@ -184,7 +175,7 @@ def _case_res_g_f7_r7():
         gx = psub(g0, pscale(gden, X0))
         for Y0 in span:
             f7 = list(C.expand_f7(Y0))
-            lhs = resultant_zz(gx, f7)
+            lhs = resultant(gx, f7)
             r7 = X0 * X0 - X0 * peval(C.R7_A, Y0) + peval(C.R7_B, Y0)
             if lhs != 7**42 * r7**3:
                 bad.append((X0, Y0, lhs - 7**42 * r7**3))
@@ -292,13 +283,13 @@ def _case_minpoly_gcd():
 def _case_res_disc_small():
     residues = []
     F = C.F_mpoly()
-    disc = mpoly_resultant(F, F.derivative("z"), "z")  # sign (+1)^(8*7/2), lc 1
+    disc = discriminant(F.as_univar("z"))
     j = MPoly.var("j", ("z", "j"))
     residues.append(disc - (-(7**7)) * j**4 * (j - 1728) ** 4)
-    residues.append(resultant_zz(C.X2X1, C.F1728) - 2**6 * 3**3 * 7)
-    residues.append(resultant_zz(C.SEXTIC_J0, C.CUBIC_D7) - 3**3 * 5**3)
-    residues.append(discriminant_zz(C.SEXTIC_J0) - 2**12 * 3**3 * 7**5)
-    residues.append(resultant_zz(pmul(C.Z2_3Z_9, C.Z2_11Z_25), (-8, 1)) - 7**2)
+    residues.append(resultant(C.X2X1, C.F1728) - 2**6 * 3**3 * 7)
+    residues.append(resultant(C.SEXTIC_J0, C.CUBIC_D7) - 3**3 * 5**3)
+    residues.append(discriminant(C.SEXTIC_J0) - 2**12 * 3**3 * 7**5)
+    residues.append(resultant(pmul(C.Z2_3Z_9, C.Z2_11Z_25), (-8, 1)) - 7**2)
     return residues
 
 

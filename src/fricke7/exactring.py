@@ -6,7 +6,12 @@ Three layers, all exact:
   coefficient type supporting ring operations (int, Fraction, CubicNum, ...);
 * ``CubicNum``: elements of QQ(r) where r^3 - 8r^2 + 5r + 1 = 0;
 * ``MPoly``: sparse multivariate polynomials over a pluggable coefficient ring,
-  with exact division and fraction-free (Bareiss) determinants for resultants.
+  with exact division.
+
+``resultant`` and ``discriminant`` run one subresultant PRS over coefficient
+lists in ZZ or in one MPoly ring; each of its divisions is exact and checked.
+``power`` is the one square-and-multiply loop, shared by every ring type here
+and in ``ffpoly`` and ``qseries``.
 
 ``homogenize`` composes a coefficient list with a fraction num/den and clears
 the denominator; it only needs + and *, so it serves MPoly and FpPoly alike.
@@ -16,6 +21,7 @@ Everything here is pure and immutable-by-convention; no floating point.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
@@ -76,17 +82,24 @@ def pmul_many(polys: Iterable[Sequence]) -> list:
     return out
 
 
-def ppow(a: Sequence, k: int) -> list:
+def power(base, k: int, one, mul: Callable = operator.mul):
+    """base^k by square-and-multiply from `one`: out = mul(out, base) at each
+    set bit of k from the lowest, base = mul(base, base) between them.  A
+    negative k raises ValueError; types with inverses handle it before."""
     if k < 0:
         raise ValueError("negative power")
-    out, base = [1], list(a)
+    out = one
     while k:
         if k & 1:
-            out = pmul(out, base)
+            out = mul(out, base)
         k >>= 1
         if k:
-            base = pmul(base, base)
+            base = mul(base, base)
     return out
+
+
+def ppow(a: Sequence, k: int) -> list:
+    return power(list(a), k, [1], pmul)
 
 
 def peval(a: Sequence, x):
@@ -107,13 +120,13 @@ def _powers(p):
     """p^s for s >= 1, by squaring, each power kept once computed."""
     cache = {1: p}
 
-    def power(s: int):
+    def nth(s: int):
         if s not in cache:
-            half = power(s // 2)
+            half = nth(s // 2)
             cache[s] = half * half * p if s % 2 else half * half
         return cache[s]
 
-    return power
+    return nth
 
 
 def homogenize(coeffs: Sequence, num, den):
@@ -193,11 +206,27 @@ def pdiv_exact(a: Sequence, b: Sequence) -> list:
 
 
 # ---------------------------------------------------------------------------
-# integer resultants via the subresultant PRS (fraction-free)
+# resultants via the subresultant PRS (fraction-free)
 
 
-def _int_pseudo_rem(a: list, b: list) -> list:
-    """prem(a, b) = lc(b)^(deg a - deg b + 1) * a  mod b, computed over ZZ."""
+def _exact_div(a, b):
+    """a / b in ZZ or in an MPoly ring; raises ValueError when b does not
+    divide a, where floor division would round silently."""
+    return a.exact_div(b) if isinstance(a, MPoly) else _coeff_div(a, b)
+
+
+def _one_ring(*polys: Sequence) -> List[list]:
+    """The coefficient lists, trimmed, with ints lifted to the MPoly ring of
+    any MPoly coefficient among them."""
+    ring = next((c for p in polys for c in p if isinstance(c, MPoly)), None)
+    if ring is None:
+        return [ptrim(list(p)) for p in polys]
+    return [ptrim([c if isinstance(c, MPoly) else MPoly.const(c, ring.vars) for c in p])
+            for p in polys]
+
+
+def _pseudo_rem(a: list, b: list) -> list:
+    """prem(a, b) = lc(b)^(deg a - deg b + 1) * a  mod b, without division."""
     da, db = pdeg(a), pdeg(b)
     lb = b[-1]
     r = list(a)
@@ -216,10 +245,11 @@ def _int_pseudo_rem(a: list, b: list) -> list:
     return r
 
 
-def resultant_zz(a: Sequence[int], b: Sequence[int]) -> int:
-    """Resultant of two integer polynomials (subresultant PRS, no fractions)."""
-    A = ptrim([int(c) for c in a])
-    B = ptrim([int(c) for c in b])
+def resultant(a: Sequence, b: Sequence):
+    """Res(a, b) of two coefficient lists (low degree first) over ZZ or over
+    one MPoly ring, by the subresultant PRS (Collins 1967; Brown-Traub 1971):
+    every division in it is exact, so no fractions arise."""
+    A, B = _one_ring(a, b)
     if not A or not B:
         raise ValueError("resultant of the zero polynomial")
     s = 1
@@ -235,29 +265,27 @@ def resultant_zz(a: Sequence[int], b: Sequence[int]) -> int:
         d = dA - dB
         if dA & 1 and dB & 1:
             s = -s
-        R = _int_pseudo_rem(A, B)
+        R = _pseudo_rem(A, B)
         A = B
         if not R:
-            return 0
+            return A[-1] * 0
         denom = g * h**d
-        B = [c // denom for c in R]
+        B = [_exact_div(c, denom) for c in R]
         g = A[-1]
         if d > 0:
-            h = g**d // h ** (d - 1)
+            h = _exact_div(g**d, h ** (d - 1))
         if pdeg(B) == 0:
             dA = pdeg(A)
-            return s * (B[0] ** dA // h ** (dA - 1))
+            return s * _exact_div(B[0] ** dA, h ** (dA - 1))
 
 
-def discriminant_zz(a: Sequence[int]) -> int:
-    """disc(a) = (-1)^(n(n-1)/2) Res(a, a') / lc(a) over ZZ."""
-    n = pdeg(ptrim([int(c) for c in a]))
-    res = resultant_zz(a, pderiv(list(a)))
+def discriminant(a: Sequence):
+    """disc(a) = (-1)^(n(n-1)/2) Res(a, a') / lc(a), n = deg a, over ZZ or
+    over one MPoly ring."""
+    (A,) = _one_ring(a)
+    n = pdeg(A)
     sign = -1 if (n * (n - 1) // 2) & 1 else 1
-    q, rem = divmod(sign * res, a[-1])
-    if rem:
-        raise ValueError("discriminant not integral?")
-    return q
+    return _exact_div(sign * resultant(A, pderiv(A)), A[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -351,14 +379,7 @@ class CubicNum:
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        out, base = CubicNum(1), self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
+        return power(self, k, CubicNum(1))
 
     def sigma(self) -> "CubicNum":
         """The Galois automorphism r -> -r^2 + 7r + 2 of QQ(r)/QQ."""
@@ -501,17 +522,7 @@ class MPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power")
-        out = MPoly.const(1, self.vars)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
+        return power(self, k, MPoly.const(1, self.vars))
 
     def degree(self, name: str) -> int:
         i = self.vars.index(name)
@@ -565,16 +576,6 @@ class MPoly:
                     rem.pop(t, None)
         return MPoly(self.vars, quot)
 
-    def derivative(self, name: str) -> "MPoly":
-        i = self.vars.index(name)
-        terms = {}
-        for e, c in self.terms.items():
-            if e[i]:
-                e2 = list(e)
-                e2[i] -= 1
-                terms[tuple(e2)] = c * e[i]
-        return MPoly(self.vars, terms)
-
     def __repr__(self):
         if self.is_zero:
             return "MPoly(0)"
@@ -596,71 +597,3 @@ def _coeff_div(a, b):
     if isinstance(b, CubicNum) or isinstance(a, CubicNum):
         return _as_cubic(a) / _as_cubic(b)
     return Fraction(a) / Fraction(b)
-
-
-# ---------------------------------------------------------------------------
-# fraction-free determinant (Bareiss) over an exact ring
-
-
-def bareiss_det(matrix: Sequence[Sequence], one, exact_div: Callable):
-    """Determinant of a square matrix by fraction-free Gaussian elimination.
-
-    `one` is the ring's multiplicative identity, `exact_div(a, b)` performs the
-    (guaranteed exact) divisions arising in Bareiss' recurrence.
-    """
-    m = [list(row) for row in matrix]
-    n = len(m)
-    if n == 0:
-        return one
-    sign = 1
-    prev = one
-    for k in range(n - 1):
-        if not m[k][k]:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return m[k][k]  # structurally zero column -> det 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = exact_div(num, prev)
-            m[i][k] = m[i][k] * 0
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return -det if sign < 0 else det
-
-
-def sylvester_matrix(f: Sequence, g: Sequence, zero):
-    """Sylvester matrix of f (degree m) and g (degree n): (m+n) x (m+n).
-
-    f and g are coefficient lists, low degree first, entries in any ring.
-    """
-    m, n = pdeg(f), pdeg(g)
-    if m < 0 or n < 0:
-        raise ValueError("sylvester matrix of zero polynomial")
-    size = m + n
-    rows = []
-    frow = list(reversed(list(f)))  # high first
-    grow = list(reversed(list(g)))
-    for i in range(n):
-        rows.append([zero] * i + frow + [zero] * (size - i - m - 1))
-    for i in range(m):
-        rows.append([zero] * i + grow + [zero] * (size - i - n - 1))
-    return rows
-
-
-def mpoly_resultant(f: MPoly, g: MPoly, name: str) -> MPoly:
-    """Resultant of f and g with respect to `name`, by Bareiss elimination.
-
-    Intended for the moderate Sylvester sizes appearing in the identity suite.
-    """
-    fc = f.as_univar(name)
-    gc = g.as_univar(name)
-    vars = f.vars
-    zero = MPoly.const(0, vars)
-    one = MPoly.const(1, vars)
-    mat = sylvester_matrix(fc, gc, zero)
-    return bareiss_det(mat, one, lambda a, b: a.exact_div(b))

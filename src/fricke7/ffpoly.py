@@ -47,6 +47,7 @@ import numpy as np
 
 from .classnum import kronecker
 from .errors import StructuralError
+from .exactring import power
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -585,16 +586,7 @@ class FpPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power")
-        out, base = FpPoly.one(self.modulus), self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
+        return power(self, k, FpPoly.one(self.modulus))
 
     def __divmod__(self, other):
         other = self._bin(other)
@@ -638,15 +630,9 @@ class FpPoly:
         if mod.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         l, m = self.modulus, mod._prepared()
-        out = np.ones(1, dtype=mod._v.dtype)
         base = m.divmod(self._v)[1]
-        while e:
-            if e & 1:
-                out = m.residue(_mul(l, out, base))
-            e >>= 1
-            if e:
-                base = m.residue(_mul(l, base, base))
-        return FpPoly(l, out)
+        one = np.ones(1, dtype=mod._v.dtype)
+        return FpPoly(l, power(base, e, one, lambda a, b: m.residue(_mul(l, a, b))))
 
     def pretty(self, var: str = "x") -> str:
         if self.is_zero:

@@ -233,7 +233,8 @@ def count_factors(
     n2 = None
     if "N2" in need:
         q = parts.get(2)
-        n2 = q.gcd(_b_residue(q, powers[1])).degree // 2 if q is not None else 0
+        # h_1 mod G reuses the inverse the split prepared for G; q holds none yet
+        n2 = q.gcd(_b_residue(q, powers[1] % g)).degree // 2 if q is not None else 0
         if e == 2 and n2 != count(2):
             raise StructuralError("family quadratic violates B(a, b) = 0")
 

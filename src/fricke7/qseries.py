@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import StructuralError
+from .exactring import power
 
 DEFAULT_PREC = 200
 MIN_PREC = 10  # the least precision verify_series_identity accepts
@@ -130,15 +131,7 @@ class LaurentSeries:
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        out = constant(1, self.scale, window=self.prec + abs(self.offset) * 8 + 8)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
+        return power(self, k, constant(1, self.scale, window=self.prec + abs(self.offset) * 8 + 8))
 
     def inverse(self) -> "LaurentSeries":
         s = self._strip()

@@ -57,14 +57,16 @@ class HasseRow:
     failure: Optional[Failure] = None
 
 
-def _hasse_worker(args: Tuple[int, Tuple[str, ...], bool]) -> HasseRow:
-    p, need, with_histogram = args
+def _hasse_worker(args: Tuple[int]) -> HasseRow:
+    """The full count and its verdicts at one prime; args is (p,), the
+    (p, ...) tuple every sweep worker takes."""
+    (p,) = args
     if p in (2, 3, 7):
         return HasseRow(p=p, report=None, skipped="excluded by hypothesis")
     ctx = PrimeContext.make(p)
     stage = "count_factors"
     try:
-        rep = count_factors(ctx, need=need, with_histogram=with_histogram)
+        rep = count_factors(ctx)
         stage = "verify_count_formulas"
         rep = verify_count_formulas(ctx, rep)
     except StructuralError as e:
@@ -72,15 +74,8 @@ def _hasse_worker(args: Tuple[int, Tuple[str, ...], bool]) -> HasseRow:
     return HasseRow(p=p, report=rep)
 
 
-def hasse_sweep(
-    primes: Sequence[int],
-    jobs: int = 1,
-    need: Sequence[str] = ("N1", "N2", "N3", "N6"),
-    with_histogram: bool = True,
-) -> List[HasseRow]:
-    return run_parallel(
-        _hasse_worker, [(p, tuple(need), with_histogram) for p in sorted(primes)], jobs
-    )
+def hasse_sweep(primes: Sequence[int], jobs: int = 1) -> List[HasseRow]:
+    return run_parallel(_hasse_worker, [(p,) for p in sorted(primes)], jobs)
 
 
 # -- ss7star / nakaya sweep

@@ -2,7 +2,9 @@ import multiprocessing
 
 import pytest
 
-from fricke7.sweep import hasse_sweep, nakaya_sweep, primes_in
+from paper_checks import restricted_hasse_sweep
+
+from fricke7.sweep import nakaya_sweep, primes_in
 
 JOBS = min(8, multiprocessing.cpu_count())
 
@@ -16,8 +18,7 @@ def jobs() -> int:
 def reports_1000():
     """Full factor-count reports (all of N1, N2, N3, N6) for 5 <= l < 1000."""
     primes = [p for p in primes_in(5, 999) if p != 7]
-    rows = hasse_sweep(primes, jobs=JOBS, with_histogram=False)
-    return {row.p: row.report for row in rows}
+    return restricted_hasse_sweep(primes, ("N1", "N2", "N3", "N6"), JOBS)
 
 
 @pytest.fixture(scope="session")

@@ -1,13 +1,14 @@
 """Independent test oracles, kept out of the production code paths."""
 
 import math
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from fricke7 import constants as C
 from fricke7.classnum import kronecker
 from fricke7.errors import StructuralError
+from fricke7.exactring import pdeg
 from fricke7.ffpoly import Factorization, FpPoly, PrimeContext, _ddf, _edf, distinct_roots_in_fp, radical
 from fricke7.hasse7 import _b_form, hasse_poly
 from fricke7.ss7star import _root_pairs
@@ -118,6 +119,56 @@ def resultant(f: FpPoly, g: FpPoly) -> int:
             res = -res
         res = res * pow(b.lc, da - rem.degree, l) % l
         a, b = b, rem
+
+
+def bareiss_det(matrix: Sequence[Sequence], one, exact_div: Callable):
+    """Determinant of a square matrix by fraction-free Gaussian elimination.
+
+    `one` is the ring's multiplicative identity, `exact_div(a, b)` performs the
+    (guaranteed exact) divisions arising in Bareiss' recurrence.
+    """
+    m = [list(row) for row in matrix]
+    n = len(m)
+    if n == 0:
+        return one
+    sign = 1
+    prev = one
+    for k in range(n - 1):
+        if not m[k][k]:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return m[k][k]  # structurally zero column -> det 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
+                m[i][j] = exact_div(num, prev)
+            m[i][k] = m[i][k] * 0
+        prev = m[k][k]
+    det = m[n - 1][n - 1]
+    return -det if sign < 0 else det
+
+
+def sylvester_matrix(f: Sequence, g: Sequence, zero):
+    """Sylvester matrix of f (degree m) and g (degree n): (m+n) x (m+n).
+
+    f and g are coefficient lists, low degree first, entries in any ring.
+    """
+    m, n = pdeg(f), pdeg(g)
+    if m < 0 or n < 0:
+        raise ValueError("sylvester matrix of zero polynomial")
+    size = m + n
+    rows = []
+    frow = list(reversed(list(f)))  # high first
+    grow = list(reversed(list(g)))
+    for i in range(n):
+        rows.append([zero] * i + frow + [zero] * (size - i - m - 1))
+    for i in range(m):
+        rows.append([zero] * i + grow + [zero] * (size - i - n - 1))
+    return rows
 
 
 def expand(fac: Factorization, l: Optional[int] = None) -> FpPoly:

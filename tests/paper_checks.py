@@ -6,18 +6,21 @@ the runners over the identity registries; only the tests call them.
 * `verify_g_factor_counts`: the factor counts of G(x, j) at the supersingular
   j in F_l other than 0 and 1728;
 * `run_all_identities`, `run_all_series_identities`: every case of the exact
-  and of the q-series identity registry.
+  and of the q-series identity registry;
+* `restricted_hasse_sweep`: the hasse sweep's verified reports with the counts
+  restricted to a `need` and no degree histogram.
 """
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from fricke7 import constants as C
 from fricke7.exactalg import REGISTRY as IDENTITIES
 from fricke7.exactalg import IdentityResult, verify_identity
 from fricke7.ffpoly import FpPoly, PrimeContext, _ddf, radical
-from fricke7.hasse7 import supersingular_j_in_fp
+from fricke7.hasse7 import FactorCountReport, count_factors, supersingular_j_in_fp, verify_count_formulas
 from fricke7.qseries import DEFAULT_PREC, SeriesIdentityResult, verify_series_identity
 from fricke7.qseries import REGISTRY as SERIES_IDENTITIES
+from fricke7.sweep import run_parallel
 
 
 def sqrt_mod(a: int, p: int) -> Optional[int]:
@@ -151,3 +154,20 @@ def run_all_identities(ids: Optional[Sequence[str]] = None) -> List[IdentityResu
 
 def run_all_series_identities(prec: int = DEFAULT_PREC) -> List[SeriesIdentityResult]:
     return [verify_series_identity(i, prec) for i in SERIES_IDENTITIES]
+
+
+def _restricted_hasse_worker(args: Tuple[int, Tuple[str, ...]]) -> FactorCountReport:
+    p, need = args
+    ctx = PrimeContext.make(p)
+    return verify_count_formulas(ctx, count_factors(ctx, need=need, with_histogram=False))
+
+
+def restricted_hasse_sweep(
+    primes: Sequence[int], need: Sequence[str], jobs: int
+) -> Dict[int, FactorCountReport]:
+    """The per-prime work of `sweep.hasse_sweep` with `count_factors`
+    restricted to `need` and no degree histogram: the verified reports by
+    prime.  A prime whose work raises fails the sweep."""
+    primes = sorted(primes)
+    reports = run_parallel(_restricted_hasse_worker, [(p, tuple(need)) for p in primes], jobs)
+    return dict(zip(primes, reports))

@@ -11,7 +11,7 @@ import time
 
 import oracles
 from oracles import resultant
-from paper_checks import run_all_identities, run_all_series_identities
+from paper_checks import restricted_hasse_sweep, run_all_identities, run_all_series_identities
 from fricke7 import constants as C
 from fricke7.classnum import class_number, field_discriminant, is_squarefree
 from fricke7.cli import main as cli_main
@@ -33,7 +33,7 @@ from fricke7.qseries import (
     verify_series_identity,
 )
 from fricke7.ss7star import count_consistency, ss7star_bruteforce, ss7star_resultant, ss_poly
-from fricke7.sweep import hasse_sweep, primes_in
+from fricke7.sweep import primes_in
 
 SS41_REF = (
     "Y(Y + 1)(Y + 8)(Y + 12)(Y + 13)(Y + 14)(Y + 17)(Y + 29)"
@@ -78,19 +78,17 @@ def test_criterion_04_linear_cubic_counts(jobs, capsys):
     and 6L/2L for all l < 2000, within 2 minutes at the configured job count."""
     primes = [p for p in primes_in(5, 1999) if p % 7 in (3, 5, 6) and p not in (2, 3, 7)]
     t0 = time.perf_counter()
-    rows = hasse_sweep(primes, jobs=jobs, need=("N1", "N3"), with_histogram=False)
+    reports = restricted_hasse_sweep(primes, ("N1", "N3"), jobs)
     elapsed = time.perf_counter() - t0
     ok = True
-    for row in rows:
-        rep = row.report
-        l = row.p
+    for l, rep in reports.items():
         if l % 7 == 6:
             ok = ok and rep.N1 == linear_count_formula(l, rep.h_minus_l) == 6 * rep.L
         else:
             ok = ok and rep.N3 == cubic_count_formula(l, rep.h_minus_l) == 2 * rep.L
     ok = ok and elapsed < 120.0
     with capsys.disabled():
-        _report(4, ok, f"N1/N3 class-number formulas for {len(rows)} primes < 2000 in {elapsed:.0f}s")
+        _report(4, ok, f"N1/N3 class-number formulas for {len(reports)} primes < 2000 in {elapsed:.0f}s")
 
 
 def test_criterion_05_sextic_quadratic_counts(reports_1000, capsys):

@@ -1,18 +1,18 @@
 import random
 from fractions import Fraction
 
+import oracles
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fricke7 import exactring
 from fricke7.exactring import (
     CubicNum,
     MPoly,
-    bareiss_det,
-    discriminant_zz,
+    discriminant,
     homogenize,
-    mpoly_resultant,
+    pderiv,
     pdeg,
     pdiv_exact,
     peval,
@@ -20,8 +20,7 @@ from fricke7.exactring import (
     pmul,
     ppow,
     ptrim,
-    resultant_zz,
-    sylvester_matrix,
+    resultant,
 )
 from fricke7.ffpoly import FpPoly
 
@@ -58,8 +57,78 @@ small_poly = st.lists(st.integers(-20, 20), min_size=2, max_size=7).map(
 def test_resultant_matches_sylvester_determinant(f, g):
     if pdeg(f) < 1 or pdeg(g) < 1:
         return
-    det = bareiss_det(sylvester_matrix(f, g, 0), 1, lambda a, b: a // b)
-    assert resultant_zz(f, g) == det
+    assert resultant(f, g) == sylvester_resultant(f, g)
+
+
+V2 = ("x", "t")
+ZERO2, ONE2 = MPoly.const(0, V2), MPoly.const(1, V2)
+# a polynomial in x, of degree 1..3, whose coefficients are polynomials in t
+# of degree <= 2: the coefficient list of an MPoly in (x, t) in x
+bivariate = st.lists(
+    st.lists(st.integers(-4, 4), min_size=1, max_size=3).map(
+        lambda c: MPoly.from_univar(c, "t", V2)),
+    min_size=2, max_size=4).map(ptrim)
+
+
+def _div(a, b):
+    """a / b for the oracles, asserted exact over ZZ."""
+    if isinstance(a, MPoly):
+        return a.exact_div(b)
+    q, r = divmod(a, b)
+    assert r == 0
+    return q
+
+
+def sylvester_resultant(f, g, zero=0, one=1):
+    """Res(f, g) by the definition: Bareiss elimination of the Sylvester matrix."""
+    return oracles.bareiss_det(oracles.sylvester_matrix(f, g, zero), one, _div)
+
+
+@settings(max_examples=100, deadline=None)
+@given(bivariate, bivariate)
+def test_resultant_over_mpoly_matches_sylvester_determinant(f, g):
+    assume(pdeg(f) >= 1 and pdeg(g) >= 1)
+    assert resultant(f, g) == sylvester_resultant(f, g, ZERO2, ONE2)
+
+
+def _disc_by_definition(f, zero=0, one=1):
+    """(-1)^(n(n-1)/2) Res(f, f') / lc(f), the resultant by the oracle."""
+    n = pdeg(f)
+    res = sylvester_resultant(f, pderiv(f), zero, one)
+    return _div(-res if (n * (n - 1) // 2) & 1 else res, f[-1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_poly)
+def test_discriminant_matches_definition_over_zz(f):
+    assume(pdeg(f) >= 2)
+    assert discriminant(f) == _disc_by_definition(f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bivariate)
+def test_discriminant_matches_definition_over_mpoly(f):
+    assume(pdeg(f) >= 2)
+    assert discriminant(f) == _disc_by_definition(f, ZERO2, ONE2)
+
+
+def test_resultant_lifts_int_coefficients():
+    """Mixed int/MPoly lists, as expand_f7(t) gives, are taken in one ring:
+    Res(x - t, x^2 + 1) = t^2 + 1."""
+    t = MPoly.var("t", V2)
+    assert resultant([-t, 1], [1, 0, 1]) == t * t + 1
+
+
+def test_prs_division_is_checked():
+    """The PRS divides through one helper that raises on an inexact
+    quotient where floor division would round."""
+    with pytest.raises(ValueError):
+        exactring._exact_div(7, 2)
+    assert exactring._exact_div(-8, 2) == -4
+    x = MPoly.var("x", V2)
+    with pytest.raises(ValueError):
+        exactring._exact_div(x + 1, x)
+    assert exactring._exact_div(x * x - 1, x + 1) == x - 1
 
 
 @settings(max_examples=80, deadline=None)
@@ -67,7 +136,7 @@ def test_resultant_matches_sylvester_determinant(f, g):
 def test_resultant_evaluation_property(g, a):
     if pdeg(g) < 1:
         return
-    assert resultant_zz([-a, 1], g) == peval(g, a)
+    assert resultant([-a, 1], g) == peval(g, a)
 
 
 def test_resultant_multiplicativity():
@@ -78,7 +147,7 @@ def test_resultant_multiplicativity():
         )
         if min(pdeg(f), pdeg(g), pdeg(h)) < 1:
             continue
-        assert resultant_zz(f, pmul(g, h)) == resultant_zz(f, g) * resultant_zz(f, h)
+        assert resultant(f, pmul(g, h)) == resultant(f, g) * resultant(f, h)
 
 
 def _direct_homogenize(coeffs, num, den, zero):
@@ -158,10 +227,10 @@ def test_balanced_homogenize_mpoly(n):
 
 
 def test_known_discriminants():
-    assert discriminant_zz([1, -2, -1, 1]) == 7**2
-    assert discriminant_zz([1, 12, -15, 1]) == 3**6 * 7**2
+    assert discriminant([1, -2, -1, 1]) == 7**2
+    assert discriminant([1, 12, -15, 1]) == 3**6 * 7**2
     # disc(x^2 + bx + c) = b^2 - 4c
-    assert discriminant_zz([5, 3, 1]) == 9 - 20
+    assert discriminant([5, 3, 1]) == 9 - 20
 
 
 def test_pdiv_exact_and_errors():
@@ -245,11 +314,11 @@ class TestMPoly:
         t = MPoly.var("t", ("x", "t"))
         f = x**3 + t * x + 1
         g = x**2 - (t + 2)
-        res = mpoly_resultant(f, g, "x")
+        res = resultant(f.as_univar("x"), g.as_univar("x"))
         for t0 in range(-6, 7):
             fv = [1, t0, 0, 1]
             gv = [-(t0 + 2), 0, 1]
-            assert eval_all(res, {"x": 0, "t": t0}) == resultant_zz(fv, gv)
+            assert eval_all(res, {"x": 0, "t": t0}) == resultant(fv, gv)
 
 
 def test_pgcd_monic():

@@ -199,7 +199,7 @@ class TestCountingPath:
         ) as J, mock.patch.object(
             ffpoly, "squarefree_decomposition", wraps=ffpoly.squarefree_decomposition
         ) as sqf:
-            row = sweep._hasse_worker((p, ("N1", "N2", "N3", "N6"), True))
+            row = sweep._hasse_worker((p,))
         assert J.call_count == 1 and sqf.call_count == 0
         assert row.report.L > 0  # some supersingular j lies in F_l
 
