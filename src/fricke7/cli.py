@@ -7,8 +7,8 @@ byte-identical output (fixed seeds, fixed orderings, no timestamps).
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 usage error,
 3 internal structural error.  In a prime sweep, a prime whose work raised a
-structural error gets the row {p, stage, error}; the other rows are still
-written, and the exit code is 3.
+structural error, or whose worker process died (stage "worker"), gets the row
+{p, stage, error}; the other rows are still written, and the exit code is 3.
 """
 
 from __future__ import annotations

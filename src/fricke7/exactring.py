@@ -192,19 +192,6 @@ def pgcd_monic(a: Sequence, b: Sequence) -> list:
     return [c / lc for c in a]
 
 
-def pdiv_exact(a: Sequence, b: Sequence) -> list:
-    """Exact division over the integers; raises if the remainder is nonzero."""
-    q, r = pdivmod_field([Fraction(c) for c in a], [Fraction(c) for c in b])
-    if r:
-        raise ValueError("inexact polynomial division")
-    out = []
-    for c in q:
-        if c.denominator != 1:
-            raise ValueError("inexact polynomial division")
-        out.append(int(c))
-    return ptrim(out)
-
-
 # ---------------------------------------------------------------------------
 # resultants via the subresultant PRS (fraction-free)
 

@@ -182,7 +182,7 @@ def test_structural_error_exit_code(monkeypatch, capsys):
 
 def _fail_at_13(monkeypatch):
     """Make the Hasse polynomial, and with it count_factors, raise at l = 13
-    (forked pool workers inherit the patch)."""
+    (forked sweep workers inherit the patch)."""
     from fricke7 import hasse7
     from fricke7.errors import StructuralError
 
@@ -280,39 +280,42 @@ def test_console_entry_point():
 
 
 def test_pool_never_larger_than_the_prime_list(monkeypatch, capsys):
+    """The fork runner starts min(jobs, len(args)) workers, hands them the
+    last (largest) item first and returns the rows in order; one prime runs
+    serially, with no fork."""
+    import os
+
     from fricke7 import sweep
 
-    sizes, handed = [], []
+    calls = []  # per run_parallel call: its args, the forks made, the items handed out
+    real_run, real_fork, real_give = sweep.run_parallel, os.fork, sweep._Worker.give
 
-    class SerialPool:
-        """Stands in for multiprocessing.Pool: records `processes` and the
-        order imap gets its args in, maps in-process."""
+    def run(worker, args, jobs):
+        calls.append({"args": args, "forks": 0, "handed": []})
+        return real_run(worker, args, jobs)
 
-        def __init__(self, processes):
-            sizes.append(processes)
+    def fork():
+        calls[-1]["forks"] += 1
+        return real_fork()
 
-        def __enter__(self):
-            return self
+    def give(self, i):
+        calls[-1]["handed"].append(calls[-1]["args"][i])
+        real_give(self, i)
 
-        def __exit__(self, *exc):
-            return False
-
-        def imap(self, fn, args):
-            handed.append(list(args))
-            return map(fn, args)
-
-    monkeypatch.setattr(sweep.multiprocessing, "Pool", SerialPool)
+    monkeypatch.setattr(sweep, "run_parallel", run)
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(sweep._Worker, "give", give)
     assert sweep.run_parallel(abs, [-1, -2, -3], jobs=64) == [1, 2, 3]
     assert sweep.run_parallel(abs, [-1, -2, -3], jobs=2) == [1, 2, 3]
-    assert sizes == [3, 2]
+    assert [c["forks"] for c in calls] == [3, 2]
     # the largest prime of a sorted sweep first; the rows come back in order
-    assert handed == [[-3, -2, -1]] * 2
+    assert [c["handed"] for c in calls] == [[-3, -2, -1]] * 2
 
     serial = run_cli(["hasse", "--primes", "13,17", "--format", "json"], capsys)
     parallel = run_cli(["hasse", "--primes", "13,17", "--format", "json", "--jobs", "64"], capsys)
     assert parallel[:2] == serial[:2]
-    assert sizes == [3, 2, 2]
-    assert [a[0] for a in handed[2]] == [17, 13]
-    # one prime runs serially: no pool at all
+    assert [c["forks"] for c in calls] == [3, 2, 0, 2]
+    assert [a[0] for a in calls[3]["handed"]] == [17, 13]
+    # one prime runs serially: no fork at all
     run_cli(["hasse", "--primes", "13", "--jobs", "64"], capsys)
-    assert sizes == [3, 2, 2]
+    assert [c["forks"] for c in calls] == [3, 2, 0, 2, 0]

@@ -14,7 +14,6 @@ from fricke7.exactring import (
     homogenize,
     pderiv,
     pdeg,
-    pdiv_exact,
     peval,
     pgcd_monic,
     pmul,
@@ -234,10 +233,17 @@ def test_known_discriminants():
 
 
 def test_pdiv_exact_and_errors():
+    """Exact division of integer polynomials, as `constants.self_check` takes
+    it: in the MPoly ring of one variable, by the PRS's checked division."""
+    Y = ("Y",)
+
+    def uni(coeffs):
+        return MPoly.from_univar(coeffs, "Y", Y)
+
     f = pmul([1, 2, 1], [3, 0, 1])
-    assert pdiv_exact(f, [1, 2, 1]) == [3, 0, 1]
+    assert exactring._exact_div(uni(f), uni([1, 2, 1])) == uni([3, 0, 1])
     with pytest.raises(ValueError):
-        pdiv_exact([1, 1, 1], [1, 1])
+        exactring._exact_div(uni([1, 1, 1]), uni([1, 1]))
 
 
 class TestCubicNum:

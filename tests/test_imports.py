@@ -10,6 +10,9 @@ its imports are re-exports.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -165,3 +168,23 @@ def test_the_check_sees_a_test_only_name():
     assert only_tested_names(src, loaded_names(src) | loaded_names(program)) == [
         (5, "only_tested"), (14, "K.only_tested_method")]
     assert only_tested_names(src, loaded_names(src) | loaded_names(program) | loaded_names(test)) == []
+
+
+def test_cli_and_sweep_leave_multiprocessing_unloaded():
+    """The sweeps fork their own workers: in a fresh interpreter, importing
+    the CLI and the sweeps and running a two-worker sweep loads no
+    `multiprocessing`, whose modules would add to the resident set of the
+    parent and of every worker forked from it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    code = (
+        "import os, sys\n"
+        "import fricke7.cli, fricke7.sweep\n"
+        "loaded = [m for m in sys.modules if m.partition('.')[0] == 'multiprocessing']\n"
+        "fricke7.cli.main(['hasse', '--primes', '11,13', '--jobs', '2', '--out', os.devnull])\n"
+        "loaded += [m for m in sys.modules if m.partition('.')[0] == 'multiprocessing']\n"
+        "print(sorted(set(loaded)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

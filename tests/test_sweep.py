@@ -1,0 +1,108 @@
+"""The fork runner behind `sweep.run_parallel`.  Each case runs in a fresh
+interpreter under a timeout, so that a sweep that hangs fails its test
+instead of blocking the suite, and each script ends by checking that the
+sweep left no child process behind."""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+from fricke7.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 120
+
+# Make the Hasse polynomial, and with it both sweeps' counts, do ACTION at
+# l = 13; forked workers inherit the patch.
+PRELUDE = """
+import json, os, signal, sys
+from fricke7 import cli, hasse7, sweep
+
+real = hasse7.hasse_poly
+
+def at_13(ctx):
+    if ctx.l == 13:
+        ACTION
+    return real(ctx)
+
+hasse7.hasse_poly = at_13
+"""
+NO_CHILD_LEFT = """
+try:
+    os.waitpid(-1, os.WNOHANG)
+    print("a child process is left", file=sys.stderr)
+except ChildProcessError:
+    print("no child process left", file=sys.stderr)
+"""
+
+
+def run_python(code: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=TIMEOUT_S, env=env)
+
+
+def run_script(action: str, body: str) -> subprocess.CompletedProcess:
+    proc = run_python(PRELUDE.replace("ACTION", action) + textwrap.dedent(body) + NO_CHILD_LEFT)
+    assert "no child process left" in proc.stderr, proc.stderr
+    return proc
+
+
+@pytest.mark.parametrize("command", ["hasse", "nakaya"])
+def test_killed_worker_becomes_a_failure_row(command, capsys):
+    """A worker SIGKILLed at p = 13 (as the OOM killer would): p = 13 gets the
+    row {p, stage: "worker", error}, the other rows are those of a clean run,
+    a new worker takes the last prime, and the exit code is 3."""
+    proc = run_script(
+        "os.kill(os.getpid(), signal.SIGKILL)",
+        f"""
+        code = cli.main(["{command}", "--primes", "11,13,17", "--format", "json", "--jobs", "2"])
+        print(f"exit {{code}}", file=sys.stderr)
+        """,
+    )
+    assert "exit 3" in proc.stderr and "structural error: p=13: killed by signal 9 (in worker)" in proc.stderr
+    rows = json.loads(proc.stdout)["rows"]
+    assert rows[1] == {"p": 13, "stage": "worker", "error": "killed by signal 9"}
+    assert main([command, "--primes", "11,17", "--format", "json"]) == 0
+    assert [rows[0], rows[2]] == json.loads(capsys.readouterr().out)["rows"]
+
+
+def test_worker_exception_is_raised_with_its_prime():
+    """An exception a worker raises is raised in the parent, caused by one
+    that names the item and holds the worker's traceback."""
+    proc = run_script(
+        'raise RuntimeError("injected")',
+        """
+        try:
+            sweep.hasse_sweep([11, 13, 17], jobs=2)
+        except RuntimeError as e:
+            print(json.dumps({"error": str(e), "cause": str(e.__cause__)}))
+        """,
+    )
+    out = json.loads(proc.stdout)
+    assert out["error"] == "injected"
+    assert out["cause"].startswith("in the sweep worker for (13,):\nTraceback")
+    assert "RuntimeError: injected" in out["cause"]
+
+
+@pytest.mark.parametrize("command", ["hasse", "nakaya"])
+def test_jobs_give_identical_bytes(command):
+    """--jobs 1, 2 and 64 (more workers than primes or cores) write the same
+    JSON."""
+    outs = []
+    for jobs in ("1", "2", "64"):
+        proc = run_python(
+            f"import os, sys; from fricke7 import cli\n"
+            f"code = cli.main(['{command}', '--primes', '11..200', '--format', 'json', '--jobs', '{jobs}'])\n"
+            + NO_CHILD_LEFT + "sys.exit(code)\n"
+        )
+        assert proc.returncode == 0 and "no child process left" in proc.stderr, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1] == outs[2]
+    assert len(json.loads(outs[0])["rows"]) == 42
