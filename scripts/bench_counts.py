@@ -32,13 +32,10 @@ get the names BENCH_count_factors_<sha>-this.json and -other.json.
 import argparse
 import json
 import os
-import platform
 import resource
 import statistics
-import subprocess
 import sys
 import time
-from importlib import metadata
 from pathlib import Path
 
 import fricke7
@@ -63,8 +60,15 @@ NAKAYA_PRIMES = (
 )
 
 
+# subprocess, platform and importlib.metadata are imported where they are
+# used, so that the child process of a CLI row loads little beyond what the
+# CLI loads, and its peak RSS is the CLI's.
+
+
 def git_state(root: Path):
     """(short sha, whether src/ differs from it), or ("unknown", None) outside git."""
+    import subprocess
+
     def git(*args):
         return subprocess.run(["git", "-C", str(root), *args], capture_output=True, text=True, check=True).stdout
 
@@ -75,6 +79,9 @@ def git_state(root: Path):
 
 
 def machine():
+    import platform
+    from importlib import metadata
+
     return {
         "platform": platform.platform(),
         "machine": platform.machine(),
@@ -168,6 +175,8 @@ def payload(sha, dirty, repeats: int, rows, nakaya_rows, cli):
 def child_run(src: Path, kind: str, primes: str):
     """One run of `kind` on the comma list `primes` in a child process that
     imports fricke7 from src."""
+    import subprocess
+
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run([sys.executable, __file__, "--child", kind, "--primes", primes],
                           capture_output=True, text=True, env=env)
