@@ -18,15 +18,16 @@ the checkout `fricke7` was imported from.
     PYTHONPATH=src python scripts/bench_counts.py [--primes 2003,1997] [--repeats 3] [--out-dir .]
     PYTHONPATH=src python scripts/bench_counts.py --paired OTHER/src [--primes ...] [--repeats 5]
 
-`--primes` replaces the default lists, the CLI calls' too.  Point PYTHONPATH at another
-checkout's src/ to time that checkout; compare two files only when they come
-from the same machine.  `--paired OTHER_SRC` times this src/ tree and
-OTHER_SRC together: at each prime it runs k = `--repeats` alternations, each
-one child process per tree (the first tree alternating), so both trees see
-the same drift of the machine.  It writes both BENCH files, and each row
-gains `paired_ratio`, the median over the alternations of its tree's time
-over the other tree's (for a CLI row, one ratio per metric); two trees with the same sha (copies outside git, say)
-get the names BENCH_count_factors_<sha>-this.json and -other.json.
+`--primes` replaces the default lists, the CLI calls' too.  Point PYTHONPATH
+at another checkout's src/ to time that checkout; compare two files only when
+they come from the same machine.  `--paired OTHER_SRC` times this src/ tree
+and OTHER_SRC together: at each prime or CLI call it runs k = `--repeats`
+alternations, each one child process per tree (the first tree alternating),
+so both trees see the same drift of the machine.  It writes both BENCH files,
+and each row gains `paired_ratio`, the median over the alternations of its
+tree's time over the other tree's (for a CLI row, one ratio per metric); two
+trees with the same sha (copies outside git, say) get the names
+BENCH_count_factors_<sha>-this.json and -other.json.
 """
 
 import argparse
@@ -49,15 +50,15 @@ PRIMES = (
     2087, 2179, 2131, 2083, 2161, 2113,
     9941, 9949, 9901, 9923, 9973, 9967,
 )
-# one CLI call per sweep, as perfbench's workloads make them: two primes near
-# 2000 (one per worker), and three primes of each half of nakaya-mix
-CLI_CALLS = (("hasse", (1901, 2083)), ("nakaya", (31, 139, 229, 499, 659, 907)))
-CLI_METRICS = ("wall_s", "cpu_s", "peak_rss_mb")
 # one prime per class p mod 7 = 1..6, the largest in (11, 300] and in (300, 1000]
 NAKAYA_PRIMES = (
     281, 233, 283, 277, 271, 293,
     967, 947, 997, 991, 971, 937,
 )
+# one CLI call per sweep, as perfbench's workloads make them: two primes near
+# 2000 (one per worker), and three primes of each half of nakaya-mix
+CLI_CALLS = (("hasse", (1901, 2083)), ("nakaya", (31, 139, 229, 499, 659, 907)))
+CLI_METRICS = ("wall_s", "cpu_s", "peak_rss_mb")
 
 
 # subprocess, platform and importlib.metadata are imported where they are
@@ -230,8 +231,8 @@ def cli_rows(srcs, calls, repeats: int):
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--primes", help="comma list of primes for both timings (default: PRIMES and NAKAYA_PRIMES)")
-    ap.add_argument("--repeats", type=int, default=3, help="runs per prime (k)")
+    ap.add_argument("--primes", help="comma list of primes for every timing (default: PRIMES, NAKAYA_PRIMES, CLI_CALLS)")
+    ap.add_argument("--repeats", type=int, default=3, help="runs per prime or CLI call (k)")
     ap.add_argument("--out-dir", default=".", help="directory for the BENCH file")
     ap.add_argument("--paired", metavar="OTHER_SRC", help="the src/ directory of a second tree to time alternately")
     ap.add_argument("--child", choices=sorted(TIMERS) + [f"{c}-cli" for c, _ in CLI_CALLS], help=argparse.SUPPRESS)
