@@ -8,12 +8,12 @@ nakaya sweep's worker with the count consistency (`sweep._nakaya_worker`), by
 default one prime per class p mod 7 in each half of the `nakaya-mix`
 benchmark, (11, 300] (where the ss^(7*) oracle runs) and (300, 1000]; of
 whole CLI sweep calls (`cli_rows`), one `hasse --jobs 2` call on two primes
-near 2000 and one `nakaya --jobs 2` call on three primes of each of those
-halves, each run in a fresh child process with its wall time, CPU including
-the sweep's worker processes, and peak resident set (the larger of the
-call's process and its largest worker), so that the cost of starting,
-feeding and stopping the workers shows; with the machine and the git sha of
-the checkout `fricke7` was imported from.
+near 2000, and one `nakaya --jobs 2` and one `ss7star --jobs 2` call on three
+primes of each of those halves, each run in a fresh child process with its
+wall time, CPU including the sweep's worker processes, and peak resident set
+(the larger of the call's process and its largest worker), so that the cost
+of starting, feeding and stopping the workers shows; with the machine and
+the git sha of the checkout `fricke7` was imported from.
 
     PYTHONPATH=src python scripts/bench_counts.py [--primes 2003,1997] [--repeats 3] [--out-dir .]
     PYTHONPATH=src python scripts/bench_counts.py --paired OTHER/src [--primes ...] [--repeats 5]
@@ -56,8 +56,13 @@ NAKAYA_PRIMES = (
     967, 947, 997, 991, 971, 937,
 )
 # one CLI call per sweep, as perfbench's workloads make them: two primes near
-# 2000 (one per worker), and three primes of each half of nakaya-mix
-CLI_CALLS = (("hasse", (1901, 2083)), ("nakaya", (31, 139, 229, 499, 659, 907)))
+# 2000 (one per worker), and three primes of each half of nakaya-mix, which
+# the ss7star call takes too (its workers also factor ss_p^(7*))
+CLI_CALLS = (
+    ("hasse", (1901, 2083)),
+    ("nakaya", (31, 139, 229, 499, 659, 907)),
+    ("ss7star", (31, 139, 229, 499, 659, 907)),
+)
 CLI_METRICS = ("wall_s", "cpu_s", "peak_rss_mb")
 
 

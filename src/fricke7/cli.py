@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
 from .errors import StructuralError, UsageError
-from .ffpoly import PRIME_LIMIT, FpPoly, factorize, is_prime
+from .ffpoly import PRIME_LIMIT, FpPoly, is_prime
 
 JSON_VERSION = "fricke7/2"
 
@@ -156,7 +156,10 @@ def _exit_code(rows: List[Dict]) -> int:
     """3 if a prime failed (each is named on stderr), 1 on a FAIL verdict, else 0."""
     failed = [r for r in rows if "error" in r]
     for r in failed:
-        _progress(f"structural error: p={r['p']}: {r['error']} (in {r['stage']})")
+        if r["stage"] == "worker":
+            _progress(f"worker process died: p={r['p']}: {r['error']}")
+        else:
+            _progress(f"structural error: p={r['p']}: {r['error']} (in {r['stage']})")
     if failed:
         return 3
     return 1 if _verdict_fail(rows) else 0
@@ -209,13 +212,13 @@ def cmd_hasse(args) -> int:
 
 
 def cmd_ss7star(args) -> int:
-    from .sweep import nakaya_sweep
+    from .sweep import ss7star_sweep
 
     primes = parse_primes(args.primes)
     bad = [p for p in primes if p in (2, 3, 7)]
     primes = [p for p in primes if p not in (2, 3, 7)]
     _progress(f"ss7star over {len(primes)} primes (jobs={args.jobs})")
-    rows = nakaya_sweep(primes, jobs=args.jobs, check_oracle=args.check_oracle)
+    rows = ss7star_sweep(primes, jobs=args.jobs, check_oracle=args.check_oracle)
     rows_out: List[Dict] = []
     for p in bad:
         rows_out.append({"p": p, "skipped": "excluded by hypothesis"})
@@ -225,7 +228,6 @@ def cmd_ss7star(args) -> int:
             rows_out.append(failed)
             continue
         rep = row.report
-        fac = factorize(rep.ss7star)
         rows_out.append(
             {
                 "p": row.p,
@@ -235,7 +237,7 @@ def cmd_ss7star(args) -> int:
                 "oracle_match": rep.oracle_match,
                 "nakaya": "PASS" if rep.nakaya_ok else "FAIL",
                 "coeffs": list(rep.ss7star.coeffs),
-                "factored": fac.pretty("Y"),
+                "factored": row.factored,
             }
         )
     rows_out.sort(key=lambda r: r["p"])

@@ -3,14 +3,15 @@ minimal-polynomial table P_d numerically and the reference factorizations mod l.
 
 All numeric comparisons are against explicitly propagated error bounds, never a
 bare epsilon: eval_h returns a certified absolute error alongside the value.
+
+mpmath is imported inside the functions that evaluate, so importing this
+module (or the package) does not load it; only `cm` does, on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, Sequence
-
-import mpmath as mp
 
 from . import constants as C
 from .classnum import class_number
@@ -70,6 +71,8 @@ class CertifiedValue:
 
 def eval_h(point: CMPoint, bits: int = 300) -> CertifiedValue:
     """h(w/7) via the defining product, truncated with a certified tail bound."""
+    import mpmath as mp
+
     with mp.workprec(bits + 96):
         tau = mp.mpc(point.v, mp.sqrt(point.d)) / 14
     return eval_h_tau(tau, bits)
@@ -77,6 +80,8 @@ def eval_h(point: CMPoint, bits: int = 300) -> CertifiedValue:
 
 def eval_h_tau(tau, bits: int = 300) -> CertifiedValue:
     """h(tau) for any tau in the upper half-plane with |q| bounded away from 1."""
+    import mpmath as mp
+
     if bits < MIN_BITS:
         raise ValueError(f"bits >= {MIN_BITS} required")
     guard = 96
@@ -110,6 +115,8 @@ def eval_h_tau(tau, bits: int = 300) -> CertifiedValue:
 
 
 def _poly_abs_eval(coeffs: Sequence[int], x) -> object:
+    import mpmath as mp
+
     out = mp.mpf(0)
     ax = abs(x)
     for c in reversed(list(coeffs)):
@@ -119,6 +126,8 @@ def _poly_abs_eval(coeffs: Sequence[int], x) -> object:
 
 def eval_int_poly(coeffs: Sequence[int], z: CertifiedValue) -> CertifiedValue:
     """P(z) with first-order error propagation |P'(z)| err + rounding slack."""
+    import mpmath as mp
+
     val = mp.mpc(0)
     for c in reversed(list(coeffs)):
         val = val * z.value + c
@@ -130,6 +139,8 @@ def eval_int_poly(coeffs: Sequence[int], z: CertifiedValue) -> CertifiedValue:
 
 def phi_of_h(h: CertifiedValue) -> CertifiedValue:
     """j_7^*(tau) = (h^2-h+1)^3 / (h (h-1) (h^3-8h^2+5h+1)) with error propagation."""
+    import mpmath as mp
+
     num = eval_int_poly(ppow((1, -1, 1), 3), h)
     den = eval_int_poly(pmul(pmul((0, 1), (-1, 1)), (1, 5, -8, 1)), h)
     val = num.value / den.value
@@ -150,6 +161,8 @@ class CMVerdict:
 def verify_pd_root(d: int, bits: int = 300) -> CMVerdict:
     """|P_d(h(w/7))| below both 2^(-bits/2) and the certified error envelope,
     at the point `select_w(d)`."""
+    import mpmath as mp
+
     if d not in C.PD_TABLE:
         raise KeyError(f"no P_d stored for d={d}")
     point = select_w(d)
@@ -164,6 +177,8 @@ def verify_pd_root(d: int, bits: int = 300) -> CMVerdict:
 
 def verify_psi7_root(bits: int = 300) -> CMVerdict:
     """Phi(h(w/7)) is a root of Psi_7 at the reference point w = 29 + sqrt(-41)."""
+    import mpmath as mp
+
     d, v = C.PSI7_CM_POINT
     point = CMPoint(d=d, v=v)
     with mp.workprec(bits + 96):

@@ -31,13 +31,13 @@ or two-coefficient quotient run in float64 on unreduced integer vectors
 (`_euclid`), inside a second asserted bound: every integer the step computes
 stays below 2^52, which holds for l (l - 1) < 2^52; other steps divide
 through a one-off `_Modulus`.  All randomized steps draw from a PRNG seeded
-deterministically from the modulus and the input coefficients, so every run
-(and every process) produces identical output.
+with the bytes of the modulus and of the input coefficients (`_seed_rng`),
+which `random` hashes with its built-in SHA-512, so every run (and every
+process) produces identical output without loading `hashlib`.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from dataclasses import dataclass
@@ -678,11 +678,12 @@ class Factorization:
 
 
 def _seed_rng(f: FpPoly) -> random.Random:
-    h = hashlib.sha256()
-    h.update(f.modulus.to_bytes(8, "little"))
-    for c in f.coeffs:
-        h.update(c.to_bytes(8, "little"))
-    return random.Random(int.from_bytes(h.digest()[:8], "little"))
+    """A PRNG seeded by the bytes of f: the modulus (8 bytes, little-endian),
+    then the coefficient vector as little-endian int64.  `random` hashes a
+    bytes seed with its built-in SHA-512, so every process draws the same
+    numbers without loading `hashlib` (and OpenSSL with it); `hash()` would
+    not do, being randomized per process for bytes."""
+    return random.Random(f.modulus.to_bytes(8, "little") + f._v.astype("<i8", copy=False).tobytes())
 
 
 def squarefree_decomposition(f: FpPoly) -> List[Tuple[FpPoly, int]]:

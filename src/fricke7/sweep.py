@@ -16,11 +16,11 @@ import pickle
 import select
 import signal
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import StructuralError
-from .ffpoly import PrimeContext, is_prime
+from .ffpoly import PrimeContext, factorize, is_prime
 from .hasse7 import FactorCountReport, count_factors, verify_count_formulas
 from .ss7star import SS7StarReport, counts_and_nakaya, count_consistency
 
@@ -235,6 +235,7 @@ class NakayaRow:
     report: Optional[SS7StarReport]
     consistency: Optional[Dict[str, object]] = None
     failure: Optional[Failure] = None
+    factored: Optional[str] = None  # ss_p^(7*) factored, in Y (the ss7star sweep)
 
 
 def _nakaya_worker(args: Tuple[int, bool, bool]) -> NakayaRow:
@@ -263,3 +264,21 @@ def nakaya_sweep(
         [(p, check_oracle, with_consistency) for p in sorted(primes)],
         jobs,
     )
+
+
+def _ss7star_worker(args: Tuple[int, bool]) -> NakayaRow:
+    """The nakaya worker without the count consistency, and the factored
+    display of ss_p^(7*), so that the sweep's workers factor, not its parent;
+    args is (p, check_oracle)."""
+    p, check_oracle = args
+    row = _nakaya_worker((p, check_oracle, False))
+    if row.failure is not None:
+        return row
+    try:
+        return replace(row, factored=factorize(row.report.ss7star).pretty("Y"))
+    except StructuralError as e:
+        return NakayaRow(p=p, report=None, failure=Failure("factorize", str(e)))
+
+
+def ss7star_sweep(primes: Sequence[int], jobs: int = 1, check_oracle: bool = False) -> List[NakayaRow]:
+    return _sweep(_ss7star_worker, NakayaRow, [(p, check_oracle) for p in sorted(primes)], jobs)

@@ -175,7 +175,7 @@ def test_structural_error_exit_code(monkeypatch, capsys):
     def boom(*a, **k):
         raise StructuralError("injected")
 
-    monkeypatch.setattr(sweep, "nakaya_sweep", boom)
+    monkeypatch.setattr(sweep, "ss7star_sweep", boom)
     code, _, err = run_cli(["ss7star", "--primes", "13"], capsys)
     assert code == 3 and "structural error" in err
 
@@ -319,3 +319,53 @@ def test_pool_never_larger_than_the_prime_list(monkeypatch, capsys):
     # one prime runs serially: no fork at all
     run_cli(["hasse", "--primes", "13", "--jobs", "64"], capsys)
     assert [c["forks"] for c in calls] == [3, 2, 0, 2, 0]
+
+
+def test_ss7star_workers_factor(tmp_path, monkeypatch, capsys):
+    """The ss7star sweep's workers build the factored display of ss_p^(7*):
+    --jobs 1 and --jobs 2 write the same bytes, and with two workers every
+    factorize call runs in a worker, none in the parent."""
+    import os
+
+    from fricke7 import sweep
+
+    log = tmp_path / "factorize.pids"
+    real = sweep.factorize
+
+    def spy(f):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real(f)
+
+    monkeypatch.setattr(sweep, "factorize", spy)
+    argv = ["ss7star", "--primes", "5..60", "--format", "json"]
+    serial = run_cli([*argv, "--jobs", "1"], capsys)
+    assert log.read_text().split() == [str(os.getpid())] * 14  # the primes up to 60 but 2, 3, 7
+    log.unlink()
+    parallel = run_cli([*argv, "--jobs", "2"], capsys)
+    assert parallel[:2] == serial[:2] and serial[0] == 0
+    pids = log.read_text().split()
+    assert len(pids) == 14 and str(os.getpid()) not in pids
+    assert all(r["factored"] for r in json.loads(serial[1])["rows"] if "skipped" not in r)
+
+
+def test_ss7star_factorize_failure_is_a_row(monkeypatch, capsys):
+    """A structural error while a worker factors ss_p^(7*) gives that prime
+    the row {p, stage: "factorize", error}; the other rows are written and
+    the exit code is 3."""
+    from fricke7 import sweep
+    from fricke7.errors import StructuralError
+
+    real = sweep.factorize
+
+    def fails_at_13(f):
+        if f.modulus == 13:
+            raise StructuralError("injected")
+        return real(f)
+
+    monkeypatch.setattr(sweep, "factorize", fails_at_13)
+    code, out, err = run_cli(["ss7star", "--primes", "11,13,17", "--format", "json", "--jobs", "2"], capsys)
+    assert code == 3 and "structural error: p=13: injected (in factorize)" in err
+    rows = json.loads(out)["rows"]
+    assert rows[1] == {"p": 13, "stage": "factorize", "error": "injected"}
+    assert rows[0]["factored"] and rows[2]["factored"]

@@ -1,6 +1,10 @@
 import math
+import os
 import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -209,6 +213,29 @@ class TestBoundedSplitting:
         assert factorize(quartic).factors[0][0].degree == 4  # irreducible mod 13
         with pytest.raises(StructuralError, match=r"degree-2 .*l=13"):
             _edf(quartic, 2)
+
+
+def test_split_seed_is_the_same_in_every_process():
+    """`_seed_rng` depends on the bytes of f alone: a fresh interpreter with
+    another hash seed draws the same first numbers as this process, and f
+    with one coefficient changed draws others."""
+    code = (
+        "from fricke7.ffpoly import FpPoly, _seed_rng\n"
+        "rng = _seed_rng(FpPoly.make(1009, [3, 0, 7, 1008, 1]))\n"
+        "print([rng.randrange(1009) for _ in range(8)])\n"
+    )
+    env = dict(os.environ, PYTHONHASHSEED="12345")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+    def draws(coeffs):
+        rng = ffpoly._seed_rng(FpPoly.make(1009, coeffs))
+        return [rng.randrange(1009) for _ in range(8)]
+
+    assert proc.stdout.strip() == str(draws([3, 0, 7, 1008, 1]))
+    assert draws([3, 0, 7, 1007, 1]) != draws([3, 0, 7, 1008, 1])
 
 
 class TestDistinctDegreeSplit:

@@ -188,3 +188,34 @@ def test_cli_and_sweep_leave_multiprocessing_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_sweeps_leave_hashlib_and_mpmath_unloaded():
+    """A sweep process loads neither OpenSSL nor mpmath: in a fresh
+    interpreter that imports every module (as perfbench's child process
+    does), a serial `hasse` at l = 29 (l = 1 mod 7, where the equal-degree
+    split seeds its PRNG) and a `nakaya` at p = 281, 283 (p <= 300, where the
+    ss^(7*) oracle seeds it too) leave `hashlib`, `_hashlib` and `mpmath`
+    unloaded; `cm` then loads mpmath and passes."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    names = [p.stem for p in MODULES]
+    code = (
+        "import importlib, os, sys\n"
+        f"for m in {names!r}:\n"
+        "    importlib.import_module('fricke7.' + m)\n"
+        "from fricke7 import cli, ffpoly\n"
+        "seeds = []\n"
+        "real = ffpoly._seed_rng\n"
+        "ffpoly._seed_rng = lambda f: seeds.append(f) or real(f)\n"
+        "heavy = lambda: sorted(m for m in ('hashlib', '_hashlib', 'mpmath') if m in sys.modules)\n"
+        "loaded = heavy()\n"
+        "codes = [cli.main(['hasse', '--primes', '29', '--out', os.devnull]),\n"
+        "         cli.main(['nakaya', '--primes', '281,283', '--check-oracle', '--out', os.devnull])]\n"
+        "print(loaded, heavy(), codes, len(seeds) > 0)\n"
+        "print(cli.main(['cm', '--out', os.devnull]), 'mpmath' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "cmeval" in names and "sweep" in names and "cli" in names
+    assert proc.stdout.splitlines() == ["[] [] [0, 0] True", "0 True"]

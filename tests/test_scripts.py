@@ -44,7 +44,7 @@ def test_bench_counts_runs(tmp_path):
         for r in bench["nakaya_rows"]
     )
     assert [(r["command"], r["primes"], r["jobs"]) for r in bench["cli_rows"]] == [
-        ("hasse", [41, 59], 2), ("nakaya", [41, 59], 2)]
+        ("hasse", [41, 59], 2), ("nakaya", [41, 59], 2), ("ss7star", [41, 59], 2)]
     assert all(len(r["runs"]) == 2 and all(r[m] > 0 for m in ("wall_s", "cpu_s", "peak_rss_mb"))
                for r in bench["cli_rows"])
     assert bench["machine"]["cpus"] and bench["sha"]
@@ -77,6 +77,6 @@ def test_bench_counts_paired_runs(tmp_path):
         assert all(len(r["runs_s"]) == 3 and 0.5 < r["paired_ratio"] < 2 for r in rows), rows
         assert all(r["verdicts"]["factor_types"] == "PASS" for r in bench["rows"])
         assert all(r["consistency_ok"] for r in bench["nakaya_rows"])
-        assert [r["command"] for r in bench["cli_rows"]] == ["hasse", "nakaya"]
+        assert [r["command"] for r in bench["cli_rows"]] == ["hasse", "nakaya", "ss7star"]
         assert all(len(r["runs"]) == 3 and set(r["paired_ratio"]) == {"wall_s", "cpu_s", "peak_rss_mb"}
                    and 0.5 < r["paired_ratio"]["peak_rss_mb"] < 2 for r in bench["cli_rows"])

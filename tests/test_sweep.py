@@ -66,7 +66,8 @@ def test_killed_worker_becomes_a_failure_row(command, capsys):
         print(f"exit {{code}}", file=sys.stderr)
         """,
     )
-    assert "exit 3" in proc.stderr and "structural error: p=13: killed by signal 9 (in worker)" in proc.stderr
+    assert "exit 3" in proc.stderr and "worker process died: p=13: killed by signal 9" in proc.stderr
+    assert "structural error" not in proc.stderr
     rows = json.loads(proc.stdout)["rows"]
     assert rows[1] == {"p": 13, "stage": "worker", "error": "killed by signal 9"}
     assert main([command, "--primes", "11,17", "--format", "json"]) == 0
