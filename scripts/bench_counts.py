@@ -4,9 +4,10 @@ the median of k runs at each prime of the hasse sweep,
 `verify_count_formulas(count_factors)`, by default one prime per class l mod 7
 near 2000, in (2048, 2200] (where the square of the Hasse polynomial, of
 degree about 2l, first passes 2^13 coefficients) and near 10^4; and of the
-nakaya sweep's worker with the count consistency (`sweep._nakaya_worker`), by
-default one prime per class p mod 7 in each half of the `nakaya-mix`
-benchmark, (11, 300] (where the ss^(7*) oracle runs) and (300, 1000]; of
+nakaya sweep's per-prime work, `counts_and_nakaya` and then, from p = 11 on,
+`count_consistency` on its report, by default one prime per class p mod 7 in
+each half of the `nakaya-mix` benchmark, (11, 300] (where the ss^(7*) oracle
+runs) and (300, 1000]; of
 whole CLI sweep calls (`cli_rows`), one `hasse --jobs 2` call on two primes
 near 2000, and one `nakaya --jobs 2` and one `ss7star --jobs 2` call on three
 primes of each of those halves, each run in a fresh child process with its
@@ -42,7 +43,7 @@ from pathlib import Path
 import fricke7
 from fricke7.ffpoly import PrimeContext
 from fricke7.hasse7 import count_factors, verify_count_formulas
-from fricke7.sweep import _nakaya_worker
+from fricke7.ss7star import count_consistency, counts_and_nakaya
 
 # one prime per class l mod 7 = 1..6, near 2000, in (2048, 2200] and near 10^4
 PRIMES = (
@@ -120,18 +121,21 @@ def time_prime(p: int, repeats: int):
 
 
 def time_nakaya(p: int, repeats: int):
-    row, timing = medians(lambda: _nakaya_worker((p, False, True)), repeats)
-    if row.failure:
-        raise SystemExit(f"p={p}: {row.failure.stage}: {row.failure.error}")
+    def run():
+        ctx = PrimeContext.make(p)
+        rep = counts_and_nakaya(ctx)
+        return rep, count_consistency(ctx, report=rep)["ok"] if p >= 11 else None
+
+    (rep, consistency_ok), timing = medians(run, repeats)
     return {
         "p": p,
         "class": p % 7,
         **timing,
-        "L": row.report.L,
-        "L7star": row.report.L7star,
-        "oracle_match": row.report.oracle_match,
-        "nakaya_ok": row.report.nakaya_ok,
-        "consistency_ok": row.consistency["ok"] if row.consistency else None,
+        "L": rep.L,
+        "L7star": rep.L7star,
+        "oracle_match": rep.oracle_match,
+        "nakaya_ok": rep.nakaya_ok,
+        "consistency_ok": consistency_ok,
     }
 
 
@@ -164,7 +168,7 @@ TIMERS = {"hasse": time_prime, "nakaya": time_nakaya}
 def payload(sha, dirty, repeats: int, rows, nakaya_rows, cli):
     return {
         "what": "verify_count_formulas(count_factors) per prime (rows), "
-                "sweep._nakaya_worker with the count consistency (nakaya_rows) and whole "
+                "counts_and_nakaya and count_consistency (nakaya_rows) and whole "
                 "CLI sweep calls in child processes (cli_rows), median of k runs",
         "sha": sha,
         "src_dirty": dirty,

@@ -145,13 +145,6 @@ def _verdict_fail(rows: List[Dict]) -> bool:
     return any(scan(r) for r in rows)
 
 
-def _failure_row(row) -> Optional[Dict]:
-    """The row {p, stage, error} of a sweep row whose prime failed, else None."""
-    if row.failure is None:
-        return None
-    return {"p": row.p, "stage": row.failure.stage, "error": row.failure.error}
-
-
 def _exit_code(rows: List[Dict]) -> int:
     """3 if a prime failed (each is named on stderr), 1 on a FAIL verdict, else 0."""
     failed = [r for r in rows if "error" in r]
@@ -174,104 +167,29 @@ def cmd_hasse(args) -> int:
 
     primes = parse_primes(args.primes)
     _progress(f"hasse sweep over {len(primes)} primes (jobs={args.jobs})")
-    rows_out: List[Dict] = []
     rows = hasse_sweep(primes, jobs=args.jobs)
-    for row in rows:
-        if row.skipped:
-            rows_out.append({"p": row.p, "skipped": row.skipped})
-            continue
-        failed = _failure_row(row)
-        if failed:
-            rows_out.append(failed)
-            continue
-        rep = row.report
-        p = row.p
-        rows_out.append(
-            {
-                "p": p,
-                "p_mod_3": p % 3,
-                "p_mod_4": p % 4,
-                "p_mod_7": p % 7,
-                "p_mod_8": p % 8,
-                "N1": rep.N1,
-                "N2": rep.N2,
-                "N3": rep.N3,
-                "N6": rep.N6,
-                "L": rep.L,
-                "h_minus_l": rep.h_minus_l,
-                "h_minus_7l": rep.h_minus_7l,
-                "formula_N1": rep.formula_N1,
-                "formula_N3": rep.formula_N3,
-                "formula_N6": rep.formula_N6_by_case,
-                "formula_N2": rep.formula_N2_by_case,
-                "verdicts": dict(rep.verdicts),
-            }
-        )
-    emit(rows_out, args.format, args.out, "hasse")
-    return _exit_code(rows_out)
+    emit(rows, args.format, args.out, "hasse")
+    return _exit_code(rows)
 
 
 def cmd_ss7star(args) -> int:
     from .sweep import ss7star_sweep
 
     primes = parse_primes(args.primes)
-    bad = [p for p in primes if p in (2, 3, 7)]
-    primes = [p for p in primes if p not in (2, 3, 7)]
     _progress(f"ss7star over {len(primes)} primes (jobs={args.jobs})")
     rows = ss7star_sweep(primes, jobs=args.jobs, check_oracle=args.check_oracle)
-    rows_out: List[Dict] = []
-    for p in bad:
-        rows_out.append({"p": p, "skipped": "excluded by hypothesis"})
-    for row in rows:
-        failed = _failure_row(row)
-        if failed:
-            rows_out.append(failed)
-            continue
-        rep = row.report
-        rows_out.append(
-            {
-                "p": row.p,
-                "degree": rep.ss7star.degree,
-                "L": rep.L,
-                "L7star": rep.L7star,
-                "oracle_match": rep.oracle_match,
-                "nakaya": "PASS" if rep.nakaya_ok else "FAIL",
-                "coeffs": list(rep.ss7star.coeffs),
-                "factored": row.factored,
-            }
-        )
-    rows_out.sort(key=lambda r: r["p"])
-    emit(rows_out, args.format, args.out, "ss7star")
-    return _exit_code(rows_out)
+    emit(rows, args.format, args.out, "ss7star")
+    return _exit_code(rows)
 
 
 def cmd_nakaya(args) -> int:
-    from .sweep import nakaya_sweep
+    from .sweep import EXCLUDED, nakaya_sweep
 
-    primes = parse_primes(args.primes)
-    primes = [p for p in primes if p not in (2, 3, 7)]
+    primes = [p for p in parse_primes(args.primes) if p not in EXCLUDED]
     _progress(f"nakaya sweep over {len(primes)} primes (jobs={args.jobs})")
-    rows = nakaya_sweep(primes, jobs=args.jobs, check_oracle=args.check_oracle, with_consistency=True)
-    rows_out: List[Dict] = []
-    for row in rows:
-        failed = _failure_row(row)
-        if failed:
-            rows_out.append(failed)
-            continue
-        rep = row.report
-        entry = {
-            "p": row.p,
-            "L": rep.L,
-            "L7star": rep.L7star,
-            "predicted": rep.nakaya_predicted,
-            "oracle_match": rep.oracle_match,
-            "nakaya": "PASS" if rep.nakaya_ok else "FAIL",
-        }
-        if row.consistency is not None:
-            entry["consistency"] = "PASS" if row.consistency["ok"] else "FAIL"
-        rows_out.append(entry)
-    emit(rows_out, args.format, args.out, "nakaya")
-    return _exit_code(rows_out)
+    rows = nakaya_sweep(primes, jobs=args.jobs, check_oracle=args.check_oracle)
+    emit(rows, args.format, args.out, "nakaya")
+    return _exit_code(rows)
 
 
 def cmd_identities(args) -> int:

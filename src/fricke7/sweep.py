@@ -1,12 +1,15 @@
 """Parallel prime sweeps: pure per-prime workers, deterministic merge order.
 
-Workers are module-level functions that forked worker processes inherit;
-results come back keyed by prime and are always emitted in ascending prime
-order, so parallel and serial runs produce identical reports.  A worker whose
-prime raises a `StructuralError` returns a row carrying a `Failure` (the stage
-and the message) instead, so one bad prime neither ends the sweep nor loses
+Each sweep worker returns the payload row that the CLI writes for its prime,
+so this module owns the row schema of the `hasse`, `nakaya` and `ss7star`
+commands (`Fraction` values stay in the rows; the CLI's writer converts
+them).  Workers are module-level functions that forked worker processes
+inherit; rows come back in ascending prime order, so parallel and serial runs
+produce identical reports.  A prime the paper's hypotheses exclude gets the
+row {p, skipped}; a prime whose work raises a `StructuralError` gets the row
+{p, stage, error} instead, so one bad prime neither ends the sweep nor loses
 the rows of the others; a worker process that dies (a signal, the OOM killer)
-gives its prime the row of a `Failure` at the stage "worker".
+gives its prime that row with the stage "worker".
 """
 
 from __future__ import annotations
@@ -16,13 +19,15 @@ import pickle
 import select
 import signal
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import StructuralError
 from .ffpoly import PrimeContext, factorize, is_prime
-from .hasse7 import FactorCountReport, count_factors, verify_count_formulas
-from .ss7star import SS7StarReport, counts_and_nakaya, count_consistency
+from .hasse7 import count_factors, verify_count_formulas
+from .ss7star import counts_and_nakaya, count_consistency
+
+EXCLUDED = (2, 3, 7)  # the primes the paper's hypotheses exclude
 
 
 def primes_in(lo: int, hi: int) -> List[int]:
@@ -187,30 +192,31 @@ def run_parallel(worker, args: Sequence, jobs: int) -> List:
     return out
 
 
-def _sweep(worker, row, args: Sequence[Tuple], jobs: int) -> List:
+def _bare_row(p: int, failure: Optional[Failure] = None) -> Dict[str, object]:
+    """The row of a prime without a result: {p, skipped} for a prime the
+    paper's hypotheses exclude, or {p, stage, error} for one whose `failure`
+    is given."""
+    if failure is None:
+        return {"p": p, "skipped": "excluded by hypothesis"}
+    return {"p": p, "stage": failure.stage, "error": failure.error}
+
+
+def _sweep(worker, args: Sequence[Tuple], jobs: int) -> List[Dict[str, object]]:
     """run_parallel over (p, ...) args, with the Failure of an item whose
-    worker process died as the row row(p=p, report=None, failure=...)."""
-    return [row(p=a[0], report=None, failure=r) if isinstance(r, Failure) else r
+    worker process died as its failure row."""
+    return [_bare_row(a[0], r) if isinstance(r, Failure) else r
             for a, r in zip(args, run_parallel(worker, args, jobs))]
 
 
 # -- hasse sweep
 
 
-@dataclass(frozen=True)
-class HasseRow:
-    p: int
-    report: Optional[FactorCountReport]
-    skipped: Optional[str] = None
-    failure: Optional[Failure] = None
-
-
-def _hasse_worker(args: Tuple[int]) -> HasseRow:
-    """The full count and its verdicts at one prime; args is (p,), the
-    (p, ...) tuple every sweep worker takes."""
+def _hasse_worker(args: Tuple[int]) -> Dict[str, object]:
+    """The row of the full count and its verdicts at one prime; args is (p,),
+    the (p, ...) tuple every sweep worker takes."""
     (p,) = args
-    if p in (2, 3, 7):
-        return HasseRow(p=p, report=None, skipped="excluded by hypothesis")
+    if p in EXCLUDED:
+        return _bare_row(p)
     ctx = PrimeContext.make(p)
     stage = "count_factors"
     try:
@@ -218,67 +224,87 @@ def _hasse_worker(args: Tuple[int]) -> HasseRow:
         stage = "verify_count_formulas"
         rep = verify_count_formulas(ctx, rep)
     except StructuralError as e:
-        return HasseRow(p=p, report=None, failure=Failure(stage, str(e)))
-    return HasseRow(p=p, report=rep)
+        return _bare_row(p, Failure(stage, str(e)))
+    return {
+        "p": p,
+        "p_mod_3": p % 3,
+        "p_mod_4": p % 4,
+        "p_mod_7": p % 7,
+        "p_mod_8": p % 8,
+        "N1": rep.N1,
+        "N2": rep.N2,
+        "N3": rep.N3,
+        "N6": rep.N6,
+        "L": rep.L,
+        "h_minus_l": rep.h_minus_l,
+        "h_minus_7l": rep.h_minus_7l,
+        "formula_N1": rep.formula_N1,
+        "formula_N3": rep.formula_N3,
+        "formula_N6": rep.formula_N6_by_case,
+        "formula_N2": rep.formula_N2_by_case,
+        "verdicts": dict(rep.verdicts),
+    }
 
 
-def hasse_sweep(primes: Sequence[int], jobs: int = 1) -> List[HasseRow]:
-    return _sweep(_hasse_worker, HasseRow, [(p,) for p in sorted(primes)], jobs)
+def hasse_sweep(primes: Sequence[int], jobs: int = 1) -> List[Dict[str, object]]:
+    return _sweep(_hasse_worker, [(p,) for p in sorted(primes)], jobs)
 
 
-# -- ss7star / nakaya sweep
+# -- nakaya and ss7star sweeps
 
 
-@dataclass(frozen=True)
-class NakayaRow:
-    p: int
-    report: Optional[SS7StarReport]
-    consistency: Optional[Dict[str, object]] = None
-    failure: Optional[Failure] = None
-    factored: Optional[str] = None  # ss_p^(7*) factored, in Y (the ss7star sweep)
-
-
-def _nakaya_worker(args: Tuple[int, bool, bool]) -> NakayaRow:
-    p, check_oracle, with_consistency = args
+def _nakaya_worker(args: Tuple[int, bool]) -> Dict[str, object]:
+    """The row of ss_p^(7*)'s counts, the Nakaya verdict and, from p = 11 on,
+    the count consistency; args is (p, check_oracle)."""
+    p, check_oracle = args
     ctx = PrimeContext.make(p)
-    stage, sec3 = "counts_and_nakaya", None
+    stage = "counts_and_nakaya"
     try:
         rep = counts_and_nakaya(ctx, check_oracle=check_oracle)
-        if with_consistency and p >= 11:
+        row = {
+            "p": p,
+            "L": rep.L,
+            "L7star": rep.L7star,
+            "predicted": rep.nakaya_predicted,
+            "oracle_match": rep.oracle_match,
+            "nakaya": "PASS" if rep.nakaya_ok else "FAIL",
+        }
+        if p >= 11:
             stage = "count_consistency"
-            sec3 = count_consistency(ctx, report=rep)
+            row["consistency"] = "PASS" if count_consistency(ctx, report=rep)["ok"] else "FAIL"
     except StructuralError as e:
-        return NakayaRow(p=p, report=None, consistency=None, failure=Failure(stage, str(e)))
-    return NakayaRow(p=p, report=rep, consistency=sec3)
+        return _bare_row(p, Failure(stage, str(e)))
+    return row
 
 
-def nakaya_sweep(
-    primes: Sequence[int],
-    jobs: int = 1,
-    check_oracle: bool = False,
-    with_consistency: bool = False,
-) -> List[NakayaRow]:
-    return _sweep(
-        _nakaya_worker,
-        NakayaRow,
-        [(p, check_oracle, with_consistency) for p in sorted(primes)],
-        jobs,
-    )
+def nakaya_sweep(primes: Sequence[int], jobs: int = 1, check_oracle: bool = False) -> List[Dict[str, object]]:
+    return _sweep(_nakaya_worker, [(p, check_oracle) for p in sorted(primes)], jobs)
 
 
-def _ss7star_worker(args: Tuple[int, bool]) -> NakayaRow:
-    """The nakaya worker without the count consistency, and the factored
-    display of ss_p^(7*), so that the sweep's workers factor, not its parent;
-    args is (p, check_oracle)."""
+def _ss7star_worker(args: Tuple[int, bool]) -> Dict[str, object]:
+    """The row of ss_p^(7*), its counts and its factored display, so that the
+    sweep's workers factor, not its parent; args is (p, check_oracle)."""
     p, check_oracle = args
-    row = _nakaya_worker((p, check_oracle, False))
-    if row.failure is not None:
-        return row
+    if p in EXCLUDED:
+        return _bare_row(p)
+    stage = "counts_and_nakaya"
     try:
-        return replace(row, factored=factorize(row.report.ss7star).pretty("Y"))
+        rep = counts_and_nakaya(PrimeContext.make(p), check_oracle=check_oracle)
+        stage = "factorize"
+        factored = factorize(rep.ss7star).pretty("Y")
     except StructuralError as e:
-        return NakayaRow(p=p, report=None, failure=Failure("factorize", str(e)))
+        return _bare_row(p, Failure(stage, str(e)))
+    return {
+        "p": p,
+        "degree": rep.ss7star.degree,
+        "L": rep.L,
+        "L7star": rep.L7star,
+        "oracle_match": rep.oracle_match,
+        "nakaya": "PASS" if rep.nakaya_ok else "FAIL",
+        "coeffs": list(rep.ss7star.coeffs),
+        "factored": factored,
+    }
 
 
-def ss7star_sweep(primes: Sequence[int], jobs: int = 1, check_oracle: bool = False) -> List[NakayaRow]:
-    return _sweep(_ss7star_worker, NakayaRow, [(p, check_oracle) for p in sorted(primes)], jobs)
+def ss7star_sweep(primes: Sequence[int], jobs: int = 1, check_oracle: bool = False) -> List[Dict[str, object]]:
+    return _sweep(_ss7star_worker, [(p, check_oracle) for p in sorted(primes)], jobs)

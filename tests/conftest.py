@@ -2,9 +2,9 @@ import multiprocessing
 
 import pytest
 
-from paper_checks import restricted_hasse_sweep
+from paper_checks import nakaya_reports, restricted_hasse_sweep
 
-from fricke7.sweep import nakaya_sweep, primes_in
+from fricke7.sweep import primes_in
 
 JOBS = min(8, multiprocessing.cpu_count())
 
@@ -22,7 +22,7 @@ def reports_1000():
 
 
 @pytest.fixture(scope="session")
-def nakaya_rows_1000():
+def nakaya_reports_1000():
     """Nakaya reports for 5 <= p < 1000 (oracle comparison runs for p <= 300)."""
     primes = [p for p in primes_in(5, 999) if p != 7]
-    return {row.p: row for row in nakaya_sweep(primes, jobs=JOBS)}
+    return nakaya_reports(primes, JOBS)

@@ -8,7 +8,8 @@ the runners over the identity registries; only the tests call them.
 * `run_all_identities`, `run_all_series_identities`: every case of the exact
   and of the q-series identity registry;
 * `restricted_hasse_sweep`: the hasse sweep's verified reports with the counts
-  restricted to a `need` and no degree histogram.
+  restricted to a `need` and no degree histogram;
+* `nakaya_reports`: the `SS7StarReport` of `counts_and_nakaya` at each prime.
 """
 
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -20,6 +21,7 @@ from fricke7.ffpoly import FpPoly, PrimeContext, _ddf, radical
 from fricke7.hasse7 import FactorCountReport, count_factors, supersingular_j_in_fp, verify_count_formulas
 from fricke7.qseries import DEFAULT_PREC, SeriesIdentityResult, verify_series_identity
 from fricke7.qseries import REGISTRY as SERIES_IDENTITIES
+from fricke7.ss7star import SS7StarReport, counts_and_nakaya
 from fricke7.sweep import run_parallel
 
 
@@ -171,3 +173,15 @@ def restricted_hasse_sweep(
     primes = sorted(primes)
     reports = run_parallel(_restricted_hasse_worker, [(p, tuple(need)) for p in primes], jobs)
     return dict(zip(primes, reports))
+
+
+def _nakaya_report_worker(p: int) -> SS7StarReport:
+    return counts_and_nakaya(PrimeContext.make(p))
+
+
+def nakaya_reports(primes: Sequence[int], jobs: int) -> Dict[int, SS7StarReport]:
+    """The reports of `counts_and_nakaya` (the nakaya sweep's per-prime work
+    without the count consistency) by prime.  A prime whose work raises fails
+    the sweep."""
+    primes = sorted(primes)
+    return dict(zip(primes, run_parallel(_nakaya_report_worker, primes, jobs)))

@@ -114,11 +114,10 @@ def test_criterion_05_sextic_quadratic_counts(reports_1000, capsys):
         _report(5, ok, f"conjectured N6/N2 formulas on {checked} (prime, class) cases" + (f"; counterexamples {bad}" if bad else ""))
 
 
-def test_criterion_06_nakaya_and_count_consistency(nakaya_rows_1000, reports_1000, capsys):
+def test_criterion_06_nakaya_and_count_consistency(nakaya_reports_1000, reports_1000, capsys):
     ok = True
     bad = []
-    for p, row in sorted(nakaya_rows_1000.items()):
-        rep = row.report
+    for p, rep in sorted(nakaya_reports_1000.items()):
         if not rep.nakaya_ok:
             ok = False
             bad.append((p, "nakaya", rep.L7star, rep.nakaya_predicted))
@@ -133,18 +132,18 @@ def test_criterion_06_nakaya_and_count_consistency(nakaya_rows_1000, reports_100
         _report(
             6,
             ok,
-            f"Nakaya formula and count-consistency identities for {len(nakaya_rows_1000)} primes < 1000"
+            f"Nakaya formula and count-consistency identities for {len(nakaya_reports_1000)} primes < 1000"
             + (f"; failures {bad}" if bad else ""),
         )
 
 
-def test_criterion_07_oracle_equivalence(nakaya_rows_1000, capsys):
+def test_criterion_07_oracle_equivalence(nakaya_reports_1000, capsys):
     ok = True
     n = 0
-    for p, row in sorted(nakaya_rows_1000.items()):
+    for p, rep in sorted(nakaya_reports_1000.items()):
         if 11 <= p <= 300:
             n += 1
-            ok = ok and row.report.oracle_match is True
+            ok = ok and rep.oracle_match is True
     # the fixture covers 11..300 through counts_and_nakaya; also hit both
     # routes directly at p = 149 for good measure
     ctx = PrimeContext.make(149)

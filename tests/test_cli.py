@@ -267,6 +267,26 @@ def test_skipped_first_row_keeps_the_columns(command, fmt, capsys):
     assert row["p"] == "11" and row["L"] == "2"
 
 
+@pytest.mark.parametrize("command", ["hasse", "ss7star"])
+def test_excluded_primes_are_skipped_rows(command, capsys):
+    """The primes 2, 3 and 7 get the row {p, skipped}, in prime order among
+    the rows with a result."""
+    code, out, _ = run_cli([command, "--primes", "2..13", "--format", "json"], capsys)
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [r["p"] for r in rows] == [2, 3, 5, 7, 11, 13]
+    skipped = {"skipped": "excluded by hypothesis"}
+    assert [rows[i] for i in (0, 1, 3)] == [{"p": p, **skipped} for p in (2, 3, 7)]
+    assert all("L" in rows[i] for i in (2, 4, 5))
+
+
+def test_nakaya_drops_excluded_primes(capsys):
+    """nakaya writes no row for 2, 3 and 7."""
+    code, out, _ = run_cli(["nakaya", "--primes", "2..13", "--format", "json"], capsys)
+    assert code == 0
+    assert [r["p"] for r in json.loads(out)["rows"]] == [5, 11, 13]
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "fricke7.cli", "identities", "--format", "json"],

@@ -155,18 +155,18 @@ class TestNakaya:
         decomposition, the resultant's, which gives its root and certifies it
         squarefree; ss_p is certified by gcds."""
         with _decompositions() as seen:
-            row = sweep._nakaya_worker((p, False, True))
+            row = sweep._nakaya_worker((p, False))
         assert len(seen) == 1
-        assert row.report.oracle_match is None and row.consistency["ok"]
+        assert row["oracle_match"] is None and row["consistency"] == "PASS"
 
     @pytest.mark.parametrize("p", [281, 293])
     def test_oracle_never_decomposes_ss(self, p):
         """Below the cut-off the oracle reads its (a, c) pairs off ss_p's
         factors; it decomposes only the norms, never ss_p itself."""
+        ss = ss_poly(PrimeContext.make(p))
         with _decompositions() as seen:
-            row = sweep._nakaya_worker((p, False, True))
-        ss = row.report.ss
-        assert row.report.oracle_match is True and ss.degree > 1
+            row = sweep._nakaya_worker((p, False))
+        assert row["oracle_match"] is True and ss.degree > 1
         assert len(seen) > 1 and all(f.monic() != ss for f in seen)
 
     def test_oracle_flag_set_small(self):

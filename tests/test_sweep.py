@@ -74,6 +74,38 @@ def test_killed_worker_becomes_a_failure_row(command, capsys):
     assert [rows[0], rows[2]] == json.loads(capsys.readouterr().out)["rows"]
 
 
+@pytest.mark.parametrize("command", ["hasse", "nakaya"])
+def test_unpicklable_exception_ends_its_worker(command, capsys):
+    """An exception at p = 13 that cannot be pickled (it holds a lambda) ends
+    its worker process with status 1: p = 13 gets the row {p, stage:
+    "worker", error}, and the other rows are those of a clean run."""
+    proc = run_script(
+        "raise RuntimeError(lambda: None)",
+        f"""
+        code = cli.main(["{command}", "--primes", "11,13,17", "--format", "json", "--jobs", "2"])
+        print(f"exit {{code}}", file=sys.stderr)
+        """,
+    )
+    assert "exit 3" in proc.stderr and "worker process died: p=13: exited with status 1" in proc.stderr
+    rows = json.loads(proc.stdout)["rows"]
+    assert rows[1] == {"p": 13, "stage": "worker", "error": "exited with status 1"}
+    assert main([command, "--primes", "11,17", "--format", "json"]) == 0
+    assert [rows[0], rows[2]] == json.loads(capsys.readouterr().out)["rows"]
+
+
+def test_result_larger_than_a_pipe_buffer_comes_back_whole():
+    """A 3 MiB result, far past a pipe's buffer, reaches the parent intact
+    alongside a small one."""
+    proc = run_script(
+        "pass",
+        """
+        out = sweep.run_parallel(lambda n: bytes(n), [1, 3 << 20], jobs=2)
+        print(json.dumps(out == [bytes(1), bytes(3 << 20)]))
+        """,
+    )
+    assert json.loads(proc.stdout) is True
+
+
 def test_worker_exception_is_raised_with_its_prime():
     """An exception a worker raises is raised in the parent, caused by one
     that names the item and holds the worker's traceback."""
