@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
 from .errors import StructuralError, UsageError
-from .ffpoly import PRIME_LIMIT, FpPoly, is_prime
+from .ffpoly import PRIME_LIMIT, is_prime
 
 JSON_VERSION = "fricke7/2"
 
@@ -69,8 +69,6 @@ def parse_primes(spec: str) -> List[int]:
 def _jsonable(x):
     if isinstance(x, Fraction):
         return str(x) if x.denominator != 1 else int(x)
-    if isinstance(x, FpPoly):
-        return {"modulus": x.modulus, "coeffs": list(x.coeffs)}
     if isinstance(x, dict):
         return {k: _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):

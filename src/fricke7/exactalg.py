@@ -23,10 +23,10 @@ from .exactring import (
     discriminant,
     homogenize,
     peval,
-    pgcd_monic,
     pmul,
     pmul_many,
     ppow,
+    prem,
     pscale,
     pshift,
     psub,
@@ -264,19 +264,35 @@ def _case_lemma2_f():
     return residues
 
 
+def _z_coeffs(P: MPoly) -> list:
+    """The coefficient list, low degree first, of a polynomial in z alone."""
+    return [P.terms.get((k,), 0) for k in range(P.degree("z") + 1)]
+
+
+def _gcd_residual(A: MPoly, B: MPoly, M: MPoly) -> list:
+    """[prem(A, M), prem(B, M), flag] for A, B, M in z alone over ZZ, all
+    zero exactly when M is the monic gcd of A and B over QQ: M is monic and
+    divides both, and the cofactors A/M and B/M have a nonzero resultant, so
+    they are coprime and every common divisor of A and B divides M.  flag is
+    1 when M is not monic, leaves a remainder or the resultant vanishes; the
+    cofactors are only formed once M divides, so a wrong M never raises."""
+    m = _z_coeffs(M)
+    rems = [prem(_z_coeffs(P), m) for P in (A, B)]
+    flag = (m[-1] != 1 or any(rems)
+            or not resultant(_z_coeffs(A.exact_div(M)), _z_coeffs(B.exact_div(M))))
+    return rems + [int(flag)]
+
+
 def _case_minpoly_gcd():
+    # M_d = gcd(H_{-d}(F/(z-8)), H_{-d}(G/(z-8)^7)), cleared, by certificate
     vars = ("z",)
     z = MPoly.var("z", vars)
     F, G = MPoly.from_univar(C.F_Z_NUM, "z", vars), MPoly.from_univar(C.G1_Z_NUM, "z", vars)
-
-    def coeffs(P: MPoly) -> list:
-        return [Fraction(P.terms.get((k,), 0)) for k in range(P.degree("z") + 1)]
-
     residues = []
     for d, m in C.M_D.items():
         h = C.H_MINUS[d]
-        g = pgcd_monic(coeffs(homogenize(h, F, z - 8)), coeffs(homogenize(h, G, (z - 8) ** 7)))
-        residues.append(psub(g, [Fraction(c) for c in m]))
+        A, B = homogenize(h, F, z - 8), homogenize(h, G, (z - 8) ** 7)
+        residues.append(_gcd_residual(A, B, MPoly.from_univar(m, "z", vars)))
     return residues
 
 

@@ -8,8 +8,11 @@ Three layers, all exact:
 * ``MPoly``: sparse multivariate polynomials over a pluggable coefficient ring,
   with exact division.
 
-``resultant`` and ``discriminant`` run one subresultant PRS over coefficient
-lists in ZZ or in one MPoly ring; each of its divisions is exact and checked.
+List polynomials only add, multiply and take pseudo-remainders (``prem``,
+which divides by nothing); ``MPoly.exact_div`` is the one division, and it
+raises where it would not be exact.  ``resultant`` and ``discriminant`` run
+one subresultant PRS over coefficient lists in ZZ or in one MPoly ring; each
+of its divisions is exact and checked.
 ``power`` is the one square-and-multiply loop, shared by every ring type here
 and in ``ffpoly`` and ``qseries``.
 
@@ -164,34 +167,6 @@ def pshift(a: Sequence, k: int) -> list:
     return [0] * k + list(a)
 
 
-def pdivmod_field(a: Sequence, b: Sequence) -> Tuple[list, list]:
-    """Division with remainder; coefficients must support true division."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    db, lb = pdeg(b), b[-1]
-    q = [0] * max(0, len(a) - db)
-    while a and pdeg(a) >= db:
-        c = a[-1] / lb
-        k = pdeg(a) - db
-        q[k] = c
-        for i in range(db + 1):
-            a[k + i] = a[k + i] - c * b[i]
-        ptrim(a)
-    return ptrim(q), a
-
-
-def pgcd_monic(a: Sequence, b: Sequence) -> list:
-    """Monic gcd over a field (coefficients support true division)."""
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, pdivmod_field(a, b)[1]
-    if not a:
-        return []
-    lc = a[-1]
-    return [c / lc for c in a]
-
-
 # ---------------------------------------------------------------------------
 # resultants via the subresultant PRS (fraction-free)
 
@@ -212,7 +187,7 @@ def _one_ring(*polys: Sequence) -> List[list]:
             for p in polys]
 
 
-def _pseudo_rem(a: list, b: list) -> list:
+def prem(a: list, b: list) -> list:
     """prem(a, b) = lc(b)^(deg a - deg b + 1) * a  mod b, without division."""
     da, db = pdeg(a), pdeg(b)
     lb = b[-1]
@@ -252,7 +227,7 @@ def resultant(a: Sequence, b: Sequence):
         d = dA - dB
         if dA & 1 and dB & 1:
             s = -s
-        R = _pseudo_rem(A, B)
+        R = prem(A, B)
         A = B
         if not R:
             return A[-1] * 0

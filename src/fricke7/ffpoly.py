@@ -10,7 +10,9 @@ other module sees that vector.  Moduli are at most `PRIME_LIMIT`, where
 every sum that a product or a reduction builds fits in int64 (`_INT64_BOUND`,
 asserted where the sums are formed).  Long products go through a float64 FFT
 inside an asserted exactness bound (`_fft_error`, Percival's error bound
-below 1/2, at the size each transform runs); short ones keep `np.convolve`.
+below 1/2, at the size each transform runs), on operands centred into
+[-(l-1)/2, (l-1)/2] where the bound fails for operands in [0, l) but holds
+for centred ones; short ones keep `np.convolve`.
 A product a little longer than a power of two N runs as the size-N cyclic
 product, less the top coefficients that wrapped around, which come exactly
 from a small product of the operands' top coefficients.
@@ -159,24 +161,37 @@ def _scale(l: int, a, c: int):
 # error of every output coefficient by
 #     ||a||_2 ||b||_2 ((1+eps)^(3n) (1+eps sqrt5)^(3n+1) (1+beta)^(3n) - 1),
 # with eps = 2^-53 and beta the error of the twiddle factors, taken as eps.
-# Coefficients lie in [0, l-1]; with m the shorter length and the longer one
-# at most 2^n, ||a||_2 ||b||_2 <= (l-1)^2 sqrt(m 2^n).  `_fft_error` is that
-# bound.  It covers the cyclic product mod x^(2^n) - 1 that the transforms
-# compute, whether or not it wraps.  Below 1/2, rint recovers every
-# coefficient exactly; the bound is at least ||a|| ||b|| eps >= |coefficient|
-# eps, so each exact coefficient is then also below 2^52 and representable,
-# and `_residues` reduces it exactly.  At l = 9973 and two operands of length
-# 20000 (n = 16) it is 0.08.  From l = 5 10^5 on it exceeds 1/2 at every
-# length the FFT path takes (m >= _FFT_MIN_LEN), so moduli from there up to
-# PRIME_LIMIT always convolve directly, inside `_INT64_BOUND`.
+# Coefficients lie in [0, l-1], or, centred (c - l for c > (l-1)/2), in
+# [-(l-1)/2, (l-1)/2]; with B = l-1 or (l-1)/2 that size bound, m the shorter
+# length and the longer one at most 2^n, ||a||_2 ||b||_2 <= B^2 sqrt(m 2^n).
+# `_fft_error` is that bound.  It covers the cyclic product mod x^(2^n) - 1
+# that the transforms compute, whether or not it wraps.  Below 1/2, rint
+# recovers every coefficient exactly.  Each exact coefficient of the cyclic
+# product sums at most m products, so its size is at most
+# m B^2 <= B^2 sqrt(m 2^n), and the bound is at least B^2 sqrt(m 2^n) eps:
+# below 1/2 it gives m B^2 < 2^52, that is m ((l-1)/2)^2 < 2^52 when
+# centred, and every exact coefficient is representable.  Centred, the
+# coefficients are signed integers, which `_residues` (int64 %) maps into
+# [0, l) exactly.  Centring divides the bound by 4.  At l = 9973 and two
+# operands of length 20000 (n = 16) the plain bound is 0.08.  The square of a
+# residue mod the Hasse polynomial (degree 2l) passes 1/2 from l = 18433 on
+# (n = 17, 0.57), where the centred bound is 0.14; the centred one passes 1/2
+# from l = 30407 on (0.48 at l = 30011).  `_fft_ok` takes the plain route
+# wherever it holds, and centres only where it fails.  At every product
+# length the FFT path takes (m >= _FFT_MIN_LEN, n >= 8) the plain bound
+# exceeds 1/2 from l = 489336 on and the centred one from l = 978671 on, so
+# products there convolve directly, inside `_INT64_BOUND`; only a remainder
+# by a divisor of degree 127 (m = 128, n = 7) keeps the centred FFT up to
+# PRIME_LIMIT.
 _EPS = 2.0**-53
 
 
-def _fft_error(l: int, m: int, n: int) -> float:
-    """Percival's bound on the FFT product error: l-1 coefficient bound, m
-    shorter operand length, 2^n FFT size."""
+def _fft_error(bound: int, m: int, n: int) -> float:
+    """Percival's bound on the FFT product error: `bound` the size bound of
+    the operands' coefficients (l-1, or (l-1)/2 centred), m the shorter
+    operand length, 2^n the FFT size."""
     growth = 6 * n * math.log1p(_EPS) + (3 * n + 1) * math.log1p(_EPS * math.sqrt(5))
-    return (l - 1) ** 2 * math.sqrt(m << n) * math.expm1(growth)
+    return bound**2 * math.sqrt(m << n) * math.expm1(growth)
 
 
 # The FFT product beats np.convolve once the shorter operand reaches this
@@ -219,10 +234,17 @@ def _fft_log2(la: int, lb: int) -> int:
     return n
 
 
-def _fft_ok(l: int, m: int, n: int) -> bool:
-    """Whether a product with shorter operand length m and FFT size 2^n takes
-    the FFT path."""
-    return m >= _FFT_MIN_LEN and _fft_error(l, m, n) < 0.5
+def _fft_ok(l: int, m: int, n: int) -> int:
+    """The route of a product with shorter operand length m and FFT size 2^n,
+    as the coefficient size bound its transforms run at: l - 1 (operands in
+    [0, l)) where Percival's bound holds for it, else (l - 1) // 2 (operands
+    centred) where it holds for that, else 0, and the product convolves."""
+    if m < _FFT_MIN_LEN:
+        return 0
+    if _fft_error(l - 1, m, n) < 0.5:
+        return l - 1
+    half = (l - 1) // 2
+    return half if _fft_error(half, m, n) < 0.5 else 0
 
 
 def _mul(l: int, a, b):
@@ -232,8 +254,9 @@ def _mul(l: int, a, b):
     m = min(len(a), len(b))
     if m >= _FFT_MIN_LEN:
         n = _fft_log2(len(a), len(b))
-        if _fft_ok(l, m, n):
-            return _mul_fft(l, a, b, n)
+        bound = _fft_ok(l, m, n)
+        if bound:
+            return _mul_fft(l, a, b, n, bound)
     assert (l - 1) ** 2 * (len(a) + len(b)) < _INT64_BOUND, "product outside the int64 bound"
     return np.convolve(a, b) % l
 
@@ -243,29 +266,39 @@ def _rfft(a, n: int):
     return np.fft.rfft(a.astype(np.float64), 1 << n)
 
 
+def _centre(l: int, a):
+    """a, with coefficients in [0, l), centred into [-(l-1)/2, (l-1)/2]."""
+    return np.where(a > l // 2, a - l, a)
+
+
 def _residues(l: int, v):
     """The residues in [0, l) of the integer-valued float vector v (|v| < 2^52),
     as int64."""
     return v.astype(np.int64) % l
 
 
-def _cyclic(l: int, a, b, n: int, fb=None):
-    """The cyclic product a b mod x^(2^n) - 1, unreduced, as integer-valued
-    floats; fb, if given, is `_rfft(b, n)`."""
-    assert _fft_error(l, min(len(a), len(b)), n) < 0.5, "FFT product outside its exactness bound"
-    fa = _rfft(a, n)
+def _cyclic(l: int, a, b, n: int, bound: int, fb=None):
+    """The cyclic product a b mod x^(2^n) - 1 on the route `bound`
+    (`_fft_ok`: l - 1 plain, (l - 1) // 2 centred), unreduced, as
+    integer-valued floats; fb, if given, is the transform of b on that
+    route."""
+    plain = bound == l - 1
+    assert plain or bound == (l - 1) // 2, "FFT product on an unknown route"
+    assert _fft_error(bound, min(len(a), len(b)), n) < 0.5, "FFT product outside its exactness bound"
+    fa = _rfft(a if plain else _centre(l, a), n)
     if fb is None:
-        fb = fa if a is b else _rfft(b, n)
+        fb = fa if a is b else _rfft(b if plain else _centre(l, b), n)
     c = np.fft.irfft(fa * fb, 1 << n)
     return np.rint(c, out=c)
 
 
-def _mul_fft(l: int, a, b, n: int, fb=None):
-    """The product of a and b from the cyclic product of size N = 2^n (fb as
-    for `_cyclic`).  If the product is t coefficients longer than N, they
-    wrapped onto coefficients [0, t): they are the top t of the product of
-    the operands' top t coefficients, computed apart and subtracted."""
-    c = _cyclic(l, a, b, n, fb)
+def _mul_fft(l: int, a, b, n: int, bound: int, fb=None):
+    """The product of a and b from the cyclic product of size N = 2^n (bound
+    and fb as for `_cyclic`).  If the product is t coefficients longer than
+    N, they wrapped onto coefficients [0, t): they are the top t of the
+    product of the operands' top t coefficients, computed apart and
+    subtracted."""
+    c = _cyclic(l, a, b, n, bound, fb)
     L = len(a) + len(b) - 1
     t = L - len(c)
     if t <= 0:
@@ -333,7 +366,8 @@ class _Modulus:
     """A nonzero divisor b prepared for division: the prefix of the Newton
     inverse of b reversed that its quotients have needed so far (from
     lc(b)^-1, extended on demand), the transforms of that inverse and of b,
-    kept per size, and the reduction matrix of a small b.
+    kept per size and route (centred once, where the route centres), and
+    the reduction matrix of a small b.
 
     `FpPoly` keeps one on each divisor, so a powmod chain, or the many
     reductions mod one f, build the inverse once.
@@ -353,13 +387,13 @@ class _Modulus:
             self.inv = _inv_series(self.l, self.b[::-1], n, self.inv)
         return self.inv[:n]
 
-    def _transform(self, name: str, c, n: int):
-        """`_rfft(c, n)` of c, the inverse or the divisor (named by `name`),
-        kept."""
-        key = (name, len(c), n)
+    def _transform(self, name: str, c, n: int, bound: int):
+        """The transform of c, the inverse or the divisor (named by `name`),
+        on the route `bound` (`_fft_ok`), kept."""
+        key = (name, len(c), n, bound)
         fc = self._ffts.get(key)
         if fc is None:
-            fc = self._ffts[key] = _rfft(c, n)
+            fc = self._ffts[key] = _rfft(c if bound == self.l - 1 else _centre(self.l, c), n)
         return fc
 
     def divmod(self, a):
@@ -373,8 +407,9 @@ class _Modulus:
             return a[:0], a
         top, inv = a[: db - 1 : -1], self._inverse(nq)
         n = _fft_log2(nq, nq)
-        if _fft_ok(l, nq, n):
-            q = _mul_fft(l, top, inv, n, self._transform("inv", inv, n))
+        bound = _fft_ok(l, nq, n)
+        if bound:
+            q = _mul_fft(l, top, inv, n, bound, self._transform("inv", inv, n, bound))
         else:
             q = _mul(l, top, inv)
         q = _trim(q[nq - 1 :: -1])
@@ -405,9 +440,10 @@ class _Modulus:
         l, b = self.l, self.b
         db = len(b) - 1
         n = db.bit_length()
-        if not _fft_ok(l, min(len(q), 1 << n, len(b)), n):
+        bound = _fft_ok(l, min(len(q), 1 << n, len(b)), n)
+        if not bound:
             return _sub(l, a[:db], _mul(l, q, b)[:db])
-        c = _cyclic(l, _fold(l, q, n), b, n, self._transform("b", b, n))
+        c = _cyclic(l, _fold(l, q, n), b, n, bound, self._transform("b", b, n, bound))
         af = _fold(l, a, n)
         np.subtract(af, c[: len(af)], out=c[: len(af)])
         c[len(af) :] *= -1

@@ -1,6 +1,7 @@
 """Independent test oracles, kept out of the production code paths."""
 
 import math
+from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -60,6 +61,22 @@ def schoolbook_mul(l: int, a, b):
     return out
 
 
+def packed_mul(l: int, a, b):
+    """The product of coefficient lists mod l by one big-integer product
+    (Kronecker substitution): each coefficient in w bytes, with 2^(8w) above
+    every coefficient of the product over ZZ, so none carries into the next."""
+    a, b = [int(c) % l for c in a], [int(c) % l for c in b]
+    if not a or not b:
+        return []
+    w = ((min(len(a), len(b)) * (l - 1) ** 2).bit_length() + 8) // 8
+
+    def pack(v):
+        return int.from_bytes(b"".join(c.to_bytes(w, "little") for c in v), "little")
+
+    raw = (pack(a) * pack(b)).to_bytes(w * (len(a) + len(b) - 1), "little")
+    return [int.from_bytes(raw[i : i + w], "little") % l for i in range(0, len(raw), w)]
+
+
 def schoolbook_divmod(l: int, a, b):
     """Quotient and remainder lists of a by b (b[-1] a unit mod l), one
     quotient coefficient at a time."""
@@ -99,6 +116,29 @@ def schoolbook_gcd(l: int, a, b):
         a, b = b, trim(schoolbook_divmod(l, a, b)[1])
     inv = pow(a[-1], -1, l)
     return [c * inv % l for c in a]
+
+
+def pgcd_monic(a: Sequence, b: Sequence) -> list:
+    """The monic gcd over QQ of coefficient lists a and b (lowest degree
+    first, not both zero), by Euclid's remainder sequence over Fraction."""
+
+    def trim(v):
+        while v and not v[-1]:
+            v.pop()
+        return v
+
+    def rem(a, b):
+        while len(a) >= len(b):
+            c, k = a[-1] / b[-1], len(a) - len(b)
+            for i, y in enumerate(b):
+                a[k + i] -= c * y
+            trim(a)
+        return a
+
+    a, b = trim([Fraction(c) for c in a]), trim([Fraction(c) for c in b])
+    while b:
+        a, b = b, rem(a, b)
+    return [c / a[-1] for c in a]
 
 
 def resultant(f: FpPoly, g: FpPoly) -> int:

@@ -1,8 +1,14 @@
+from fractions import Fraction
+
+import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fricke7 import constants as C
 from fricke7 import exactalg
-from fricke7.exactalg import REGISTRY, verify_identity
+from fricke7.exactalg import REGISTRY, _gcd_residual, verify_identity
+from fricke7.exactring import MPoly, pmul
 from paper_checks import run_all_identities
 
 
@@ -68,3 +74,59 @@ def test_grid_exceeds_degree_bounds():
     # (12, 48); the grid must strictly exceed the bound per variable
     assert exactalg.GRID_POINTS > 48 >= 24
     assert exactalg.GRID_POINTS > 12 >= 6
+
+
+def _z(coeffs) -> MPoly:
+    return MPoly.from_univar(list(coeffs), "z", ("z",))
+
+
+def _poly(max_deg: int, monic: bool = False):
+    """Integer coefficient lists, low degree first, with a nonzero (or unit)
+    leading coefficient."""
+    low = st.lists(st.integers(-4, 4), max_size=max_deg)
+    top = st.just(1) if monic else st.integers(-3, 3).filter(bool)
+    return st.builds(lambda c, t: c + [t], low, top)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=_poly(3, monic=True), w=_poly(2), u=_poly(3), v=_poly(3),
+       shared=st.booleans(), tweak=st.sampled_from(["planted", "oracle", "shifted", "doubled", "one"]))
+def test_gcd_certificate_matches_the_fraction_euclid(m, w, u, v, shared, tweak):
+    """A = m u, B = m v with a planted monic common factor m (and, when
+    `shared`, a further common factor w): the certificate of a candidate M
+    holds exactly when the oracle's Fraction Euclid returns M.  Candidates:
+    m itself (the gcd only when u and v are coprime), the oracle's gcd, m
+    with its constant shifted, 2m (not monic) and 1."""
+    if shared:
+        u, v = pmul(w, u), pmul(w, v)
+    A, B = pmul(m, u), pmul(m, v)
+    gcd = oracles.pgcd_monic(A, B)
+    M = {"planted": m, "oracle": gcd, "shifted": [m[0] + 1] + m[1:], "doubled": [2 * c for c in m],
+         "one": [1]}[tweak]
+    residual = _gcd_residual(_z(A), _z(B), _z(M))
+    assert len(residual) == 3 and residual[2] in (0, 1)
+    certified = not residual[0] and not residual[1] and residual[2] == 0
+    assert certified == ([Fraction(c) for c in M] == gcd)
+    if tweak == "oracle":
+        assert certified
+
+
+@pytest.mark.parametrize("wrong", ["constant", "leading", "extra_factor", "squared", "one"])
+def test_minpoly_gcd_rejects_a_wrong_m_d(wrong, monkeypatch):
+    """A perturbed M_20 reads FAIL with a nonzero residual, and raises
+    nothing: a shifted constant, an extra factor z + 1 and M_20^2 leave
+    remainders, a doubled M_20 is not monic, and 1 leaves cofactors with the
+    common factor M_20, so their resultant vanishes."""
+    m = list(C.M_D[20])
+    bad = {
+        "constant": [m[0] + 1] + m[1:],
+        "leading": [2 * c for c in m],
+        "extra_factor": pmul(m, [1, 1]),
+        "squared": pmul(m, m),
+        "one": [1],
+    }[wrong]
+    monkeypatch.setitem(C.M_D, 20, tuple(bad))
+    res = verify_identity("MINPOLY_GCD")
+    assert not res.ok and res.detail.startswith("nonzero residual")
+    residual = exactalg.REGISTRY["MINPOLY_GCD"]()
+    assert [r == [[], [], 0] for r in residual] == [d != 20 for d in C.M_D]

@@ -15,7 +15,6 @@ from fricke7.exactring import (
     pderiv,
     pdeg,
     peval,
-    pgcd_monic,
     pmul,
     ppow,
     ptrim,
@@ -328,6 +327,10 @@ class TestMPoly:
 
 
 def test_pgcd_monic():
+    """The Fraction Euclid of the oracle, which `MINPOLY_GCD`'s certificate
+    is tested against."""
     f = [Fraction(c) for c in pmul([1, 1], [2, 0, 1])]
     g = [Fraction(c) for c in pmul([1, 1], [-1, 1])]
-    assert pgcd_monic(f, g) == [Fraction(1), Fraction(1)]
+    assert oracles.pgcd_monic(f, g) == [Fraction(1), Fraction(1)]
+    assert oracles.pgcd_monic(pmul([3, 2], [1, 1]), [6, 4]) == [Fraction(3, 2), 1]
+    assert oracles.pgcd_monic([], [0, 5]) == [0, 1]

@@ -443,6 +443,155 @@ class TestWrappedProducts:
         assert max(c.args[1] for c in rfft.call_args_list) == 13
 
 
+def _centred_only(l, m, n, _real=ffpoly._fft_ok):
+    """`_fft_ok` with the plain route taken out: the centred route wherever
+    an FFT product runs.  The centred bound holds wherever the plain one
+    does."""
+    return (l - 1) // 2 if _real(l, m, n) else 0
+
+
+class TestCentredOperands:
+    """Products and remainders on the plain route at l = 1999 and on the
+    centred route at l = 19997, against the schoolbook oracles, with spies
+    pinning the route.  The centred route takes over where Percival's bound
+    fails for operands in [0, l): at 19997 that is the square of a residue
+    mod the Hasse polynomial (lengths near 40000), far too long for the
+    schoolbook oracle.  So the schoolbook cases at 19997 take the centred
+    route by `_centred_only` at a few hundred coefficients (the arithmetic
+    does not depend on the length, and the wrapped products run from
+    N = 256), and `test_powmod_step_at_degree_40000_centres` takes it at
+    real size, against a big-integer product."""
+
+    L_PLAIN, L_CENTRED = 1999, 19997
+
+    def route(self, l):
+        if l == self.L_PLAIN:
+            return mock.patch.object(ffpoly, "_WRAP_MIN", 256)
+        return mock.patch.multiple(ffpoly, _fft_ok=_centred_only, _WRAP_MIN=256)
+
+    @staticmethod
+    def routes(spy):
+        """The routes (bounds) of the cyclic products a `_cyclic` spy saw."""
+        return {c.args[4] for c in spy.call_args_list}
+
+    @pytest.mark.parametrize("l", [L_PLAIN, L_CENTRED])
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_mul(self, l, seed):
+        """Lengths from _FFT_MIN_LEN to 300, so products of length 255 to
+        599 run at N = 256 (wrapped past 256 up to 288) or 512."""
+        rng = random.Random(seed)
+        la = rng.randint(_FFT_MIN_LEN, 300)
+        square = rng.random() < 0.25
+        lb = la if square else rng.randint(_FFT_MIN_LEN, 300)
+        a = TestKernelAgainstSchoolbook.coeffs(rng, l, la)
+        b = a if square else TestKernelAgainstSchoolbook.coeffs(rng, l, lb)
+        av = _vec(l, a)
+        with self.route(l), mock.patch.object(ffpoly, "_cyclic", wraps=ffpoly._cyclic) as cyclic:
+            out = ffpoly._mul(l, av, av if square else _vec(l, b))
+        assert self.routes(cyclic) == {l - 1 if l == self.L_PLAIN else (l - 1) // 2}
+        assert _trimmed(out) == _trimmed(oracles.schoolbook_mul(l, a, b))
+
+    @pytest.mark.parametrize("l", [L_PLAIN, L_CENTRED])
+    @settings(max_examples=6, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_divmod(self, l, seed):
+        """A divisor of degree 127 to 300 and two quotients of 128 to 600
+        coefficients by one kept `_Modulus`, so the quotient product, the
+        remainder mod x^N - 1 and the kept transforms of the inverse and of
+        the divisor all run on the route."""
+        rng = random.Random(seed)
+        db = rng.randint(127, 300)
+        b = TestKernelAgainstSchoolbook.coeffs(rng, l, db + 1, monic_like=True)
+        kept = ffpoly._Modulus(l, _vec(l, b))
+        for _ in range(2):
+            a = TestKernelAgainstSchoolbook.coeffs(rng, l, db + rng.randint(_FFT_MIN_LEN, 600), monic_like=True)
+            with self.route(l), mock.patch.object(ffpoly, "_cyclic", wraps=ffpoly._cyclic) as cyclic:
+                q, r = kept.divmod(_vec(l, a))
+            assert self.routes(cyclic) == {l - 1 if l == self.L_PLAIN else (l - 1) // 2}
+            want_q, want_r = oracles.schoolbook_divmod(l, a, b)
+            assert _trimmed(q) == _trimmed(want_q)
+            assert _trimmed(r) == _trimmed(want_r)
+        assert {key[3] for key in kept._ffts} == {l - 1 if l == self.L_PLAIN else (l - 1) // 2}
+
+    def test_no_product_centres_up_to_l_2200(self):
+        """At l <= 2200 the plain bound holds at every FFT size up to 2^21,
+        far past any product the program forms there (H has degree about
+        2l, and its squares run at 2^13 or 2^14), so nothing centres: a
+        hasse count and the nakaya side at l = 2179, the largest BENCH prime
+        below 2200, run every transform on the plain route."""
+        from fricke7.hasse7 import count_factors, verify_count_formulas
+        from fricke7.ss7star import counts_and_nakaya
+
+        assert all(ffpoly._fft_ok(2200, 1 << n, n) == 2199 for n in range(8, 22))
+        ctx = PrimeContext.make(2179)
+        with mock.patch.object(ffpoly, "_cyclic", wraps=ffpoly._cyclic) as cyclic, mock.patch.object(
+            ffpoly, "_centre", wraps=ffpoly._centre
+        ) as centre:
+            report = verify_count_formulas(ctx, count_factors(ctx))
+            counts_and_nakaya(ctx)
+        assert "FAIL" not in report.verdicts.values()
+        assert self.routes(cyclic) == {2178} and not centre.called
+
+    def test_cyclic_asserts_the_bound_of_its_route(self):
+        """At l = 19997 the square of a length-40000 operand at n = 17 is
+        outside the plain bound and inside the centred one; `_cyclic` refuses
+        the plain route there, and any bound that is no route."""
+        l = self.L_CENTRED
+        a = np.ones(40000, dtype=np.int64)
+        assert ffpoly._fft_error(l - 1, 40000, 17) > 0.5 > ffpoly._fft_error((l - 1) // 2, 40000, 17)
+        assert ffpoly._fft_ok(l, 40000, 17) == (l - 1) // 2
+        with pytest.raises(AssertionError, match="exactness bound"):
+            ffpoly._cyclic(l, a, a, 17, l - 1)
+        with pytest.raises(AssertionError, match="unknown route"):
+            ffpoly._cyclic(l, a, a, 17, (l - 1) // 4)
+        assert ffpoly._cyclic(l, a, a, 17, (l - 1) // 2)[39999] == 40000
+
+    def test_powmod_step_at_degree_40000_centres(self):
+        """One powmod step (a square, then its reduction) at l = 19997 by a
+        random monic f of degree 40000: the square takes the FFT on the
+        centred route, no product of length _FFT_MIN_LEN or more convolves,
+        every transform's input lies in [0, l) or, centred, in
+        [-(l-1)/2, (l-1)/2], and a second step centres no kept transform
+        again.  The square and the reduction are exact against a big-integer
+        product."""
+        l, d = self.L_CENTRED, 40000
+        rng = random.Random(19997)
+        f = FpPoly.make(l, [rng.randrange(l) for _ in range(d)] + [1])
+        g = FpPoly.make(l, [rng.randrange(l) for _ in range(d)])
+        routes, inputs = [], []
+
+        def fft_ok(l, m, n, _real=ffpoly._fft_ok):
+            routes.append((m, n, _real(l, m, n)))
+            return routes[-1][2]
+
+        def rfft(a, n, _real=ffpoly._rfft):
+            inputs.append((int(a.min()), int(a.max()), len(a), n))
+            return _real(a, n)
+
+        with mock.patch.multiple(ffpoly, _fft_ok=fft_ok, _rfft=rfft):
+            h = g.powmod(2, f)
+        half = (l - 1) // 2
+        assert (d, 17, half) in routes
+        assert all(bound for m, _, bound in routes if m >= _FFT_MIN_LEN)
+        assert min(lo for lo, _, _, _ in inputs) >= -half
+        assert max(hi for _, hi, _, _ in inputs) < l
+        assert all(hi <= half for lo, hi, _, _ in inputs if lo < 0)
+        centred = [(length, n) for lo, _, length, n in inputs if lo < 0]
+        assert (d, 17) in centred
+        kept = dict(f._prepared()._ffts)
+        assert half in {key[3] for key in kept}
+        with mock.patch.object(ffpoly, "_centre", wraps=ffpoly._centre) as centre:
+            h.powmod(2, f)
+        assert f._prepared()._ffts.keys() == kept.keys()
+        assert all(len(c.args[1]) != d + 1 for c in centre.call_args_list)  # f's transform is kept
+        # h = g^2 mod f exactly when g^2 = q f + h with deg h < deg f
+        q = divmod(g * g, f)[0]
+        qf = oracles.packed_mul(l, q.coeffs, f.coeffs)
+        assert h.degree < d
+        assert [c % l for c in padd(qf, h.coeffs)] == oracles.packed_mul(l, g.coeffs, g.coeffs)
+
+
 class TestFloatEuclid:
     """`FpPoly.gcd` against Euclid on `oracles.schoolbook_divmod`, up to
     l = 999983, the largest prime at most PRIME_LIMIT, with spies pinning
