@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Time the per-prime work of both sweeps and write BENCH_count_factors_<sha>.json:
-the median of k runs at each prime of the hasse sweep,
-`verify_count_formulas(count_factors)`, by default one prime per class l mod 7
-near 2000, in (2048, 2200] (where the square of the Hasse polynomial, of
+the median of k runs at each prime of the hasse sweep's per-prime work
+(`hasse_sweep([p])`: ss_l, `count_factors` and `verify_count_formulas`), by
+default one prime per class l mod 7 near 2000, in (2048, 2200] (where the square of the Hasse polynomial, of
 degree about 2l, first passes 2^13 coefficients) and near 10^4; and of the
 nakaya sweep's per-prime work, `counts_and_nakaya` and then, from p = 11 on,
 `count_consistency` on its report, by default one prime per class p mod 7 in
@@ -42,8 +42,8 @@ from pathlib import Path
 
 import fricke7
 from fricke7.ffpoly import PrimeContext
-from fricke7.hasse7 import count_factors, verify_count_formulas
 from fricke7.ss7star import count_consistency, counts_and_nakaya
+from fricke7.sweep import hasse_sweep
 
 # one prime per class l mod 7 = 1..6, near 2000, in (2048, 2200] and near 10^4
 PRIMES = (
@@ -109,14 +109,15 @@ def medians(run, repeats: int):
 
 
 def time_prime(p: int, repeats: int):
-    ctx = PrimeContext.make(p)
-    rep, timing = medians(lambda: verify_count_formulas(ctx, count_factors(ctx)), repeats)
+    (row,), timing = medians(lambda: hasse_sweep([p]), repeats)
+    if "error" in row:
+        raise SystemExit(f"hasse at p={p}: {row['error']} (in {row['stage']})")
     return {
         "p": p,
         "class": p % 7,
         **timing,
-        "counts": {k: getattr(rep, k) for k in ("N1", "N2", "N3", "N6", "L")},
-        "verdicts": rep.verdicts,
+        "counts": {k: row[k] for k in ("N1", "N2", "N3", "N6", "L")},
+        "verdicts": row["verdicts"],
     }
 
 
@@ -167,7 +168,7 @@ TIMERS = {"hasse": time_prime, "nakaya": time_nakaya}
 
 def payload(sha, dirty, repeats: int, rows, nakaya_rows, cli):
     return {
-        "what": "verify_count_formulas(count_factors) per prime (rows), "
+        "what": "the hasse sweep's per-prime work (rows), "
                 "counts_and_nakaya and count_consistency (nakaya_rows) and whole "
                 "CLI sweep calls in child processes (cli_rows), median of k runs",
         "sha": sha,

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
 from .errors import StructuralError, UsageError
-from .ffpoly import PRIME_LIMIT, is_prime
+from .ffpoly import PRIME_LIMIT, PrimeContext, is_prime
 
 JSON_VERSION = "fricke7/2"
 
@@ -181,9 +181,9 @@ def cmd_ss7star(args) -> int:
 
 
 def cmd_nakaya(args) -> int:
-    from .sweep import EXCLUDED, nakaya_sweep
+    from .sweep import nakaya_sweep
 
-    primes = [p for p in parse_primes(args.primes) if p not in EXCLUDED]
+    primes = [p for p in parse_primes(args.primes) if PrimeContext.admits(p)]
     _progress(f"nakaya sweep over {len(primes)} primes (jobs={args.jobs})")
     rows = nakaya_sweep(primes, jobs=args.jobs, check_oracle=args.check_oracle)
     emit(rows, args.format, args.out, "nakaya")

@@ -92,7 +92,8 @@ PRIME_LIMIT = 10**6
 
 @dataclass(frozen=True)
 class PrimeContext:
-    """A prime l != 2, 7 together with its derived character data."""
+    """A prime l the paper's theorems cover (l != 2, 3, 7, at most
+    `PRIME_LIMIT`) together with its derived character data."""
 
     l: int
     r: int
@@ -100,10 +101,18 @@ class PrimeContext:
     n: int
     mu7: int
 
+    @staticmethod
+    def admits(l: int) -> bool:
+        """Whether l is such a prime: the one test of the primes a sweep
+        covers."""
+        return 5 <= l <= PRIME_LIMIT and l != 7 and is_prime(l)
+
+    def __post_init__(self):
+        if not self.admits(self.l):
+            raise ValueError(f"modulus must be a prime >= 5, != 7, at most {PRIME_LIMIT:,}, got {self.l}")
+
     @classmethod
     def make(cls, l: int) -> "PrimeContext":
-        if l in (2, 7) or l > PRIME_LIMIT or not is_prime(l):
-            raise ValueError(f"modulus must be an odd prime != 7 at most {PRIME_LIMIT:,}, got {l}")
         return cls(
             l=l,
             r=(1 - kronecker(-3, l)) // 2,

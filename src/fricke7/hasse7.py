@@ -31,8 +31,6 @@ def _deuring_coeffs(ctx: PrimeContext) -> List[int]:
     """c_k = C(2n+s, 2k+s) C(2n-2k, n-k) (-432)^(n-k) mod l, k = 0..n, from
     c_n = 1 and c_k / c_(k+1) = (2k+s+1)(2k+s+2)(-432) / (n-k)^2, where
     0 < n - k < l is a unit mod l."""
-    if ctx.l < 5 or ctx.l == 7:
-        raise ValueError("l >= 5, l != 7 required")
     l, n, s = ctx.l, ctx.n, ctx.s
     out = [1] * (n + 1)
     for k in range(n - 1, -1, -1):
@@ -68,11 +66,6 @@ def ss_poly(ctx: PrimeContext) -> FpPoly:
     if ctx.s:
         out = out * FpPoly.make(l, [-1728, 1])
     return out.monic()
-
-
-def supersingular_j_in_fp(ctx: PrimeContext) -> List[int]:
-    """All supersingular j-invariants lying in F_l, sorted."""
-    return distinct_roots_in_fp(ss_poly(ctx))
 
 
 def hasse_poly(ctx: PrimeContext) -> FpPoly:
@@ -167,9 +160,8 @@ def count_factors(
     with_histogram: bool = True,
     ss: Optional[FpPoly] = None,
 ) -> FactorCountReport:
-    """Factor-type counts over the Hasse invariant f, and L, the number of
-    supersingular j in F_l, both from the ss_l that `ss_poly` certifies (pass
-    `ss` if it is already certified); that certificate makes f squarefree.
+    """Factor-type counts over the Hasse invariant f, which the certificate
+    of `ss_poly` makes squarefree (pass its `ss` if it already ran).
     N1/N3 count the distinct linear/irreducible cubic factors, N2 only the
     irreducible quadratics x^2+ax+b with B(a, b) = 0, N6 only the sextics
     f_7(x, t) with t in F_l.
@@ -198,7 +190,7 @@ def count_factors(
         raise ValueError(f"unknown count selector in {sorted(need)}")
     l = ctx.l
     if ss is None:
-        ss = ss_poly(ctx)
+        ss_poly(ctx)
     f = hasse_poly(ctx).monic()
     one, x = FpPoly.one(l), FpPoly.x(l)
 
@@ -261,7 +253,6 @@ def count_factors(
         N6=count(6) if "N6" in need else None,
         degree_histogram=histogram,
         classification_ok=classification_ok,
-        L=count_roots_in_fp(ss),
     )
 
 
@@ -331,33 +322,33 @@ def quadratic_count_formula(l: int, h7l: int) -> Fraction:
     return 3 * _mod8_multiplier(l) * h7l - sub
 
 
-def verify_count_formulas(ctx: PrimeContext, report: Optional[FactorCountReport] = None) -> FactorCountReport:
-    """Fill in formula predictions and verdicts next to the measured counts.
+def verify_count_formulas(ctx: PrimeContext, report: FactorCountReport, ss: FpPoly) -> FactorCountReport:
+    """Fill in L, the number of supersingular j in F_l counted on `ss` (the
+    ss_l that `ss_poly` certified for `report`), h(-l), h(-7l), and the formula
+    predictions and verdicts next to the measured counts.
 
-    The proven linear/cubic count formulas apply for l != 2, 3, 7; the conjectured
-    sextic/quadratic formulas for l > 7 in their congruence classes.  Also
-    checks N1 = 6 L(l) and N3 = 2 L(l).
+    The proven linear/cubic count formulas apply at every l a `PrimeContext`
+    admits; the conjectured sextic/quadratic formulas for l > 7 in their
+    congruence classes.  Also checks N1 = 6 L(l) and N3 = 2 L(l).
     """
     l = ctx.l
-    if report is None:
-        report = count_factors(ctx)
     verdicts: Dict[str, str] = {}
     h_l = class_number(field_discriminant(l))
     h_7l = class_number(field_discriminant(7 * l))
-    Lc = report.L
+    L = count_roots_in_fp(ss)
     f_n1 = f_n3 = f_n6 = f_n2 = None
     l7 = l % 7
 
     if l7 == 6:
         f_n1 = linear_count_formula(l, h_l)
-        ok = l > 3 and report.N1 == f_n1 == Fraction(6 * Lc)
+        ok = report.N1 == f_n1 == Fraction(6 * L)
         verdicts["count_formula"] = "PASS" if ok else "FAIL"
-        verdicts["six_L"] = "PASS" if report.N1 == 6 * Lc else "FAIL"
+        verdicts["six_L"] = "PASS" if report.N1 == 6 * L else "FAIL"
     elif l7 in (3, 5):
         f_n3 = cubic_count_formula(l, h_l)
-        ok = l > 3 and report.N3 == f_n3 == Fraction(2 * Lc)
+        ok = report.N3 == f_n3 == Fraction(2 * L)
         verdicts["count_formula"] = "PASS" if ok else "FAIL"
-        verdicts["two_L"] = "PASS" if report.N3 == 2 * Lc else "FAIL"
+        verdicts["two_L"] = "PASS" if report.N3 == 2 * L else "FAIL"
     else:
         verdicts["count_formula"] = "SKIP"
 
@@ -368,7 +359,7 @@ def verify_count_formulas(ctx: PrimeContext, report: Optional[FactorCountReport]
         else:
             verdicts["sextic_formula"] = "SKIP"
     if l7 in (1, 6):
-        if l > 7 and report.N2 is not None:
+        if report.N2 is not None:  # no admitted l < 7 is 1, 6 (mod 7)
             f_n2 = quadratic_count_formula(l, h_7l)
             verdicts["quadratic_formula"] = "PASS" if report.N2 == f_n2 else "FAIL"
         else:
@@ -385,5 +376,6 @@ def verify_count_formulas(ctx: PrimeContext, report: Optional[FactorCountReport]
         formula_N2_by_case=f_n2,
         h_minus_l=h_l,
         h_minus_7l=h_7l,
+        L=L,
         verdicts=verdicts,
     )

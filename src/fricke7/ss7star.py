@@ -31,11 +31,6 @@ from .ffpoly import (
 from .hasse7 import FactorCountReport, count_factors, ss_poly  # perfbench times ss7star.ss_poly
 
 
-def _check_p(ctx: PrimeContext) -> None:
-    if ctx.l < 5 or ctx.l == 7:
-        raise ValueError("p >= 5 and p != 7 required")
-
-
 def ss7star_resultant(ctx: PrimeContext, ss: FpPoly) -> FpPoly:
     """ss_p^(7*) from the resultant congruence
 
@@ -49,7 +44,6 @@ def ss7star_resultant(ctx: PrimeContext, ss: FpPoly) -> FpPoly:
     component, or one of multiplicity 2), and g is returned.  Any other shape
     is a structural error, not a data condition.
     """
-    _check_p(ctx)
     p = ctx.l
     lhs = resultant_in_X(ss, -FpPoly.make(p, C.R7_A), FpPoly.make(p, C.R7_B))
     if ctx.mu7:
@@ -108,7 +102,6 @@ def ss7star_bruteforce(ctx: PrimeContext, ss: FpPoly) -> FpPoly:
     error; the lcm is squarefree and has every radical's roots, so one check
     that it divides Y^(p^2) - Y covers every norm.
     """
-    _check_p(ctx)
     p = ctx.l
     A, B, Y = FpPoly.make(p, C.R7_A), FpPoly.make(p, C.R7_B), FpPoly.x(p)
     norms = FpPoly.one(p)
@@ -153,7 +146,6 @@ def counts_and_nakaya(ctx: PrimeContext, check_oracle: bool = False) -> SS7StarR
     digests and the benchmark's expected payloads record that, so moving it
     is a change of results.
     """
-    _check_p(ctx)
     p = ctx.l
     ss = ss_poly(ctx)
     ss7 = ss7star_resultant(ctx, ss)
@@ -190,8 +182,8 @@ def count_consistency(
     p = 6   (7): L = (N1-6)/6 + 2 + (N2 - (1-(-3/p))/2)/3 + (1-(-3/p))/2
     """
     p = ctx.l
-    if p < 11 or p == 7:
-        raise ValueError("p >= 11, p != 7 required")
+    if p < 11:
+        raise ValueError("p >= 11 required")
     if report is None:
         report = counts_and_nakaya(ctx)
     half = Fraction(1 - kronecker(-3, p), 2)

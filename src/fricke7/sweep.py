@@ -5,11 +5,12 @@ so this module owns the row schema of the `hasse`, `nakaya` and `ss7star`
 commands (`Fraction` values stay in the rows; the CLI's writer converts
 them).  Workers are module-level functions that forked worker processes
 inherit; rows come back in ascending prime order, so parallel and serial runs
-produce identical reports.  A prime the paper's hypotheses exclude gets the
-row {p, skipped}; a prime whose work raises a `StructuralError` gets the row
-{p, stage, error} instead, so one bad prime neither ends the sweep nor loses
-the rows of the others; a worker process that dies (a signal, the OOM killer)
-gives its prime that row with the stage "worker".
+produce identical reports.  A prime the paper's hypotheses exclude (one that
+`PrimeContext.admits` refuses) gets the row {p, skipped}; a prime whose work
+raises a `StructuralError` gets the row {p, stage, error} instead, so one bad
+prime neither ends the sweep nor loses the rows of the others; a worker
+process that dies (a signal, the OOM killer) gives its prime that row with the
+stage "worker".
 """
 
 from __future__ import annotations
@@ -24,10 +25,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import StructuralError
 from .ffpoly import PrimeContext, factorize, is_prime
-from .hasse7 import count_factors, verify_count_formulas
+from .hasse7 import count_factors, ss_poly, verify_count_formulas
 from .ss7star import counts_and_nakaya, count_consistency
-
-EXCLUDED = (2, 3, 7)  # the primes the paper's hypotheses exclude
 
 
 def primes_in(lo: int, hi: int) -> List[int]:
@@ -193,8 +192,8 @@ def run_parallel(worker, args: Sequence, jobs: int) -> List:
 
 
 def _bare_row(p: int, failure: Optional[Failure] = None) -> Dict[str, object]:
-    """The row of a prime without a result: {p, skipped} for a prime the
-    paper's hypotheses exclude, or {p, stage, error} for one whose `failure`
+    """The row of a prime without a result: {p, skipped} for a prime
+    `PrimeContext` does not admit, or {p, stage, error} for one whose `failure`
     is given."""
     if failure is None:
         return {"p": p, "skipped": "excluded by hypothesis"}
@@ -215,14 +214,15 @@ def _hasse_worker(args: Tuple[int]) -> Dict[str, object]:
     """The row of the full count and its verdicts at one prime; args is (p,),
     the (p, ...) tuple every sweep worker takes."""
     (p,) = args
-    if p in EXCLUDED:
+    if not PrimeContext.admits(p):
         return _bare_row(p)
     ctx = PrimeContext.make(p)
     stage = "count_factors"
     try:
-        rep = count_factors(ctx)
+        ss = ss_poly(ctx)
+        rep = count_factors(ctx, ss=ss)
         stage = "verify_count_formulas"
-        rep = verify_count_formulas(ctx, rep)
+        rep = verify_count_formulas(ctx, rep, ss)
     except StructuralError as e:
         return _bare_row(p, Failure(stage, str(e)))
     return {
@@ -285,7 +285,7 @@ def _ss7star_worker(args: Tuple[int, bool]) -> Dict[str, object]:
     """The row of ss_p^(7*), its counts and its factored display, so that the
     sweep's workers factor, not its parent; args is (p, check_oracle)."""
     p, check_oracle = args
-    if p in EXCLUDED:
+    if not PrimeContext.admits(p):
         return _bare_row(p)
     stage = "counts_and_nakaya"
     try:

@@ -7,8 +7,10 @@ the runners over the identity registries; only the tests call them.
   j in F_l other than 0 and 1728;
 * `run_all_identities`, `run_all_series_identities`: every case of the exact
   and of the q-series identity registry;
-* `restricted_hasse_sweep`: the hasse sweep's verified reports with the counts
-  restricted to a `need` and no degree histogram;
+* `verified_report`: `count_factors` and `verify_count_formulas` on one
+  certified ss_l, as the hasse sweep's worker runs them, and
+  `restricted_hasse_sweep`: those reports with the counts restricted to a
+  `need` and no degree histogram;
 * `nakaya_reports`: the `SS7StarReport` of `counts_and_nakaya` at each prime.
 """
 
@@ -17,8 +19,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from fricke7 import constants as C
 from fricke7.exactalg import REGISTRY as IDENTITIES
 from fricke7.exactalg import IdentityResult, verify_identity
-from fricke7.ffpoly import FpPoly, PrimeContext, _ddf, radical
-from fricke7.hasse7 import FactorCountReport, count_factors, supersingular_j_in_fp, verify_count_formulas
+from fricke7.ffpoly import FpPoly, PrimeContext, _ddf, distinct_roots_in_fp, radical
+from fricke7.hasse7 import FactorCountReport, count_factors, ss_poly, verify_count_formulas
 from fricke7.qseries import DEFAULT_PREC, SeriesIdentityResult, verify_series_identity
 from fricke7.qseries import REGISTRY as SERIES_IDENTITIES
 from fricke7.ss7star import SS7StarReport, counts_and_nakaya
@@ -133,7 +135,7 @@ def verify_g_factor_counts(ctx: PrimeContext) -> Dict[str, object]:
     l = ctx.l
     if l % 7 not in (3, 5, 6):
         return {"status": "SKIP", "checked": 0}
-    js = [j for j in supersingular_j_in_fp(ctx) if j not in (0, 1728 % l)]
+    js = [j for j in distinct_roots_in_fp(ss_poly(ctx)) if j not in (0, 1728 % l)]
     for j in js:
         degs = _factor_degrees(g_of_x_j(l, j))
         if not _six_linear_or_two_cubics(degs, l % 7 == 6):
@@ -158,10 +160,17 @@ def run_all_series_identities(prec: int = DEFAULT_PREC) -> List[SeriesIdentityRe
     return [verify_series_identity(i, prec) for i in SERIES_IDENTITIES]
 
 
+def verified_report(ctx: PrimeContext, **restrict) -> FactorCountReport:
+    """The hasse sweep's report at ctx: ss_l certified once, the counts
+    (`restrict` passes `need` and `with_histogram`), and L, the class numbers
+    and the verdicts on that ss_l."""
+    ss = ss_poly(ctx)
+    return verify_count_formulas(ctx, count_factors(ctx, ss=ss, **restrict), ss)
+
+
 def _restricted_hasse_worker(args: Tuple[int, Tuple[str, ...]]) -> FactorCountReport:
     p, need = args
-    ctx = PrimeContext.make(p)
-    return verify_count_formulas(ctx, count_factors(ctx, need=need, with_histogram=False))
+    return verified_report(PrimeContext.make(p), need=need, with_histogram=False)
 
 
 def restricted_hasse_sweep(

@@ -206,6 +206,21 @@ def test_structural_error_names_its_prime(monkeypatch, capsys):
     assert rows[1] == {"p": 13, "stage": "count_factors", "error": "injected"}
 
 
+def test_failed_ss_poly_is_a_count_factors_row(monkeypatch, capsys):
+    """The hasse worker certifies ss_l under the stage count_factors: a
+    structural error there names that stage."""
+    from fricke7 import sweep
+    from fricke7.errors import StructuralError
+
+    def fails(ctx):
+        raise StructuralError(f"injected at l={ctx.l}")
+
+    monkeypatch.setattr(sweep, "ss_poly", fails)
+    code, out, err = run_cli(["hasse", "--primes", "13", "--format", "json"], capsys)
+    assert code == 3 and "(in count_factors)" in err
+    assert json.loads(out)["rows"] == [{"p": 13, "stage": "count_factors", "error": "injected at l=13"}]
+
+
 @pytest.mark.parametrize("command", ["hasse", "nakaya"])
 def test_failed_prime_keeps_the_other_rows(command, monkeypatch, capsys):
     """One failing prime of three: the other two rows are written, the

@@ -33,7 +33,7 @@ from fricke7.ffpoly import (
     squarefree_decomposition,
 )
 from oracles import resultant
-from paper_checks import smallest_nonresidue, sqrt_mod
+from paper_checks import smallest_nonresidue, sqrt_mod, verified_report
 
 PRIMES = [5, 11, 13, 41, 97, 1009]
 
@@ -62,6 +62,17 @@ class TestPrimeContext:
             FpPoly.make(1000003, [1, 2])
         assert PrimeContext.make(999983).l == 999983
         assert FpPoly.make(999983, [1, 2]).coeffs == (1, 2)
+
+    @pytest.mark.parametrize("bad", [2, 3, 7, 9, PRIME_LIMIT + 1])
+    def test_admits_only_the_primes_of_the_theorems(self, bad):
+        """2, 3 and 7, composites and moduli past the limit are refused by
+        `make` and by the constructor itself, and `admits` says so."""
+        assert not PrimeContext.admits(bad)
+        with pytest.raises(ValueError, match="at most 1,000,000"):
+            PrimeContext.make(bad)
+        with pytest.raises(ValueError, match=f"got {bad}$"):
+            PrimeContext(l=bad, r=1, s=1, n=0, mu7=0)
+        assert PrimeContext.admits(5) and PrimeContext(l=5, r=1, s=0, n=0, mu7=1) == PrimeContext.make(5)
 
     def test_int64_bound_is_asserted(self):
         """Vectors built past the limit trip the int64 assertion of the
@@ -520,7 +531,6 @@ class TestCentredOperands:
         2l, and its squares run at 2^13 or 2^14), so nothing centres: a
         hasse count and the nakaya side at l = 2179, the largest BENCH prime
         below 2200, run every transform on the plain route."""
-        from fricke7.hasse7 import count_factors, verify_count_formulas
         from fricke7.ss7star import counts_and_nakaya
 
         assert all(ffpoly._fft_ok(2200, 1 << n, n) == 2199 for n in range(8, 22))
@@ -528,7 +538,7 @@ class TestCentredOperands:
         with mock.patch.object(ffpoly, "_cyclic", wraps=ffpoly._cyclic) as cyclic, mock.patch.object(
             ffpoly, "_centre", wraps=ffpoly._centre
         ) as centre:
-            report = verify_count_formulas(ctx, count_factors(ctx))
+            report = verified_report(ctx)
             counts_and_nakaya(ctx)
         assert "FAIL" not in report.verdicts.values()
         assert self.routes(cyclic) == {2178} and not centre.called

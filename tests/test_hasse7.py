@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 from fricke7 import constants as C
-from fricke7 import cli, ffpoly, hasse7, sweep
+from fricke7 import cli, ffpoly, hasse7, ss7star, sweep
 from fricke7.classnum import kronecker
 from fricke7.errors import StructuralError
 from fricke7.ffpoly import FpPoly, PrimeContext, distinct_roots_in_fp, factorize, radical
@@ -16,19 +16,19 @@ from fricke7.hasse7 import (
     count_factors,
     deuring_J,
     hasse_poly,
-    supersingular_j_in_fp,
+    ss_poly,
     verify_count_formulas,
 )
 from fricke7.ss7star import counts_and_nakaya
 from fricke7.sweep import primes_in
-from paper_checks import g_of_x_j, verify_g_factor_counts, verify_special_factorizations
+from paper_checks import g_of_x_j, verified_report, verify_g_factor_counts, verify_special_factorizations
 
 SWEEP_PRIMES = [p for p in primes_in(5, 400) if p != 7]
 NEAR_2000 = [2003, 1997, 1949, 1999, 1993, 1987]  # one prime per class l mod 7, 1..6
 ONE_PER_CLASS = [113, 37, 59, 53, 61, 41]  # the same, small
 # count_factors' restricted calls in ss7star.count_consistency, by l mod 7
 CONSISTENCY_NEED = {1: ("N2",), 6: ("N1", "N2"), 2: ("N6",), 4: ("N6",), 3: ("N3", "N6"), 5: ("N3", "N6")}
-# prime -> [N1, N2, N3, N6, L, classification_ok, degree histogram] of count_factors(PrimeContext.make(prime))
+# prime -> [N1, N2, N3, N6, L, classification_ok, degree histogram] of the hasse sweep's report
 COUNT_REPORTS = json.loads((Path(__file__).parent / "count_reports_below_700.json").read_text())
 
 
@@ -210,6 +210,24 @@ class TestCountingPath:
             row = sweep._nakaya_worker((599, False))
         assert J.call_count == 1 and "error" not in row and row["consistency"] == "PASS"
 
+    @pytest.mark.parametrize("p", ONE_PER_CLASS)
+    def test_rows_count_L_once(self, p):
+        """A hasse row counts roots in F_l once, for L; a nakaya row with
+        count consistency twice, for L and L7star, and its recount of the
+        N-counts counts none."""
+        counted = []
+
+        def spy(f):
+            counted.append(ffpoly.count_roots_in_fp(f))
+            return counted[-1]
+
+        with mock.patch.object(hasse7, "count_roots_in_fp", spy), mock.patch.object(ss7star, "count_roots_in_fp", spy):
+            row = sweep._hasse_worker((p,))
+            assert counted == [row["L"]]
+            counted.clear()
+            row = sweep._nakaya_worker((p, False))
+        assert counted == [row["L"], row["L7star"]] and row["consistency"] == "PASS"
+
     @pytest.mark.parametrize("p", [113, 41, 2003, 1987])  # l = 1, 6 (mod 7)
     def test_no_n6_work_without_sextics(self, p):
         """The rules allow no sextic here: the count builds no f_7 pair."""
@@ -325,18 +343,21 @@ class TestSplitByPowers:
 
     def test_reports_below_700_are_the_recorded_ones(self):
         """The full report, and the need-restricted ones, which hold the
-        recorded counts they ask for and L, and None elsewhere."""
+        recorded counts they ask for and None elsewhere; L, counted by
+        `verify_count_formulas` on the certified ss_l, is the recorded one."""
         assert [int(p) for p in COUNT_REPORTS] == primes_in(11, 699)
         for p, (n1, n2, n3, n6, L, ok, histogram) in COUNT_REPORTS.items():
             l, counts = int(p), {"N1": n1, "N2": n2, "N3": n3, "N6": n6}
             ctx = PrimeContext.make(l)
+            ss = ss_poly(ctx)
             want = hasse7.FactorCountReport(
                 l=l, **counts, degree_histogram={int(d): c for d, c in histogram.items()},
-                classification_ok=ok, L=L)
-            assert count_factors(ctx) == want, l
+                classification_ok=ok)
+            full = count_factors(ctx, ss=ss)
+            assert full == want and verify_count_formulas(ctx, full, ss).L == L, l
             for need in (("N1",), ("N2",), ("N3",), ("N6",), ("N1", "N3")):
-                want = hasse7.FactorCountReport(l=l, L=L, **{k: counts[k] for k in need})
-                assert count_factors(ctx, need=need, with_histogram=False) == want, (l, need)
+                want = hasse7.FactorCountReport(l=l, **{k: counts[k] for k in need})
+                assert count_factors(ctx, need=need, with_histogram=False, ss=ss) == want, (l, need)
 
     def test_restricted_split_takes_the_given_powers(self):
         """At l = 59 (3 mod 7) the N1/N3 count holds h_d = x^(l^d) mod f for
@@ -392,9 +413,9 @@ class TestFailedCertificate:
             for q in (FpPoly.make(p, [c, 1, 0, 0, 1]) for c in range(p))
             if set(ffpoly._ddf(q)) == {4} and H.gcd(q).degree == 0
         )
-        base = verify_count_formulas(ctx)
+        base = verified_report(ctx)
         with mock.patch.object(hasse7, "hasse_poly", return_value=H * quartic):
-            rep = verify_count_formulas(ctx)
+            rep = verified_report(ctx)
             assert cli.main(["hasse", "--primes", str(p)]) == 1
         assert "FAIL" in capsys.readouterr().out
         assert rep.verdicts["factor_types"] == "FAIL"
@@ -462,11 +483,11 @@ class TestFactorTypeRules:
 
 class TestCountFormulas:
     def test_spec_rows(self):
-        v41 = verify_count_formulas(PrimeContext.make(41))
+        v41 = verified_report(PrimeContext.make(41))
         assert v41.h_minus_7l == 14 and v41.verdicts["quadratic_formula"] == "PASS"
-        v13 = verify_count_formulas(PrimeContext.make(13))
+        v13 = verified_report(PrimeContext.make(13))
         assert v13.N1 == 6 and v13.L == 1 and v13.verdicts["six_L"] == "PASS"
-        v17 = verify_count_formulas(PrimeContext.make(17))
+        v17 = verified_report(PrimeContext.make(17))
         assert v17.N3 == 4 and v17.formula_N3 == 4 and v17.verdicts["count_formula"] == "PASS"
 
     def test_modular_constraints(self):
@@ -582,9 +603,9 @@ class TestStructuralProperties:
 
 
 def test_L_count_examples():
-    assert supersingular_j_in_fp(PrimeContext.make(5)) == [0]
-    assert supersingular_j_in_fp(PrimeContext.make(13)) == [5]
-    assert count_factors(PrimeContext.make(41)).L == 4
+    assert distinct_roots_in_fp(ss_poly(PrimeContext.make(5))) == [0]
+    assert distinct_roots_in_fp(ss_poly(PrimeContext.make(13))) == [5]
+    assert verified_report(PrimeContext.make(41)).L == 4
 
 
 def test_g_of_x_j_values():
