@@ -4,8 +4,8 @@ the median of k runs at each prime of the hasse sweep's per-prime work
 (`hasse_sweep([p])`: ss_l, `count_factors` and `verify_count_formulas`), by
 default one prime per class l mod 7 near 2000, in (2048, 2200] (where the square of the Hasse polynomial, of
 degree about 2l, first passes 2^13 coefficients) and near 10^4; and of the
-nakaya sweep's per-prime work, `counts_and_nakaya` and then, from p = 11 on,
-`count_consistency` on its report, by default one prime per class p mod 7 in
+nakaya sweep's per-prime work (`nakaya_sweep([p])`: `counts_and_nakaya` and
+`count_consistency` on its report), by default one prime per class p mod 7 in
 each half of the `nakaya-mix` benchmark, (11, 300] (where the ss^(7*) oracle
 runs) and (300, 1000]; of
 whole CLI sweep calls (`cli_rows`), one `hasse --jobs 2` call on two primes
@@ -41,9 +41,7 @@ import time
 from pathlib import Path
 
 import fricke7
-from fricke7.ffpoly import PrimeContext
-from fricke7.ss7star import count_consistency, counts_and_nakaya
-from fricke7.sweep import hasse_sweep
+from fricke7.sweep import hasse_sweep, nakaya_sweep
 
 # one prime per class l mod 7 = 1..6, near 2000, in (2048, 2200] and near 10^4
 PRIMES = (
@@ -122,21 +120,18 @@ def time_prime(p: int, repeats: int):
 
 
 def time_nakaya(p: int, repeats: int):
-    def run():
-        ctx = PrimeContext.make(p)
-        rep = counts_and_nakaya(ctx)
-        return rep, count_consistency(ctx, report=rep)["ok"] if p >= 11 else None
-
-    (rep, consistency_ok), timing = medians(run, repeats)
+    (row,), timing = medians(lambda: nakaya_sweep([p]), repeats)
+    if "error" in row:
+        raise SystemExit(f"nakaya at p={p}: {row['error']} (in {row['stage']})")
     return {
         "p": p,
         "class": p % 7,
         **timing,
-        "L": rep.L,
-        "L7star": rep.L7star,
-        "oracle_match": rep.oracle_match,
-        "nakaya_ok": rep.nakaya_ok,
-        "consistency_ok": consistency_ok,
+        "L": row["L"],
+        "L7star": row["L7star"],
+        "oracle_match": row["oracle_match"],
+        "nakaya_ok": row["nakaya"] == "PASS",
+        "consistency_ok": row["consistency"] == "PASS" if "consistency" in row else None,
     }
 
 
@@ -168,9 +163,9 @@ TIMERS = {"hasse": time_prime, "nakaya": time_nakaya}
 
 def payload(sha, dirty, repeats: int, rows, nakaya_rows, cli):
     return {
-        "what": "the hasse sweep's per-prime work (rows), "
-                "counts_and_nakaya and count_consistency (nakaya_rows) and whole "
-                "CLI sweep calls in child processes (cli_rows), median of k runs",
+        "what": "the per-prime work of the hasse sweep (rows) and of the nakaya sweep "
+                "(nakaya_rows), and whole CLI sweep calls in child processes (cli_rows), "
+                "median of k runs",
         "sha": sha,
         "src_dirty": dirty,
         "repeats": repeats,

@@ -8,7 +8,6 @@ as an independent oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 from typing import Tuple
@@ -63,30 +62,15 @@ def is_squarefree(m: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Discriminant:
-    """Negative discriminant D = 0, 1 (mod 4) of an imaginary quadratic order."""
-
-    D: int
-
-    def __post_init__(self):
-        if self.D >= 0 or self.D % 4 not in (0, 1):
-            raise ValueError(f"invalid imaginary quadratic discriminant {self.D}")
-
-
-def field_discriminant(m: int) -> Discriminant:
-    """Discriminant of Q(sqrt(-m)) for squarefree m > 0."""
+def field_discriminant(m: int) -> int:
+    """The discriminant of Q(sqrt(-m)) for squarefree m > 0."""
     if not is_squarefree(m):
         raise ValueError(f"{m} is not squarefree")
-    if (-m) % 4 == 1:
-        return Discriminant(-m)
-    return Discriminant(-4 * m)
+    return -m if (-m) % 4 == 1 else -4 * m
 
 
-def class_number(D) -> int:
+def class_number(D: int) -> int:
     """Number of primitive reduced forms (a, b, c) of discriminant D < 0."""
-    if isinstance(D, Discriminant):
-        D = D.D
     if D >= 0 or D % 4 not in (0, 1):
         raise ValueError(f"invalid discriminant {D}")
     count = 0
@@ -110,12 +94,9 @@ def class_number(D) -> int:
 def nakaya_class_term(p: int) -> Tuple[Fraction, int]:
     """(a_p, h(-7p)): the class-number weight and class number in Nakaya's formula.
 
-    a_p = (1/8) * (2 + (1 - (-1/7p)) (2 + (-2/7p))).
+    a_p = (1/8) * (2 + (1 - (-1/7p)) (2 + (-2/7p))); the primes it applies to
+    are the ones `ffpoly.PrimeContext` admits.
     """
-    if p == 7:
-        raise ValueError("p = 7 excluded")
-    if p < 5:
-        raise ValueError("p >= 5 required")
     a_p = Fraction(2 + (1 - kronecker(-1, 7 * p)) * (2 + kronecker(-2, 7 * p)), 8)
     h = class_number(field_discriminant(7 * p))
     return a_p, h

@@ -18,9 +18,6 @@ from .classnum import class_number
 from .exactring import pmul, ppow
 from .ffpoly import FpPoly, factorize, is_prime
 
-# exponent pattern of the h-product: residue class mod 7 -> net exponent
-_H_EXPONENTS = {3: 1, 4: 1, 2: 2, 5: 2, 1: -3, 6: -3}
-_H_WEIGHT = 12  # sum of |exponents| per period of 7
 MIN_BITS = 128  # the least working precision eval_h_tau accepts
 
 
@@ -44,20 +41,14 @@ class CMPoint:
         return (self.v * self.v + self.d) // 4
 
 
-def select_w(d: int, odd_norm: bool = False) -> CMPoint:
-    """Smallest |v| > 0 with v = d (mod 2) and v^2 = -d (mod 196).
-
-    `odd_norm` additionally demands 2 does not divide N(w) (the ring-class
-    variant used when the conductor is 2).
-    """
+def select_w(d: int) -> CMPoint:
+    """Smallest |v| > 0 with v = d (mod 2) and v^2 = -d (mod 196)."""
     if d <= 0 or (-d) % 4 not in (0, 1):
         raise ValueError(f"-{d} is not a discriminant")
     for v in range(1, 4 * 196 + 1):
         if (v - d) % 2:
             continue
         if (v * v + d) % 196:
-            continue
-        if odd_norm and ((v * v + d) // 4) % 2 == 0:
             continue
         return CMPoint(d=d, v=v)
     raise ValueError(f"no admissible v below the search bound for d={d}")
@@ -92,15 +83,16 @@ def eval_h_tau(tau, bits: int = 300) -> CertifiedValue:
         if absq > mp.mpf("0.75"):
             raise ValueError("Im(tau) too small: |q| too close to 1")
         # choose M with the geometric tail below 2^-(bits+guard-8)
+        weight = sum(abs(e) for _, e in C.H_EXPONENTS)  # per period of 7
         target = mp.mpf(2) ** (-(bits + guard - 8))
         M = 1
-        while _H_WEIGHT * 2 * absq ** (M + 1) / (1 - absq) > target:
+        while weight * 2 * absq ** (M + 1) / (1 - absq) > target:
             M += 1
         val = 1 / q
         n = 1
         while True:
             done = True
-            for res, e in _H_EXPONENTS.items():
+            for res, e in C.H_EXPONENTS:
                 k = 7 * n - res
                 if k <= M:
                     done = False
@@ -109,7 +101,7 @@ def eval_h_tau(tau, bits: int = 300) -> CertifiedValue:
                 break
             n += 1
         # |log tail| <= weight * sum_{k>M} 2|q|^k; |h| * (e^t - 1) <= 2 |h| t for small t
-        tail = _H_WEIGHT * 2 * absq ** (M + 1) / (1 - absq)
+        tail = weight * 2 * absq ** (M + 1) / (1 - absq)
         err = abs(val) * tail * 2 + abs(val) * mp.mpf(2) ** (-(bits + guard // 2))
         return CertifiedValue(value=val, abs_err=err)
 
@@ -141,8 +133,8 @@ def phi_of_h(h: CertifiedValue) -> CertifiedValue:
     """j_7^*(tau) = (h^2-h+1)^3 / (h (h-1) (h^3-8h^2+5h+1)) with error propagation."""
     import mpmath as mp
 
-    num = eval_int_poly(ppow((1, -1, 1), 3), h)
-    den = eval_int_poly(pmul(pmul((0, 1), (-1, 1)), (1, 5, -8, 1)), h)
+    num = eval_int_poly(ppow(C.X2X1, 3), h)
+    den = eval_int_poly(pmul(pmul((0, 1), (-1, 1)), C.P_CUBIC), h)
     val = num.value / den.value
     ad = abs(den.value)
     err = (num.abs_err + abs(val) * den.abs_err) / (ad - den.abs_err)
@@ -158,37 +150,30 @@ class CMVerdict:
     ok: bool
 
 
-def verify_pd_root(d: int, bits: int = 300) -> CMVerdict:
-    """|P_d(h(w/7))| below both 2^(-bits/2) and the certified error envelope,
-    at the point `select_w(d)`."""
+def _root_verdict(point: CMPoint, coeffs: Sequence[int], bits: int, of_h=lambda h: h) -> CMVerdict:
+    """|P(of_h(h(w/7)))| below both 2^(-bits/2) and the certified error
+    envelope, for P = `coeffs` and w the `point`."""
     import mpmath as mp
 
-    if d not in C.PD_TABLE:
-        raise KeyError(f"no P_d stored for d={d}")
-    point = select_w(d)
     with mp.workprec(bits + 96):
-        h = eval_h(point, bits)
-        val = eval_int_poly(C.PD_TABLE[d], h)
+        val = eval_int_poly(coeffs, of_h(eval_h(point, bits)))
         tol = float(mp.mpf(2) ** (-bits / 2))
         resid = float(abs(val.value))
         ok = resid < tol and resid <= float(val.abs_err) + tol
-    return CMVerdict(d=d, v=point.v, residual=resid, tolerance=tol, ok=ok)
+    return CMVerdict(d=point.d, v=point.v, residual=resid, tolerance=tol, ok=ok)
+
+
+def verify_pd_root(d: int, bits: int = 300) -> CMVerdict:
+    """P_d(h(w/7)) vanishes, within `_root_verdict`'s bounds, at the point
+    `select_w(d)`."""
+    if d not in C.PD_TABLE:
+        raise KeyError(f"no P_d stored for d={d}")
+    return _root_verdict(select_w(d), C.PD_TABLE[d], bits)
 
 
 def verify_psi7_root(bits: int = 300) -> CMVerdict:
     """Phi(h(w/7)) is a root of Psi_7 at the reference point w = 29 + sqrt(-41)."""
-    import mpmath as mp
-
-    d, v = C.PSI7_CM_POINT
-    point = CMPoint(d=d, v=v)
-    with mp.workprec(bits + 96):
-        h = eval_h(point, bits)
-        j7s = phi_of_h(h)
-        val = eval_int_poly(C.PSI7, j7s)
-        tol = float(mp.mpf(2) ** (-bits / 2))
-        resid = float(abs(val.value))
-        ok = resid < tol and resid <= float(val.abs_err) + tol
-    return CMVerdict(d=d, v=v, residual=resid, tolerance=tol, ok=ok)
+    return _root_verdict(CMPoint(*C.PSI7_CM_POINT), C.PSI7, bits, phi_of_h)
 
 
 # ---------------------------------------------------------------------------

@@ -110,11 +110,6 @@ class FactorCountReport:
     verdicts: Dict[str, str] = field(default_factory=dict)
 
 
-def _b_form(a, b):
-    """B(a, b) before reduction mod l; a and b are integers or polynomials."""
-    return a**3 + (8 - 5 * b) * a**2 + (5 + 6 * b - 8 * b**2) * a - b**3 - 5 * b**2 + 8 * b - 1
-
-
 def _b_residue(q: FpPoly, h: FpPoly) -> FpPoly:
     """B(-(x + h), x h) mod q, for q a product of distinct irreducible quadratics
     and h = x^l mod a multiple of q.  On a factor x^2 + a x + b with roots r, r^l,
@@ -123,7 +118,7 @@ def _b_residue(q: FpPoly, h: FpPoly) -> FpPoly:
     its gcd with q is the product of the factors with B(a, b) = 0."""
     x = FpPoly.x(q.modulus)
     h = h % q
-    return _b_form(-(x + h) % q, x * h % q) % q
+    return C.b_form(-(x + h) % q, x * h % q) % q
 
 
 def _at(p: FpPoly, table: List[FpPoly]) -> FpPoly:

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from . import constants as C
 from .errors import StructuralError
 from .exactring import power
 
@@ -254,7 +255,7 @@ def eta_quotient4(prec: int = DEFAULT_PREC) -> LaurentSeries:
 def h_series(prec: int = DEFAULT_PREC) -> LaurentSeries:
     """h = q^-1 prod (1-q^(7n-3))(1-q^(7n-4))(1-q^(7n-2))^2(1-q^(7n-5))^2
     / ((1-q^(7n-1))^3 (1-q^(7n-6))^3)."""
-    c = _product_block([(3, 1), (4, 1), (2, 2), (5, 2), (1, -3), (6, -3)], prec)
+    c = _product_block(C.H_EXPONENTS, prec)
     return LaurentSeries(1, -1, tuple(c))
 
 
@@ -351,7 +352,7 @@ def _case_eta_h(prec: int) -> SeriesIdentityResult:
     m = prec + 8
     e, h = eta_quotient4(m), h_series(m)
     lhs = e * h * (h - 1)
-    rhs = from_polynomial((1, 5, -8, 1), h)
+    rhs = from_polynomial(C.P_CUBIC, h)
     return _residual_result("ETA_H", lhs - rhs)
 
 
@@ -388,8 +389,6 @@ def _case_z_def(prec: int) -> SeriesIdentityResult:
 
 
 def _case_j7star(prec: int) -> SeriesIdentityResult:
-    from . import constants as C
-
     j7 = j7star_series(max(prec, 8))
     return _check_reference("J7STAR", j7, C.REF_J7STAR)
 
@@ -398,15 +397,11 @@ def _case_f7_vanish(prec: int) -> SeriesIdentityResult:
     m = prec + 10
     h = h_series(m)
     t = j7star_series(m)
-    lhs = from_polynomial((1, -1, 1), h) ** 3 - t * h * (h - 1) * from_polynomial(
-        (1, 5, -8, 1), h
-    )
+    lhs = from_polynomial(C.X2X1, h) ** 3 - t * h * (h - 1) * from_polynomial(C.P_CUBIC, h)
     return _residual_result("F7_VANISH", lhs)
 
 
 def _case_j_7tau(prec: int) -> SeriesIdentityResult:
-    from . import constants as C
-
     depth = min(prec, 50)  # j-series terms compared; h is needed to ~7x this depth
     m = 7 * depth + 30
     h = h_series(m)
@@ -418,8 +413,6 @@ def _case_j_7tau(prec: int) -> SeriesIdentityResult:
 
 
 def _case_j_tau(prec: int) -> SeriesIdentityResult:
-    from . import constants as C
-
     depth = min(prec, 50)
     m = depth + 30
     h = h_series(m)

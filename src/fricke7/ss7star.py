@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from . import constants as C
 from .classnum import kronecker, nakaya_class_term
@@ -169,40 +169,33 @@ def counts_and_nakaya(ctx: PrimeContext, check_oracle: bool = False) -> SS7StarR
     )
 
 
-def count_consistency(
-    ctx: PrimeContext,
-    report: Optional[SS7StarReport] = None,
-    counts: Optional[FactorCountReport] = None,
-) -> Dict[str, object]:
-    """Recompute L^(7*) from the measured N-counts via the case derivations.
+def l7star_from_counts(p: int, counts: FactorCountReport) -> Fraction:
+    """L^(7*) from the N-counts of `count_factors` via the case derivations,
+    for p >= 11:
 
     p = 2,4 (7): L = N6 + (1-(-3/p))/2
     p = 3,5 (7): L = (N3-2)/2 + 2 + N6 + (1-(-3/p))/2
     p = 1   (7): L = (N2 - (1-(-3/p))/2)/3 + (1-(-3/p))/2
     p = 6   (7): L = (N1-6)/6 + 2 + (N2 - (1-(-3/p))/2)/3 + (1-(-3/p))/2
     """
-    p = ctx.l
-    if p < 11:
-        raise ValueError("p >= 11 required")
-    if report is None:
-        report = counts_and_nakaya(ctx)
     half = Fraction(1 - kronecker(-3, p), 2)
     p7 = p % 7
-    if counts is None:
-        need = {1: ("N2",), 6: ("N1", "N2"), 2: ("N6",), 4: ("N6",), 3: ("N3", "N6"), 5: ("N3", "N6")}[p7]
-        counts = count_factors(ctx, need=need, with_histogram=False, ss=report.ss)
     if p7 in (2, 4):
-        formula = counts.N6 + half
-    elif p7 in (3, 5):
-        formula = Fraction(counts.N3 - 2, 2) + 2 + counts.N6 + half
-    elif p7 == 1:
-        formula = Fraction(1, 3) * (counts.N2 - half) + half
-    else:
-        formula = Fraction(counts.N1 - 6, 6) + 2 + Fraction(1, 3) * (counts.N2 - half) + half
-    return {
-        "p": p,
-        "branch": p7,
-        "formula_value": formula,
-        "L7star": report.L7star,
-        "ok": formula == report.L7star,
-    }
+        return counts.N6 + half
+    if p7 in (3, 5):
+        return Fraction(counts.N3 - 2, 2) + 2 + counts.N6 + half
+    if p7 == 1:
+        return Fraction(1, 3) * (counts.N2 - half) + half
+    return Fraction(counts.N1 - 6, 6) + 2 + Fraction(1, 3) * (counts.N2 - half) + half
+
+
+def count_consistency(ctx: PrimeContext, report: SS7StarReport) -> Optional[bool]:
+    """Whether `l7star_from_counts` on the counts its case reads equals
+    report.L7star, for the `report` of `counts_and_nakaya`; None below
+    p = 11, where the case derivations do not apply."""
+    p = ctx.l
+    if p < 11:
+        return None
+    need = {1: ("N2",), 6: ("N1", "N2"), 2: ("N6",), 4: ("N6",), 3: ("N3", "N6"), 5: ("N3", "N6")}[p % 7]
+    counts = count_factors(ctx, need=need, with_histogram=False, ss=report.ss)
+    return l7star_from_counts(p, counts) == report.L7star

@@ -269,9 +269,10 @@ def _nakaya_worker(args: Tuple[int, bool]) -> Dict[str, object]:
             "oracle_match": rep.oracle_match,
             "nakaya": "PASS" if rep.nakaya_ok else "FAIL",
         }
-        if p >= 11:
-            stage = "count_consistency"
-            row["consistency"] = "PASS" if count_consistency(ctx, report=rep)["ok"] else "FAIL"
+        stage = "count_consistency"
+        consistent = count_consistency(ctx, rep)
+        if consistent is not None:
+            row["consistency"] = "PASS" if consistent else "FAIL"
     except StructuralError as e:
         return _bare_row(p, Failure(stage, str(e)))
     return row

@@ -11,13 +11,13 @@ from fricke7.classnum import kronecker
 from fricke7.errors import StructuralError
 from fricke7.exactring import pdeg
 from fricke7.ffpoly import Factorization, FpPoly, PrimeContext, _ddf, _edf, distinct_roots_in_fp, radical
-from fricke7.hasse7 import _b_form, hasse_poly
+from fricke7.hasse7 import hasse_poly
 from fricke7.ss7star import _root_pairs
 
 
 def b_value(l: int, a: int, b: int) -> int:
     """B(a, b) mod l, the membership test of the quadratic families."""
-    return _b_form(a, b) % l
+    return C.b_form(a, b) % l
 
 
 def dirichlet_class_number(D: int) -> int:

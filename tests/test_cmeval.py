@@ -12,7 +12,7 @@ from fricke7.cmeval import (
     verify_psi7_factorization,
     verify_psi7_root,
 )
-from fricke7.qseries import h_series
+from fricke7.qseries import MIN_PREC, REGISTRY, h_series, verify_series_identity
 
 
 class TestSelectW:
@@ -26,10 +26,6 @@ class TestSelectW:
         for d in (20, 52, 68, 83, 164):
             pt = select_w(d)
             assert pt.norm % 49 == 0
-
-    def test_odd_norm_variant(self):
-        pt = select_w(83, odd_norm=True)
-        assert pt.norm % 2 == 1
 
     def test_d7_rejected(self):
         # N(w) = 0 (mod 49) forces 7 | v and then 49 | 7, impossible
@@ -92,6 +88,17 @@ class TestPdRoots:
     def test_unknown_d(self):
         with pytest.raises(KeyError):
             verify_pd_root(11)
+
+
+def test_wrong_h_exponents_fail_the_h_cases_and_pd_root(monkeypatch):
+    """`qseries.h_series` and `eval_h_tau` read the one h-product table: with
+    the exponent of class 2 miscopied, every q-series case built on h fails
+    (J7STAR alone does not use h), and so does the P_d root check."""
+    wrong = tuple((res, 1 if res == 2 else e) for res, e in C.H_EXPONENTS)
+    monkeypatch.setattr(C, "H_EXPONENTS", wrong)
+    failed = [case for case in REGISTRY if not verify_series_identity(case, MIN_PREC).ok]
+    assert failed == [case for case in REGISTRY if case != "J7STAR"]
+    assert not verify_pd_root(20).ok
 
 
 class TestFactorizations:

@@ -8,7 +8,10 @@ from hypothesis import strategies as st
 from fricke7 import constants as C
 from fricke7 import exactalg
 from fricke7.exactalg import REGISTRY, _gcd_residual, verify_identity
+from fricke7.errors import StructuralError
 from fricke7.exactring import MPoly, pmul
+from fricke7.ffpoly import PrimeContext
+from fricke7.hasse7 import count_factors
 from paper_checks import run_all_identities
 
 
@@ -48,6 +51,14 @@ def _wrong_expand_f7(t):
     return tuple(c)
 
 
+_b_form = C.b_form
+
+
+def _wrong_b_form(a, b):
+    """b_form with 8b miscopied as 7b."""
+    return _b_form(a, b) - b
+
+
 MUTATIONS = {
     # a sign flip in R_7 must surface as a nonzero residual in RES_G_F7_R7
     "R7_A": (tuple(-c for c in C.R7_A), ["RES_G_F7_R7"]),
@@ -56,6 +67,8 @@ MUTATIONS = {
         _wrong_expand_f7,
         ["LEMMA_B_DISC", "F7_T1", "F7_PHI", "RES_G_F7_R7", "SPLIT_QUADRATIC"],
     ),
+    # a miscopied B must fail the discriminant the registry certifies
+    "b_form": (_wrong_b_form, ["LEMMA_B_DISC"]),
 }
 
 
@@ -67,6 +80,17 @@ def test_mutation_detected(name, monkeypatch):
     failed = [r.id for r in run_all_identities() if not r.ok]
     assert failed == cases
     assert dict(C.self_check())["f7_expanded_form"] is (name != "expand_f7")
+
+
+@pytest.mark.parametrize("l", [29, 13])  # l = 1, 6 (mod 7)
+def test_wrong_b_form_fails_the_n2_count(l, monkeypatch):
+    """The N2 count reads the B that LEMMA_B_DISC certifies: at e = 2 every
+    family quadratic must have B(a, b) = 0, so a miscopied B is refused."""
+    ctx = PrimeContext.make(l)
+    assert count_factors(ctx, need=("N2",), with_histogram=False).N2 > 0
+    monkeypatch.setattr(C, "b_form", _wrong_b_form)
+    with pytest.raises(StructuralError, match="violates B"):
+        count_factors(ctx, need=("N2",), with_histogram=False)
 
 
 def test_grid_exceeds_degree_bounds():

@@ -1,8 +1,9 @@
 """Every name a module of the package imports is used in that module; every
 name it defines at module level, and every method of a module-level class, is
-used somewhere in the repository; and every public function, class and method
+used somewhere in the repository; every public function, class and method
 is used by the program itself, its scripts or the benchmark, not by the tests
-alone.
+alone; and no module but `constants` retypes the f_7 pieces or the h-product
+table.
 
 There is no linter in the toolchain, so these are the unused-import,
 dead-name and test-only-name checks.  ``__init__`` is exempt from the first:
@@ -16,6 +17,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from fricke7 import constants as C
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "fricke7"
@@ -168,6 +171,57 @@ def test_the_check_sees_a_test_only_name():
     assert only_tested_names(src, loaded_names(src) | loaded_names(program)) == [
         (5, "only_tested"), (14, "K.only_tested_method")]
     assert only_tested_names(src, loaded_names(src) | loaded_names(program) | loaded_names(test)) == []
+
+
+# the facts only constants.py spells, each as its literal reads when normalised
+FACTS = {
+    (1, -1, 1): "X2X1",
+    (1, 5, -8, 1): "P_CUBIC",
+    tuple(sorted(C.H_EXPONENTS)): "H_EXPONENTS",
+}
+
+
+def _normalised(value):
+    """A literal sequence as a tuple, a dict or a sequence of pairs as the
+    sorted tuple of its pairs (so a table matches in any order or shape)."""
+    if isinstance(value, dict):
+        value = list(value.items())
+    if isinstance(value, (tuple, list)) and value and all(isinstance(v, (tuple, list)) for v in value):
+        return tuple(sorted(tuple(v) for v in value))
+    return tuple(value) if isinstance(value, (tuple, list)) else None
+
+
+def retyped_facts(source: str):
+    """The tuple, list and dict literals of `source` that spell a fact of
+    `FACTS`, with their lines."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Tuple, ast.List, ast.Dict)):
+            try:
+                key = _normalised(ast.literal_eval(node))
+            except (ValueError, TypeError, SyntaxError):
+                continue
+            if key in FACTS:
+                out.append((node.lineno, FACTS[key]))
+    return sorted(out)
+
+
+def test_only_constants_spells_the_f7_pieces_and_h_exponents():
+    found = {p.name: retyped_facts(p.read_text()) for p in MODULES if p.name != "constants.py"}
+    assert {k: v for k, v in found.items() if v} == {}
+    assert {name for _, name in retyped_facts((PACKAGE / "constants.py").read_text())} == set(FACTS.values())
+
+
+def test_the_check_sees_a_retyped_fact():
+    src = (
+        "A = (1, 5, -8, 1)\n"
+        "B = [1, -1, 1]\n"
+        "H = {3: 1, 4: 1, 2: 2, 5: 2, 1: -3, 6: -3}\n"
+        "K = [(1, -3), (6, -3), (3, 1), (4, 1), (2, 2), (5, 2)]\n"
+        "OK = (0, 1), (1, -1), [(3, 1), (4, 1), (1, -1), (6, -1)]\n"
+        "f(g((1, -1, 1)), x)\n"
+    )
+    assert retyped_facts(src) == [(1, "P_CUBIC"), (2, "X2X1"), (3, "H_EXPONENTS"), (4, "H_EXPONENTS"), (6, "X2X1")]
 
 
 def test_cli_and_sweep_leave_multiprocessing_unloaded():
