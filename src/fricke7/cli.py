@@ -17,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
@@ -30,6 +31,12 @@ JSON_VERSION = "fricke7/2"
 def _check_limit(p: int) -> None:
     if p > PRIME_LIMIT:
         raise UsageError(f"primes must be at most {PRIME_LIMIT:,} (the sweeps' feasibility limit), got {p}")
+
+
+def _check_out(path: str) -> None:
+    """Refuse an --out path that cannot be a file, before any work starts."""
+    if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+        raise UsageError(f"--out {path!r} is not a file in an existing directory")
 
 
 def _progress(msg: str) -> None:
@@ -99,11 +106,12 @@ def emit(rows: List[Dict], fmt: str, out_path: Optional[str], command: str) -> N
 
 
 def _columns(rows: List[Dict]) -> List[str]:
-    """The CSV and table columns: the keys of the first row that holds a
-    result (its prime neither failed nor was skipped), then a failure row's
-    stage and error if a prime failed, and the reason a prime was skipped if
-    one was."""
-    keys = list(next((r for r in rows if "error" not in r and "skipped" not in r), rows[0]))
+    """The CSV and table columns: every key of the rows that hold a result
+    (their prime neither failed nor was skipped), in order of first
+    appearance, then a failure row's stage and error if a prime failed, and
+    the reason a prime was skipped if one was."""
+    results = [r for r in rows if "error" not in r and "skipped" not in r] or rows[:1]
+    keys = list(dict.fromkeys(k for r in results for k in r))
     if any("error" in r for r in rows):
         keys += [k for k in ("stage", "error") if k not in keys]
     if any("skipped" in r for r in rows) and "skipped" not in keys:
@@ -333,6 +341,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
+        if args.out:
+            _check_out(args.out)
         return COMMANDS[args.command](args)
     except UsageError as e:
         _progress(f"usage error: {e}")

@@ -15,7 +15,6 @@ from typing import Dict, Sequence
 
 from . import constants as C
 from .classnum import class_number
-from .exactring import pmul, ppow
 from .ffpoly import FpPoly, factorize, is_prime
 
 MIN_BITS = 128  # the least working precision eval_h_tau accepts
@@ -133,8 +132,8 @@ def phi_of_h(h: CertifiedValue) -> CertifiedValue:
     """j_7^*(tau) = (h^2-h+1)^3 / (h (h-1) (h^3-8h^2+5h+1)) with error propagation."""
     import mpmath as mp
 
-    num = eval_int_poly(ppow(C.X2X1, 3), h)
-    den = eval_int_poly(pmul(pmul((0, 1), (-1, 1)), C.P_CUBIC), h)
+    num = eval_int_poly(C.F7_N, h)
+    den = eval_int_poly(C.F7_M, h)
     val = num.value / den.value
     ad = abs(den.value)
     err = (num.abs_err + abs(val) * den.abs_err) / (ad - den.abs_err)
@@ -202,9 +201,7 @@ def verify_pd_factorization(d: int, l: int) -> Dict[str, object]:
         )
     elif l % 7 in (3, 5):
         pattern_ok = len(fac.factors) == h and all(
-            m == 2
-            and f.degree == 3
-            and f.coeffs[1] % l == (-(f.coeffs[2] + 3)) % l  # x-coeff = -(a+3)
+            m == 2 and f.degree == 3 and f == FpPoly.make(l, C.g_cubic(f.coeffs[2]))
             for f, m in fac.factors
         )
     else:

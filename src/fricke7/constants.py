@@ -3,9 +3,10 @@ package.
 
 Single source of truth: every constant is stored with exact integer (or
 rational) coefficients; reductions mod l are derived on demand elsewhere.
-Coefficient lists are dense, low degree first.  ``self_check()`` re-verifies
-the structural identities between alternative stored forms, so a transcription
-slip fails loudly at import-test time.
+Coefficient lists are dense, low degree first.  A polynomial built from
+others (f_7's n and m, R_7's b, the j-maps) is computed from them, not typed
+again; ``self_check()`` verifies the structural identities that the registries
+do not prove, so a transcription slip fails loudly at import-test time.
 """
 
 from __future__ import annotations
@@ -44,6 +45,10 @@ Z2_229Z_505 = (505, 229, 1)                         # z^2 + 229z + 505
 
 F0 = tuple(pmul(X2X1, SEXTIC_J0))                   # degree 8
 
+# f_7(x, t) = n - t m with n = (x^2 - x + 1)^3 and m = x(x - 1) p(x)
+F7_N = tuple(ppow(X2X1, 3))
+F7_M = tuple(pmul_many([(0, 1), (-1, 1), P_CUBIC]))
+
 F1728 = (1, 6, -15, -46, 174, -222, 273, -486, 570, -354, 117, -18, 1)
 A_POLY = (1, 3, 2, -29, 32, -9, 1)                  # x^6 - 9x^5 + 32x^4 - ...
 B_POLY = (1, 1, -4, 1)                              # x^3 - 4x^2 + x + 1
@@ -55,13 +60,13 @@ J7_DEN = tuple(pmul_many([pshift([1], 7), ppow((-1, 1), 7), P_CUBIC]))  # x^7(x-
 J77_NUM = tuple(pmul(ppow(X2X1, 3), ppow(SEXTIC_229, 3)))      # degree 24
 J77_DEN = tuple(pmul_many([(0, 1), (-1, 1), ppow(P_CUBIC, 7)]))  # x(x-1) p(x)^7
 
-# modular relation R_7(X, Y) = X^2 - a7(Y) X + b7(Y)
-R7_A = tuple(pmul_many([(0, 1), (8, -21, 1), (-1280, -1008, 454, -42, 1)]))  # deg 7
-R7_B = tuple(pmul(pshift([1], 2), ppow((448, 224, 1), 3)))                   # deg 8
-
 # correction factors in the ss_p^(7*) resultant congruence
 QUAD_CORR = (448, 224, 1)                    # Y^2 + 224Y + 448
 QUARTIC_CORR = (-1728, -5120, -9024, -528, 1)  # Y^4 - 528Y^3 - 9024Y^2 - 5120Y - 1728
+
+# modular relation R_7(X, Y) = X^2 - a7(Y) X + b7(Y)
+R7_A = tuple(pmul_many([(0, 1), (8, -21, 1), (-1280, -1008, 454, -42, 1)]))  # deg 7
+R7_B = tuple(pshift(ppow(QUAD_CORR, 3), 2))                                  # Y^2 QUAD_CORR^3
 
 # Klein-curve / eqn (6)(7) pieces
 F_Z_NUM = tuple(pmul(Z2_3Z_9, ppow(Z2_11Z_25, 3)))      # (z^2-3z+9)(z^2-11z+25)^3
@@ -77,8 +82,8 @@ def g_cubic(a) -> list:
 
 
 def expand_f7(t) -> Tuple:
-    """f_7(x, t) = (x^2-x+1)^3 - t x(x-1)(x^3-8x^2+5x+1), expanded in x."""
-    return (1, t - 3, 4 * t + 6, -13 * t - 7, 9 * t + 6, -t - 3, 1)
+    """f_7(x, t) = F7_N - t F7_M, expanded in x."""
+    return tuple(n - t * m for n, m in zip(F7_N, F7_M + (0,)))
 
 
 def b_form(a, b):
@@ -90,7 +95,6 @@ def b_form(a, b):
 # ---------------------------------------------------------------------------
 # bivariate forms (for the exact identity suite)
 
-_XT = ("x", "t")
 _ZJ = ("z", "j")
 _AB = ("x", "y")  # (a, b) of B(a, b) and C(a, b), named x, y
 _UV = ("u", "v")
@@ -100,26 +104,10 @@ def _uni(coeffs, name, vars) -> MPoly:
     return MPoly.from_univar(coeffs, name, vars)
 
 
-def f7_mpoly() -> MPoly:
-    x = MPoly.var("x", _XT)
-    t = MPoly.var("t", _XT)
-    return _uni(ppow(X2X1, 3), "x", _XT) - t * x * (x - 1) * _uni(P_CUBIC, "x", _XT)
-
-
-def f7_mpoly_expanded() -> MPoly:
-    """f_7 in (x, t) from `expand_f7`, the expansion the F_l counting uses."""
-    return homogenize(expand_f7(MPoly.var("t", _XT)), MPoly.var("x", _XT), 1)
-
-
 def F_mpoly() -> MPoly:
     z = MPoly.var("z", _ZJ)
     j = MPoly.var("j", _ZJ)
     return _uni(F_Z_NUM, "z", _ZJ) - j * (z - 8)
-
-
-def R7_mpoly() -> MPoly:
-    X = MPoly.var("X", ("X", "Y"))
-    return X * X - X * _uni(R7_A, "Y", ("X", "Y")) + _uni(R7_B, "Y", ("X", "Y"))
 
 
 def C_mpoly() -> MPoly:
@@ -312,14 +300,10 @@ def self_check() -> List[Tuple[str, bool]]:
     def check(name: str, ok: bool) -> None:
         results.append((name, bool(ok)))
 
-    # f7: factored form vs the expansion used everywhere else
-    check("f7_expanded_form", f7_mpoly() == f7_mpoly_expanded())
-    t27 = expand_f7(27)
+    # f7 is the square of a cubic at t = -1 and t = 27, where its discriminant vanishes
     check(
         "f7_expand_univar",
-        list(expand_f7(0)) == ppow(X2X1, 3)
-        and list(expand_f7(-1)) == ppow(CUBIC_D7, 2)
-        and list(t27) == ppow(CUBIC_D28, 2),
+        list(expand_f7(-1)) == ppow(CUBIC_D7, 2) and list(expand_f7(27)) == ppow(CUBIC_D28, 2),
     )
 
     # q(z) = (z^2 - 9z + 29)^2 - 28(z - 4)^2
@@ -327,7 +311,7 @@ def self_check() -> List[Tuple[str, bool]]:
 
     # f1728(x) = x^4 (x-1)^4 q((x^3-3x+1)/(x(x-1))), cleared of denominators
     x = MPoly.var("x", ("x",))
-    via_qz = homogenize(Q_Z, x**3 - 3 * x + 1, x * (x - 1))
+    via_qz = homogenize(Q_Z, _uni(g_cubic(0), "x", ("x",)), x * (x - 1))
     check("f1728_via_qz", via_qz == _uni(F1728, "x", ("x",)))
 
     # discriminants quoted in the factor-orbit argument
@@ -355,23 +339,6 @@ def self_check() -> List[Tuple[str, bool]]:
     check("eta_unit_norm", ETA_UNIT.norm() == 1)
     check("norm_r_plus_2", (r + 2).norm() == 49)
     check("epsilon_expansion", (r**8) * (r - 1) ** 8 == EPSILON_R_REF)
-
-    # R7 assembled from a_N, b_N matches the direct bivariate build
-    XY = ("X", "Y")
-    X = MPoly.var("X", XY)
-    Y = MPoly.var("Y", XY)
-    direct = (
-        X**2
-        - X * Y * (Y**2 - 21 * Y + 8) * (Y**4 - 42 * Y**3 + 454 * Y**2 - 1008 * Y - 1280)
-        + Y**2 * (Y**2 + 224 * Y + 448) ** 3
-    )
-    check("r7_form", direct == R7_mpoly())
-    Y1 = ("Y",)
-    check(
-        "quad_corr_in_r7",
-        pdeg(list(R7_B)) == 8
-        and _uni(R7_B, "Y", Y1).exact_div(_uni(pshift(ppow(QUAD_CORR, 3), 2), "Y", Y1)) == MPoly.const(1, Y1),
-    )
 
     # block degrees entering the Hasse invariant
     check(

@@ -87,20 +87,17 @@ def _phi_clear(coeffs: Sequence, vars) -> MPoly:
 
 
 def _case_disc_f7():
-    disc = discriminant(C.f7_mpoly().as_univar("x"))
-    t = MPoly.var("t", ("x", "t"))
+    t = MPoly.var("t", ("t",))
+    disc = discriminant(C.expand_f7(t))
     rhs = 7**4 * t**4 * (t + 1) ** 3 * (t - 27) ** 3
     return disc - rhs
 
 
 def _case_res_g_f7():
-    vars = ("x", "a", "t")
-    x = MPoly.var("x", vars)
+    vars = ("a", "t")
     a = MPoly.var("a", vars)
     t = MPoly.var("t", vars)
-    g = x**3 + a * x**2 - (a + 3) * x + 1
-    f7 = (x**2 - x + 1) ** 3 - t * x * (x - 1) * MPoly.from_univar(C.P_CUBIC, "x", vars)
-    res = resultant(g.as_univar("x"), f7.as_univar("x"))
+    res = resultant(C.g_cubic(a), C.expand_f7(t))
     rhs = ((a + 8) * t + a**2 + 3 * a + 9) ** 3
     return res - rhs
 
@@ -312,15 +309,13 @@ def _case_res_disc_small():
 def _case_t1_cubic_eta():
     # ((1-r)x-1)^3 (T^3 - 3T + 1 - (eta+8) T (T-1))
     #   = r(r-1) (eta x^3 + (-8 eta - 49) x^2 + (5 eta + 49) x + eta),
-    # with eta a free indeterminate and T = T_1(x).
+    # with eta a free indeterminate and T = T_1(x); the cubic in T is
+    # g(T, -(eta+8)), so this is G_CUBIC_T1 at a = -(eta+8).
     vars = ("x", "e")
     r = CubicNum.gen()
     x = MPoly.var("x", vars).map_coeffs(_lift)
     eta = MPoly.var("e", vars).map_coeffs(_lift)
-    num = x - MPoly.const(r, vars)                   # T numerator
-    den = MPoly.const(CubicNum(1) - r, vars) * x - 1  # T denominator
-    tm1 = MPoly.const(r, vars) * x + MPoly.const(CubicNum(1) - r, vars)  # (T-1)*den
-    lhs = num**3 - 3 * num * den**2 + den**3 - (eta + 8) * num * tm1 * den
+    lhs = _t1_clear(C.g_cubic(-(eta + 8)), vars)
     rhs = MPoly.const(r * (r - 1), vars) * (
         eta * x**3 + (-8 * eta - 49) * x**2 + (5 * eta + 49) * x + eta
     )

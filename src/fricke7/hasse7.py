@@ -133,8 +133,7 @@ def _f7_pair(l: int):
     """f_7(x, t) = n - t m with n = (x^2-x+1)^3 and m = x(x-1)p(x): an
     irreducible sextic with root b equals f_7(x, t0) exactly when
     (n/m)(b) = t0 lies in F_l, both being the minimal polynomial of b."""
-    n = FpPoly.make(l, C.expand_f7(0))
-    return [(n, n - FpPoly.make(l, C.expand_f7(1)))]
+    return [(FpPoly.make(l, C.F7_N), FpPoly.make(l, C.F7_M))]
 
 
 def _family_pairs(l: int):

@@ -384,7 +384,7 @@ def _case_ha_ratio(prec: int) -> SeriesIdentityResult:
 def _case_z_def(prec: int) -> SeriesIdentityResult:
     m = prec + 8
     h = h_series(m)
-    lhs = from_polynomial((1, -3, 0, 1), h) / (h * (h - 1))
+    lhs = from_polynomial(C.g_cubic(0), h) / (h * (h - 1))
     return _residual_result("Z_DEF", lhs - (eta_quotient4(m) + 8))
 
 
@@ -397,7 +397,7 @@ def _case_f7_vanish(prec: int) -> SeriesIdentityResult:
     m = prec + 10
     h = h_series(m)
     t = j7star_series(m)
-    lhs = from_polynomial(C.X2X1, h) ** 3 - t * h * (h - 1) * from_polynomial(C.P_CUBIC, h)
+    lhs = from_polynomial(C.F7_N, h) - t * from_polynomial(C.F7_M, h)
     return _residual_result("F7_VANISH", lhs)
 
 

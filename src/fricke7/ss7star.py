@@ -169,6 +169,10 @@ def counts_and_nakaya(ctx: PrimeContext, check_oracle: bool = False) -> SS7StarR
     )
 
 
+# the N-counts that `l7star_from_counts` reads, by p mod 7
+L7STAR_NEED = {1: ("N2",), 6: ("N1", "N2"), 2: ("N6",), 4: ("N6",), 3: ("N3", "N6"), 5: ("N3", "N6")}
+
+
 def l7star_from_counts(p: int, counts: FactorCountReport) -> Fraction:
     """L^(7*) from the N-counts of `count_factors` via the case derivations,
     for p >= 11:
@@ -196,6 +200,5 @@ def count_consistency(ctx: PrimeContext, report: SS7StarReport) -> Optional[bool
     p = ctx.l
     if p < 11:
         return None
-    need = {1: ("N2",), 6: ("N1", "N2"), 2: ("N6",), 4: ("N6",), 3: ("N3", "N6"), 5: ("N3", "N6")}[p % 7]
-    counts = count_factors(ctx, need=need, with_histogram=False, ss=report.ss)
+    counts = count_factors(ctx, need=L7STAR_NEED[p % 7], with_histogram=False, ss=report.ss)
     return l7star_from_counts(p, counts) == report.L7star

@@ -302,6 +302,35 @@ def test_nakaya_drops_excluded_primes(capsys):
     assert [r["p"] for r in json.loads(out)["rows"]] == [5, 11, 13]
 
 
+@pytest.mark.parametrize("fmt", ["csv", "table"])
+def test_columns_hold_every_result_key(fmt, capsys):
+    """p = 5 has no count consistency (the case derivations start at 11):
+    the `consistency` column still comes from the rows after it, and p = 5
+    leaves it empty, as every row leaves a key it lacks."""
+    code, out, _ = run_cli(["nakaya", "--primes", "5..13", "--format", fmt], capsys)
+    assert code == 0
+    if fmt == "csv":
+        rows = list(csv.DictReader(io.StringIO(out)))
+        columns = list(rows[0])
+    else:
+        header, *lines = out.splitlines()
+        columns = header.split()
+        rows = [dict(zip(columns, line.split())) for line in lines]
+    assert columns[-1] == "consistency"
+    assert [r["p"] for r in rows] == ["5", "11", "13"]
+    assert [r["consistency"] for r in rows] == ["" if fmt == "csv" else "None", "PASS", "PASS"]
+
+
+@pytest.mark.parametrize("target", ["missing/rows.json", "."])
+def test_unwritable_out_is_refused_before_the_sweep(target, tmp_path, capsys):
+    """An --out in a directory that does not exist, or naming a directory,
+    is a usage error before any prime is worked on."""
+    code, out, err = run_cli(["hasse", "--primes", "11..60", "--out", str(tmp_path / target)], capsys)
+    assert code == 2 and out == ""
+    assert "usage error: --out" in err and "sweep over" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "fricke7.cli", "identities", "--format", "json"],

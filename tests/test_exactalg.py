@@ -1,4 +1,6 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import oracles
 import pytest
@@ -6,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fricke7 import constants as C
-from fricke7 import exactalg
+from fricke7 import exactalg, qseries
+from fricke7.cmeval import verify_psi7_root
 from fricke7.exactalg import REGISTRY, _gcd_residual, verify_identity
 from fricke7.errors import StructuralError
 from fricke7.exactring import MPoly, pmul
 from fricke7.ffpoly import PrimeContext
 from fricke7.hasse7 import count_factors
+from fricke7.ss7star import counts_and_nakaya
 from paper_checks import run_all_identities
 
 
@@ -41,45 +45,102 @@ def test_empty_filter_rejected():
         run_all_identities([])
 
 
-_expand_f7 = C.expand_f7
+def _rebuilt(name, value):
+    """The constants that change when the assignment to `name` in
+    constants.py reads `value`: the module runs again from its source with
+    that one assignment replaced, so every constant built from `name` at
+    import follows it, as it would after a miscopied literal."""
+    tree = ast.parse(Path(C.__file__).read_text())
+    (node,) = [n for n in tree.body if isinstance(n, ast.Assign) and ast.unparse(n.targets[0]) == name]
+    node.value = ast.copy_location(ast.Constant(value), node.value)
+    namespace = {"__name__": C.__name__, "__package__": C.__package__}
+    exec(compile(tree, C.__file__, "exec"), namespace)
+    return {k: v for k, v in namespace.items() if isinstance(v, tuple) and v != getattr(C, k)}
 
 
-def _wrong_expand_f7(t):
-    """expand_f7 with 9t + 6 miscopied as 9t + 7."""
-    c = list(_expand_f7(t))
-    c[4] = c[4] + 1
-    return tuple(c)
+def _mutate(monkeypatch, name, wrong):
+    if callable(wrong):
+        monkeypatch.setattr(C, name, wrong)
+    else:
+        for k, v in _rebuilt(name, wrong).items():
+            monkeypatch.setattr(C, k, v)
 
 
-_b_form = C.b_form
+def _off_by_one(value, k):
+    """The coefficients `value` with coefficient k one too large."""
+    return tuple(c + (i == k) for i, c in enumerate(value))
 
 
-def _wrong_b_form(a, b):
+def _miscopied(fn, k):
+    """fn with coefficient k of the list it returns one too large."""
+    return lambda *args: _off_by_one(fn(*args), k)
+
+
+def _wrong_b_form(a, b, _b_form=C.b_form):
     """b_form with 8b miscopied as 7b."""
     return _b_form(a, b) - b
 
 
+# every registry case built on f_7
+F7_CASES = ["DISC_F7", "RES_G_F7", "LEMMA_B_DISC", "F7_T1", "F7_PHI", "RES_G_F7_R7", "SPLIT_QUADRATIC"]
 MUTATIONS = {
+    # name: (wrong value, failing identities, failing q-series cases, failing self_check entries)
     # a sign flip in R_7 must surface as a nonzero residual in RES_G_F7_R7
-    "R7_A": (tuple(-c for c in C.R7_A), ["RES_G_F7_R7"]),
-    # a miscopied f_7 coefficient must fail every case built on expand_f7
-    "expand_f7": (
-        _wrong_expand_f7,
-        ["LEMMA_B_DISC", "F7_T1", "F7_PHI", "RES_G_F7_R7", "SPLIT_QUADRATIC"],
+    "R7_A": (tuple(-c for c in C.R7_A), ["RES_G_F7_R7"], [], []),
+    # a miscopied f_7, n or m must fail every case built on f_7 (9t + 6 read as 9t + 7,
+    # -7 as -6 in n, -4 as -3 in m); n and m also fail the q-series vanishing of f_7
+    "expand_f7": (_miscopied(C.expand_f7, 4), F7_CASES, [], ["f7_expand_univar"]),
+    "F7_N": (_off_by_one(C.F7_N, 3), F7_CASES, ["F7_VANISH"], ["f7_expand_univar"]),
+    "F7_M": (_off_by_one(C.F7_M, 2), F7_CASES, ["F7_VANISH"], ["f7_expand_univar"]),
+    # a miscopied g, -(a + 3) read as -(a + 2), must fail every case and check built on g
+    "g_cubic": (
+        _miscopied(C.g_cubic, 1),
+        ["RES_G_F7", "G_CUBIC_T1", "SPLIT_QUADRATIC", "T1_CUBIC_ETA"],
+        ["Z_DEF"],
+        ["f1728_via_qz"],
     ),
+    # R_7's b is built from the quadratic factor, so a miscopied factor fails R_7
+    "QUAD_CORR": (_off_by_one(C.QUAD_CORR, 1), ["RES_G_F7_R7"], [], []),
     # a miscopied B must fail the discriminant the registry certifies
-    "b_form": (_wrong_b_form, ["LEMMA_B_DISC"]),
+    "b_form": (_wrong_b_form, ["LEMMA_B_DISC"], [], []),
 }
 
 
 @pytest.mark.parametrize("name", list(MUTATIONS))
 def test_mutation_detected(name, monkeypatch):
-    wrong, cases = MUTATIONS[name]
-    monkeypatch.setattr(C, name, wrong)
+    wrong, cases, series, checks = MUTATIONS[name]
+    _mutate(monkeypatch, name, wrong)
     monkeypatch.setattr(exactalg, "GRID_POINTS", 6)  # detection only, not a proof
-    failed = [r.id for r in run_all_identities() if not r.ok]
-    assert failed == cases
-    assert dict(C.self_check())["f7_expanded_form"] is (name != "expand_f7")
+    assert [r.id for r in run_all_identities() if not r.ok] == cases
+    assert [c for c in qseries.REGISTRY if not qseries.verify_series_identity(c, qseries.MIN_PREC).ok] == series
+    assert [k for k, ok in C.self_check() if not ok] == checks
+
+
+def test_rebuilt_constants_follow_what_they_are_built_from():
+    """R_7's b follows a miscopied quadratic factor; no constant is built
+    from m, so a miscopied m moves alone."""
+    assert set(_rebuilt("QUAD_CORR", _off_by_one(C.QUAD_CORR, 1))) == {"QUAD_CORR", "R7_B"}
+    assert set(_rebuilt("F7_M", _off_by_one(C.F7_M, 2))) == {"F7_M"}
+
+
+def test_wrong_f7_m_fails_the_program(monkeypatch):
+    """The CM evaluation of j_7^* and the N6 count read the m that the
+    registries certify: a miscopied m fails the Psi_7 root and changes N6."""
+    ctx = PrimeContext.make(37)  # l = 2 (mod 7)
+    n6 = count_factors(ctx, need=("N6",), with_histogram=False).N6
+    assert n6 > 0 and verify_psi7_root().ok
+    _mutate(monkeypatch, "F7_M", _off_by_one(C.F7_M, 2))
+    assert count_factors(ctx, need=("N6",), with_histogram=False).N6 != n6
+    assert not verify_psi7_root().ok
+    assert not qseries.verify_series_identity("F7_VANISH", qseries.MIN_PREC).ok
+
+
+def test_wrong_quad_corr_fails_ss7star(monkeypatch):
+    """The resultant route of ss^(7*) divides by the R_7 the registry
+    certifies: a miscopied quadratic factor is refused at p = 41."""
+    _mutate(monkeypatch, "QUAD_CORR", _off_by_one(C.QUAD_CORR, 1))
+    with pytest.raises(StructuralError):
+        counts_and_nakaya(PrimeContext.make(41))
 
 
 @pytest.mark.parametrize("l", [29, 13])  # l = 1, 6 (mod 7)

@@ -232,8 +232,8 @@ def test_known_discriminants():
 
 
 def test_pdiv_exact_and_errors():
-    """Exact division of integer polynomials, as `constants.self_check` takes
-    it: in the MPoly ring of one variable, by the PRS's checked division."""
+    """Exact division of integer polynomials, as `MINPOLY_GCD` takes its
+    cofactors: in the MPoly ring of one variable, by the PRS's checked division."""
     Y = ("Y",)
 
     def uni(coeffs):

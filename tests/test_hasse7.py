@@ -19,15 +19,13 @@ from fricke7.hasse7 import (
     ss_poly,
     verify_count_formulas,
 )
-from fricke7.ss7star import counts_and_nakaya
+from fricke7.ss7star import L7STAR_NEED, counts_and_nakaya
 from fricke7.sweep import primes_in
 from paper_checks import g_of_x_j, verified_report, verify_g_factor_counts, verify_special_factorizations
 
 SWEEP_PRIMES = [p for p in primes_in(5, 400) if p != 7]
 NEAR_2000 = [2003, 1997, 1949, 1999, 1993, 1987]  # one prime per class l mod 7, 1..6
 ONE_PER_CLASS = [113, 37, 59, 53, 61, 41]  # the same, small
-# count_factors' restricted calls in ss7star.count_consistency, by l mod 7
-CONSISTENCY_NEED = {1: ("N2",), 6: ("N1", "N2"), 2: ("N6",), 4: ("N6",), 3: ("N3", "N6"), 5: ("N3", "N6")}
 # prime -> [N1, N2, N3, N6, L, classification_ok, degree histogram] of the hasse sweep's report
 COUNT_REPORTS = json.loads((Path(__file__).parent / "count_reports_below_700.json").read_text())
 
@@ -115,7 +113,7 @@ def _agrees_with_divisor_route(p):
     want = dict(zip(("N1", "N2", "N3", "N6"), oracles.divisor_counts(ctx)))
     full = count_factors(ctx)
     assert {k: getattr(full, k) for k in want} == want, p
-    need = CONSISTENCY_NEED[p % 7]
+    need = L7STAR_NEED[p % 7]
     part = count_factors(ctx, need=need, with_histogram=False)
     assert {k: getattr(part, k) for k in need} == {k: want[k] for k in need}, p
 
@@ -227,7 +225,7 @@ class TestCountingPath:
     @pytest.mark.parametrize("p", [113, 41, 2003, 1987])  # l = 1, 6 (mod 7)
     def test_no_n6_work_without_sextics(self, p):
         """The rules allow no sextic here: the count builds no f_7 pair."""
-        with mock.patch.object(C, "expand_f7", wraps=C.expand_f7) as f7:
+        with mock.patch.object(hasse7, "_f7_pair", wraps=hasse7._f7_pair) as f7:
             rep = count_factors(PrimeContext.make(p))
         assert rep.N6 == 0 and not f7.called
 
@@ -241,7 +239,7 @@ class TestCountingPath:
         with mock.patch.object(
             FpPoly, "gcd", autospec=True, side_effect=FpPoly.gcd
         ) as gcd, mock.patch.object(
-            C, "expand_f7", wraps=C.expand_f7
+            hasse7, "_f7_pair", wraps=hasse7._f7_pair
         ) as f7, mock.patch.object(
             hasse7, "distinct_roots_in_fp", wraps=hasse7.distinct_roots_in_fp
         ) as roots:

@@ -2,8 +2,9 @@
 name it defines at module level, and every method of a module-level class, is
 used somewhere in the repository; every public function, class and method
 is used by the program itself, its scripts or the benchmark, not by the tests
-alone; and no module but `constants` retypes the f_7 pieces or the h-product
-table.
+alone; and no module but `constants` spells the f_7 pieces, R_7's quadratic
+factor or the h-product table, and none spells n, m or g(x, 0), which
+`constants` computes.
 
 There is no linter in the toolchain, so these are the unused-import,
 dead-name and test-only-name checks.  ``__init__`` is exempt from the first:
@@ -177,8 +178,14 @@ def test_the_check_sees_a_test_only_name():
 FACTS = {
     (1, -1, 1): "X2X1",
     (1, 5, -8, 1): "P_CUBIC",
+    (448, 224, 1): "QUAD_CORR",
     tuple(sorted(C.H_EXPONENTS)): "H_EXPONENTS",
+    # computed in constants, so no module spells them
+    (1, -3, 6, -7, 6, -3, 1): "F7_N",
+    (0, -1, -4, 13, -9, 1): "F7_M",
+    (1, -3, 0, 1): "g(x, 0)",
 }
+COMPUTED = {"F7_N", "F7_M", "g(x, 0)"}
 
 
 def _normalised(value):
@@ -209,7 +216,10 @@ def retyped_facts(source: str):
 def test_only_constants_spells_the_f7_pieces_and_h_exponents():
     found = {p.name: retyped_facts(p.read_text()) for p in MODULES if p.name != "constants.py"}
     assert {k: v for k, v in found.items() if v} == {}
-    assert {name for _, name in retyped_facts((PACKAGE / "constants.py").read_text())} == set(FACTS.values())
+    spelled = [name for _, name in retyped_facts((PACKAGE / "constants.py").read_text())]
+    assert sorted(spelled) == sorted(set(FACTS.values()) - COMPUTED)  # each once
+    assert (C.F7_N, C.F7_M, tuple(C.g_cubic(0))) == tuple(
+        next(k for k, v in FACTS.items() if v == name) for name in ("F7_N", "F7_M", "g(x, 0)"))
 
 
 def test_the_check_sees_a_retyped_fact():
