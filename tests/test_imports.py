@@ -218,8 +218,8 @@ def test_only_constants_spells_the_f7_pieces_and_h_exponents():
     assert {k: v for k, v in found.items() if v} == {}
     spelled = [name for _, name in retyped_facts((PACKAGE / "constants.py").read_text())]
     assert sorted(spelled) == sorted(set(FACTS.values()) - COMPUTED)  # each once
-    assert (C.F7_N, C.F7_M, tuple(C.g_cubic(0))) == tuple(
-        next(k for k, v in FACTS.items() if v == name) for name in ("F7_N", "F7_M", "g(x, 0)"))
+    literal = {name: key for key, name in FACTS.items()}
+    assert [literal["F7_N"], literal["F7_M"], literal["g(x, 0)"]] == [C.F7_N, C.F7_M, tuple(C.g_cubic(0))]
 
 
 def test_the_check_sees_a_retyped_fact():
