@@ -26,7 +26,7 @@ def main() -> int:
     ap.add_argument("--jobs", type=int, default=2)
     args = ap.parse_args()
 
-    hi_hasse = "200" if args.quick else "1000"
+    hi_hasse = "200" if args.quick else "1999"  # criterion 4 checks N1/N3 for every l < 2000
     hi_nakaya = "200" if args.quick else "1000"
     jobs = str(args.jobs)
 

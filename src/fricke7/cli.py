@@ -127,10 +127,12 @@ def _csv_cell(v):
 
 
 def _table(rows: List[Dict]) -> str:
+    """Aligned columns; a key the row lacks is an empty cell, as in CSV, and a
+    null value reads None."""
     if not rows:
         return "(no rows)\n"
     keys = _columns(rows)
-    cells = [[str(_csv_cell(r.get(k))) for k in keys] for r in rows]
+    cells = [[str(_csv_cell(r[k])) if k in r else "" for k in keys] for r in rows]
     widths = [max(len(k), *(len(c[i]) for c in cells)) for i, k in enumerate(keys)]
     lines = ["  ".join(k.ljust(w) for k, w in zip(keys, widths)).rstrip()]
     for c in cells:

@@ -145,7 +145,6 @@ class CMVerdict:
     d: int
     v: int
     residual: float
-    tolerance: float
     ok: bool
 
 
@@ -159,7 +158,7 @@ def _root_verdict(point: CMPoint, coeffs: Sequence[int], bits: int, of_h=lambda 
         tol = float(mp.mpf(2) ** (-bits / 2))
         resid = float(abs(val.value))
         ok = resid < tol and resid <= float(val.abs_err) + tol
-    return CMVerdict(d=point.d, v=point.v, residual=resid, tolerance=tol, ok=ok)
+    return CMVerdict(d=point.d, v=point.v, residual=resid, ok=ok)
 
 
 def verify_pd_root(d: int, bits: int = 300) -> CMVerdict:
@@ -207,8 +206,6 @@ def verify_pd_factorization(d: int, l: int) -> Dict[str, object]:
     else:
         pattern_ok = False
     return {
-        "d": d,
-        "l": l,
         "reference_ok": reference_ok,
         "pattern_ok": pattern_ok,
         "class_number": h,

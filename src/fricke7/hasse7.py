@@ -8,7 +8,7 @@ and G(x, j), which no sweep reports, are checked in `tests/paper_checks.py`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
@@ -93,21 +93,16 @@ def hasse_poly(ctx: PrimeContext) -> FpPoly:
 
 @dataclass(frozen=True)
 class FactorCountReport:
-    l: int
+    """The counts `count_factors` takes; a count it was not asked for is None."""
+
     N1: Optional[int] = None
     N2: Optional[int] = None
     N3: Optional[int] = None
     N6: Optional[int] = None
+    # no row shows it and only tests read it; it stays because a second count
+    # route must give equal whole reports, histogram included (ROADMAP item 3)
     degree_histogram: Optional[Dict[int, int]] = None
     classification_ok: Optional[bool] = None
-    formula_N1: Optional[Fraction] = None
-    formula_N3: Optional[Fraction] = None
-    formula_N6_by_case: Optional[Fraction] = None
-    formula_N2_by_case: Optional[Fraction] = None
-    h_minus_l: Optional[int] = None
-    h_minus_7l: Optional[int] = None
-    L: Optional[int] = None
-    verdicts: Dict[str, str] = field(default_factory=dict)
 
 
 def _b_residue(q: FpPoly, h: FpPoly) -> FpPoly:
@@ -240,7 +235,6 @@ def count_factors(
         histogram = dict(sorted(histogram.items()))
 
     return FactorCountReport(
-        l=l,
         N1=count(1) if ("N1" in need or with_histogram) else None,
         N2=n2,
         N3=count(3) if ("N3" in need or with_histogram) else None,
@@ -292,34 +286,35 @@ def _mod8_multiplier(l: int) -> Fraction:
     return Fraction(1, 4)  # l = 3 mod 4
 
 
-def sextic_count_formula(l: int, h7l: int) -> Fraction:
+def sextic_count_formula(ctx: PrimeContext, h7l: int) -> Fraction:
     """Predicted count of f_7-shaped sextics, l = 2,3,4,5 mod 7."""
-    k3 = kronecker(-3, l)
+    l = ctx.l
     if l % 7 in (2, 4):
-        sub = Fraction(1 - k3, 2)
+        sub = ctx.r
     elif l % 7 in (3, 5):
-        sub = Fraction(3 - k3, 2)
+        sub = 1 + ctx.r
     else:
         raise ValueError("the sextic count formula applies to l = 2,3,4,5 mod 7")
     return _mod8_multiplier(l) * h7l - sub
 
 
-def quadratic_count_formula(l: int, h7l: int) -> Fraction:
+def quadratic_count_formula(ctx: PrimeContext, h7l: int) -> Fraction:
     """Predicted count of B-quadratics, l = 1,6 mod 7."""
-    k3 = kronecker(-3, l)
+    l = ctx.l
     if l % 7 == 1:
-        sub = Fraction(1 - k3)
+        sub = 2 * ctx.r
     elif l % 7 == 6:
-        sub = Fraction(4 - k3)
+        sub = 3 + 2 * ctx.r
     else:
         raise ValueError("the quadratic count formula applies to l = 1,6 mod 7")
     return 3 * _mod8_multiplier(l) * h7l - sub
 
 
-def verify_count_formulas(ctx: PrimeContext, report: FactorCountReport, ss: FpPoly) -> FactorCountReport:
-    """Fill in L, the number of supersingular j in F_l counted on `ss` (the
-    ss_l that `ss_poly` certified for `report`), h(-l), h(-7l), and the formula
-    predictions and verdicts next to the measured counts.
+def verify_count_formulas(ctx: PrimeContext, report: FactorCountReport, ss: FpPoly) -> Dict[str, object]:
+    """The formula columns of the hasse row for the counts in `report`: L, the
+    number of supersingular j in F_l counted on `ss` (the ss_l that `ss_poly`
+    certified for `report`), h(-l), h(-7l), the formula predictions (None
+    where a formula does not apply) and the verdicts.
 
     The proven linear/cubic count formulas apply at every l a `PrimeContext`
     admits; the conjectured sextic/quadratic formulas for l > 7 in their
@@ -348,13 +343,13 @@ def verify_count_formulas(ctx: PrimeContext, report: FactorCountReport, ss: FpPo
 
     if l7 in (2, 3, 4, 5):
         if l > 7 and report.N6 is not None:
-            f_n6 = sextic_count_formula(l, h_7l)
+            f_n6 = sextic_count_formula(ctx, h_7l)
             verdicts["sextic_formula"] = "PASS" if report.N6 == f_n6 else "FAIL"
         else:
             verdicts["sextic_formula"] = "SKIP"
     if l7 in (1, 6):
         if report.N2 is not None:  # no admitted l < 7 is 1, 6 (mod 7)
-            f_n2 = quadratic_count_formula(l, h_7l)
+            f_n2 = quadratic_count_formula(ctx, h_7l)
             verdicts["quadratic_formula"] = "PASS" if report.N2 == f_n2 else "FAIL"
         else:
             verdicts["quadratic_formula"] = "SKIP"
@@ -362,14 +357,13 @@ def verify_count_formulas(ctx: PrimeContext, report: FactorCountReport, ss: FpPo
     if report.classification_ok is not None:
         verdicts["factor_types"] = "PASS" if report.classification_ok else "FAIL"
 
-    return replace(
-        report,
-        formula_N1=f_n1,
-        formula_N3=f_n3,
-        formula_N6_by_case=f_n6,
-        formula_N2_by_case=f_n2,
-        h_minus_l=h_l,
-        h_minus_7l=h_7l,
-        L=L,
-        verdicts=verdicts,
-    )
+    return {
+        "L": L,
+        "h_minus_l": h_l,
+        "h_minus_7l": h_7l,
+        "formula_N1": f_n1,
+        "formula_N3": f_n3,
+        "formula_N6": f_n6,
+        "formula_N2": f_n2,
+        "verdicts": verdicts,
+    }

@@ -321,7 +321,6 @@ class SeriesIdentityResult:
     ok: bool
     checked_terms: int
     first_failing_exponent: Optional[int] = None
-    detail: str = ""
 
 
 def _residual_result(case_id: str, residual: LaurentSeries) -> SeriesIdentityResult:
@@ -331,7 +330,6 @@ def _residual_result(case_id: str, residual: LaurentSeries) -> SeriesIdentityRes
         ok=bad is None,
         checked_terms=residual.prec,
         first_failing_exponent=bad,
-        detail="" if bad is None else f"coefficient {residual.coefficient(bad)} at exponent {bad}",
     )
 
 
@@ -343,7 +341,6 @@ def _check_reference(case_id: str, series: LaurentSeries, reference) -> SeriesId
             return SeriesIdentityResult(
                 id=case_id, ok=False, checked_terms=len(coeffs),
                 first_failing_exponent=lead + i,
-                detail=f"reference mismatch at exponent {lead + i}: {got} != {want}",
             )
     return SeriesIdentityResult(id=case_id, ok=True, checked_terms=len(coeffs))
 

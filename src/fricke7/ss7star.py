@@ -124,7 +124,6 @@ def nakaya_predicted(p: int, L: int) -> Fraction:
 
 @dataclass(frozen=True)
 class SS7StarReport:
-    p: int
     ss: FpPoly
     ss7star: FpPoly
     L: int
@@ -158,7 +157,6 @@ def counts_and_nakaya(ctx: PrimeContext, check_oracle: bool = False) -> SS7StarR
     pred = nakaya_predicted(p, L)
     L7 = count_roots_in_fp(ss7)
     return SS7StarReport(
-        p=p,
         ss=ss,
         ss7star=ss7,
         L=L,
@@ -173,24 +171,23 @@ def counts_and_nakaya(ctx: PrimeContext, check_oracle: bool = False) -> SS7StarR
 L7STAR_NEED = {1: ("N2",), 6: ("N1", "N2"), 2: ("N6",), 4: ("N6",), 3: ("N3", "N6"), 5: ("N3", "N6")}
 
 
-def l7star_from_counts(p: int, counts: FactorCountReport) -> Fraction:
+def l7star_from_counts(ctx: PrimeContext, counts: FactorCountReport) -> Fraction:
     """L^(7*) from the N-counts of `count_factors` via the case derivations,
-    for p >= 11:
+    for p >= 11, with r = (1-(-3/p))/2 (`PrimeContext.r`):
 
-    p = 2,4 (7): L = N6 + (1-(-3/p))/2
-    p = 3,5 (7): L = (N3-2)/2 + 2 + N6 + (1-(-3/p))/2
-    p = 1   (7): L = (N2 - (1-(-3/p))/2)/3 + (1-(-3/p))/2
-    p = 6   (7): L = (N1-6)/6 + 2 + (N2 - (1-(-3/p))/2)/3 + (1-(-3/p))/2
+    p = 2,4 (7): L = N6 + r
+    p = 3,5 (7): L = (N3-2)/2 + 2 + N6 + r
+    p = 1   (7): L = (N2 - r)/3 + r
+    p = 6   (7): L = (N1-6)/6 + 2 + (N2 - r)/3 + r
     """
-    half = Fraction(1 - kronecker(-3, p), 2)
-    p7 = p % 7
+    r, p7 = ctx.r, ctx.l % 7
     if p7 in (2, 4):
-        return counts.N6 + half
+        return Fraction(counts.N6 + r)
     if p7 in (3, 5):
-        return Fraction(counts.N3 - 2, 2) + 2 + counts.N6 + half
+        return Fraction(counts.N3 - 2, 2) + 2 + counts.N6 + r
     if p7 == 1:
-        return Fraction(1, 3) * (counts.N2 - half) + half
-    return Fraction(counts.N1 - 6, 6) + 2 + Fraction(1, 3) * (counts.N2 - half) + half
+        return Fraction(counts.N2 - r, 3) + r
+    return Fraction(counts.N1 - 6, 6) + 2 + Fraction(counts.N2 - r, 3) + r
 
 
 def count_consistency(ctx: PrimeContext, report: SS7StarReport) -> Optional[bool]:
@@ -201,4 +198,4 @@ def count_consistency(ctx: PrimeContext, report: SS7StarReport) -> Optional[bool
     if p < 11:
         return None
     counts = count_factors(ctx, need=L7STAR_NEED[p % 7], with_histogram=False, ss=report.ss)
-    return l7star_from_counts(p, counts) == report.L7star
+    return l7star_from_counts(ctx, counts) == report.L7star

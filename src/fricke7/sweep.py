@@ -222,7 +222,7 @@ def _hasse_worker(args: Tuple[int]) -> Dict[str, object]:
         ss = ss_poly(ctx)
         rep = count_factors(ctx, ss=ss)
         stage = "verify_count_formulas"
-        rep = verify_count_formulas(ctx, rep, ss)
+        formulas = verify_count_formulas(ctx, rep, ss)
     except StructuralError as e:
         return _bare_row(p, Failure(stage, str(e)))
     return {
@@ -235,14 +235,7 @@ def _hasse_worker(args: Tuple[int]) -> Dict[str, object]:
         "N2": rep.N2,
         "N3": rep.N3,
         "N6": rep.N6,
-        "L": rep.L,
-        "h_minus_l": rep.h_minus_l,
-        "h_minus_7l": rep.h_minus_7l,
-        "formula_N1": rep.formula_N1,
-        "formula_N3": rep.formula_N3,
-        "formula_N6": rep.formula_N6_by_case,
-        "formula_N2": rep.formula_N2_by_case,
-        "verdicts": dict(rep.verdicts),
+        **formulas,
     }
 
 

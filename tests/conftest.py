@@ -16,7 +16,8 @@ def jobs() -> int:
 
 @pytest.fixture(scope="session")
 def reports_1000():
-    """Full factor-count reports (all of N1, N2, N3, N6) for 5 <= l < 1000."""
+    """The full counts (all of N1, N2, N3, N6) and the formula columns of
+    `verified_report` for 5 <= l < 1000."""
     primes = [p for p in primes_in(5, 999) if p != 7]
     return restricted_hasse_sweep(primes, ("N1", "N2", "N3", "N6"), JOBS)
 

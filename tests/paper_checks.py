@@ -9,7 +9,7 @@ the runners over the identity registries; only the tests call them.
   and of the q-series identity registry;
 * `verified_report`: `count_factors` and `verify_count_formulas` on one
   certified ss_l, as the hasse sweep's worker runs them, and
-  `restricted_hasse_sweep`: those reports with the counts restricted to a
+  `restricted_hasse_sweep`: those results with the counts restricted to a
   `need` and no degree histogram;
 * `nakaya_reports`: the `SS7StarReport` of `counts_and_nakaya` at each prime.
 """
@@ -160,25 +160,31 @@ def run_all_series_identities(prec: int = DEFAULT_PREC) -> List[SeriesIdentityRe
     return [verify_series_identity(i, prec) for i in SERIES_IDENTITIES]
 
 
-def verified_report(ctx: PrimeContext, **restrict) -> FactorCountReport:
-    """The hasse sweep's report at ctx: ss_l certified once, the counts
-    (`restrict` passes `need` and `with_histogram`), and L, the class numbers
-    and the verdicts on that ss_l."""
+Verified = Tuple[FactorCountReport, Dict[str, object]]
+
+
+def verified_report(ctx: PrimeContext, **restrict) -> Verified:
+    """The hasse sweep's work at ctx: ss_l certified once, the counts
+    (`restrict` passes `need` and `with_histogram`), and the formula columns
+    of the row (L, the class numbers, the formulas and the verdicts) on that
+    ss_l."""
     ss = ss_poly(ctx)
-    return verify_count_formulas(ctx, count_factors(ctx, ss=ss, **restrict), ss)
+    counts = count_factors(ctx, ss=ss, **restrict)
+    return counts, verify_count_formulas(ctx, counts, ss)
 
 
-def _restricted_hasse_worker(args: Tuple[int, Tuple[str, ...]]) -> FactorCountReport:
+def _restricted_hasse_worker(args: Tuple[int, Tuple[str, ...]]) -> Verified:
     p, need = args
     return verified_report(PrimeContext.make(p), need=need, with_histogram=False)
 
 
 def restricted_hasse_sweep(
     primes: Sequence[int], need: Sequence[str], jobs: int
-) -> Dict[int, FactorCountReport]:
+) -> Dict[int, Verified]:
     """The per-prime work of `sweep.hasse_sweep` with `count_factors`
-    restricted to `need` and no degree histogram: the verified reports by
-    prime.  A prime whose work raises fails the sweep."""
+    restricted to `need` and no degree histogram: `verified_report`'s counts
+    and formula columns by prime.  A prime whose work raises fails the
+    sweep."""
     primes = sorted(primes)
     reports = run_parallel(_restricted_hasse_worker, [(p, tuple(need)) for p in primes], jobs)
     return dict(zip(primes, reports))

@@ -81,11 +81,12 @@ def test_criterion_04_linear_cubic_counts(jobs, capsys):
     reports = restricted_hasse_sweep(primes, ("N1", "N3"), jobs)
     elapsed = time.perf_counter() - t0
     ok = True
-    for l, rep in reports.items():
+    for l, (rep, formulas) in reports.items():
+        h, L = formulas["h_minus_l"], formulas["L"]
         if l % 7 == 6:
-            ok = ok and rep.N1 == linear_count_formula(l, rep.h_minus_l) == 6 * rep.L
+            ok = ok and rep.N1 == linear_count_formula(l, h) == 6 * L
         else:
-            ok = ok and rep.N3 == cubic_count_formula(l, rep.h_minus_l) == 2 * rep.L
+            ok = ok and rep.N3 == cubic_count_formula(l, h) == 2 * L
     ok = ok and elapsed < 120.0
     with capsys.disabled():
         _report(4, ok, f"N1/N3 class-number formulas for {len(reports)} primes < 2000 in {elapsed:.0f}s")
@@ -97,19 +98,19 @@ def test_criterion_05_sextic_quadratic_counts(reports_1000, capsys):
     checked = 0
     ok = True
     bad = []
-    for l, rep in sorted(reports_1000.items()):
+    for l, (rep, formulas) in sorted(reports_1000.items()):
         if l < 11:
             continue
         if l % 7 in (2, 3, 4, 5):
             checked += 1
-            if rep.N6 != rep.formula_N6_by_case:
+            if rep.N6 != formulas["formula_N6"]:
                 ok = False
-                bad.append((l, "N6", rep.N6, rep.formula_N6_by_case))
+                bad.append((l, "N6", rep.N6, formulas["formula_N6"]))
         if l % 7 in (1, 6):
             checked += 1
-            if rep.N2 != rep.formula_N2_by_case:
+            if rep.N2 != formulas["formula_N2"]:
                 ok = False
-                bad.append((l, "N2", rep.N2, rep.formula_N2_by_case))
+                bad.append((l, "N2", rep.N2, formulas["formula_N2"]))
     with capsys.disabled():
         _report(5, ok, f"conjectured N6/N2 formulas on {checked} (prime, class) cases" + (f"; counterexamples {bad}" if bad else ""))
 
@@ -122,7 +123,7 @@ def test_criterion_06_nakaya_and_count_consistency(nakaya_reports_1000, reports_
             ok = False
             bad.append((p, "nakaya", rep.L7star, rep.nakaya_predicted))
         if p >= 11:
-            formula = l7star_from_counts(p, reports_1000[p])
+            formula = l7star_from_counts(PrimeContext.make(p), reports_1000[p][0])
             if formula != rep.L7star:
                 ok = False
                 bad.append((p, "consistency", rep.L7star, formula))

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 import subprocess
 import sys
 
@@ -14,6 +15,15 @@ def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def table_rows(out):
+    """The rows of a table as dicts, each cell cut at its column's offset in
+    the header, so that empty cells and cells with spaces keep their place."""
+    header, *lines = out.splitlines()
+    starts = [(m.group(), m.start()) for m in re.finditer(r"\S+", header)]
+    ends = [s for _, s in starts[1:]] + [None]
+    return [{k: line[s:e].strip() for (k, s), e in zip(starts, ends)} for line in lines]
 
 
 class TestParsePrimes:
@@ -309,16 +319,22 @@ def test_columns_hold_every_result_key(fmt, capsys):
     leaves it empty, as every row leaves a key it lacks."""
     code, out, _ = run_cli(["nakaya", "--primes", "5..13", "--format", fmt], capsys)
     assert code == 0
-    if fmt == "csv":
-        rows = list(csv.DictReader(io.StringIO(out)))
-        columns = list(rows[0])
-    else:
-        header, *lines = out.splitlines()
-        columns = header.split()
-        rows = [dict(zip(columns, line.split())) for line in lines]
-    assert columns[-1] == "consistency"
+    rows = list(csv.DictReader(io.StringIO(out))) if fmt == "csv" else table_rows(out)
+    assert list(rows[0])[-1] == "consistency"
     assert [r["p"] for r in rows] == ["5", "11", "13"]
-    assert [r["consistency"] for r in rows] == ["" if fmt == "csv" else "None", "PASS", "PASS"]
+    assert [r["consistency"] for r in rows] == ["", "PASS", "PASS"]
+
+
+def test_table_tells_a_missing_key_from_a_null_value(capsys):
+    """The skipped rows 2, 3 and 7 lack the counts, so their cells are empty;
+    a row's null formula (N1's at l = 11, which is 4 mod 7) reads None."""
+    code, out, _ = run_cli(["hasse", "--primes", "2..13", "--format", "table"], capsys)
+    assert code == 0
+    rows = {r["p"]: r for r in table_rows(out)}
+    assert list(rows) == ["2", "3", "5", "7", "11", "13"]
+    assert [rows[p]["N1"] for p in ("2", "3", "7")] == ["", "", ""]
+    assert rows["7"]["skipped"] == "excluded by hypothesis" and rows["11"]["skipped"] == ""
+    assert rows["11"]["formula_N1"] == "None" and rows["11"]["N1"] not in ("", "None")
 
 
 @pytest.mark.parametrize("target", ["missing/rows.json", "."])

@@ -538,9 +538,9 @@ class TestCentredOperands:
         with mock.patch.object(ffpoly, "_cyclic", wraps=ffpoly._cyclic) as cyclic, mock.patch.object(
             ffpoly, "_centre", wraps=ffpoly._centre
         ) as centre:
-            report = verified_report(ctx)
+            _, formulas = verified_report(ctx)
             counts_and_nakaya(ctx)
-        assert "FAIL" not in report.verdicts.values()
+        assert "FAIL" not in formulas["verdicts"].values()
         assert self.routes(cyclic) == {2178} and not centre.called
 
     def test_cyclic_asserts_the_bound_of_its_route(self):

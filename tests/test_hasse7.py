@@ -345,12 +345,12 @@ class TestSplitByPowers:
             ctx = PrimeContext.make(l)
             ss = ss_poly(ctx)
             want = hasse7.FactorCountReport(
-                l=l, **counts, degree_histogram={int(d): c for d, c in histogram.items()},
+                **counts, degree_histogram={int(d): c for d, c in histogram.items()},
                 classification_ok=ok)
             full = count_factors(ctx, ss=ss)
-            assert full == want and verify_count_formulas(ctx, full, ss).L == L, l
+            assert full == want and verify_count_formulas(ctx, full, ss)["L"] == L, l
             for need in (("N1",), ("N2",), ("N3",), ("N6",), ("N1", "N3")):
-                want = hasse7.FactorCountReport(l=l, **{k: counts[k] for k in need})
+                want = hasse7.FactorCountReport(**{k: counts[k] for k in need})
                 assert count_factors(ctx, need=need, with_histogram=False, ss=ss) == want, (l, need)
 
     def test_restricted_split_takes_the_given_powers(self):
@@ -407,13 +407,13 @@ class TestFailedCertificate:
             for q in (FpPoly.make(p, [c, 1, 0, 0, 1]) for c in range(p))
             if set(ffpoly._ddf(q)) == {4} and H.gcd(q).degree == 0
         )
-        base = verified_report(ctx)
+        base, base_formulas = verified_report(ctx)
         with mock.patch.object(hasse7, "hasse_poly", return_value=H * quartic):
-            rep = verified_report(ctx)
+            rep, formulas = verified_report(ctx)
             assert cli.main(["hasse", "--primes", str(p)]) == 1
         assert "FAIL" in capsys.readouterr().out
-        assert rep.verdicts["factor_types"] == "FAIL"
-        assert base.verdicts["factor_types"] == "PASS"
+        assert formulas["verdicts"]["factor_types"] == "FAIL"
+        assert base_formulas["verdicts"]["factor_types"] == "PASS"
         assert rep.degree_histogram == {**base.degree_histogram, 4: 1}
         assert (rep.N1, rep.N2, rep.N3, rep.N6) == (base.N1, base.N2, base.N3, base.N6)
 
@@ -477,12 +477,12 @@ class TestFactorTypeRules:
 
 class TestCountFormulas:
     def test_spec_rows(self):
-        v41 = verified_report(PrimeContext.make(41))
-        assert v41.h_minus_7l == 14 and v41.verdicts["quadratic_formula"] == "PASS"
-        v13 = verified_report(PrimeContext.make(13))
-        assert v13.N1 == 6 and v13.L == 1 and v13.verdicts["six_L"] == "PASS"
-        v17 = verified_report(PrimeContext.make(17))
-        assert v17.N3 == 4 and v17.formula_N3 == 4 and v17.verdicts["count_formula"] == "PASS"
+        _, v41 = verified_report(PrimeContext.make(41))
+        assert v41["h_minus_7l"] == 14 and v41["verdicts"]["quadratic_formula"] == "PASS"
+        n13, v13 = verified_report(PrimeContext.make(13))
+        assert n13.N1 == 6 and v13["L"] == 1 and v13["verdicts"]["six_L"] == "PASS"
+        n17, v17 = verified_report(PrimeContext.make(17))
+        assert n17.N3 == 4 and v17["formula_N3"] == 4 and v17["verdicts"]["count_formula"] == "PASS"
 
     def test_modular_constraints(self):
         # N1 = 0 mod 6 when l = 6 (7); N3 = 0 mod 2 when l = 3,5 (7)
@@ -599,7 +599,7 @@ class TestStructuralProperties:
 def test_L_count_examples():
     assert distinct_roots_in_fp(ss_poly(PrimeContext.make(5))) == [0]
     assert distinct_roots_in_fp(ss_poly(PrimeContext.make(13))) == [5]
-    assert verified_report(PrimeContext.make(41)).L == 4
+    assert verified_report(PrimeContext.make(41))[1]["L"] == 4
 
 
 def test_g_of_x_j_values():

@@ -2,13 +2,13 @@
 name it defines at module level, and every method of a module-level class, is
 used somewhere in the repository; every public function, class and method
 is used by the program itself, its scripts or the benchmark, not by the tests
-alone; and no module but `constants` spells the f_7 pieces, R_7's quadratic
-factor or the h-product table, and none spells n, m or g(x, 0), which
-`constants` computes.
+alone; every field of a dataclass is read as an attribute somewhere; and no
+module but `constants` spells the f_7 pieces, R_7's quadratic factor or the
+h-product table, and none spells n, m or g(x, 0), which `constants` computes.
 
 There is no linter in the toolchain, so these are the unused-import,
-dead-name and test-only-name checks.  ``__init__`` is exempt from the first:
-its imports are re-exports.
+dead-name, test-only-name and write-only-field checks.  ``__init__`` is
+exempt from the first: its imports are re-exports.
 """
 
 import ast
@@ -172,6 +172,62 @@ def test_the_check_sees_a_test_only_name():
     assert only_tested_names(src, loaded_names(src) | loaded_names(program)) == [
         (5, "only_tested"), (14, "K.only_tested_method")]
     assert only_tested_names(src, loaded_names(src) | loaded_names(program) | loaded_names(test)) == []
+
+
+def dataclass_fields(source: str):
+    """The fields of the module-level dataclasses of `source`, as
+    class.field, with their lines."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef) and any(
+                getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+                for d in node.decorator_list):
+            out += [(item.lineno, f"{node.name}.{item.target.id}") for item in node.body
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+    return out
+
+
+def loaded_attributes(source: str):
+    """Every name `source` loads as an attribute (obj.name)."""
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def write_only_fields(source: str, loaded):
+    """The dataclass fields of `source` whose name `loaded` lacks.
+
+    The check goes by name, so it cannot see a field that nothing reads when
+    another class has a field or an attribute of the same name that is read
+    (a `detail` field would pass while `IdentityResult.detail` is read, and
+    any `l` while `ctx.l` is), nor a field read only through `getattr` with a
+    computed name, `dataclasses.asdict` or the comparison of whole
+    instances."""
+    return [(line, name) for line, name in dataclass_fields(source)
+            if name.rpartition(".")[2] not in loaded]
+
+
+def test_no_write_only_fields():
+    loaded = set().union(*(loaded_attributes(p.read_text()) for p in USERS))
+    found = {p.name: write_only_fields(p.read_text(), loaded) for p in MODULES}
+    assert {k: v for k, v in found.items() if v} == {}
+
+
+def test_the_check_sees_a_write_only_field():
+    src = (
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class R:\n"
+        "    p: int\n"
+        "    ok: bool = True\n"
+        "    tol: float = 0.0\n"
+        "@dataclass\n"
+        "class S:\n"
+        "    seen: int\n"
+        "class Plain:\n"
+        "    never: int\n"
+    )
+    user = "r = R(p=1, tol=2.0)\nr.tol = 3.0\nassert r.ok and S(1).seen\nprint(r['p'])\n"
+    assert write_only_fields(src, loaded_attributes(src) | loaded_attributes(user)) == [(4, "R.p"), (6, "R.tol")]
 
 
 # the facts only constants.py spells, each as its literal reads when normalised
