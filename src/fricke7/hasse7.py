@@ -1,6 +1,7 @@
 """The Hasse invariant of the order-7 Tate normal form over F_l: construction,
 factor-type counting (N1, N2, N3, N6) from one gcd and one distinct-degree
-split, and the verdicts on the factor-type classification and the
+split, on the Hasse polynomial or, for the need-restricted counts, on its
+fibres over the F_l-rational t = n/m, and the verdicts on the factor-type classification and the
 class-number count formulas.  The factorization statements about f_0, f_1728
 and G(x, j), which no sweep reports, are checked in `tests/paper_checks.py`.
 """
@@ -22,6 +23,8 @@ from .ffpoly import (
     _ddf,  # perfbench/traced.py times hasse7._ddf
     count_roots_in_fp,
     distinct_roots_in_fp,
+    homogenize_mod,
+    resultant_roots_in_fp,
 )
 
 ALL_COUNTS = frozenset({"N1", "N2", "N3", "N6"})
@@ -68,6 +71,21 @@ def ss_poly(ctx: PrimeContext) -> FpPoly:
     return out.monic()
 
 
+def _hasse_pieces(ctx: PrimeContext):
+    """(c, u, den, extra) with the Hasse polynomial = extra times
+    sum_k c_k u^k den^(n-k): c from `_deuring_coeffs`, u = num - 1728 den for
+    j_7 = num/den, and extra the j = 0 block (x^2-x+1) S (r = 1) times the
+    j = 1728 block F1728 (s = 1)."""
+    l = ctx.l
+    den = FpPoly.make(l, C.J7_DEN)
+    extra = FpPoly.one(l)
+    if ctx.r:
+        extra = extra * FpPoly.make(l, C.X2X1) * FpPoly.make(l, C.SEXTIC_J0)
+    if ctx.s:
+        extra = extra * FpPoly.make(l, C.F1728)
+    return _deuring_coeffs(ctx), FpPoly.make(l, C.J7_NUM) - 1728 * den, den, extra
+
+
 def hasse_poly(ctx: PrimeContext) -> FpPoly:
     """The Hasse invariant of E_7 mod l, with J_l(j_7(x)) cleared of denominators.
 
@@ -75,16 +93,36 @@ def hasse_poly(ctx: PrimeContext) -> FpPoly:
     sum_k c_k (num - 1728 den)^k den^(n-k) with num = j7_num, den = x^7(x-1)^7 p(x);
     the total degree is 8r + 12s + 24 n_l.
     """
-    l, n, s, r = ctx.l, ctx.n, ctx.s, ctx.r
-    den = FpPoly.make(l, C.J7_DEN)
-    out = homogenize(_deuring_coeffs(ctx), FpPoly.make(l, C.J7_NUM) - 1728 * den, den)
-    if r:
-        out = out * FpPoly.make(l, C.X2X1) * FpPoly.make(l, C.SEXTIC_J0)
-    if s:
-        out = out * FpPoly.make(l, C.F1728)
-    if out.degree != 8 * r + 12 * s + 24 * n:
+    c, u, den, extra = _hasse_pieces(ctx)
+    out = homogenize(c, u, den) * extra
+    if out.degree != 8 * ctx.r + 12 * ctx.s + 24 * ctx.n:
         raise StructuralError("Hasse invariant has unexpected degree")
     return out
+
+
+def _fibres(ctx: PrimeContext, ss: FpPoly) -> FpPoly:
+    """G_T = gcd(P, H mod P): the product of the irreducible factors of the
+    Hasse polynomial H that lie over the F_l-roots t of ss^(7*).
+
+    T is the set of t in F_l where Res_X(ss_l, X^2 - A(t) X + B(t)) = 0, A
+    and B from R_7 (`resultant_roots_in_fp`).  That resultant is the product
+    of R_7(j, t) over the supersingular j, so T is the set of F_l-roots of
+    ss^(7*) by its definition, read off ss_l and not off ss^(7*).
+    P = prod_{t in T} f_7(x, t) = m^|T| prod (n/m - t) has degree 6 |T|, and
+    H mod P is the Deuring sum reduced mod P (`homogenize_mod`), so H itself
+    is never built.  The gcd takes exactly the factors of H over T: f_7(x, t)
+    for distinct t are coprime, n and m being coprime, and a t in T over
+    which H has no factor adds nothing.  Every root b of H lies over T's
+    roots of ss^(7*) when t(b) is in F_l: with A-hat = m^7 A(n/m) and
+    B-hat = m^8 B(n/m), num^2 m^8 - num den m A-hat + den^2 B-hat = 0 for
+    j_7 = num/den, so R_7(j_7(b), t(b)) = 0 with j_7(b) supersingular.
+    """
+    l = ctx.l
+    T = resultant_roots_in_fp(ss, -FpPoly.make(l, C.R7_A), FpPoly.make(l, C.R7_B))
+    over_t = math.prod((FpPoly.make(l, [-t, 1]) for t in T), start=FpPoly.one(l))
+    P = homogenize(over_t.coeffs, FpPoly.make(l, C.F7_N), FpPoly.make(l, C.F7_M))
+    c, u, den, extra = _hasse_pieces(ctx)
+    return P.gcd(homogenize_mod(c, u, den, P) * extra % P)
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +138,7 @@ class FactorCountReport:
     N3: Optional[int] = None
     N6: Optional[int] = None
     # no row shows it and only tests read it; it stays because a second count
-    # route must give equal whole reports, histogram included (ROADMAP item 3)
+    # route must give equal whole reports, histogram included (ROADMAP item 5)
     degree_histogram: Optional[Dict[int, int]] = None
     classification_ok: Optional[bool] = None
 
@@ -149,11 +187,23 @@ def count_factors(
     with_histogram: bool = True,
     ss: Optional[FpPoly] = None,
 ) -> FactorCountReport:
-    """Factor-type counts over the Hasse invariant f, which the certificate
+    """Factor-type counts over the Hasse invariant H, which the certificate
     of `ss_poly` makes squarefree (pass its `ss` if it already ran).
     N1/N3 count the distinct linear/irreducible cubic factors, N2 only the
     irreducible quadratics x^2+ax+b with B(a, b) = 0, N6 only the sextics
     f_7(x, t) with t in F_l.
+
+    With the histogram, f is H made monic.  Without it (the need-restricted
+    counts), f is `_fibres`' G_T, the factors of H over the F_l-roots t of
+    ss^(7*), of degree at most 6 |T| where H has about 2l, and H is not
+    built.  Every count factor lies over such a t: a root b of H has t(b) a
+    root of ss^(7*) (`_fibres`), whose roots lie in F_(l^2); on a linear or
+    cubic factor t(b) lies in F_l or F_(l^3), hence in F_l; N6 counts the
+    fibres over t in F_l by definition; and on an alpha-family quadratic
+    with roots r, r^l, sigma(x) = (alpha - x) / ((alpha - 1) x + 1) maps r
+    to r^l and preserves t = n/m (both exact identities in the tests), so
+    t(r)^l = t(r^l) = t(r) is in F_l.  The quadratic x^2 - x + 1 of l = 2..5
+    (mod 7) lies over t = 0.
 
     One gcd on f finds them.  With e = 2 for l = 1, 6 (mod 7) and e = 6
     otherwise (the lcm of the degrees the factor-type rules allow), and
@@ -179,8 +229,8 @@ def count_factors(
         raise ValueError(f"unknown count selector in {sorted(need)}")
     l = ctx.l
     if ss is None:
-        ss_poly(ctx)
-    f = hasse_poly(ctx).monic()
+        ss = ss_poly(ctx)
+    f = hasse_poly(ctx).monic() if with_histogram else _fibres(ctx, ss)
     one, x = FpPoly.one(l), FpPoly.x(l)
 
     if l % 7 in (1, 6):

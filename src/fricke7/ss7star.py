@@ -193,7 +193,12 @@ def l7star_from_counts(ctx: PrimeContext, counts: FactorCountReport) -> Fraction
 def count_consistency(ctx: PrimeContext, report: SS7StarReport) -> Optional[bool]:
     """Whether `l7star_from_counts` on the counts its case reads equals
     report.L7star, for the `report` of `counts_and_nakaya`; None below
-    p = 11, where the case derivations do not apply."""
+    p = 11, where the case derivations do not apply.
+
+    The counts are `count_factors`' need-restricted ones, taken on the
+    factors of the Hasse polynomial over the F_p-roots t of ss^(7*), which it
+    finds pointwise from report.ss (ss_p), never from report.ss7star: the
+    resultant route's L^(7*) is checked against counts over that t-set."""
     p = ctx.l
     if p < 11:
         return None

@@ -191,19 +191,20 @@ def test_structural_error_exit_code(monkeypatch, capsys):
 
 
 def _fail_at_13(monkeypatch):
-    """Make the Hasse polynomial, and with it count_factors, raise at l = 13
-    (forked sweep workers inherit the patch)."""
+    """Make the pieces of the Hasse polynomial, and with them count_factors
+    on the Hasse polynomial and on its fibres alike, raise at l = 13 (forked
+    sweep workers inherit the patch)."""
     from fricke7 import hasse7
     from fricke7.errors import StructuralError
 
-    real = hasse7.hasse_poly
+    real = hasse7._hasse_pieces
 
     def fails_at_13(ctx):
         if ctx.l == 13:
             raise StructuralError("injected")
         return real(ctx)
 
-    monkeypatch.setattr(hasse7, "hasse_poly", fails_at_13)
+    monkeypatch.setattr(hasse7, "_hasse_pieces", fails_at_13)
 
 
 def test_structural_error_names_its_prime(monkeypatch, capsys):

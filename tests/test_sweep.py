@@ -17,20 +17,21 @@ from fricke7.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 120
 
-# Make the Hasse polynomial, and with it both sweeps' counts, do ACTION at
-# l = 13; forked workers inherit the patch.
+# Make the pieces of the Hasse polynomial, and with them both sweeps' counts
+# (on the Hasse polynomial and on its fibres), do ACTION at l = 13; forked
+# workers inherit the patch.
 PRELUDE = """
 import json, os, signal, sys
 from fricke7 import cli, hasse7, sweep
 
-real = hasse7.hasse_poly
+real = hasse7._hasse_pieces
 
 def at_13(ctx):
     if ctx.l == 13:
         ACTION
     return real(ctx)
 
-hasse7.hasse_poly = at_13
+hasse7._hasse_pieces = at_13
 """
 NO_CHILD_LEFT = """
 try:
