@@ -1,9 +1,10 @@
 """Prime-field arithmetic plus a univariate polynomial toolbox over F_l:
 factorization (squarefree / distinct-degree / equal-degree), the resultant
 in X behind ss^(7*), its F_l-roots found pointwise, the cleared composition
-reduced mod a small polynomial, and root finding in F_l.  `_ddf` is the one split of a
-squarefree polynomial by degree: a caller that already holds Frobenius powers
-x^(l^d) passes them in, and a last power equal to x limits the degrees.
+reduced mod a small polynomial, and root finding in F_l.  `_ddf` is the one
+split of a squarefree polynomial by degree: a caller that already holds
+Frobenius powers x^(l^d) passes them in, and a last power equal to x limits
+the degrees.
 
 `FpPoly` is the one F_l[x] type.  It holds the modulus and one dense numpy
 coefficient vector, reduced, without trailing zeros, lowest degree first; no
@@ -1008,8 +1009,6 @@ def homogenize_mod(coeffs: Sequence[int], num: FpPoly, den: FpPoly, f: FpPoly) -
     coefficients takes 2 n.
     """
     l = f.modulus
-    if f.degree < 1:
-        return FpPoly.zero(l)
     m, d = f._prepared(), f.degree
 
     def mulmod(a, b):

@@ -1,9 +1,10 @@
 """The Hasse invariant of the order-7 Tate normal form over F_l: construction,
 factor-type counting (N1, N2, N3, N6) from one gcd and one distinct-degree
 split, on the Hasse polynomial or, for the need-restricted counts, on its
-fibres over the F_l-rational t = n/m, and the verdicts on the factor-type classification and the
-class-number count formulas.  The factorization statements about f_0, f_1728
-and G(x, j), which no sweep reports, are checked in `tests/paper_checks.py`.
+fibres over the F_l-rational t = n/m, and the verdicts on the factor-type
+classification and the class-number count formulas.  The factorization
+statements about f_0, f_1728 and G(x, j), which no sweep reports, are
+checked in `tests/paper_checks.py`.
 """
 
 from __future__ import annotations
@@ -112,10 +113,11 @@ def _fibres(ctx: PrimeContext, ss: FpPoly) -> FpPoly:
     H mod P is the Deuring sum reduced mod P (`homogenize_mod`), so H itself
     is never built.  The gcd takes exactly the factors of H over T: f_7(x, t)
     for distinct t are coprime, n and m being coprime, and a t in T over
-    which H has no factor adds nothing.  Every root b of H lies over T's
-    roots of ss^(7*) when t(b) is in F_l: with A-hat = m^7 A(n/m) and
-    B-hat = m^8 B(n/m), num^2 m^8 - num den m A-hat + den^2 B-hat = 0 for
-    j_7 = num/den, so R_7(j_7(b), t(b)) = 0 with j_7(b) supersingular.
+    which H has no factor adds nothing.  A root b of H with t(b) in F_l lies
+    over T: with A-hat = m^7 A(n/m) and B-hat = m^8 B(n/m),
+    num^2 m^8 - num den m A-hat + den^2 B-hat = 0 for j_7 = num/den, so
+    R_7(j_7(b), t(b)) = 0 with j_7(b) supersingular, and the resultant
+    vanishes at t(b).
     """
     l = ctx.l
     T = resultant_roots_in_fp(ss, -FpPoly.make(l, C.R7_A), FpPoly.make(l, C.R7_B))

@@ -139,14 +139,15 @@ class TestPointwiseTSet:
 
 
 class TestHomogenizeMod:
-    @pytest.mark.parametrize("deg_f", [1, 2, 7, 96, 97, 150])
+    @pytest.mark.parametrize("deg_f", [0, 1, 2, 7, 96, 97, 150])
     def test_against_homogenize(self, deg_f):
         """Against the reduction of the full composition, on both residue
-        routes (the matrix up to degree 96, Newton past it), with a top
-        coefficient zero or not and sums of one coefficient."""
+        routes (the matrix up to degree 96, Newton past it) and mod a
+        constant (an empty T), with a top coefficient zero or not and sums
+        of one coefficient."""
         p = 101
         rng = random.Random(deg_f)
-        f = FpPoly.make(p, [rng.randrange(p) for _ in range(deg_f)] + [1])
+        f = FpPoly.make(p, [rng.randrange(p) for _ in range(deg_f)] + [1 + rng.randrange(p - 1)])
         num = FpPoly.make(p, [rng.randrange(p) for _ in range(9)])
         den = FpPoly.make(p, [rng.randrange(p) for _ in range(7)])
         for n in (0, 1, 2, 3, 15, 16, 17, 40):
