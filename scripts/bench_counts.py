@@ -19,7 +19,10 @@ the git sha of the checkout `fricke7` was imported from.
     PYTHONPATH=src python scripts/bench_counts.py [--primes 2003,1997] [--repeats 3] [--out-dir .]
     PYTHONPATH=src python scripts/bench_counts.py --paired OTHER/src [--primes ...] [--repeats 5]
 
-`--primes` replaces the default lists, the CLI calls' too.  Point PYTHONPATH
+`--primes` replaces the per-prime lists (the hasse and the nakaya rows); the
+three CLI calls keep their perfbench-shaped primes.  A `--primes` run names
+its files with the suffix -p<min>-<max>-n<count> of its primes after the
+sha, so it cannot overwrite a default run's files.  Point PYTHONPATH
 at another checkout's src/ to time that checkout; compare two files only when
 they come from the same machine.  `--paired OTHER_SRC` times this src/ tree
 and OTHER_SRC together: at each prime or CLI call it runs k = `--repeats`
@@ -28,7 +31,7 @@ so both trees see the same drift of the machine.  It writes both BENCH files,
 and each row gains `paired_ratio`, the median over the alternations of its
 tree's time over the other tree's (for a CLI row, one ratio per metric); two
 trees with the same sha (copies outside git, say) get the names
-BENCH_count_factors_<sha>-this.json and -other.json.
+BENCH_count_factors_<sha>[-p...]-this.json and -other.json.
 """
 
 import argparse
@@ -236,7 +239,7 @@ def cli_rows(srcs, calls, repeats: int):
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--primes", help="comma list of primes for every timing (default: PRIMES, NAKAYA_PRIMES, CLI_CALLS)")
+    ap.add_argument("--primes", help="comma list of primes for the per-prime rows (default: PRIMES, NAKAYA_PRIMES)")
     ap.add_argument("--repeats", type=int, default=3, help="runs per prime or CLI call (k)")
     ap.add_argument("--out-dir", default=".", help="directory for the BENCH file")
     ap.add_argument("--paired", metavar="OTHER_SRC", help="the src/ directory of a second tree to time alternately")
@@ -251,7 +254,7 @@ def main() -> int:
         return 0
 
     src = Path(fricke7.__file__).resolve().parents[1]
-    calls = [(c, given) for c, _ in CLI_CALLS] if given else CLI_CALLS
+    calls = CLI_CALLS
     if not args.paired:
         rows, nakaya_rows = [], []
         for p in given or PRIMES:
@@ -269,7 +272,8 @@ def main() -> int:
         cli = cli_rows(srcs, calls, args.repeats)
         tagged = [(srcs[t], rows[t], nakaya_rows[t], cli[t]) for t in (0, 1)]
     states = [git_state(s.parent) for s, _, _, _ in tagged]
-    names = [sha for sha, _ in states]
+    suffix = f"-p{min(given)}-{max(given)}-n{len(given)}" if given else ""
+    names = [sha + suffix for sha, _ in states]
     if len(names) == 2 and names[0] == names[1]:
         names = [f"{names[0]}-this", f"{names[1]}-other"]
     outs = [Path(args.out_dir) / f"BENCH_count_factors_{name}.json" for name in names]

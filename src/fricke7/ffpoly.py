@@ -41,7 +41,11 @@ process) produces identical output without loading `hashlib`.
 Two kernels evaluate by baby steps and giant steps, with the blocks summed
 as one int64 matrix product inside an asserted bound (`_block_fits`): the
 resultant in X at every t in F_l at once (`resultant_roots_in_fp`), and a
-cleared composition mod a small f (`homogenize_mod`).
+cleared composition mod every polynomial of a stack (`homogenize_mod`).
+A stack (`Moduli`) holds monic polynomials of one small degree d as the rows
+of one array; its `Residues` multiply mod every row at once through a table
+of x^i mod each row, and `Moduli.factor_counts` reads each row's factor
+degrees off the traces of the powers of its Frobenius matrix.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -564,10 +568,6 @@ class FpPoly:
         return cls(l, np.array([c % l for c in coeffs], dtype=np.int64))
 
     @classmethod
-    def zero(cls, l: int) -> "FpPoly":
-        return cls.make(l, [])
-
-    @classmethod
     def one(cls, l: int) -> "FpPoly":
         return cls.make(l, [1])
 
@@ -874,14 +874,6 @@ def _linear_part(f: FpPoly) -> FpPoly:
     return f.gcd(x.powmod(f.modulus, f) - x)
 
 
-def distinct_roots_in_fp(f: FpPoly) -> List[int]:
-    """The distinct roots of f in F_l, sorted."""
-    g = _linear_part(f)
-    if g.degree <= 0:
-        return []
-    return sorted(-lin.coeffs[0] % f.modulus for lin in _edf(g, 1))
-
-
 def count_roots_in_fp(f: FpPoly) -> int:
     """Number of distinct roots of f in F_l."""
     return _linear_part(f).degree
@@ -915,8 +907,8 @@ def resultant_in_X(f: FpPoly, a1: FpPoly, a0: FpPoly) -> FpPoly:
 # blocked evaluation: baby steps, one matrix product, giant steps
 
 # Both kernels below sum K-term rows of residues in one int64 matrix product
-# (numpy's own loop, not BLAS) and, in their giant steps, add at most three
-# products of two residues and one residue.  Each such sum stays below
+# (numpy's own loop, not BLAS), and the resultant's giant steps add at most
+# three products of two residues and one residue.  Each such sum stays below
 # (l-1)^2 max(K, 3) + (l-1) <= (l-1)^2 (K + 3), so int64 is exact while
 # (l-1)^2 (K + 3) < `_INT64_BOUND`; `_block_fits` is that test, and both
 # kernels assert it.  At l <= PRIME_LIMIT it holds for K < 4.6 10^6, where a
@@ -995,48 +987,220 @@ def resultant_roots_in_fp(f: FpPoly, a1: FpPoly, a0: FpPoly) -> List[int]:
     return roots
 
 
-def homogenize_mod(coeffs: Sequence[int], num: FpPoly, den: FpPoly, f: FpPoly) -> FpPoly:
-    """sum_k c_k num^k den^(n-k) mod f, n = len(coeffs) - 1: what
-    `exactring.homogenize` gives, reduced mod f, for f of small degree.
+# ---------------------------------------------------------------------------
+# a stack of monic moduli of one degree
+
+# A `Moduli` stack of degree d sums at most d^2 products of two residues: a
+# product of two residues mod f_t is the sum of the d^2 reduced products of
+# their coefficients times x^(i+j) mod f_t, and an entry of a product of two
+# d x d matrices of residues sums d.  It asserts `_block_fits(l, d^2)` when it
+# is built (at `PRIME_LIMIT` that allows d up to 2144; the fibres have d = 6),
+# and its reduction of a vector of length n asserts the bound for n.
+
+
+class Moduli:
+    """Monic polynomials f_0, ..., f_(T-1) over F_l of one degree d >= 1, the
+    rows of a (T, d + 1) int64 array, with the table of x^i mod f_t
+    (extended on demand) that reduces a vector of length n mod every f_t at
+    once as one product with its first n rows."""
+
+    __slots__ = ("l", "f", "_table", "_pairs")
+
+    def __init__(self, l: int, f):
+        d = f.shape[1] - 1
+        assert d >= 1 and (f[:, -1] % l == 1).all(), "moduli must be monic of degree >= 1"
+        assert _block_fits(l, d * d), "stacked product outside the int64 bound"
+        self.l, self.f = l, f % l
+        self._table = np.broadcast_to(np.eye(d, dtype=np.int64), (len(f), d, d)).copy()
+        self._pairs = None  # x^(i+j) mod f_t at row i d + j, once needed
+
+    @classmethod
+    def pencil(cls, l: int, n: Sequence[int], m: Sequence[int], ts: Sequence[int]) -> "Moduli":
+        """The stack n - t m over t in ts, for n monic and deg m < deg n."""
+        nv = np.array([c % l for c in n], dtype=np.int64)
+        mv = np.zeros_like(nv)
+        mv[: len(m)] = [c % l for c in m]
+        t = np.array(ts, dtype=np.int64).reshape(-1, 1)
+        return cls(l, (nv - t * mv) % l)
+
+    @property
+    def degree(self) -> int:
+        return self.f.shape[1] - 1
+
+    def _rows(self, n: int):
+        """x^i mod f_t for i < n, shape (T, n, d): row i is x times row
+        i - 1, whose x^d term reduces by x^d = -(f_t - x^d)."""
+        have = self._table.shape[1]
+        if have < n:
+            l, d = self.l, self.degree
+            low, last, rows = -self.f[:, :d] % l, self._table[:, -1], [self._table]
+            for _ in range(n - have):
+                up = np.zeros_like(last)
+                up[:, 1:] = last[:, :-1]
+                last = (up + last[:, -1:] * low) % l
+                rows.append(last[:, None])
+            self._table = np.concatenate(rows, axis=1)
+        return self._table[:, :n]
+
+    def _reduce(self, v):
+        """v mod every f_t, reduced, shape (T, d): v one vector, or a row per f_t."""
+        n = v.shape[-1]
+        assert _block_fits(self.l, n), "stacked reduction outside the int64 bound"
+        rows = self._rows(n)
+        return (v @ rows if v.ndim == 1 else (v[:, None] @ rows)[:, 0]) % self.l
+
+    def _mulmod(self, a, b):
+        """The products a_t b_t mod f_t of two stacks of residues: the d^2
+        products of coefficients, reduced, times x^(i+j) mod f_t, summed as
+        one matrix product per row."""
+        l, d = self.l, self.degree
+        if self._pairs is None:
+            self._pairs = self._rows(2 * d - 1)[:, (np.arange(d)[:, None] + np.arange(d)).reshape(-1)]
+        prod = (a[:, :, None] * b[:, None, :]).reshape(len(a), d * d) % l
+        return (prod[:, None] @ self._pairs)[:, 0] % l
+
+    def residues(self, p: FpPoly) -> "Residues":
+        """p mod every f_t."""
+        return Residues(self, self._reduce(p._v))
+
+    def poly(self, i: int) -> FpPoly:
+        """f_i."""
+        return FpPoly(self.l, self.f[i].copy())
+
+    def factor_counts(self, h: "Residues") -> List[Optional[Dict[int, int]]]:
+        """For each f_t, given h = x^l mod f_t: {k: a_k}, a_k > 0 the number
+        of its irreducible factors of degree k, or None where f_t is not
+        certified squarefree.
+
+        Row i of the Frobenius matrix Q_t is h^i mod f_t.  On F_l[x]/(f_t),
+        for f_t squarefree a product of fields F_(l^k), Frobenius^j has the
+        trace k on F_(l^k) if k | j and 0 otherwise (a power of the cyclic
+        shift of a normal basis), so tr(Q_t^j) = sum_(k | j) k a_k mod l, and
+        a_j follows from j = 1 up.  That is exact while every a_k < l and j
+        is a unit mod l.  For d <= l + 1 (a sextic at every l >= 5): a_1 <=
+        l - 1, since l linear factors would leave degree at most 1 to factors
+        of other degrees; a_k <= d / k < l for k >= 2; and j = l is the only
+        degree that is not a unit, whose count follows from sum k a_k = d.
+        The certificate: with L the lcm of the degrees found, Q_t^L = I says
+        f_t divides x^(l^L) - x, so f_t is squarefree with every factor
+        degree dividing L, and the counts are its own; a non-squarefree f_t
+        fails it.
+        """
+        l, d = self.l, self.degree
+        assert d <= l + 1, "factor counts from traces need d <= l + 1"
+        rows = [self.residues(FpPoly.one(l)).v, h.v]
+        while len(rows) < d:
+            rows.append(self._mulmod(rows[-1], h.v))
+        q = np.stack(rows[:d], axis=1)
+        powers = [q]  # powers[j - 1] = Q^j
+        while len(powers) < d:
+            powers.append(powers[-1] @ q % l)
+        a = np.zeros((len(q), d + 1), dtype=np.int64)
+        for j in range(1, d + 1):
+            if j != l:
+                s = np.trace(powers[j - 1], axis1=1, axis2=2) - sum(k * a[:, k] for k in range(1, j) if j % k == 0)
+                a[:, j] = s % l * pow(j, -1, l) % l
+        if l <= d:
+            rest = d - a @ np.arange(d + 1)
+            a[:, l] = np.where(rest % l, -1, rest // l)
+        partition = (a >= 0).all(axis=1) & (a @ np.arange(d + 1) == d)
+        lcms = [math.lcm(*np.flatnonzero(row[1:]) + 1) if ok else 0 for row, ok in zip(a, partition)]
+        while len(powers) < max(lcms, default=0):
+            powers.append(powers[-1] @ q % l)
+        eye = np.eye(d, dtype=np.int64)
+        return [{k: c for k, c in enumerate(row) if k and c} if L and np.array_equal(powers[L - 1][i], eye) else None
+                for i, (row, L) in enumerate(zip(a.tolist(), lcms))]
+
+
+class Residues:
+    """Elements of the product of the rings F_l[x]/(f_t) over a `Moduli`
+    stack, one reduced row of d coefficients per f_t.  They add, subtract and
+    multiply with each other and with integers and take powers, so a formula
+    written for `FpPoly` (`constants.b_form`, say) evaluates mod every f_t at
+    once."""
+
+    __slots__ = ("moduli", "v")
+
+    def __init__(self, moduli: Moduli, v):
+        self.moduli, self.v = moduli, v
+
+    def _other(self, other):
+        if isinstance(other, int):
+            out = np.zeros_like(self.v)
+            out[:, 0] = other % self.moduli.l
+            return out
+        if not isinstance(other, Residues) or other.moduli is not self.moduli:
+            raise TypeError("residues over different moduli")
+        return other.v
+
+    def _new(self, v) -> "Residues":
+        return Residues(self.moduli, v % self.moduli.l)
+
+    def __add__(self, other):
+        return self._new(self.v + self._other(other))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._new(-self.v)
+
+    def __sub__(self, other):
+        return self._new(self.v - self._other(other))
+
+    def __rsub__(self, other):
+        return self._new(self._other(other) - self.v)
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return self._new(self.v * (other % self.moduli.l))
+        return Residues(self.moduli, self.moduli._mulmod(self.v, self._other(other)))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int):
+        return power(self, k, self.moduli.residues(FpPoly.one(self.moduli.l)))
+
+    def is_zero(self) -> List[bool]:
+        """Whether each row is zero."""
+        return (~self.v.any(axis=1)).tolist()
+
+    def poly(self, i: int) -> FpPoly:
+        """Row i, mod f_i."""
+        return FpPoly(self.moduli.l, self.v[i].copy())
+
+
+def homogenize_mod(coeffs: Sequence[int], num: FpPoly, den: FpPoly, moduli: Moduli) -> Residues:
+    """sum_k c_k num^k den^(n-k) mod every f_t of `moduli`, n = len(coeffs) - 1:
+    what `exactring.homogenize` gives, reduced mod each f_t.
 
     Baby steps and giant steps (Paterson-Stockmeyer): with K ~ sqrt(n + 1)
-    and u, d = num, den mod f, the baby rows u^i d^(K-1-i) (i < K) and one
+    and u, d = num, den mod f_t, the baby rows u^i d^(K-1-i) (i < K) and one
     matrix product give every block G_j = sum_i c_(jK+i) u^i d^(K-1-i) but
     the top one, of r <= K coefficients, which takes its own rows
     u^i d^(r-1-i).  Then the sum is G_top U^(M-1) + d^r sum_j G_j U^j D^(M-2-j)
     over the M - 1 full blocks, U = u^K and D = d^K, by Horner's rule in U:
-    about 3 K + 3 M modular products in all, where Horner's rule on the
-    coefficients takes 2 n.
+    about 3 K + 3 M products of stacked residues in all, where Horner's rule
+    on the coefficients takes 2 n.
     """
-    l = f.modulus
-    m, d = f._prepared(), f.degree
-
-    def mulmod(a, b):
-        return m.residue(_mul(l, a, b))
-
+    l = moduli.l
     k = max(1, math.isqrt(len(coeffs)))
     rows = _blocks(l, np.array([c % l for c in coeffs], dtype=np.int64), k)
     r = len(coeffs) - (len(rows) - 1) * k
-    u, w = m.divmod(num._v)[1], m.divmod(den._v)[1]
-    up, dp = [np.ones(1, dtype=np.int64)], [np.ones(1, dtype=np.int64)]
+    u, w = moduli.residues(num), moduli.residues(den)
+    up = dp = [moduli.residues(FpPoly.one(l))]
     for _ in range(k):
-        up.append(mulmod(up[-1], u))
-        dp.append(mulmod(dp[-1], w))
+        up, dp = up + [up[-1] * u], dp + [dp[-1] * w]
 
     def babies(s: int):
-        """Rows u^i d^(s-1-i), i < s, padded to length deg f."""
-        out = np.zeros((s, d), dtype=np.int64)
-        for i in range(s):
-            v = mulmod(up[i], dp[s - 1 - i])
-            out[i, : len(v)] = v
-        return out
+        """Rows u^i d^(s-1-i), i < s, shape (T, s, d)."""
+        return np.stack([(up[i] * dp[s - 1 - i]).v for i in range(s)], axis=1)
 
-    acc = _trim(rows[-1, :r] @ babies(r) % l)
+    acc = Residues(moduli, rows[-1, :r] @ babies(r) % l)
     if len(rows) > 1:
         full = rows[:-1] @ babies(k) % l
         power_d = dp[r]
-        for j in range(len(full) - 1, -1, -1):
-            acc = _add(l, mulmod(acc, up[k]), mulmod(_trim(full[j]), power_d))
+        for j in range(len(rows) - 2, -1, -1):
+            acc = acc * up[k] + Residues(moduli, full[:, j]) * power_d
             if j:
-                power_d = mulmod(power_d, dp[k])
-    return FpPoly(l, acc)
+                power_d = power_d * dp[k]
+    return acc

@@ -1,8 +1,9 @@
 """The Hasse invariant of the order-7 Tate normal form over F_l: construction,
-factor-type counting (N1, N2, N3, N6) from one gcd and one distinct-degree
-split, on the Hasse polynomial or, for the need-restricted counts, on its
-fibres over the F_l-rational t = n/m, and the verdicts on the factor-type
-classification and the class-number count formulas.  The factorization
+factor-type counting (N1, N2, N3, N6) fibre by fibre over the F_l-rational
+t = n/m, with one batched Frobenius over the sextics f_7(x, t), the degree
+histogram from one gcd and one distinct-degree split of the Hasse
+polynomial, and the verdicts on the factor-type classification and the
+class-number count formulas.  The factorization
 statements about f_0, f_1728 and G(x, j), which no sweep reports, are
 checked in `tests/paper_checks.py`.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import constants as C
 from .classnum import class_number, field_discriminant, kronecker
@@ -20,10 +21,10 @@ from .errors import StructuralError
 from .exactring import homogenize
 from .ffpoly import (
     FpPoly,
+    Moduli,
     PrimeContext,
     _ddf,  # perfbench/traced.py times hasse7._ddf
     count_roots_in_fp,
-    distinct_roots_in_fp,
     homogenize_mod,
     resultant_roots_in_fp,
 )
@@ -101,30 +102,71 @@ def hasse_poly(ctx: PrimeContext) -> FpPoly:
     return out
 
 
-def _fibres(ctx: PrimeContext, ss: FpPoly) -> FpPoly:
-    """G_T = gcd(P, H mod P): the product of the irreducible factors of the
-    Hasse polynomial H that lie over the F_l-roots t of ss^(7*).
+def _fibres(ctx: PrimeContext, ss: FpPoly, with_n2: bool) -> Dict[int, Tuple[Dict[int, int], Optional[int]]]:
+    """The factors of the Hasse polynomial H over the F_l-roots t of
+    ss^(7*), fibre by fibre: {t: (counts, n2)} for each such t over which H
+    has a factor, with counts = {d: number of irreducible factors of degree
+    d} of the piece gcd(f_7(x, t), H) and, with `with_n2`, n2 the number of
+    its quadratic factors x^2 + a x + b with B(a, b) = 0 (else None).
 
     T is the set of t in F_l where Res_X(ss_l, X^2 - A(t) X + B(t)) = 0, A
     and B from R_7 (`resultant_roots_in_fp`).  That resultant is the product
     of R_7(j, t) over the supersingular j, so T is the set of F_l-roots of
-    ss^(7*) by its definition, read off ss_l and not off ss^(7*).
-    P = prod_{t in T} f_7(x, t) = m^|T| prod (n/m - t) has degree 6 |T|, and
-    H mod P is the Deuring sum reduced mod P (`homogenize_mod`), so H itself
-    is never built.  The gcd takes exactly the factors of H over T: f_7(x, t)
-    for distinct t are coprime, n and m being coprime, and a t in T over
-    which H has no factor adds nothing.  A root b of H with t(b) in F_l lies
-    over T: with A-hat = m^7 A(n/m) and B-hat = m^8 B(n/m),
-    num^2 m^8 - num den m A-hat + den^2 B-hat = 0 for j_7 = num/den, so
-    R_7(j_7(b), t(b)) = 0 with j_7(b) supersingular, and the resultant
-    vanishes at t(b).
+    ss^(7*) by its definition, read off ss_l and not off ss^(7*).  A root b
+    of H with t(b) = (n/m)(b) in F_l lies over T: with A-hat = m^7 A(n/m)
+    and B-hat = m^8 B(n/m), num^2 m^8 - num den m A-hat + den^2 B-hat = 0
+    for j_7 = num/den, so R_7(j_7(b), t(b)) = 0 with j_7(b) supersingular,
+    and the resultant vanishes at t(b).  The fibres f_7(x, t) = n - t m over
+    distinct t are coprime, n and m being coprime, so the pieces are
+    disjoint.
+
+    The fibres are one `Moduli` stack of monic sextics, and H mod each is
+    the Deuring sum reduced mod the stack (`homogenize_mod`): H itself is
+    never built.  A zero residue certifies that f_7(x, t) divides H, so it
+    is squarefree by the certificate of `ss_poly`, and its counts are read
+    off x^l mod f_7(x, t) and the traces of its Frobenius matrix
+    (`Moduli.factor_counts`, whose own certificate must then hold).  Any
+    other piece is gcd(f_7(x, t), residue), split by `_ddf`; it is 1 where H
+    has no factor over t, and such t are few (below 1000, only 0, -1 and 27,
+    over which f_7 is not squarefree).
+
+    B: on a quadratic factor with roots r, r^l, -(x + h) and x h with
+    h = x^l take the values a and b at r, so B(-(x + h), x h) vanishes there
+    exactly when B(a, b) = 0.  On a full piece (h - x) B(-(x + h), x h) also
+    vanishes on the linear factors, so where it is zero every quadratic
+    factor has B(a, b) = 0.  Elsewhere, if there are quadratic factors, the
+    split gives their product q and n2 is half the degree of
+    gcd(q, B(-(x + h), x h) mod q).
     """
     l = ctx.l
     T = resultant_roots_in_fp(ss, -FpPoly.make(l, C.R7_A), FpPoly.make(l, C.R7_B))
-    over_t = math.prod((FpPoly.make(l, [-t, 1]) for t in T), start=FpPoly.one(l))
-    P = homogenize(over_t.coeffs, FpPoly.make(l, C.F7_N), FpPoly.make(l, C.F7_M))
+    fibres = Moduli.pencil(l, C.F7_N, C.F7_M, T)
     c, u, den, extra = _hasse_pieces(ctx)
-    return P.gcd(homogenize_mod(c, u, den, P) * extra % P)
+    residue = homogenize_mod(c, u, den, fibres) * fibres.residues(extra)
+    x = fibres.residues(FpPoly.x(l))
+    h = x ** l
+    counts = fibres.factor_counts(h)
+    on_b = None
+    if with_n2 and any(a and 2 in a for a in counts):
+        on_b = ((h - x) * C.b_form(-(x + h), x * h)).is_zero()
+    out = {}
+    for i, (t, full) in enumerate(zip(T, residue.is_zero())):
+        a = counts[i]
+        if full and a is None:
+            raise StructuralError(f"f_7(x, {t}) divides the Hasse polynomial but is not squarefree at l={l}")
+        if full and not (with_n2 and 2 in a and not on_b[i]):
+            out[t] = (a, a.get(2, 0) if with_n2 else None)
+            continue
+        piece = fibres.poly(i) if full else fibres.poly(i).gcd(residue.poly(i))
+        if piece.degree > 0:
+            parts = _ddf(piece)
+            q, n2 = parts.get(2), (0 if with_n2 else None)
+            if with_n2 and q is not None:
+                x1 = FpPoly.x(l)
+                h1 = x1.powmod(l, q)
+                n2 = q.gcd(C.b_form(-(x1 + h1) % q, x1 * h1 % q) % q).degree // 2
+            out[t] = ({d: g.degree // d for d, g in parts.items()}, n2)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -145,42 +187,49 @@ class FactorCountReport:
     classification_ok: Optional[bool] = None
 
 
-def _b_residue(q: FpPoly, h: FpPoly) -> FpPoly:
-    """B(-(x + h), x h) mod q, for q a product of distinct irreducible quadratics
-    and h = x^l mod a multiple of q.  On a factor x^2 + a x + b with roots r, r^l,
-    x maps to r and h to r^l, so -(x + h) and x h reduce to a and b: by the CRT
-    the residue is zero exactly when B(a, b) = 0 on every factor, unsplit, and
-    its gcd with q is the product of the factors with B(a, b) = 0."""
-    x = FpPoly.x(q.modulus)
-    h = h % q
-    return C.b_form(-(x + h) % q, x * h % q) % q
+def _count_on_hasse(ctx: PrimeContext) -> Dict[str, object]:
+    """N1, N3, the degree histogram and the classification verdict of the
+    Hasse polynomial H, made monic.
 
-
-def _at(p: FpPoly, table: List[FpPoly]) -> FpPoly:
-    """p(h) mod f, from table[k] = h^k mod f, k <= deg p."""
-    out = FpPoly.zero(p.modulus)
-    for c, hk in zip(p.coeffs, table):
-        out = out + c * hk
-    return out
-
-
-def _f7_pair(l: int):
-    """f_7(x, t) = n - t m with n = (x^2-x+1)^3 and m = x(x-1)p(x): an
-    irreducible sextic with root b equals f_7(x, t0) exactly when
-    (n/m)(b) = t0 lies in F_l, both being the minimal polynomial of b."""
-    return [(FpPoly.make(l, C.F7_N), FpPoly.make(l, C.F7_M))]
-
-
-def _family_pairs(l: int):
-    """The three quadratic families x^2 + a x + b with a = (alpha-1) b - alpha,
-    alpha a root of x^3 - 8x^2 + 5x + 1 (equivalent to B(a, b) = 0, l = 1, 6
-    mod 7).  x^2 + a x + b = (x^2 - alpha x) + b ((alpha-1) x + 1), so an
-    irreducible quadratic with root r is in the alpha family exactly when
-    (x^2 - alpha x) / ((alpha-1) x + 1) takes an F_l value at r."""
-    alphas = distinct_roots_in_fp(FpPoly.make(l, C.P_CUBIC))
-    if len(alphas) != 3:
-        raise StructuralError(f"p-cubic does not split at l={l} = {l % 7} (mod 7)")
-    return [(FpPoly.make(l, [0, -alpha, 1]), FpPoly.make(l, [1, alpha - 1])) for alpha in alphas]
+    With e = 2 for l = 1, 6 (mod 7) and e = 6 otherwise (the lcm of the
+    degrees the factor-type rules allow), and h_d = x^(l^d) mod H, G is the
+    gcd of H with the product mod H of h_d - x over the proper divisors d of
+    e (d = 2, 3 at e = 6 also hold d = 1).  The distinct-degree split of G,
+    of small degree, gives the counts: one `_ddf(G, powers)` with the h_d
+    already at hand.  h_e = x mod H certifies that every factor degree
+    divides e, so the degree-e count of the histogram is what the smaller
+    degrees leave over; if that certificate fails, so does the
+    classification, and the rest of H is split, by the same powers, to show
+    the offending degree.
+    """
+    l = ctx.l
+    f = hasse_poly(ctx).monic()
+    one, x = FpPoly.one(l), FpPoly.x(l)
+    e, divisors = (2, (1,)) if l % 7 in (1, 6) else (6, (2, 3))
+    powers = [x]  # powers[d] = x^(l^d) mod f
+    for _ in range(e):
+        powers.append(powers[-1].powmod(l, f))
+    test = one
+    for d in divisors:
+        test = test * (powers[d] - x) % f
+    parts = _ddf(f.gcd(test), powers)
+    done = {d: g for d, g in parts.items() if d < e and e % d == 0}  # every factor of degree d
+    histogram = {d: g.degree // d for d, g in done.items()}
+    if powers[e] == x % f:
+        left = f.degree - sum(g.degree for g in done.values())
+        if left:
+            histogram[e] = left // e
+        classification_ok = _factor_type_rules(ctx, histogram, done)
+    else:  # some factor degree does not divide e: split the rest to show it
+        rest = f // math.prod(done.values(), start=one)
+        histogram.update((d, g.degree // d) for d, g in _ddf(rest, powers).items())
+        classification_ok = False
+    return {
+        "N1": parts.get(1, one).degree,
+        "N3": parts.get(3, one).degree // 3,
+        "degree_histogram": dict(sorted(histogram.items())),
+        "classification_ok": classification_ok,
+    }
 
 
 def count_factors(
@@ -195,36 +244,20 @@ def count_factors(
     irreducible quadratics x^2+ax+b with B(a, b) = 0, N6 only the sextics
     f_7(x, t) with t in F_l.
 
-    With the histogram, f is H made monic.  Without it (the need-restricted
-    counts), f is `_fibres`' G_T, the factors of H over the F_l-roots t of
-    ss^(7*), of degree at most 6 |T| where H has about 2l, and H is not
-    built.  Every count factor lies over such a t: a root b of H has t(b) a
-    root of ss^(7*) (`_fibres`), whose roots lie in F_(l^2); on a linear or
-    cubic factor t(b) lies in F_l or F_(l^3), hence in F_l; N6 counts the
-    fibres over t in F_l by definition; and on an alpha-family quadratic
-    with roots r, r^l, sigma(x) = (alpha - x) / ((alpha - 1) x + 1) maps r
-    to r^l and preserves t = n/m (both exact identities in the tests), so
+    Every counted factor lies over an F_l-root t of ss^(7*), so the counts
+    are sums over `_fibres`' pieces: a root b of H has t(b) a root of
+    ss^(7*) (`_fibres`), whose roots lie in F_(l^2); on a linear or cubic
+    factor t(b) lies in F_l or F_(l^3), hence in F_l; N6 counts the fibres
+    over t in F_l by definition; and on an alpha-family quadratic with roots
+    r, r^l, sigma(x) = (alpha - x) / ((alpha - 1) x + 1) maps r to r^l and
+    preserves t = n/m (both exact identities in the tests), so
     t(r)^l = t(r^l) = t(r) is in F_l.  The quadratic x^2 - x + 1 of l = 2..5
-    (mod 7) lies over t = 0.
+    (mod 7) lies over t = 0.  At e = 2 (l = 1, 6 mod 7) every quadratic over
+    these t must have B(a, b) = 0, so N2 must equal their number.
 
-    One gcd on f finds them.  With e = 2 for l = 1, 6 (mod 7) and e = 6
-    otherwise (the lcm of the degrees the factor-type rules allow), and
-    h_d = x^(l^d) mod f, G is the gcd of f with the product mod f of h_d - x
-    over the proper divisors d of e (d = 2, 3 at e = 6 also hold d = 1) and of
-    the Frobenius shape test n(h_1) m - n m(h_1) for `_f7_pair` (N6) or
-    `_family_pairs` (N2), which vanishes at a root b exactly when (n/m)(b) is
-    in F_l; n(h_1) and m(h_1) come from one table of h_1^k mod f.  The
-    distinct-degree split of G, of small degree, gives the counts: one
-    `_ddf(G, powers)` with the h_d already at hand, which needs no further
-    power when the last one certifies G.  h_e = x mod f certifies that every
-    factor degree divides e, so the degree-e count of the histogram is what
-    the smaller degrees leave over; if that certificate fails, so does the
-    classification, and the rest of f is split, by the same powers, to show
-    the offending degree.  N2 is half the degree of the gcd of
-    the degree-2 part with its B residue (`_b_residue`), unsplit, at both e;
-    at e = 2 every family quadratic must have B(a, b) = 0, so that count must
-    equal the degree-2 count.
-    `with_histogram=False` takes only the tests and powers that `need` asks for.
+    Without the histogram every count comes from the fibres, and H is not
+    built.  With it, H gives N1, N3, the degree histogram and the
+    classification verdict (`_count_on_hasse`), and the fibres N2 and N6.
     """
     need = frozenset(need)
     if not need <= ALL_COUNTS:
@@ -232,68 +265,22 @@ def count_factors(
     l = ctx.l
     if ss is None:
         ss = ss_poly(ctx)
-    f = hasse_poly(ctx).monic() if with_histogram else _fibres(ctx, ss)
-    one, x = FpPoly.one(l), FpPoly.x(l)
-
-    if l % 7 in (1, 6):
-        e = 2
-        pairs = _family_pairs(l) if "N2" in need else []
-        divisors = {1} if with_histogram or "N1" in need else set()
-    else:
-        e = 6
-        pairs = _f7_pair(l) if "N6" in need else []
-        divisors = {d for d, n in ((2, "N2"), (3, "N3")) if with_histogram or n in need} or (
-            {1} if "N1" in need else set())
-    powers = [x]  # powers[d] = x^(l^d) mod f
-    for _ in range(e if with_histogram else max([*divisors, 1 if pairs else 0])):
-        powers.append(powers[-1].powmod(l, f))
-
-    test = one
-    table = [one]  # table[k] = h_1^k mod f, up to the largest degree in pairs
-    for _ in range(max((max(n.degree, m.degree) for n, m in pairs), default=0)):
-        table.append(table[-1] * powers[1] % f)
-    for n, m in pairs:
-        test = test * ((_at(n, table) * m - n * _at(m, table)) % f) % f
-    for d in divisors:
-        test = test * (powers[d] - x) % f
-    certified = with_histogram and powers[e] == x % f
-    g = f.gcd(test)
-    parts = _ddf(g, powers)
-
-    def count(d: int) -> int:
-        return parts.get(d, one).degree // d
-
-    n2 = None
-    if "N2" in need:
-        q = parts.get(2)
-        # h_1 mod G reuses the inverse the split prepared for G; q holds none yet
-        n2 = q.gcd(_b_residue(q, powers[1] % g)).degree // 2 if q is not None else 0
-        if e == 2 and n2 != count(2):
-            raise StructuralError("family quadratic violates B(a, b) = 0")
-
-    histogram = classification_ok = None
+    report = {}
     if with_histogram:
-        done = {d: g for d, g in parts.items() if d < e and e % d == 0}  # every factor of degree d
-        histogram = {d: g.degree // d for d, g in done.items()}
-        if certified:
-            left = f.degree - sum(g.degree for g in done.values())
-            if left:
-                histogram[e] = left // e
-            classification_ok = _factor_type_rules(ctx, histogram, done)
-        else:  # some factor degree does not divide e: split the rest to show it
-            rest = f // math.prod(done.values(), start=one)
-            histogram.update((d, g.degree // d) for d, g in _ddf(rest, powers).items())
-            classification_ok = False
-        histogram = dict(sorted(histogram.items()))
+        report = _count_on_hasse(ctx)
+        need = need - {"N1", "N3"}
+    if need:
+        pieces = _fibres(ctx, ss, "N2" in need).values()
 
-    return FactorCountReport(
-        N1=count(1) if ("N1" in need or with_histogram) else None,
-        N2=n2,
-        N3=count(3) if ("N3" in need or with_histogram) else None,
-        N6=count(6) if "N6" in need else None,
-        degree_histogram=histogram,
-        classification_ok=classification_ok,
-    )
+        def total(d: int) -> int:
+            return sum(a.get(d, 0) for a, _ in pieces)
+
+        report.update((k, total(d)) for k, d in (("N1", 1), ("N3", 3), ("N6", 6)) if k in need)
+        if "N2" in need:
+            report["N2"] = sum(n2 for _, n2 in pieces)
+            if l % 7 in (1, 6) and report["N2"] != total(2):
+                raise StructuralError(f"a quadratic factor over the F_l-roots of ss^(7*) violates B(a, b) = 0 at l={l}")
+    return FactorCountReport(**report)
 
 
 def _factor_type_rules(ctx: PrimeContext, histogram, parts) -> bool:

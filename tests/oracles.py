@@ -2,17 +2,34 @@
 
 import math
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
 from fricke7 import constants as C
 from fricke7.classnum import kronecker
 from fricke7.errors import StructuralError
-from fricke7.exactring import pdeg
-from fricke7.ffpoly import Factorization, FpPoly, PrimeContext, _ddf, _edf, distinct_roots_in_fp, radical
-from fricke7.hasse7 import hasse_poly
+from fricke7.exactring import homogenize, pdeg
+from fricke7.ffpoly import (
+    Factorization,
+    FpPoly,
+    PrimeContext,
+    _ddf,
+    _edf,
+    _linear_part,
+    radical,
+    resultant_roots_in_fp,
+)
+from fricke7.hasse7 import _hasse_pieces, hasse_poly, ss_poly
 from fricke7.ss7star import _root_pairs
+
+
+def distinct_roots_in_fp(f: FpPoly) -> List[int]:
+    """The distinct roots of f in F_l, sorted: gcd(f, x^l - x), split."""
+    g = _linear_part(f)
+    if g.degree <= 0:
+        return []
+    return sorted(-lin.coeffs[0] % f.modulus for lin in _edf(g, 1))
 
 
 def b_value(l: int, a: int, b: int) -> int:
@@ -343,4 +360,150 @@ def ss7star_per_pair(ctx: PrimeContext, ss: FpPoly) -> FpPoly:
         if Y.powmod(p * p, rad) != Y % rad:
             raise StructuralError(f"j_7^* value outside F_(p^2) at p={p}")
         out = out * (rad // out.gcd(rad))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the shape-test route: the need-restricted counts as one gcd on G_T
+
+
+def homogenize_mod(coeffs: Sequence[int], num: FpPoly, den: FpPoly, f: FpPoly) -> FpPoly:
+    """sum_k c_k num^k den^(n-k) mod one f, n = len(coeffs) - 1, by baby and
+    giant steps (Paterson-Stockmeyer) on `FpPoly` products: the baby rows
+    u^i d^(K-1-i) and one matrix product give the blocks, the top one of
+    r <= K coefficients with its own rows, then Horner's rule in U = u^K with
+    the powers of D = d^K."""
+    l = f.modulus
+    k = max(1, math.isqrt(len(coeffs)))
+    padded = [c % l for c in coeffs] + [0] * (-len(coeffs) % k)
+    rows = np.array(padded, dtype=object).reshape(-1, k)
+    r = len(coeffs) - (len(rows) - 1) * k
+    u, w = num % f, den % f
+    up, dp = [FpPoly.one(l)], [FpPoly.one(l)]
+    for _ in range(k):
+        up.append(up[-1] * u % f)
+        dp.append(dp[-1] * w % f)
+
+    def block(row, s):
+        """sum_i row[i] u^i d^(s-1-i) mod f."""
+        out = FpPoly.make(l, [])
+        for i in range(s):
+            out = out + int(row[i]) * (up[i] * dp[s - 1 - i] % f)
+        return out
+
+    acc = block(rows[-1], r)
+    power_d = dp[r]
+    for j in range(len(rows) - 2, -1, -1):
+        acc = (acc * up[k] + block(rows[j], k) * power_d) % f
+        if j:
+            power_d = power_d * dp[k] % f
+    return acc
+
+
+def fibre_gcd(ctx: PrimeContext, ss: FpPoly) -> FpPoly:
+    """G_T = gcd(P, H mod P), P = prod_(t in T) f_7(x, t) = homogenize(prod
+    (Y - t), n, m): the factors of the Hasse polynomial H over the F_l-roots
+    t of ss^(7*), without building H (its Deuring sum reduced mod P)."""
+    l = ctx.l
+    T = resultant_roots_in_fp(ss, -FpPoly.make(l, C.R7_A), FpPoly.make(l, C.R7_B))
+    over_t = math.prod((FpPoly.make(l, [-t, 1]) for t in T), start=FpPoly.one(l))
+    P = homogenize(over_t.coeffs, FpPoly.make(l, C.F7_N), FpPoly.make(l, C.F7_M))
+    c, u, den, extra = _hasse_pieces(ctx)
+    return P.gcd(homogenize_mod(c, u, den, P) * extra % P)
+
+
+def b_residue(q: FpPoly, h: FpPoly) -> FpPoly:
+    """B(-(x + h), x h) mod q, for q a product of distinct irreducible quadratics
+    and h = x^l mod a multiple of q.  On a factor x^2 + a x + b with roots r, r^l,
+    x maps to r and h to r^l, so -(x + h) and x h reduce to a and b: by the CRT
+    the residue is zero exactly when B(a, b) = 0 on every factor, unsplit, and
+    its gcd with q is the product of the factors with B(a, b) = 0."""
+    x = FpPoly.x(q.modulus)
+    h = h % q
+    return C.b_form(-(x + h) % q, x * h % q) % q
+
+
+def _at(p: FpPoly, table) -> FpPoly:
+    """p(h) mod f, from table[k] = h^k mod f, k <= deg p."""
+    out = FpPoly.make(p.modulus, [])
+    for c, hk in zip(p.coeffs, table):
+        out = out + c * hk
+    return out
+
+
+def f7_pair(l: int):
+    """f_7(x, t) = n - t m: an irreducible sextic with root b equals
+    f_7(x, t0) exactly when (n/m)(b) = t0 lies in F_l."""
+    return [(FpPoly.make(l, C.F7_N), FpPoly.make(l, C.F7_M))]
+
+
+def family_pairs(l: int):
+    """The three quadratic families x^2 + a x + b with a = (alpha-1) b - alpha,
+    alpha a root of x^3 - 8x^2 + 5x + 1 (l = 1, 6 mod 7): an irreducible
+    quadratic with root r is in the alpha family exactly when
+    (x^2 - alpha x) / ((alpha-1) x + 1) takes an F_l value at r."""
+    alphas = distinct_roots_in_fp(FpPoly.make(l, C.P_CUBIC))
+    if len(alphas) != 3:
+        raise StructuralError(f"p-cubic does not split at l={l} = {l % 7} (mod 7)")
+    return [(FpPoly.make(l, [0, -alpha, 1]), FpPoly.make(l, [1, alpha - 1])) for alpha in alphas]
+
+
+def shape_test_counts(ctx: PrimeContext, need: Sequence[str], ss: Optional[FpPoly] = None):
+    """The counts `need` asks for, as a dict, by the shape-test route on
+    f = G_T (`fibre_gcd`): with e = 2 for l = 1, 6 (mod 7) and e = 6
+    otherwise and h_d = x^(l^d) mod f, G is the gcd of f with the product of
+    h_d - x over the divisors d the counts need and of the Frobenius shape
+    test n(h_1) m - n m(h_1) for `f7_pair` (N6) or `family_pairs` (N2),
+    which vanishes at a root b exactly when (n/m)(b) is in F_l; the split of
+    G gives the counts, and N2 is half the degree of the gcd of G's
+    quadratic part with its B residue (`b_residue`).  At e = 2 every family
+    quadratic must have B(a, b) = 0."""
+    need = frozenset(need)
+    l = ctx.l
+    f = fibre_gcd(ctx, ss_poly(ctx) if ss is None else ss)
+    one, x = FpPoly.one(l), FpPoly.x(l)
+    if l % 7 in (1, 6):
+        e = 2
+        pairs = family_pairs(l) if "N2" in need else []
+        divisors = {1} if "N1" in need else set()
+    else:
+        e = 6
+        pairs = f7_pair(l) if "N6" in need else []
+        divisors = {d for d, n in ((2, "N2"), (3, "N3")) if n in need} or ({1} if "N1" in need else set())
+    powers = [x]
+    for _ in range(max([*divisors, 1 if pairs else 0])):
+        powers.append(powers[-1].powmod(l, f))
+    test, table = one, [one]
+    for _ in range(max((max(n.degree, m.degree) for n, m in pairs), default=0)):
+        table.append(table[-1] * powers[1] % f)
+    for n, m in pairs:
+        test = test * ((_at(n, table) * m - n * _at(m, table)) % f) % f
+    for d in divisors:
+        test = test * (powers[d] - x) % f
+    g = f.gcd(test)
+    parts = _ddf(g, powers)
+    out = {k: parts.get(d, one).degree // d for k, d in (("N1", 1), ("N3", 3), ("N6", 6)) if k in need}
+    if "N2" in need:
+        q = parts.get(2)
+        out["N2"] = q.gcd(b_residue(q, powers[1] % g)).degree // 2 if q is not None else 0
+        if e == 2 and out["N2"] != parts.get(2, one).degree // 2:
+            raise StructuralError("family quadratic violates B(a, b) = 0")
+    return out
+
+
+def fibre_pieces(ctx: PrimeContext):
+    """{t: (counts, n2)} for the t in T over which the Hasse polynomial H has
+    a factor: the piece gcd(f_7(x, t), H), built from H itself and split by
+    `_ddf` ({degree: number of factors}), and the number of its quadratic
+    factors x^2 + a x + b with B(a, b) = 0, split by `_edf`."""
+    l = ctx.l
+    H = hasse_poly(ctx)
+    T = resultant_roots_in_fp(ss_poly(ctx), -FpPoly.make(l, C.R7_A), FpPoly.make(l, C.R7_B))
+    out = {}
+    for t in T:
+        piece = FpPoly.make(l, C.expand_f7(t)).gcd(H)
+        if piece.degree > 0:
+            parts = _ddf(piece)
+            quads = [g.monic().coeffs for g in _edf(parts[2], 2)] if 2 in parts else []
+            out[t] = ({d: g.degree // d for d, g in parts.items()}, sum(b_value(l, q[1], q[0]) == 0 for q in quads))
     return out

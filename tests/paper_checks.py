@@ -19,12 +19,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from fricke7 import constants as C
 from fricke7.exactalg import REGISTRY as IDENTITIES
 from fricke7.exactalg import IdentityResult, verify_identity
-from fricke7.ffpoly import FpPoly, PrimeContext, _ddf, distinct_roots_in_fp, radical
+from fricke7.ffpoly import FpPoly, PrimeContext, _ddf, radical
 from fricke7.hasse7 import FactorCountReport, count_factors, ss_poly, verify_count_formulas
 from fricke7.qseries import DEFAULT_PREC, SeriesIdentityResult, verify_series_identity
 from fricke7.qseries import REGISTRY as SERIES_IDENTITIES
 from fricke7.ss7star import SS7StarReport, counts_and_nakaya
 from fricke7.sweep import run_parallel
+from oracles import distinct_roots_in_fp
 
 
 def sqrt_mod(a: int, p: int) -> Optional[int]:

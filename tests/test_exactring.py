@@ -162,14 +162,14 @@ prime = st.sampled_from([13, 1999])
 @given(prime, coeff_list, short_list, short_list)
 def test_homogenize_fppoly(l, coeffs, num, den):
     num, den = FpPoly.make(l, num), FpPoly.make(l, den)
-    assert homogenize(coeffs, num, den) == _direct_homogenize(coeffs, num, den, FpPoly.zero(l))
+    assert homogenize(coeffs, num, den) == _direct_homogenize(coeffs, num, den, FpPoly.make(l, []))
 
 
 @settings(max_examples=60, deadline=None)
 @given(prime, coeff_list, short_list, st.integers(-50, 50))
 def test_homogenize_fppoly_int_den(l, coeffs, num, den):
     num = FpPoly.make(l, num)
-    assert homogenize(coeffs, num, den) == _direct_homogenize(coeffs, num, den, FpPoly.zero(l))
+    assert homogenize(coeffs, num, den) == _direct_homogenize(coeffs, num, den, FpPoly.make(l, []))
 
 
 @settings(max_examples=40, deadline=None)

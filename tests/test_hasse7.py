@@ -4,6 +4,7 @@ import random
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
 import oracles
@@ -11,7 +12,7 @@ from fricke7 import constants as C
 from fricke7 import cli, ffpoly, hasse7, ss7star, sweep
 from fricke7.classnum import kronecker
 from fricke7.errors import StructuralError
-from fricke7.ffpoly import FpPoly, PrimeContext, distinct_roots_in_fp, factorize, radical
+from fricke7.ffpoly import FpPoly, PrimeContext, factorize, radical
 from fricke7.hasse7 import (
     count_factors,
     deuring_J,
@@ -21,6 +22,7 @@ from fricke7.hasse7 import (
 )
 from fricke7.ss7star import L7STAR_NEED, counts_and_nakaya
 from fricke7.sweep import primes_in
+from oracles import distinct_roots_in_fp
 from paper_checks import g_of_x_j, verified_report, verify_g_factor_counts, verify_special_factorizations
 
 SWEEP_PRIMES = [p for p in primes_in(5, 400) if p != 7]
@@ -72,7 +74,7 @@ class TestHassePoly:
         assert H.degree == 20
         f0 = FpPoly.make(11, C.F0)
         f1728 = FpPoly.make(11, C.F1728)
-        assert H % f0 == FpPoly.zero(11) and H % f1728 == FpPoly.zero(11)
+        assert H % f0 == FpPoly.make(11, []) and H % f1728 == FpPoly.make(11, [])
 
     def test_l13_degree_24(self):
         assert hasse_poly(PrimeContext.make(13)).degree == 24
@@ -224,38 +226,36 @@ class TestCountingPath:
 
     @pytest.mark.parametrize("p", [113, 41, 2003, 1987])  # l = 1, 6 (mod 7)
     def test_no_n6_work_without_sextics(self, p):
-        """The rules allow no sextic here: the count builds no f_7 pair."""
-        with mock.patch.object(hasse7, "_f7_pair", wraps=hasse7._f7_pair) as f7:
+        """The rules allow no sextic here: the traces find no factor of degree
+        above 2 on any fibre over T, so N6 = 0 needs no split."""
+        real, found = ffpoly.Moduli.factor_counts, []
+
+        def spy(self, h):
+            out = real(self, h)
+            found.extend(c for c in out if c is not None)
+            return out
+
+        with mock.patch.object(ffpoly.Moduli, "factor_counts", autospec=True, side_effect=spy) as counts:
             rep = count_factors(PrimeContext.make(p))
-        assert rep.N6 == 0 and not f7.called
+        assert counts.call_count == 1 and found
+        assert rep.N6 == 0 and all(max(c) <= 2 for c in found)
 
     @pytest.mark.parametrize("p", NEAR_2000)
     def test_one_gcd_on_hasse(self, p):
         """A full count runs one gcd with an operand of degree >= l (the Hasse
         polynomial has degree about 2l); the distinct-degree split that follows
-        works on that gcd's small output.  Only l = 2..5 (mod 7) builds the
-        f_7 pair, and only l = 1, 6 takes the roots of the p-cubic."""
-        cubic = FpPoly.make(p, C.P_CUBIC)
-        with mock.patch.object(
-            FpPoly, "gcd", autospec=True, side_effect=FpPoly.gcd
-        ) as gcd, mock.patch.object(
-            hasse7, "_f7_pair", wraps=hasse7._f7_pair
-        ) as f7, mock.patch.object(
-            hasse7, "distinct_roots_in_fp", wraps=hasse7.distinct_roots_in_fp
-        ) as roots:
+        works on that gcd's small output, and N2 and N6 come from the fibres,
+        with no shape test on the Hasse polynomial."""
+        with mock.patch.object(FpPoly, "gcd", autospec=True, side_effect=FpPoly.gcd) as gcd:
             rep = count_factors(PrimeContext.make(p))
         big = [c for c in gcd.call_args_list if max(op.degree for op in c.args) >= p]
         assert len(big) == 1
-        sextics_allowed = p % 7 in (2, 3, 4, 5)
-        assert f7.called == sextics_allowed
-        assert any(c.args == (cubic,) for c in roots.call_args_list) != sextics_allowed
         assert rep.classification_ok
-
 
     @pytest.mark.parametrize("p", NEAR_2000)
     def test_one_newton_inverse_of_hasse(self, p):
-        """The powmod chain, the table of h_1^k and the test product all reduce
-        mod the Hasse polynomial f through the one `_Modulus` kept on f."""
+        """The powmod chain and the test product all reduce mod the Hasse
+        polynomial f through the one `_Modulus` kept on f."""
         ctx = PrimeContext.make(p)
         rev = hasse_poly(ctx).monic().coeffs[::-1]
         with mock.patch.object(ffpoly, "_inv_series", wraps=ffpoly._inv_series) as inv:
@@ -264,10 +264,10 @@ class TestCountingPath:
         assert len(of_f) == 1
 
     def test_every_division_enters_a_modulus(self):
-        """Over one `count_factors` at l = 1999 and one nakaya worker at 283,
-        every division by a non-constant `FpPoly` enters `_Modulus.divmod`
-        once, and every powmod by one reduces its base there and each of its
-        products through `_Modulus.residue`."""
+        """Over `count_factors` at the six primes near 2000 and one nakaya
+        worker at 283, every division by a non-constant `FpPoly` enters
+        `_Modulus.divmod` once, and every powmod by one reduces its base there
+        and each of its products through `_Modulus.residue`."""
         entered = {"divmod": 0, "residue": 0}
         modulus_divmod, modulus_residue = ffpoly._Modulus.divmod, ffpoly._Modulus.residue
         poly_divmod, poly_powmod = FpPoly.__divmod__, FpPoly.powmod
@@ -297,9 +297,9 @@ class TestCountingPath:
         with mock.patch.object(ffpoly._Modulus, "divmod", counted("divmod", modulus_divmod)), \
                 mock.patch.object(ffpoly._Modulus, "residue", counted("residue", modulus_residue)), \
                 mock.patch.object(FpPoly, "__divmod__", divmod_), mock.patch.object(FpPoly, "powmod", powmod):
-            rep = count_factors(PrimeContext.make(1999))
+            reps = [count_factors(PrimeContext.make(p)) for p in NEAR_2000]
             row = sweep._nakaya_worker((283, False))
-        assert rep.classification_ok and "error" not in row and row["consistency"] == "PASS"
+        assert all(rep.classification_ok for rep in reps) and "error" not in row and row["consistency"] == "PASS"
         assert len(divisions) > 50 and set(divisions) == {1}
         assert len(powmods) > 10 and set(powmods) == {(True, 0)}
 
@@ -314,13 +314,16 @@ class TestSplitByPowers:
     the powers only after a passed certificate and split G afresh otherwise."""
 
     def test_against_ddf_and_edf_below_300(self):
+        """Every split equals the plain one; the split with the powers runs
+        once per count (the fibres' special pieces split without them)."""
         ddf = hasse7._ddf
         seen = []
 
         def checked(g, powers=()):
             parts = ddf(g, powers)
             assert parts == ffpoly._ddf(g)
-            seen.append(g.modulus)
+            if powers:
+                seen.append(g.modulus)
             return parts
 
         primes = [p for p in primes_in(5, 300) if p != 7]
@@ -354,11 +357,14 @@ class TestSplitByPowers:
                 assert count_factors(ctx, need=need, with_histogram=False, ss=ss) == want, (l, need)
 
     def test_restricted_split_takes_the_given_powers(self):
-        """At l = 59 (3 mod 7) the N1/N3 count holds h_d = x^(l^d) mod f for
-        d <= 3, and G = gcd(f, h_3 - x) has only cubic factors: its split
-        takes one gcd, at d = 1, and no powmod.  The N6 count holds h_1 alone:
-        step 1 takes it, and only the later steps run a powmod."""
+        """At l = 59 (3 mod 7) the full count holds h_d = x^(l^d) mod H for
+        d <= 6, and G = gcd(H, (h_2 - x)(h_3 - x)), of factor degrees 1, 2
+        and 3, splits by gcds alone, with no powmod.  The restricted counts
+        take no powers of H: they split only the pieces of the fibres whose
+        residue is not zero, over t = 0, -1 and 27 (r = mu = 1 at 59), each
+        of degree below 6."""
         ctx = PrimeContext.make(59)
+        assert (ctx.r, ctx.mu7) == (1, 1)
         ddf, powmod, gcd = hasse7._ddf, FpPoly.powmod, FpPoly.gcd
         runs, log = [], None
 
@@ -368,7 +374,7 @@ class TestSplitByPowers:
             try:
                 return ddf(g, powers)
             finally:
-                runs.append((len(powers) - 1, log))
+                runs.append((g.degree, len(powers) - 1, log))
                 log = None
 
         def powmod_spy(self, e, mod):
@@ -383,14 +389,15 @@ class TestSplitByPowers:
 
         with mock.patch.object(hasse7, "_ddf", ddf_spy), mock.patch.object(FpPoly, "powmod", powmod_spy), \
                 mock.patch.object(FpPoly, "gcd", gcd_spy):
-            n3 = count_factors(ctx, need=("N1", "N3"), with_histogram=False)
-            assert runs == [(3, ["gcd"])] and n3.N3 > 0
+            full = count_factors(ctx)
+            ((_, e, steps),) = [r for r in runs if r[1] >= 0]
+            assert e == 6 and steps and set(steps) == {"gcd"}
             runs.clear()
-            n6 = count_factors(ctx, need=("N6",), with_histogram=False)
-        ((e, steps),) = runs
-        assert e == 1 and n6.N6 > 0
-        assert steps[0] == "gcd" and steps.count("powmod") == steps.count("gcd") - 1 > 0
-        assert (n3.N3, n6.N6) == (count_factors(ctx).N3, count_factors(ctx).N6)
+            with mock.patch.object(hasse7, "hasse_poly", side_effect=AssertionError("H built")):
+                n3 = count_factors(ctx, need=("N1", "N3"), with_histogram=False)
+                n6 = count_factors(ctx, need=("N6",), with_histogram=False)
+        assert len(runs) == 6 and all(e == -1 and 0 < d < 6 for d, e, _ in runs)
+        assert (n3.N1, n3.N3, n6.N6) == (full.N1, full.N3, full.N6) and n3.N3 > 0 and n6.N6 > 0
 
 
 class TestFailedCertificate:
@@ -419,9 +426,11 @@ class TestFailedCertificate:
 
 
 class TestBResidue:
-    """`_b_residue` checks B(a, b) = 0 on every quadratic of a product at once,
-    and its gcd with the product counts the quadratics with B(a, b) = 0; the
-    oracle splits the product and reads B on each factor."""
+    """B(a, b) = 0 on every quadratic factor, checked mod a whole stack of
+    sextics at once: (h - x) B(-(x + h), x h) with h = x^l vanishes mod a
+    sextic whose factors are linear and quadratic exactly when every
+    quadratic has B(a, b) = 0; the oracle splits each sextic and reads B on
+    each factor."""
 
     @pytest.mark.parametrize("l", [29, 41, 43, 83])
     def test_against_split_oracle(self, l):
@@ -430,34 +439,59 @@ class TestBResidue:
         on_b = [q for q in irreducible if oracles.b_value(l, *q) == 0]
         off_b = [q for q in irreducible if oracles.b_value(l, *q) != 0]
         assert on_b and off_b
-        seen = set()
+        rows, want = [], []
         for _ in range(40):
-            picks = rng.sample(on_b, rng.randrange(1, 5)) + rng.sample(off_b, rng.randrange(0, 3))
+            k = rng.randrange(1, 4)
+            picks = rng.sample(on_b, k - rng.randrange(0, k)) if rng.randrange(2) else rng.sample(on_b, k)
+            picks += rng.sample(off_b, k - len(picks))
             q = FpPoly.one(l)
             for a, b in picks:
                 q = q * FpPoly.make(l, [b, a, 1])
-            h = FpPoly.x(l).powmod(l, q)
-            on = [oracles.b_value(l, g.coeffs[1], g.coeffs[0]) == 0 for g in ffpoly._edf(q, 2)]
-            split = all(on)
-            residue = hasse7._b_residue(q, h)
-            assert residue.is_zero == split, picks
-            assert q.gcd(residue).degree // 2 == sum(on), picks
-            seen.add(split)
-        assert seen == {True, False}
+            for c in rng.sample(range(l), 6 - q.degree):
+                q = q * FpPoly.make(l, [-c, 1])
+            rows.append(q.coeffs)
+            want.append(all(oracles.b_value(l, g.coeffs[1], g.coeffs[0]) == 0 for g in ffpoly._edf(
+                ffpoly._ddf(q)[2], 2)))
+        stack = ffpoly.Moduli(l, np.array(rows, dtype=np.int64))
+        x = stack.residues(FpPoly.x(l))
+        h = x ** l
+        assert ((h - x) * C.b_form(-(x + h), x * h)).is_zero() == want
+        assert set(want) == {True, False}
 
     @pytest.mark.parametrize("l", [41, 43, 83])
     def test_wrong_family_is_refused(self, l):
-        """Shifting the family roots to alpha + 1 brings quadratics with
-        B(a, b) != 0 into the family part, and the count refuses them."""
-        roots = hasse7.distinct_roots_in_fp
-        cubic = FpPoly.make(l, C.P_CUBIC)
+        """A quadratic with B(a, b) != 0 over T is refused by the N2 count.
+        No fibre f_7(x, t) has one (sigma_alpha preserves t), so one is
+        planted: a sextic with such a factor takes the place of the fibre
+        over a t added to T, and the Hasse polynomial gains it as a factor.
+        The traces give its factor counts, the stacked B test fails on it,
+        and its split counts fewer B-quadratics than quadratics."""
+        ctx = PrimeContext.make(l)
+        ss = ss_poly(ctx)
+        T = hasse7.resultant_roots_in_fp(ss, -FpPoly.make(l, C.R7_A), FpPoly.make(l, C.R7_B))
+        t = min(set(range(l)) - set(T))
+        a, b = next((a, b) for a in range(l) for b in range(l)
+                    if kronecker(a * a - 4 * b, l) == -1 and oracles.b_value(l, a, b))
+        planted = FpPoly.make(l, [b, a, 1]) * FpPoly.make(l, [0, 1]) * FpPoly.make(l, [1, 1]) \
+            * FpPoly.make(l, [2, 1]) * FpPoly.make(l, [3, 1])
+        real = hasse7._hasse_pieces
 
-        def shifted(f):
-            return [(a + 1) % l for a in roots(f)] if f == cubic else roots(f)
+        def pieces(ctx):
+            c, u, den, extra = real(ctx)
+            return c, u, den, extra * planted
 
-        with mock.patch.object(hasse7, "distinct_roots_in_fp", side_effect=shifted):
+        class Planted(ffpoly.Moduli):
+            @classmethod
+            def pencil(cls, l, n, m, ts):
+                stack = ffpoly.Moduli.pencil(l, n, m, ts)
+                stack.f[list(ts).index(t)] = planted.coeffs
+                return stack
+
+        assert count_factors(ctx, need=("N2",), with_histogram=False, ss=ss).N2 > 0
+        with mock.patch.object(hasse7, "resultant_roots_in_fp", return_value=sorted(T + [t])), \
+                mock.patch.object(hasse7, "_hasse_pieces", pieces), mock.patch.object(hasse7, "Moduli", Planted):
             with pytest.raises(StructuralError, match=r"violates B\(a, b\) = 0"):
-                count_factors(PrimeContext.make(l))
+                count_factors(ctx, need=("N2",), with_histogram=False, ss=ss)
 
 
 class TestFactorTypeRules:
@@ -551,7 +585,7 @@ class TestStructuralProperties:
                     t = (-f.coeffs[5] - 3) % p
                     cand = FpPoly.make(p, C.expand_f7(t))
                     if f == cand:
-                        assert H % cand == FpPoly.zero(p)
+                        assert H % cand == FpPoly.make(p, [])
 
     def test_root_set_closed_under_g7_maps(self):
         """Roots of the squarefree part are permuted by phi, and by T_alpha when
@@ -563,7 +597,7 @@ class TestStructuralProperties:
             sf = radical(hasse_poly(ctx)).monic()
             n = sf.degree
             # phi: sum c_k (1-x)^(n-k) built from sf's coefficients
-            acc = FpPoly.zero(p)
+            acc = FpPoly.make(p, [])
             omx = FpPoly.make(p, [1, -1])
             for k, c in enumerate(sf.coeffs):
                 if c:
@@ -573,7 +607,7 @@ class TestStructuralProperties:
                 alphas = distinct_roots_in_fp(FpPoly.make(p, C.P_CUBIC))
                 assert len(alphas) == 3
                 alpha = alphas[0]
-                accT = FpPoly.zero(p)
+                accT = FpPoly.make(p, [])
                 num = FpPoly.make(p, [-alpha, 1])
                 den = FpPoly.make(p, [-1, 1 - alpha])
                 for k, c in enumerate(sf.coeffs):

@@ -35,6 +35,7 @@ def test_bench_counts_runs(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     (out,) = tmp_path.glob("BENCH_count_factors_*.json")
+    assert out.name.endswith("-p41-59-n2.json")
     bench = json.loads(out.read_text())
     assert [r["p"] for r in bench["rows"]] == [41, 59]
     assert all(len(r["runs_s"]) == 2 and r["verdicts"]["factor_types"] == "PASS" for r in bench["rows"])
@@ -43,8 +44,10 @@ def test_bench_counts_runs(tmp_path):
         len(r["runs_s"]) == 2 and r["oracle_match"] and r["nakaya_ok"] and r["consistency_ok"]
         for r in bench["nakaya_rows"]
     )
+    # --primes replaces the per-prime rows only: the CLI calls keep their primes
+    nakaya_mix = [31, 139, 229, 499, 659, 907]
     assert [(r["command"], r["primes"], r["jobs"]) for r in bench["cli_rows"]] == [
-        ("hasse", [41, 59], 2), ("nakaya", [41, 59], 2), ("ss7star", [41, 59], 2)]
+        ("hasse", [1901, 2083], 2), ("nakaya", nakaya_mix, 2), ("ss7star", nakaya_mix, 2)]
     assert all(len(r["runs"]) == 2 and all(r[m] > 0 for m in ("wall_s", "cpu_s", "peak_rss_mb"))
                for r in bench["cli_rows"])
     assert bench["machine"]["cpus"] and bench["sha"]
@@ -69,7 +72,8 @@ def test_bench_counts_paired_runs(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     files = {p.name: json.loads(p.read_text()) for p in out_dir.glob("BENCH_count_factors_*.json")}
-    assert sorted(files) == ["BENCH_count_factors_unknown-other.json", "BENCH_count_factors_unknown-this.json"]
+    assert sorted(files) == ["BENCH_count_factors_unknown-p41-59-n2-other.json",
+                             "BENCH_count_factors_unknown-p41-59-n2-this.json"]
     for name, bench in files.items():
         assert bench["paired"]["with"] in files and bench["paired"]["with"] != name
         rows = bench["rows"] + bench["nakaya_rows"]

@@ -203,7 +203,7 @@ class TestResultantShape:
             Y1**2 * Y2,
             Y1**2 * 2,  # 2 is not a square mod 37
             FpPoly.make(37, [2]),
-            FpPoly.zero(37),
+            FpPoly.make(37, []),
         ],
         ids=["mult4", "mult2-and-4", "mult3", "mult1", "nonsquare-lc", "nonsquare-constant", "zero"],
     )
