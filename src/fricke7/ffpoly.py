@@ -1043,11 +1043,9 @@ class Moduli:
         return self._table[:, :n]
 
     def _reduce(self, v):
-        """v mod every f_t, reduced, shape (T, d): v one vector, or a row per f_t."""
-        n = v.shape[-1]
-        assert _block_fits(self.l, n), "stacked reduction outside the int64 bound"
-        rows = self._rows(n)
-        return (v @ rows if v.ndim == 1 else (v[:, None] @ rows)[:, 0]) % self.l
+        """The vector v mod every f_t, reduced, shape (T, d)."""
+        assert _block_fits(self.l, len(v)), "stacked reduction outside the int64 bound"
+        return v @ self._rows(len(v)) % self.l
 
     def _mulmod(self, a, b):
         """The products a_t b_t mod f_t of two stacks of residues: the d^2

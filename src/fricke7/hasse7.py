@@ -161,10 +161,9 @@ def _fibres(ctx: PrimeContext, ss: FpPoly, with_n2: bool) -> Dict[int, Tuple[Dic
         if piece.degree > 0:
             parts = _ddf(piece)
             q, n2 = parts.get(2), (0 if with_n2 else None)
-            if with_n2 and q is not None:
-                x1 = FpPoly.x(l)
-                h1 = x1.powmod(l, q)
-                n2 = q.gcd(C.b_form(-(x1 + h1) % q, x1 * h1 % q) % q).degree // 2
+            if with_n2 and q is not None:  # q divides f_7(x, t), so h reduces to x^l mod q
+                xq, hq = FpPoly.x(l), h.poly(i) % q
+                n2 = q.gcd(C.b_form(-(xq + hq) % q, xq * hq % q) % q).degree // 2
             out[t] = ({d: g.degree // d for d, g in parts.items()}, n2)
     return out
 
