@@ -3,7 +3,7 @@
 
 A record is one JSON file: the band (`A..B`), the machine, the wall time,
 CPU time (the CLI process and its sweep workers) and peak resident set of
-each sweep, and the payload rows of `fricke7 hasse` and `fricke7 nakaya` over
+each sweep, each run in a fresh child process, and the payload rows of `fricke7 hasse` and `fricke7 nakaya` over
 the band with `--jobs N`, as the CLI writes them.
 
     PYTHONPATH=src python scripts/check_band.py --band 29000..30000 tests/count_reports_29000_30000.json
@@ -23,6 +23,7 @@ import argparse
 import json
 import os
 import resource
+import subprocess
 import sys
 import tempfile
 import time
@@ -34,25 +35,30 @@ SWEEPS = ("hasse", "nakaya")
 
 
 def run_sweep(command: str, band: str, jobs: int):
-    """The payload rows of one CLI sweep over `band`, its exit code, and its
-    wall time, CPU time (this process and its reaped workers) and peak
-    resident set (the larger of the two)."""
+    """One CLI sweep over `band` in this process: its exit code, its payload
+    rows, and its wall time, CPU time (this process and its reaped
+    workers) and peak resident set (the larger of the two)."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "rows.json"
-        self0 = resource.getrusage(resource.RUSAGE_SELF)
-        kids0 = resource.getrusage(resource.RUSAGE_CHILDREN)
         t = time.perf_counter()
         code = cli_main([command, "--primes", band, "--jobs", str(jobs), "--format", "json", "--out", str(out)])
         wall = time.perf_counter() - t
-        self1 = resource.getrusage(resource.RUSAGE_SELF)
-        kids1 = resource.getrusage(resource.RUSAGE_CHILDREN)
         rows = json.loads(out.read_text())["rows"]
-    cpu = sum(getattr(b, f) - getattr(a, f) for a, b in ((self0, self1), (kids0, kids1)) for f in ("ru_utime", "ru_stime"))
-    return rows, code, {
+    me, kids = resource.getrusage(resource.RUSAGE_SELF), resource.getrusage(resource.RUSAGE_CHILDREN)
+    return {"code": code, "rows": rows, "run": {
         "wall_s": round(wall, 1),
-        "cpu_s": round(cpu, 1),
-        "peak_rss_mb": round(max(self1.ru_maxrss, kids1.ru_maxrss) / 1024, 1),
-    }
+        "cpu_s": round(me.ru_utime + me.ru_stime + kids.ru_utime + kids.ru_stime, 1),
+        "peak_rss_mb": round(max(me.ru_maxrss, kids.ru_maxrss) / 1024, 1),
+    }}
+
+
+def child_sweep(command: str, band: str, jobs: int):
+    """`run_sweep` in a fresh child process, so that its CPU time and peak
+    resident set are this sweep's alone."""
+    proc = subprocess.run([sys.executable, __file__, "--child", command, "--band", band, "--jobs", str(jobs), "-"],
+                          capture_output=True, text=True, check=True)
+    sys.stderr.write(proc.stderr)
+    return json.loads(proc.stdout)
 
 
 def _passes(row) -> bool:
@@ -79,15 +85,20 @@ def main() -> int:
     ap.add_argument("record", help="the record's JSON file")
     ap.add_argument("--band", metavar="A..B", help="run this band and write the record")
     ap.add_argument("--jobs", type=int, default=2, help="sweep workers (default 2)")
+    ap.add_argument("--child", choices=SWEEPS, help=argparse.SUPPRESS)
     args = ap.parse_args()
+    if args.child:  # one sweep, its result as JSON on stdout
+        print(json.dumps(run_sweep(args.child, args.band, args.jobs)))
+        return 0
     path = Path(args.record)
     old = None if args.band else json.loads(path.read_text())
     band = args.band or old["band"]
     rows, runs, bad = {}, {}, False
     for command in SWEEPS:
-        rows[command], code, runs[command] = run_sweep(command, band, args.jobs)
-        print(f"{command} --primes {band} --jobs {args.jobs}: exit {code}, {runs[command]}", file=sys.stderr)
-        bad |= code != 0
+        done = child_sweep(command, band, args.jobs)
+        rows[command], runs[command] = done["rows"], done["run"]
+        print(f"{command} --primes {band} --jobs {args.jobs}: exit {done['code']}, {runs[command]}", file=sys.stderr)
+        bad |= done["code"] != 0
     if old is not None:
         for command in SWEEPS:
             want = {r["p"]: r for r in old["rows"][command]}
