@@ -237,6 +237,32 @@ def cli_rows(srcs, calls, repeats: int):
     return out
 
 
+def write_files(tagged, given, out_dir, repeats: int):
+    """One BENCH file per (src, rows, nakaya_rows, cli) of `tagged`, named by
+    the sha of its tree and, for the primes `given`, the suffix of their
+    range; with two trees each file gains `paired`, the other file's name and
+    the ratio of each total that has rows."""
+    states = [git_state(s.parent) for s, _, _, _ in tagged]
+    suffix = f"-p{min(given)}-{max(given)}-n{len(given)}" if given else ""
+    names = [sha + suffix for sha, _ in states]
+    if len(names) == 2 and names[0] == names[1]:
+        names = [f"{names[0]}-this", f"{names[1]}-other"]
+    outs = [Path(out_dir) / f"BENCH_count_factors_{name}.json" for name in names]
+    for t, ((_, rows, nakaya_rows, cli), (sha, dirty), out) in enumerate(zip(tagged, states, outs)):
+        bench = payload(sha, dirty, repeats, rows, nakaya_rows, cli)
+        if len(tagged) == 2:
+            other = tagged[1 - t]
+            bench["paired"] = {
+                "with": outs[1 - t].name,
+                "order": "per prime, k alternations of one child process per tree, the first tree alternating",
+            }
+            for key, mine, theirs in (("total", rows, other[1]), ("nakaya_total", nakaya_rows, other[2])):
+                if mine:
+                    bench["paired"][f"{key}_ratio"] = round(bench[f"{key}_median_s"] / sum(r["median_s"] for r in theirs), 4)
+        out.write_text(json.dumps(bench, indent=2) + "\n")
+        print(out)
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--primes", help="comma list of primes for the per-prime rows (default: PRIMES, NAKAYA_PRIMES)")
@@ -271,25 +297,7 @@ def main() -> int:
         nakaya_rows = paired_rows(srcs, "nakaya", given or NAKAYA_PRIMES, args.repeats)
         cli = cli_rows(srcs, calls, args.repeats)
         tagged = [(srcs[t], rows[t], nakaya_rows[t], cli[t]) for t in (0, 1)]
-    states = [git_state(s.parent) for s, _, _, _ in tagged]
-    suffix = f"-p{min(given)}-{max(given)}-n{len(given)}" if given else ""
-    names = [sha + suffix for sha, _ in states]
-    if len(names) == 2 and names[0] == names[1]:
-        names = [f"{names[0]}-this", f"{names[1]}-other"]
-    outs = [Path(args.out_dir) / f"BENCH_count_factors_{name}.json" for name in names]
-    for t, ((_, rows, nakaya_rows, cli), (sha, dirty), out) in enumerate(zip(tagged, states, outs)):
-        bench = payload(sha, dirty, args.repeats, rows, nakaya_rows, cli)
-        if len(tagged) == 2:
-            other = tagged[1 - t]
-            bench["paired"] = {
-                "with": outs[1 - t].name,
-                "order": "per prime, k alternations of one child process per tree, the first tree alternating",
-                "total_ratio": round(bench["total_median_s"] / sum(r["median_s"] for r in other[1]), 4),
-                "nakaya_total_ratio": round(
-                    bench["nakaya_total_median_s"] / sum(r["median_s"] for r in other[2]), 4),
-            }
-        out.write_text(json.dumps(bench, indent=2) + "\n")
-        print(out)
+    write_files(tagged, given, args.out_dir, args.repeats)
     return 0
 
 

@@ -4,7 +4,7 @@
 A record is one JSON file: the band (`A..B`), the machine, the wall time,
 CPU time (the CLI process and its sweep workers) and peak resident set of
 each sweep, each run in a fresh child process, and the payload rows of `fricke7 hasse` and `fricke7 nakaya` over
-the band with `--jobs N`, as the CLI writes them.
+the band with `--jobs 2` (`JOBS`), as the CLI writes them.
 
     PYTHONPATH=src python scripts/check_band.py --band 29000..30000 tests/count_reports_29000_30000.json
     PYTHONPATH=src python scripts/check_band.py tests/count_reports_29000_30000.json
@@ -32,16 +32,17 @@ from pathlib import Path
 from fricke7.cli import main as cli_main
 
 SWEEPS = ("hasse", "nakaya")
+JOBS = 2  # sweep workers, as in every recorded band
 
 
-def run_sweep(command: str, band: str, jobs: int):
+def run_sweep(command: str, band: str):
     """One CLI sweep over `band` in this process: its exit code, its payload
     rows, and its wall time, CPU time (this process and its reaped
     workers) and peak resident set (the larger of the two)."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "rows.json"
         t = time.perf_counter()
-        code = cli_main([command, "--primes", band, "--jobs", str(jobs), "--format", "json", "--out", str(out)])
+        code = cli_main([command, "--primes", band, "--jobs", str(JOBS), "--format", "json", "--out", str(out)])
         wall = time.perf_counter() - t
         rows = json.loads(out.read_text())["rows"]
     me, kids = resource.getrusage(resource.RUSAGE_SELF), resource.getrusage(resource.RUSAGE_CHILDREN)
@@ -52,10 +53,10 @@ def run_sweep(command: str, band: str, jobs: int):
     }}
 
 
-def child_sweep(command: str, band: str, jobs: int):
+def child_sweep(command: str, band: str):
     """`run_sweep` in a fresh child process, so that its CPU time and peak
     resident set are this sweep's alone."""
-    proc = subprocess.run([sys.executable, __file__, "--child", command, "--band", band, "--jobs", str(jobs), "-"],
+    proc = subprocess.run([sys.executable, __file__, "--child", command, "--band", band, "-"],
                           capture_output=True, text=True, check=True)
     sys.stderr.write(proc.stderr)
     return json.loads(proc.stdout)
@@ -84,20 +85,19 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("record", help="the record's JSON file")
     ap.add_argument("--band", metavar="A..B", help="run this band and write the record")
-    ap.add_argument("--jobs", type=int, default=2, help="sweep workers (default 2)")
     ap.add_argument("--child", choices=SWEEPS, help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.child:  # one sweep, its result as JSON on stdout
-        print(json.dumps(run_sweep(args.child, args.band, args.jobs)))
+        print(json.dumps(run_sweep(args.child, args.band)))
         return 0
     path = Path(args.record)
     old = None if args.band else json.loads(path.read_text())
     band = args.band or old["band"]
     rows, runs, bad = {}, {}, False
     for command in SWEEPS:
-        done = child_sweep(command, band, args.jobs)
+        done = child_sweep(command, band)
         rows[command], runs[command] = done["rows"], done["run"]
-        print(f"{command} --primes {band} --jobs {args.jobs}: exit {done['code']}, {runs[command]}", file=sys.stderr)
+        print(f"{command} --primes {band} --jobs {JOBS}: exit {done['code']}, {runs[command]}", file=sys.stderr)
         bad |= done["code"] != 0
     if old is not None:
         for command in SWEEPS:
@@ -112,7 +112,7 @@ def main() -> int:
 
         path.write_text(json.dumps({
             "band": band,
-            "jobs": args.jobs,
+            "jobs": JOBS,
             "machine": {"platform": platform.platform(), "cpus": os.cpu_count(), "python": platform.python_version()},
             "runs": runs,
             "rows": rows,

@@ -1075,17 +1075,20 @@ class Moduli:
         trace k on F_(l^k) if k | j and 0 otherwise (a power of the cyclic
         shift of a normal basis), so tr(Q_t^j) = sum_(k | j) k a_k mod l, and
         a_j follows from j = 1 up.  That is exact while every a_k < l and j
-        is a unit mod l.  For d <= l + 1 (a sextic at every l >= 5): a_1 <=
-        l - 1, since l linear factors would leave degree at most 1 to factors
-        of other degrees; a_k <= d / k < l for k >= 2; and j = l is the only
+        is a unit mod l.  For d < l or d = l + 1 (a sextic at every l >= 5):
+        a_1 <= l - 1, since below l there is no room for l linear factors,
+        and at l + 1 they would leave degree 1, which no factor of another
+        degree fills; a_k <= d / k < l for k >= 2; and j = l is the only
         degree that is not a unit, whose count follows from sum k a_k = d.
+        At d = l the bound fails: x^l - x has a_1 = l = 0 mod l, and the
+        traces would read it as one factor of degree l.
         The certificate: with L the lcm of the degrees found, Q_t^L = I says
         f_t divides x^(l^L) - x, so f_t is squarefree with every factor
         degree dividing L, and the counts are its own; a non-squarefree f_t
         fails it.
         """
         l, d = self.l, self.degree
-        assert d <= l + 1, "factor counts from traces need d <= l + 1"
+        assert d < l or d == l + 1, "factor counts from traces need d < l or d = l + 1"
         rows = [self.residues(FpPoly.one(l)).v, h.v]
         while len(rows) < d:
             rows.append(self._mulmod(rows[-1], h.v))

@@ -232,6 +232,14 @@ class TestFactorCounts:
         for p, d in ((7, 1), (7, 8), (13, 12)):
             self._check(_random_stack(p, d, 60, random.Random(d)))
 
+    def test_degree_l_is_refused(self):
+        """At d = l, x^l - x has l linear factors, a_1 = 0 mod l, which the
+        traces cannot tell from one factor of degree l."""
+        l = 5
+        stack = Moduli(l, np.array([FpPoly.make(l, [0, -1, 0, 0, 0, 1]).coeffs], dtype=np.int64))
+        with pytest.raises(AssertionError, match="d < l or d = l"):
+            stack.factor_counts(stack.residues(FpPoly.x(l)) ** l)
+
 
 class TestHomogenizeMod:
     @pytest.mark.parametrize("deg_f", [0, 1, 2, 7, 96, 97, 150])

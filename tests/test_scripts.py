@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import shutil
@@ -84,3 +85,80 @@ def test_bench_counts_paired_runs(tmp_path):
         assert [r["command"] for r in bench["cli_rows"]] == ["hasse", "nakaya", "ss7star"]
         assert all(len(r["runs"]) == 3 and set(r["paired_ratio"]) == {"wall_s", "cpu_s", "peak_rss_mb"}
                    and 0.5 < r["paired_ratio"]["peak_rss_mb"] < 2 for r in bench["cli_rows"])
+
+
+def test_bench_nakaya_pair_runs(tmp_path):
+    """Two copies of the tree, nakaya rows alone: both BENCH files, with no
+    hasse or CLI rows and only the nakaya total's ratio."""
+    for name in ("a", "b"):
+        shutil.copytree(ROOT / "src", tmp_path / name / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    env = dict(os.environ, PYTHONPATH=str(tmp_path / "a" / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_nakaya_pair.py"), "--primes", "41,59", "--repeats", "2",
+         "--out-dir", str(tmp_path), str(tmp_path / "b" / "src")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    files = {p.name: json.loads(p.read_text()) for p in tmp_path.glob("BENCH_count_factors_*.json")}
+    assert sorted(files) == ["BENCH_count_factors_unknown-p41-59-n2-other.json",
+                             "BENCH_count_factors_unknown-p41-59-n2-this.json"]
+    for bench in files.values():
+        assert bench["rows"] == [] and bench["cli_rows"] == []
+        assert [r["p"] for r in bench["nakaya_rows"]] == [41, 59]
+        assert all(len(r["runs_s"]) == 2 and r["consistency_ok"] for r in bench["nakaya_rows"])
+        assert set(bench["paired"]) == {"with", "order", "nakaya_total_ratio"}
+
+
+def test_check_band_records_and_checks(tmp_path):
+    """A small band recorded, then checked: exit 0 on the same rows, 1 when a
+    recorded count differs."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    record = tmp_path / "band.json"
+
+    def run(*args):
+        return subprocess.run([sys.executable, str(ROOT / "scripts" / "check_band.py"), *args, str(record)],
+                              capture_output=True, text=True, timeout=120, env=env)
+
+    proc = run("--band", "11..23")
+    assert proc.returncode == 0, proc.stderr
+    rec = json.loads(record.read_text())
+    assert rec["band"] == "11..23" and rec["jobs"] == 2
+    assert [r["p"] for r in rec["rows"]["nakaya"]] == [11, 13, 17, 19, 23]
+    assert set(rec["runs"]["hasse"]) == {"wall_s", "cpu_s", "peak_rss_mb"}
+    assert "| nakaya |" in proc.stdout
+    proc = run()
+    assert proc.returncode == 0, proc.stderr
+
+    (row,) = [r for r in rec["rows"]["nakaya"] if r["p"] == 13]
+    row["L7star"] += 1
+    record.write_text(json.dumps(rec))
+    proc = run()
+    assert proc.returncode == 1 and "nakaya p=13: recorded" in proc.stderr
+
+
+def test_check_band_verdict_table():
+    """A row passes with no error and no FAIL verdict (SKIP passes); the
+    table counts them per class l mod 7 and sweep, skipped primes left out."""
+    spec = importlib.util.spec_from_file_location("check_band", ROOT / "scripts" / "check_band.py")
+    check_band = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(check_band)
+    rows = {
+        "hasse": [
+            {"p": 29, "verdicts": {"count_formula": "SKIP", "factor_types": "PASS"}},
+            {"p": 43, "verdicts": {"count_formula": "FAIL", "factor_types": "PASS"}},
+            {"p": 71, "skipped": "not admissible"},
+        ],
+        "nakaya": [
+            {"p": 29, "nakaya": "PASS", "consistency": "PASS"},
+            {"p": 43, "nakaya": "PASS", "consistency": "FAIL"},
+            {"p": 71, "error": "boom"},
+        ],
+    }
+    assert not check_band._passes({"p": 43, "error": "boom"})
+    table = check_band.verdict_table(rows).splitlines()
+    assert table[2] == "| hasse | 1 of 2 | 0 of 0 | 0 of 0 | 0 of 0 | 0 of 0 | 0 of 0 |"
+    assert table[3] == "| nakaya | 1 of 3 | 0 of 0 | 0 of 0 | 0 of 0 | 0 of 0 | 0 of 0 |"
