@@ -1,16 +1,15 @@
 """The Hasse invariant of the order-7 Tate normal form over F_l: construction,
 factor-type counting (N1, N2, N3, N6) fibre by fibre over the F_l-rational
 t = n/m, with one batched Frobenius over the sextics f_7(x, t), the degree
-histogram from one gcd and one distinct-degree split of the Hasse
-polynomial, and the verdicts on the factor-type classification and the
-class-number count formulas.  The factorization
+histogram and the factor-type classification from two Frobenius
+certificates on the Hasse polynomial and those counts, and the verdicts on
+the classification and the class-number count formulas.  The factorization
 statements about f_0, f_1728 and G(x, j), which no sweep reports, are
 checked in `tests/paper_checks.py`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -186,49 +185,57 @@ class FactorCountReport:
     classification_ok: Optional[bool] = None
 
 
-def _count_on_hasse(ctx: PrimeContext) -> Dict[str, object]:
-    """N1, N3, the degree histogram and the classification verdict of the
-    Hasse polynomial H, made monic.
+def _count_on_hasse(ctx: PrimeContext, n1: int, n3: int) -> Dict[str, object]:
+    """The degree histogram and the classification verdict of the Hasse
+    polynomial H, from N1 and N3 (counted on the fibres) and two Frobenius
+    certificates on H, with no gcd or split of H when both hold.
 
-    With e = 2 for l = 1, 6 (mod 7) and e = 6 otherwise (the lcm of the
-    degrees the factor-type rules allow), and h_d = x^(l^d) mod H, G is the
-    gcd of H with the product mod H of h_d - x over the proper divisors d of
-    e (d = 2, 3 at e = 6 also hold d = 1).  The distinct-degree split of G,
-    of small degree, gives the counts: one `_ddf(G, powers)` with the h_d
-    already at hand.  h_e = x mod H certifies that every factor degree
-    divides e, so the degree-e count of the histogram is what the smaller
-    degrees leave over; if that certificate fails, so does the
-    classification, and the rest of H is split, by the same powers, to show
-    the offending degree.
+    Let e = 2 for l = 1, 6 (mod 7) and e = 6 otherwise (the lcm of the
+    degrees the factor-type rules allow), f the monic H, over x^2 - x + 1 at
+    e = 6 with r = 1 (it divides H and is irreducible, -3 being a
+    non-residue mod l), and h_d = x^(l^d) mod f.
+    1. h_e = x: every factor degree of f divides e.
+    2. At e = 6, w = prod_(k < 6) (h_(k+2 mod 6) - h_k) has w^(l-1) = 1
+       mod f.  With h_6 = x, at a root a of f (in F_(l^6) by 1) w(a) is the
+       norm from F_(l^6) to F_l of a^(l^2) - a, which lies in F_l and is zero
+       exactly when a lies in F_(l^2); f being squarefree, the check holds
+       exactly when f has no factor of degree 1 or 2.
+    With both, the histogram is degree arithmetic, every linear and cubic
+    factor being counted on the fibres (`count_factors`): {1: N1,
+    2: (deg H - N1)/2} at e = 2 and {2: r, 3: N3, 6: (deg f - 3 N3)/6} at
+    e = 6, each division exact or `StructuralError`.  If a certificate
+    fails, so does the classification, and f is split by `_ddf` with the
+    powers at hand to show the offending degree.
     """
     l = ctx.l
     f = hasse_poly(ctx).monic()
-    one, x = FpPoly.one(l), FpPoly.x(l)
-    e, divisors = (2, (1,)) if l % 7 in (1, 6) else (6, (2, 3))
+    x = FpPoly.x(l)
+    e = 2 if l % 7 in (1, 6) else 6
+    r = ctx.r if e == 6 else 0
+    if r:
+        f, rem = divmod(f, FpPoly.make(l, C.X2X1))
+        if not rem.is_zero:
+            raise StructuralError(f"x^2 - x + 1 does not divide the Hasse polynomial at l={l}")
     powers = [x]  # powers[d] = x^(l^d) mod f
     for _ in range(e):
         powers.append(powers[-1].powmod(l, f))
-    test = one
-    for d in divisors:
-        test = test * (powers[d] - x) % f
-    parts = _ddf(f.gcd(test), powers)
-    done = {d: g for d, g in parts.items() if d < e and e % d == 0}  # every factor of degree d
-    histogram = {d: g.degree // d for d, g in done.items()}
-    if powers[e] == x % f:
-        left = f.degree - sum(g.degree for g in done.values())
-        if left:
-            histogram[e] = left // e
-        classification_ok = _factor_type_rules(ctx, histogram, done)
-    else:  # some factor degree does not divide e: split the rest to show it
-        rest = f // math.prod(done.values(), start=one)
-        histogram.update((d, g.degree // d) for d, g in _ddf(rest, powers).items())
-        classification_ok = False
-    return {
-        "N1": parts.get(1, one).degree,
-        "N3": parts.get(3, one).degree // 3,
-        "degree_histogram": dict(sorted(histogram.items())),
-        "classification_ok": classification_ok,
-    }
+    certified = powers[e] == x % f
+    if certified and e == 6:
+        w = powers[2] - x
+        for k in range(1, 6):
+            w = w * (powers[(k + 2) % 6] - powers[k]) % f
+        certified = w.powmod(l - 1, f) == FpPoly.one(l)
+    if not certified:  # some factor degree is not allowed: split f to show it
+        histogram = {d: g.degree // d for d, g in _ddf(f, powers).items()}
+        if r:
+            histogram[2] = histogram.get(2, 0) + 1
+        return {"degree_histogram": dict(sorted(histogram.items())), "classification_ok": False}
+    known = {1: n1} if e == 2 else {2: r, 3: n3}
+    top, left = divmod(f.degree + 2 * r - sum(d * c for d, c in known.items()), e)
+    if left or top < 0:
+        raise StructuralError(f"the fibre counts do not fill the Hasse polynomial at l={l}")
+    histogram = {d: c for d, c in {**known, e: top}.items() if c}
+    return {"degree_histogram": histogram, "classification_ok": _factor_type_rules(ctx, histogram)}
 
 
 def count_factors(
@@ -254,9 +261,10 @@ def count_factors(
     (mod 7) lies over t = 0.  At e = 2 (l = 1, 6 mod 7) every quadratic over
     these t must have B(a, b) = 0, so N2 must equal their number.
 
-    Without the histogram every count comes from the fibres, and H is not
-    built.  With it, H gives N1, N3, the degree histogram and the
-    classification verdict (`_count_on_hasse`), and the fibres N2 and N6.
+    Every count comes from the fibres.  Without the histogram H is not
+    built; with it, N1 and N3 are counted too, and H gives the degree
+    histogram and the classification verdict from two Frobenius
+    certificates and those counts (`_count_on_hasse`).
     """
     need = frozenset(need)
     if not need <= ALL_COUNTS:
@@ -266,8 +274,7 @@ def count_factors(
         ss = ss_poly(ctx)
     report = {}
     if with_histogram:
-        report = _count_on_hasse(ctx)
-        need = need - {"N1", "N3"}
+        need |= {"N1", "N3"}
     if need:
         pieces = _fibres(ctx, ss, "N2" in need).values()
 
@@ -279,25 +286,24 @@ def count_factors(
             report["N2"] = sum(n2 for _, n2 in pieces)
             if l % 7 in (1, 6) and report["N2"] != total(2):
                 raise StructuralError(f"a quadratic factor over the F_l-roots of ss^(7*) violates B(a, b) = 0 at l={l}")
+    if with_histogram:
+        report.update(_count_on_hasse(ctx, report["N1"], report["N3"]))
     return FactorCountReport(**report)
 
 
-def _factor_type_rules(ctx: PrimeContext, histogram, parts) -> bool:
-    """Degree histogram obeys the factor-type rules for l mod 7."""
+def _factor_type_rules(ctx: PrimeContext, histogram) -> bool:
+    """Degree histogram obeys the factor-type rules for l mod 7 (that the
+    only quadratic at l = 2..5 (mod 7) is x^2 - x + 1 is `_count_on_hasse`'s
+    second certificate)."""
     l7 = ctx.l % 7
     degrees = {d for d, c in histogram.items() if c}
     if l7 == 1:
-        ok = degrees <= {2}
-    elif l7 == 6:
-        ok = degrees <= {1, 2}
-    elif l7 in (2, 4):
-        ok = degrees <= {2, 6}
-    else:  # 3, 5
-        ok = degrees <= {2, 3, 6}
-    if ok and l7 in (2, 3, 4, 5) and 2 in parts:
-        # the only admissible quadratic is x^2 - x + 1
-        ok = parts[2].monic() == FpPoly.make(ctx.l, C.X2X1)
-    return ok
+        return degrees <= {2}
+    if l7 == 6:
+        return degrees <= {1, 2}
+    if l7 in (2, 4):
+        return degrees <= {2, 6}
+    return degrees <= {2, 3, 6}  # 3, 5
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from fricke7.ffpoly import (
     radical,
     resultant_roots_in_fp,
 )
-from fricke7.hasse7 import _hasse_pieces, hasse_poly, ss_poly
+from fricke7.hasse7 import FactorCountReport, _hasse_pieces, hasse_poly, ss_poly
 from fricke7.ss7star import _root_pairs
 
 
@@ -507,3 +507,61 @@ def fibre_pieces(ctx: PrimeContext):
             quads = [g.monic().coeffs for g in _edf(parts[2], 2)] if 2 in parts else []
             out[t] = ({d: g.degree // d for d, g in parts.items()}, sum(b_value(l, q[1], q[0]) == 0 for q in quads))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the split route on the Hasse polynomial: the histogram from a gcd and a
+# distinct-degree split
+
+
+def hasse_split(ctx: PrimeContext):
+    """N1, N3, the degree histogram and the classification verdict of the
+    Hasse polynomial H, made monic, as a dict, by a gcd and a split of H.
+
+    With e = 2 for l = 1, 6 (mod 7) and e = 6 otherwise and h_d =
+    x^(l^d) mod H, G is the gcd of H with the product of h_d - x over the
+    proper divisors d of e (d = 2, 3 at e = 6 also hold d = 1); one
+    `_ddf(G, powers)` gives the counts.  h_e = x mod H certifies that every
+    factor degree divides e, so the degree-e count is what the smaller
+    degrees leave over; the only quadratic allowed at l = 2..5 (mod 7) is
+    x^2 - x + 1.  If the certificate fails, so does the classification, and
+    the rest of H is split to show the offending degree."""
+    l = ctx.l
+    f = hasse_poly(ctx).monic()
+    one, x = FpPoly.one(l), FpPoly.x(l)
+    e, divisors = (2, (1,)) if l % 7 in (1, 6) else (6, (2, 3))
+    powers = [x]
+    for _ in range(e):
+        powers.append(powers[-1].powmod(l, f))
+    test = one
+    for d in divisors:
+        test = test * (powers[d] - x) % f
+    parts = _ddf(f.gcd(test), powers)
+    done = {d: g for d, g in parts.items() if d < e and e % d == 0}
+    histogram = {d: g.degree // d for d, g in done.items()}
+    if powers[e] == x % f:
+        left = f.degree - sum(g.degree for g in done.values())
+        if left:
+            histogram[e] = left // e
+        allowed = {1: {2}, 6: {1, 2}, 2: {2, 6}, 4: {2, 6}}.get(l % 7, {2, 3, 6})
+        ok = set(histogram) <= allowed
+        if ok and l % 7 in (2, 3, 4, 5) and 2 in done:
+            ok = done[2].monic() == FpPoly.make(l, C.X2X1)
+    else:
+        rest = f // math.prod(done.values(), start=one)
+        histogram.update((d, g.degree // d) for d, g in _ddf(rest, powers).items())
+        ok = False
+    return {
+        "N1": parts.get(1, one).degree,
+        "N3": parts.get(3, one).degree // 3,
+        "degree_histogram": dict(sorted(histogram.items())),
+        "classification_ok": ok,
+    }
+
+
+def hasse_report(ctx: PrimeContext, ss: Optional[FpPoly] = None) -> FactorCountReport:
+    """The whole `FactorCountReport` of `count_factors(ctx)` by routes that
+    share none of its fibre counts or certificates: `hasse_split` for N1,
+    N3, the histogram and the verdict, and `shape_test_counts` on G_T for
+    N2 and N6."""
+    return FactorCountReport(**hasse_split(ctx), **shape_test_counts(ctx, ("N2", "N6"), ss))

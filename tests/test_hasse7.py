@@ -242,26 +242,33 @@ class TestCountingPath:
 
     @pytest.mark.parametrize("p", NEAR_2000)
     def test_one_gcd_on_hasse(self, p):
-        """A full count runs one gcd with an operand of degree >= l (the Hasse
-        polynomial has degree about 2l); the distinct-degree split that follows
-        works on that gcd's small output, and N2 and N6 come from the fibres,
-        with no shape test on the Hasse polynomial."""
-        with mock.patch.object(FpPoly, "gcd", autospec=True, side_effect=FpPoly.gcd) as gcd:
+        """A certified full count runs no gcd with an operand of degree >= l
+        (the Hasse polynomial has degree about 2l) and splits nothing of
+        that degree: the histogram comes from the two Frobenius certificates
+        and the fibre counts, and every gcd and split works on a fibre of
+        degree 6 or on ss_l's side."""
+        with mock.patch.object(FpPoly, "gcd", autospec=True, side_effect=FpPoly.gcd) as gcd, \
+                mock.patch.object(hasse7, "_ddf", wraps=hasse7._ddf) as ddf:
             rep = count_factors(PrimeContext.make(p))
-        big = [c for c in gcd.call_args_list if max(op.degree for op in c.args) >= p]
-        assert len(big) == 1
         assert rep.classification_ok
+        assert not [c for c in gcd.call_args_list if max(op.degree for op in c.args) >= p]
+        assert all(c.args[0].degree < 6 for c in ddf.call_args_list)
 
     @pytest.mark.parametrize("p", NEAR_2000)
     def test_one_newton_inverse_of_hasse(self, p):
-        """The powmod chain and the test product all reduce mod the Hasse
-        polynomial f through the one `_Modulus` kept on f."""
+        """The powmod chain and both certificates reduce mod the modulus f
+        they run on (the monic Hasse polynomial, over x^2 - x + 1 at
+        l = 2..5 (mod 7) with r = 1) through the one `_Modulus` kept on f:
+        one Newton inverse of f, and none of another operand of degree
+        >= l."""
         ctx = PrimeContext.make(p)
-        rev = hasse_poly(ctx).monic().coeffs[::-1]
+        f = hasse_poly(ctx).monic()
+        if p % 7 not in (1, 6) and ctx.r:
+            f = f // FpPoly.make(p, C.X2X1)
         with mock.patch.object(ffpoly, "_inv_series", wraps=ffpoly._inv_series) as inv:
             count_factors(ctx)
-        of_f = [c for c in inv.call_args_list if tuple(map(int, c.args[1])) == rev]
-        assert len(of_f) == 1
+        big = [tuple(map(int, c.args[1])) for c in inv.call_args_list if len(c.args[1]) > p]
+        assert big == [f.coeffs[::-1]]
 
     def test_every_division_enters_a_modulus(self):
         """Over `count_factors` at the six primes near 2000 and one nakaya
@@ -305,26 +312,26 @@ class TestCountingPath:
 
 
 class TestSplitByPowers:
-    """G is split by one `_ddf(G, powers)` with the powers x^(l^d) mod f that
-    the count already holds.  Oracles: the plain `_ddf(G)` on every prime
-    below 300, `oracles.edf_counts` (whose radical and full walk of the Hasse
-    polynomial are slow) on the largest prime below 300 in each class l mod 7,
-    and the reports of every prime 11 <= l < 700 recorded in
+    """The whole reports against routes that split the Hasse polynomial:
+    `oracles.hasse_report` (a gcd of H with the product of h_d - x and one
+    `_ddf` with the powers for N1, N3, the histogram and the verdict, the
+    shape tests on G_T for N2 and N6) on every prime below 300,
+    `oracles.edf_counts` (whose radical and full walk of the Hasse
+    polynomial are slow) on the largest prime below 300 in each class l mod
+    7, and the reports of every prime 11 <= l < 700 recorded in
     count_reports_below_700.json from the split of commit 7d0000f, which took
     the powers only after a passed certificate and split G afresh otherwise."""
 
     def test_against_ddf_and_edf_below_300(self):
-        """Every split equals the plain one; the split with the powers runs
-        once per count (the fibres' special pieces split without them)."""
+        """Every report equals the split oracle's; the only splits are of
+        the fibres' special pieces, each of degree below 6 and without
+        powers."""
         ddf = hasse7._ddf
         seen = []
 
         def checked(g, powers=()):
-            parts = ddf(g, powers)
-            assert parts == ffpoly._ddf(g)
-            if powers:
-                seen.append(g.modulus)
-            return parts
+            seen.append((g.degree, len(powers)))
+            return ddf(g, powers)
 
         primes = [p for p in primes_in(5, 300) if p != 7]
         top = {p % 7: p for p in primes}
@@ -334,9 +341,15 @@ class TestSplitByPowers:
                 ctx = PrimeContext.make(p)
                 rep = count_factors(ctx)
                 assert rep.classification_ok, p
+                assert rep == oracles.hasse_report(ctx), p
                 if p in top.values():
                     assert (rep.N1, rep.N2, rep.N3, rep.N6) == oracles.edf_counts(ctx), p
-        assert seen == primes
+        assert seen and all(d < 6 and not k for d, k in seen)
+
+    @pytest.mark.parametrize("p", NEAR_2000)
+    def test_equals_the_split_oracle_near_2000(self, p):
+        ctx = PrimeContext.make(p)
+        assert count_factors(ctx) == oracles.hasse_report(ctx)
 
     def test_reports_below_700_are_the_recorded_ones(self):
         """The full report, and the need-restricted ones, which hold the
@@ -357,72 +370,81 @@ class TestSplitByPowers:
                 assert count_factors(ctx, need=need, with_histogram=False, ss=ss) == want, (l, need)
 
     def test_restricted_split_takes_the_given_powers(self):
-        """At l = 59 (3 mod 7) the full count holds h_d = x^(l^d) mod H for
-        d <= 6, and G = gcd(H, (h_2 - x)(h_3 - x)), of factor degrees 1, 2
-        and 3, splits by gcds alone, with no powmod.  The restricted counts
-        take no powers of H: they split only the pieces of the fibres whose
-        residue is not zero, over t = 0, -1 and 27 (r = mu = 1 at 59), each
-        of degree below 6."""
+        """At l = 59 (3 mod 7, r = mu = 1) the full count holds h_d =
+        x^(l^d) mod f for d <= 6, f the monic Hasse polynomial over
+        x^2 - x + 1, and its only other power mod f is w^(l-1) of the second
+        certificate.  Full or restricted, a count splits only the pieces of
+        the fibres whose residue is not zero, over t = 0, -1 and 27, each of
+        degree below 6 and with no powers given; the restricted counts do
+        not build H."""
         ctx = PrimeContext.make(59)
         assert (ctx.r, ctx.mu7) == (1, 1)
-        ddf, powmod, gcd = hasse7._ddf, FpPoly.powmod, FpPoly.gcd
-        runs, log = [], None
+        f = hasse_poly(ctx).monic() // FpPoly.make(59, C.X2X1)
+        ddf, powmod = hasse7._ddf, FpPoly.powmod
+        runs, on_f = [], []
 
         def ddf_spy(g, powers=()):
-            nonlocal log
-            log = []
-            try:
-                return ddf(g, powers)
-            finally:
-                runs.append((g.degree, len(powers) - 1, log))
-                log = None
+            runs.append((g.degree, len(powers)))
+            return ddf(g, powers)
 
         def powmod_spy(self, e, mod):
-            if log is not None:
-                log.append("powmod")
+            if mod == f:
+                on_f.append(e)
             return powmod(self, e, mod)
 
-        def gcd_spy(self, other):
-            if log is not None:
-                log.append("gcd")
-            return gcd(self, other)
-
-        with mock.patch.object(hasse7, "_ddf", ddf_spy), mock.patch.object(FpPoly, "powmod", powmod_spy), \
-                mock.patch.object(FpPoly, "gcd", gcd_spy):
+        with mock.patch.object(hasse7, "_ddf", ddf_spy), mock.patch.object(FpPoly, "powmod", powmod_spy):
             full = count_factors(ctx)
-            ((_, e, steps),) = [r for r in runs if r[1] >= 0]
-            assert e == 6 and steps and set(steps) == {"gcd"}
-            runs.clear()
+            assert on_f == [59] * 6 + [58]
             with mock.patch.object(hasse7, "hasse_poly", side_effect=AssertionError("H built")):
                 n3 = count_factors(ctx, need=("N1", "N3"), with_histogram=False)
                 n6 = count_factors(ctx, need=("N6",), with_histogram=False)
-        assert len(runs) == 6 and all(e == -1 and 0 < d < 6 for d, e, _ in runs)
+        assert len(runs) == 9 and all(0 < d < 6 and not k for d, k in runs)
         assert (n3.N1, n3.N3, n6.N6) == (full.N1, full.N3, full.N6) and n3.N3 > 0 and n6.N6 > 0
 
 
 class TestFailedCertificate:
-    """A factor degree that does not divide e (2 or 6) fails the certificate
-    x^(l^e) = x mod f: the classification is a hard FAIL and the histogram
-    shows the degree, while the counts stay as they were."""
+    """A factor of a degree the rules forbid fails a certificate: one whose
+    degree does not divide e (2 or 6) fails x^(l^e) = x mod f, and at e = 6 a
+    linear factor, or a quadratic other than x^2 - x + 1, fails
+    w^(l-1) = 1 mod f.  The classification is then a hard FAIL and the
+    histogram shows the degree, while the counts, read off the fibres, stay
+    as they were."""
 
-    @pytest.mark.parametrize("p", [41, 59])  # e = 2, e = 6
-    def test_extra_quartic(self, p, capsys):
+    @staticmethod
+    def _with_extra_factor(p, degree, capsys):
+        """An irreducible x^degree + x + c (x + c at degree 1) prime to the
+        Hasse polynomial joins it: the hasse row FAILs, with the counts of
+        the unchanged row, and the histogram gains one factor of that
+        degree."""
         ctx = PrimeContext.make(p)
         H = hasse_poly(ctx)
-        quartic = next(
+        extra = next(
             q
-            for q in (FpPoly.make(p, [c, 1, 0, 0, 1]) for c in range(p))
-            if set(ffpoly._ddf(q)) == {4} and H.gcd(q).degree == 0
+            for q in (FpPoly.make(p, [c, 1] + [0] * (degree - 2) + [1] * (degree > 1)) for c in range(p))
+            if set(ffpoly._ddf(q)) == {degree} and H.gcd(q).degree == 0
         )
         base, base_formulas = verified_report(ctx)
-        with mock.patch.object(hasse7, "hasse_poly", return_value=H * quartic):
+        with mock.patch.object(hasse7, "hasse_poly", return_value=H * extra):
             rep, formulas = verified_report(ctx)
             assert cli.main(["hasse", "--primes", str(p)]) == 1
         assert "FAIL" in capsys.readouterr().out
         assert formulas["verdicts"]["factor_types"] == "FAIL"
         assert base_formulas["verdicts"]["factor_types"] == "PASS"
-        assert rep.degree_histogram == {**base.degree_histogram, 4: 1}
+        histogram = dict(base.degree_histogram)
+        histogram[degree] = histogram.get(degree, 0) + 1
+        assert rep.degree_histogram == histogram
         assert (rep.N1, rep.N2, rep.N3, rep.N6) == (base.N1, base.N2, base.N3, base.N6)
+
+    @pytest.mark.parametrize("p", [41, 59])  # e = 2, e = 6
+    def test_extra_quartic(self, p, capsys):
+        self._with_extra_factor(p, 4, capsys)
+
+    @pytest.mark.parametrize("degree", [2, 1])
+    def test_extra_factor_passing_the_first_certificate(self, degree, capsys):
+        """At l = 59 (e = 6, r = 1) a quadratic other than x^2 - x + 1, or a
+        linear factor, divides x^(l^6) - x: only the second certificate
+        fails."""
+        self._with_extra_factor(59, degree, capsys)
 
 
 class TestBResidue:
