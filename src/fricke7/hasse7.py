@@ -10,6 +10,7 @@ checked in `tests/paper_checks.py`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -185,15 +186,21 @@ class FactorCountReport:
     classification_ok: Optional[bool] = None
 
 
+# the factor degrees of the Hasse polynomial the classification allows, by
+# l mod 7; the only quadratic allowed at l = 2..5 is x^2 - x + 1, which
+# `_count_on_hasse`'s second certificate checks
+_ALLOWED_DEGREES = {1: (2,), 2: (2, 6), 3: (2, 3, 6), 4: (2, 6), 5: (2, 3, 6), 6: (1, 2)}
+
+
 def _count_on_hasse(ctx: PrimeContext, n1: int, n3: int) -> Dict[str, object]:
     """The degree histogram and the classification verdict of the Hasse
     polynomial H, from N1 and N3 (counted on the fibres) and two Frobenius
     certificates on H, with no gcd or split of H when both hold.
 
-    Let e = 2 for l = 1, 6 (mod 7) and e = 6 otherwise (the lcm of the
-    degrees the factor-type rules allow), f the monic H, over x^2 - x + 1 at
-    e = 6 with r = 1 (it divides H and is irreducible, -3 being a
-    non-residue mod l), and h_d = x^(l^d) mod f.
+    Let e be the lcm of the factor degrees the classification allows
+    (`_ALLOWED_DEGREES`): 2 for l = 1, 6 (mod 7) and 6 otherwise.  Let f be
+    the monic H, over x^2 - x + 1 at e = 6 with r = 1 (it divides H and is
+    irreducible, -3 being a non-residue mod l), and h_d = x^(l^d) mod f.
     1. h_e = x: every factor degree of f divides e.
     2. At e = 6, w = prod_(k < 6) (h_(k+2 mod 6) - h_k) has w^(l-1) = 1
        mod f.  With h_6 = x, at a root a of f (in F_(l^6) by 1) w(a) is the
@@ -210,7 +217,7 @@ def _count_on_hasse(ctx: PrimeContext, n1: int, n3: int) -> Dict[str, object]:
     l = ctx.l
     f = hasse_poly(ctx).monic()
     x = FpPoly.x(l)
-    e = 2 if l % 7 in (1, 6) else 6
+    e = math.lcm(*_ALLOWED_DEGREES[l % 7])
     r = ctx.r if e == 6 else 0
     if r:
         f, rem = divmod(f, FpPoly.make(l, C.X2X1))
@@ -235,7 +242,7 @@ def _count_on_hasse(ctx: PrimeContext, n1: int, n3: int) -> Dict[str, object]:
     if left or top < 0:
         raise StructuralError(f"the fibre counts do not fill the Hasse polynomial at l={l}")
     histogram = {d: c for d, c in {**known, e: top}.items() if c}
-    return {"degree_histogram": histogram, "classification_ok": _factor_type_rules(ctx, histogram)}
+    return {"degree_histogram": histogram, "classification_ok": set(histogram).issubset(_ALLOWED_DEGREES[l % 7])}
 
 
 def count_factors(
@@ -289,21 +296,6 @@ def count_factors(
     if with_histogram:
         report.update(_count_on_hasse(ctx, report["N1"], report["N3"]))
     return FactorCountReport(**report)
-
-
-def _factor_type_rules(ctx: PrimeContext, histogram) -> bool:
-    """Degree histogram obeys the factor-type rules for l mod 7 (that the
-    only quadratic at l = 2..5 (mod 7) is x^2 - x + 1 is `_count_on_hasse`'s
-    second certificate)."""
-    l7 = ctx.l % 7
-    degrees = {d for d, c in histogram.items() if c}
-    if l7 == 1:
-        return degrees <= {2}
-    if l7 == 6:
-        return degrees <= {1, 2}
-    if l7 in (2, 4):
-        return degrees <= {2, 6}
-    return degrees <= {2, 3, 6}  # 3, 5
 
 
 # ---------------------------------------------------------------------------
