@@ -199,18 +199,20 @@ def _count_on_hasse(ctx: PrimeContext, n1: int, n3: int) -> Dict[str, object]:
 
     Let e be the lcm of the factor degrees the classification allows
     (`_ALLOWED_DEGREES`): 2 for l = 1, 6 (mod 7) and 6 otherwise.  Let f be
-    the monic H, over x^2 - x + 1 at e = 6 with r = 1 (it divides H and is
-    irreducible, -3 being a non-residue mod l), and h_d = x^(l^d) mod f.
+    the monic H and h_d = x^(l^d) mod f.
     1. h_e = x: every factor degree of f divides e.
-    2. At e = 6, w = prod_(k < 6) (h_(k+2 mod 6) - h_k) has w^(l-1) = 1
-       mod f.  With h_6 = x, at a root a of f (in F_(l^6) by 1) w(a) is the
-       norm from F_(l^6) to F_l of a^(l^2) - a, which lies in F_l and is zero
-       exactly when a lies in F_(l^2); f being squarefree, the check holds
-       exactly when f has no factor of degree 1 or 2.
+    2. At e = 6, (w^(l-1) - 1) q = 0 mod f, with w = prod_(k < 6)
+       (h_(k+2 mod 6) - h_k) and q = x^2 - x + 1 if r = 1, else q = 1.  With
+       h_6 = x, at a root a of f (in F_(l^6) by 1) w(a) is the norm from
+       F_(l^6) to F_l of a^(l^2) - a, which lies in F_l and is zero exactly
+       when a lies in F_(l^2); f being squarefree, the check holds exactly
+       when every factor of f of degree 1 or 2 divides q.  At r = 1, q is
+       irreducible (-3 is a non-residue mod l) and divides H (the j = 0
+       block); were it not to, the degree arithmetic below would fail.
     With both, the histogram is degree arithmetic, every linear and cubic
     factor being counted on the fibres (`count_factors`): {1: N1,
-    2: (deg H - N1)/2} at e = 2 and {2: r, 3: N3, 6: (deg f - 3 N3)/6} at
-    e = 6, each division exact or `StructuralError`.  If a certificate
+    2: (deg f - N1)/2} at e = 2 and {2: r, 3: N3, 6: (deg f - 2r - 3 N3)/6}
+    at e = 6, each division exact or `StructuralError`.  If a certificate
     fails, so does the classification, and f is split by `_ddf` with the
     powers at hand to show the offending degree.
     """
@@ -219,10 +221,6 @@ def _count_on_hasse(ctx: PrimeContext, n1: int, n3: int) -> Dict[str, object]:
     x = FpPoly.x(l)
     e = math.lcm(*_ALLOWED_DEGREES[l % 7])
     r = ctx.r if e == 6 else 0
-    if r:
-        f, rem = divmod(f, FpPoly.make(l, C.X2X1))
-        if not rem.is_zero:
-            raise StructuralError(f"x^2 - x + 1 does not divide the Hasse polynomial at l={l}")
     powers = [x]  # powers[d] = x^(l^d) mod f
     for _ in range(e):
         powers.append(powers[-1].powmod(l, f))
@@ -231,14 +229,13 @@ def _count_on_hasse(ctx: PrimeContext, n1: int, n3: int) -> Dict[str, object]:
         w = powers[2] - x
         for k in range(1, 6):
             w = w * (powers[(k + 2) % 6] - powers[k]) % f
-        certified = w.powmod(l - 1, f) == FpPoly.one(l)
+        q = FpPoly.make(l, C.X2X1) if r else FpPoly.one(l)
+        certified = ((w.powmod(l - 1, f) - 1) * q % f).is_zero
     if not certified:  # some factor degree is not allowed: split f to show it
         histogram = {d: g.degree // d for d, g in _ddf(f, powers).items()}
-        if r:
-            histogram[2] = histogram.get(2, 0) + 1
-        return {"degree_histogram": dict(sorted(histogram.items())), "classification_ok": False}
+        return {"degree_histogram": histogram, "classification_ok": False}
     known = {1: n1} if e == 2 else {2: r, 3: n3}
-    top, left = divmod(f.degree + 2 * r - sum(d * c for d, c in known.items()), e)
+    top, left = divmod(f.degree - sum(d * c for d, c in known.items()), e)
     if left or top < 0:
         raise StructuralError(f"the fibre counts do not fill the Hasse polynomial at l={l}")
     histogram = {d: c for d, c in {**known, e: top}.items() if c}

@@ -256,19 +256,15 @@ class TestCountingPath:
 
     @pytest.mark.parametrize("p", NEAR_2000)
     def test_one_newton_inverse_of_hasse(self, p):
-        """The powmod chain and both certificates reduce mod the modulus f
-        they run on (the monic Hasse polynomial, over x^2 - x + 1 at
-        l = 2..5 (mod 7) with r = 1) through the one `_Modulus` kept on f:
-        one Newton inverse of f, and none of another operand of degree
-        >= l."""
+        """The powmod chain and both certificates reduce mod the monic Hasse
+        polynomial f through the one `_Modulus` kept on f: one Newton
+        inverse of f, and none of another operand of degree >= l."""
         ctx = PrimeContext.make(p)
-        f = hasse_poly(ctx).monic()
-        if p % 7 not in (1, 6) and ctx.r:
-            f = f // FpPoly.make(p, C.X2X1)
+        rev = hasse_poly(ctx).monic().coeffs[::-1]
         with mock.patch.object(ffpoly, "_inv_series", wraps=ffpoly._inv_series) as inv:
             count_factors(ctx)
         big = [tuple(map(int, c.args[1])) for c in inv.call_args_list if len(c.args[1]) > p]
-        assert big == [f.coeffs[::-1]]
+        assert big == [rev]
 
     def test_every_division_enters_a_modulus(self):
         """Over `count_factors` at the six primes near 2000 and one nakaya
@@ -371,15 +367,14 @@ class TestSplitByPowers:
 
     def test_restricted_split_takes_the_given_powers(self):
         """At l = 59 (3 mod 7, r = mu = 1) the full count holds h_d =
-        x^(l^d) mod f for d <= 6, f the monic Hasse polynomial over
-        x^2 - x + 1, and its only other power mod f is w^(l-1) of the second
-        certificate.  Full or restricted, a count splits only the pieces of
+        x^(l^d) mod f for d <= 6, f the monic Hasse polynomial, and its only
+        other power mod f is w^(l-1) of the second certificate.  Full or restricted, a count splits only the pieces of
         the fibres whose residue is not zero, over t = 0, -1 and 27, each of
         degree below 6 and with no powers given; the restricted counts do
         not build H."""
         ctx = PrimeContext.make(59)
         assert (ctx.r, ctx.mu7) == (1, 1)
-        f = hasse_poly(ctx).monic() // FpPoly.make(59, C.X2X1)
+        f = hasse_poly(ctx).monic()
         ddf, powmod = hasse7._ddf, FpPoly.powmod
         runs, on_f = [], []
 
