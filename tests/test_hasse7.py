@@ -368,10 +368,10 @@ class TestSplitByPowers:
     def test_restricted_split_takes_the_given_powers(self):
         """At l = 59 (3 mod 7, r = mu = 1) the full count holds h_d =
         x^(l^d) mod f for d <= 6, f the monic Hasse polynomial, and its only
-        other power mod f is w^(l-1) of the second certificate.  Full or restricted, a count splits only the pieces of
-        the fibres whose residue is not zero, over t = 0, -1 and 27, each of
-        degree below 6 and with no powers given; the restricted counts do
-        not build H."""
+        other power mod f is w^(l-1) of the second certificate.  Full or
+        restricted, a count splits only the pieces of the fibres whose
+        residue is not zero, over t = 0, -1 and 27, each of degree below 6
+        and with no powers given; the restricted counts do not build H."""
         ctx = PrimeContext.make(59)
         assert (ctx.r, ctx.mu7) == (1, 1)
         f = hasse_poly(ctx).monic()
