@@ -220,7 +220,6 @@ def _count_on_hasse(ctx: PrimeContext, n1: int, n3: int) -> Dict[str, object]:
     f = hasse_poly(ctx).monic()
     x = FpPoly.x(l)
     e = math.lcm(*_ALLOWED_DEGREES[l % 7])
-    r = ctx.r if e == 6 else 0
     powers = [x]  # powers[d] = x^(l^d) mod f
     for _ in range(e):
         powers.append(powers[-1].powmod(l, f))
@@ -229,12 +228,12 @@ def _count_on_hasse(ctx: PrimeContext, n1: int, n3: int) -> Dict[str, object]:
         w = powers[2] - x
         for k in range(1, 6):
             w = w * (powers[(k + 2) % 6] - powers[k]) % f
-        q = FpPoly.make(l, C.X2X1) if r else FpPoly.one(l)
+        q = FpPoly.make(l, C.X2X1) if ctx.r else FpPoly.one(l)
         certified = ((w.powmod(l - 1, f) - 1) * q % f).is_zero
     if not certified:  # some factor degree is not allowed: split f to show it
         histogram = {d: g.degree // d for d, g in _ddf(f, powers).items()}
         return {"degree_histogram": histogram, "classification_ok": False}
-    known = {1: n1} if e == 2 else {2: r, 3: n3}
+    known = {1: n1} if e == 2 else {2: ctx.r, 3: n3}
     top, left = divmod(f.degree - sum(d * c for d, c in known.items()), e)
     if left or top < 0:
         raise StructuralError(f"the fibre counts do not fill the Hasse polynomial at l={l}")
