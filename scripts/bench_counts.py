@@ -1,20 +1,26 @@
 #!/usr/bin/env python3
-"""Time the per-prime work of both sweeps and write BENCH_count_factors_<sha>.json:
-the median of k runs at each prime of the hasse sweep's per-prime work
-(`hasse_sweep([p])`: ss_l, `count_factors` and `verify_count_formulas`), by
-default one prime per class l mod 7 near 2000, in (2048, 2200] (where the square of the Hasse polynomial, of
-degree about 2l, first passes 2^13 coefficients) and near 10^4; and of the
-nakaya sweep's per-prime work (`nakaya_sweep([p])`: `counts_and_nakaya` and
-`count_consistency` on its report), by default one prime per class p mod 7 in
-each half of the `nakaya-mix` benchmark, (11, 300] (where the ss^(7*) oracle
-runs) and (300, 1000]; of
-whole CLI sweep calls (`cli_rows`), one `hasse --jobs 2` call on two primes
-near 2000, and one `nakaya --jobs 2` and one `ss7star --jobs 2` call on three
-primes of each of those halves, each run in a fresh child process with its
-wall time, CPU including the sweep's worker processes, and peak resident set
-(the larger of the call's process and its largest worker), so that the cost
-of starting, feeding and stopping the workers shows; with the machine and
-the git sha of the checkout `fricke7` was imported from.
+"""Time the per-prime work of both sweeps and whole CLI sweep calls, each call
+in a fresh child process, and write BENCH_count_factors_<sha>.json.
+
+Three kinds of row, each from k = `--repeats` runs, every run one fresh child
+process that imports fricke7 from the tree's src/ and times one call:
+- `rows`: the hasse sweep's per-prime work (`hasse_sweep([p])`: ss_l,
+  `count_factors` and `verify_count_formulas`), by default one prime per class
+  l mod 7 near 2000, in (2048, 2200] (where the square of the Hasse
+  polynomial, of degree about 2l, first passes 2^13 coefficients) and near
+  10^4; the median and the k times;
+- `nakaya_rows`: the nakaya sweep's per-prime work (`nakaya_sweep([p])`:
+  `counts_and_nakaya` and `count_consistency` on its report), by default one
+  prime per class p mod 7 in each half of the `nakaya-mix` benchmark,
+  (11, 300] (where the ss^(7*) oracle runs) and (300, 1000];
+- `cli_rows`: one `hasse --jobs 2` call on two primes near 2000, and one
+  `nakaya --jobs 2` and one `ss7star --jobs 2` call on three primes of each
+  of those halves, timed by `cli_call`: wall time, the CPU of the call
+  (the child's and its reaped sweep workers') and peak resident set (the
+  larger of the child's and its largest worker's), so that the cost of
+  starting, feeding and stopping the workers shows; the median of each
+  metric and the k runs.
+Each file also holds the machine and the git sha of the tree.
 
     PYTHONPATH=src python scripts/bench_counts.py [--primes 2003,1997] [--repeats 3] [--out-dir .]
     PYTHONPATH=src python scripts/bench_counts.py --paired OTHER/src [--primes ...] [--repeats 5]
@@ -22,16 +28,26 @@ the git sha of the checkout `fricke7` was imported from.
 `--primes` replaces the per-prime lists (the hasse and the nakaya rows); the
 three CLI calls keep their perfbench-shaped primes.  A `--primes` run names
 its files with the suffix -p<min>-<max>-n<count> of its primes after the
-sha, so it cannot overwrite a default run's files.  Point PYTHONPATH
-at another checkout's src/ to time that checkout; compare two files only when
-they come from the same machine.  `--paired OTHER_SRC` times this src/ tree
-and OTHER_SRC together: at each prime or CLI call it runs k = `--repeats`
-alternations, each one child process per tree (the first tree alternating),
-so both trees see the same drift of the machine.  It writes both BENCH files,
-and each row gains `paired_ratio`, the median over the alternations of its
-tree's time over the other tree's (for a CLI row, one ratio per metric); two
-trees with the same sha (copies outside git, say) get the names
-BENCH_count_factors_<sha>[-p...]-this.json and -other.json.
+sha, so it cannot overwrite a default run's files.  The tree timed is the
+src/ that PYTHONPATH points at; compare two files only when they come from
+the same machine.  `--paired OTHER_SRC` times this src/ tree and OTHER_SRC
+together: each of the k runs of a row starts one child per tree, the first
+tree alternating, so both trees see the same drift of the machine.  It
+writes both BENCH files, and each row gains `paired_ratio`, the median over
+the runs of its tree's time over the other tree's (for a CLI row, one ratio
+per metric); two trees with the same sha (copies outside git, say) get the
+names BENCH_count_factors_<sha>[-p...]-this.json and -other.json.
+
+The CLI rows last 0.05-0.2 s a call and cannot carry a claim: at the default
+k = 3 a pair read the `hasse` call 24% slower where 20 alternations read it
+8% faster, and at k = 10 the `nakaya` and `ss7star` rows of one pair read
+paired wall ratios of 1.153 and 0.913 on paths the change under test did not
+touch.  Cite the per-prime rows.
+
+A one-tree file times the first call in a fresh process, as a paired file
+does.  The older one-tree files in bench/ (those without a `paired` key)
+timed k calls in one process, warm after the first, and are not comparable
+with it.
 """
 
 import argparse
@@ -65,7 +81,6 @@ CLI_CALLS = (
     ("nakaya", (31, 139, 229, 499, 659, 907)),
     ("ss7star", (31, 139, 229, 499, 659, 907)),
 )
-CLI_METRICS = ("wall_s", "cpu_s", "peak_rss_mb")
 
 
 # subprocess, platform and importlib.metadata are imported where they are
@@ -99,18 +114,51 @@ def machine():
     }
 
 
-def medians(run, repeats: int):
-    """The last result of `run()` over `repeats` calls, and the timing fields."""
-    runs = []
-    for _ in range(repeats):
-        t = time.perf_counter()
-        out = run()
-        runs.append(time.perf_counter() - t)
-    return out, {"median_s": round(statistics.median(runs), 4), "runs_s": [round(t, 4) for t in runs]}
+def cli_call(argv):
+    """One `fricke7` CLI call with `argv` in this process: its exit code, and
+    its run: the wall time, the CPU of the call (this process's and its
+    reaped children's, the sweep's workers, since the call began) and the
+    peak resident set (the larger of this process's and its largest reaped
+    child's)."""
+    from fricke7.cli import main as cli_main
+
+    who = (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
+    before = [resource.getrusage(w) for w in who]
+    t = time.perf_counter()
+    code = cli_main(argv)
+    wall = time.perf_counter() - t
+    after = [resource.getrusage(w) for w in who]
+    return code, {
+        "wall_s": round(wall, 4),
+        "cpu_s": round(sum(a.ru_utime + a.ru_stime - b.ru_utime - b.ru_stime for a, b in zip(after, before)), 4),
+        "peak_rss_mb": round(max(a.ru_maxrss for a in after) / 1024, 2),
+    }
 
 
-def time_prime(p: int, repeats: int):
-    (row,), timing = medians(lambda: hasse_sweep([p]), repeats)
+def child_json(script, args, src=None):
+    """Run `script` with `args` in a fresh Python process, importing fricke7
+    from `src` if given, and return the JSON it prints.  The child's standard
+    error passes through, so a child that fails has shown why when this
+    process exits after it."""
+    import subprocess
+
+    env = dict(os.environ, PYTHONPATH=str(src)) if src else None
+    proc = subprocess.run([sys.executable, str(script), *args], stdout=subprocess.PIPE, text=True, env=env)
+    if proc.returncode:
+        raise SystemExit(f"{Path(script).name} {' '.join(args)} exited {proc.returncode}")
+    return json.loads(proc.stdout)
+
+
+def timed(run):
+    """The result of one `run()` and its timing fields."""
+    t = time.perf_counter()
+    out = run()
+    s = round(time.perf_counter() - t, 4)
+    return out, {"median_s": s, "runs_s": [s]}
+
+
+def time_prime(p: int):
+    (row,), timing = timed(lambda: hasse_sweep([p]))
     if "error" in row:
         raise SystemExit(f"hasse at p={p}: {row['error']} (in {row['stage']})")
     return {
@@ -122,8 +170,8 @@ def time_prime(p: int, repeats: int):
     }
 
 
-def time_nakaya(p: int, repeats: int):
-    (row,), timing = medians(lambda: nakaya_sweep([p]), repeats)
+def time_nakaya(p: int):
+    (row,), timing = timed(lambda: nakaya_sweep([p]))
     if "error" in row:
         raise SystemExit(f"nakaya at p={p}: {row['error']} (in {row['stage']})")
     return {
@@ -139,26 +187,12 @@ def time_nakaya(p: int, repeats: int):
 
 
 def time_cli(command: str, primes):
-    """One `fricke7 <command> --jobs 2` call on `primes` in this process: its
-    wall time, the CPU of this process and of its reaped children (the
-    sweep's workers), and the larger of their peak resident sets."""
-    from fricke7.cli import main as cli_main
-
-    argv = [command, "--primes", ",".join(map(str, primes)), "--jobs", "2", "--format", "json", "--out", os.devnull]
-    self0 = resource.getrusage(resource.RUSAGE_SELF)
-    t = time.perf_counter()
-    code = cli_main(argv)
-    wall = time.perf_counter() - t
-    self1 = resource.getrusage(resource.RUSAGE_SELF)
-    kids = resource.getrusage(resource.RUSAGE_CHILDREN)
+    """One `fricke7 <command> --jobs 2` call on `primes`, timed by `cli_call`."""
+    code, run = cli_call([command, "--primes", ",".join(map(str, primes)), "--jobs", "2",
+                          "--format", "json", "--out", os.devnull])
     if code:
-        raise SystemExit(f"{command} --primes {argv[2]} exited {code}")
-    return {
-        "wall_s": round(wall, 4),
-        "cpu_s": round(self1.ru_utime + self1.ru_stime - self0.ru_utime - self0.ru_stime
-                       + kids.ru_utime + kids.ru_stime, 4),
-        "peak_rss_mb": round(max(self1.ru_maxrss, kids.ru_maxrss) / 1024, 2),
-    }
+        raise SystemExit(f"{command} --primes {primes} exited {code}")
+    return run
 
 
 TIMERS = {"hasse": time_prime, "nakaya": time_nakaya}
@@ -167,8 +201,8 @@ TIMERS = {"hasse": time_prime, "nakaya": time_nakaya}
 def payload(sha, dirty, repeats: int, rows, nakaya_rows, cli):
     return {
         "what": "the per-prime work of the hasse sweep (rows) and of the nakaya sweep "
-                "(nakaya_rows), and whole CLI sweep calls in child processes (cli_rows), "
-                "median of k runs",
+                "(nakaya_rows), and whole CLI sweep calls (cli_rows), median of k runs, "
+                "each one call in a fresh child process",
         "sha": sha,
         "src_dirty": dirty,
         "repeats": repeats,
@@ -181,59 +215,39 @@ def payload(sha, dirty, repeats: int, rows, nakaya_rows, cli):
     }
 
 
-def child_run(src: Path, kind: str, primes: str):
-    """One run of `kind` on the comma list `primes` in a child process that
-    imports fricke7 from src."""
-    import subprocess
-
-    env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, __file__, "--child", kind, "--primes", primes],
-                          capture_output=True, text=True, env=env)
-    if proc.returncode:
-        raise SystemExit(f"{src}: {kind} --primes {primes} failed:\n{proc.stderr}")
-    return json.loads(proc.stdout)
-
-
-def paired_rows(srcs, kind: str, primes, repeats: int):
-    """Rows of `kind` for both trees of `srcs`, k = repeats alternations per
-    prime, each with its `paired_ratio`."""
-    out = ([], [])
-    for p in primes:
-        runs = ([], [])
-        for i in range(repeats):
-            for t in ((0, 1) if i % 2 == 0 else (1, 0)):
-                runs[t].append(child_run(srcs[t], kind, str(p)))
-        times = [[r["runs_s"][0] for r in runs[t]] for t in (0, 1)]
-        for t in (0, 1):
-            row = dict(runs[t][-1], median_s=round(statistics.median(times[t]), 4), runs_s=times[t])
-            row["paired_ratio"] = round(statistics.median(a / b for a, b in zip(times[t], times[1 - t])), 4)
-            out[t].append(row)
-        print(f"{kind} p={p}: {out[0][-1]['median_s']:.3f} s vs {out[1][-1]['median_s']:.3f} s,"
-              f" paired ratio {out[0][-1]['paired_ratio']:.3f}", file=sys.stderr)
-    return out
-
-
-def cli_rows(srcs, calls, repeats: int):
-    """A row per CLI call of `calls` for each tree of `srcs`: k = repeats runs,
-    each one child process per tree (the first tree alternating), with the
-    median of each metric; with two trees each row gains `paired_ratio`, the
-    median over the runs of its tree's value over the other tree's, per
-    metric."""
+def timed_rows(srcs, cases, repeats: int):
+    """A row per (kind, primes) of `cases` for each tree of `srcs`: k =
+    repeats runs, each one child process per tree (the first tree
+    alternating) that times one call; kind "hasse" or "nakaya" times the
+    per-prime work at one prime, kind "<command>-cli" one CLI call on the
+    primes.  With two trees each row gains `paired_ratio`, the median over
+    the runs of its tree's value over the other tree's (per metric for a CLI
+    row)."""
     out = tuple([] for _ in srcs)
-    for command, primes in calls:
+    for kind, primes in cases:
+        arg = ",".join(map(str, primes))
         runs = tuple([] for _ in srcs)
         for i in range(repeats):
             for t in (range(len(srcs)) if i % 2 == 0 else reversed(range(len(srcs)))):
-                runs[t].append(child_run(srcs[t], f"{command}-cli", ",".join(map(str, primes))))
-        for t, mine in enumerate(runs):
-            row = {"command": command, "primes": list(primes), "jobs": 2, "runs": mine}
-            row.update({m: round(statistics.median(r[m] for r in mine), 4) for m in CLI_METRICS})
+                runs[t].append(child_json(__file__, ["--child", kind, "--primes", arg], srcs[t]))
+        cli = kind.endswith("-cli")
+        # the metrics of each run: a CLI run's own, or a per-prime run's time
+        metrics = [mine if cli else [{"s": r["runs_s"][0]} for r in mine] for mine in runs]
+        for t, mine in enumerate(metrics):
+            med = {m: round(statistics.median(v[m] for v in mine), 4) for m in mine[0]}
+            if cli:
+                row = {"command": kind[:-4], "primes": list(primes), "jobs": 2, "runs": mine, **med}
+            else:
+                row = dict(runs[t][-1], median_s=med["s"], runs_s=[v["s"] for v in mine])
             if len(srcs) == 2:
-                row["paired_ratio"] = {m: round(statistics.median(a[m] / b[m] for a, b in zip(mine, runs[1 - t])), 4)
-                                       for m in CLI_METRICS}
+                ratio = {m: round(statistics.median(a[m] / b[m] for a, b in zip(mine, metrics[1 - t])), 4) for m in med}
+                row["paired_ratio"] = ratio if cli else ratio["s"]
             out[t].append(row)
-        print(f"{command} --jobs 2 on {len(primes)} primes: "
-              + " vs ".join(f"{r[-1]['wall_s']:.3f} s, {r[-1]['peak_rss_mb']:.2f} MB" for r in out), file=sys.stderr)
+        last = [r[-1] for r in out]
+        shown = " vs ".join(f"{r['wall_s']:.3f} s, {r['peak_rss_mb']:.2f} MB" if cli else f"{r['median_s']:.3f} s"
+                            for r in last)
+        paired = f", paired ratio {last[0]['paired_ratio']}" if len(srcs) == 2 else ""
+        print(f"{kind} --primes {arg}: {shown}{paired}", file=sys.stderr)
     return out
 
 
@@ -276,27 +290,16 @@ def main() -> int:
     given = [int(p) for p in args.primes.split(",")] if args.primes else None
     if args.child:  # one run, at one prime or of one CLI call, as a row on stdout
         kind, _, cli = args.child.partition("-")
-        print(json.dumps(time_cli(kind, given) if cli else TIMERS[kind](given[0], 1)))
+        print(json.dumps(time_cli(kind, given) if cli else TIMERS[kind](given[0])))
         return 0
 
-    src = Path(fricke7.__file__).resolve().parents[1]
-    calls = CLI_CALLS
-    if not args.paired:
-        rows, nakaya_rows = [], []
-        for p in given or PRIMES:
-            rows.append(time_prime(p, args.repeats))
-            print(f"l={p}: {rows[-1]['median_s']:.3f} s", file=sys.stderr)
-        for p in given or NAKAYA_PRIMES:
-            nakaya_rows.append(time_nakaya(p, args.repeats))
-            print(f"nakaya p={p}: {nakaya_rows[-1]['median_s']:.3f} s", file=sys.stderr)
-        (cli,) = cli_rows((src,), calls, args.repeats)
-        tagged = [(src, rows, nakaya_rows, cli)]
-    else:
-        srcs = (src, Path(args.paired).resolve())
-        rows = paired_rows(srcs, "hasse", given or PRIMES, args.repeats)
-        nakaya_rows = paired_rows(srcs, "nakaya", given or NAKAYA_PRIMES, args.repeats)
-        cli = cli_rows(srcs, calls, args.repeats)
-        tagged = [(srcs[t], rows[t], nakaya_rows[t], cli[t]) for t in (0, 1)]
+    srcs = (Path(fricke7.__file__).resolve().parents[1],)
+    if args.paired:
+        srcs += (Path(args.paired).resolve(),)
+    rows = timed_rows(srcs, [("hasse", (p,)) for p in given or PRIMES], args.repeats)
+    nakaya_rows = timed_rows(srcs, [("nakaya", (p,)) for p in given or NAKAYA_PRIMES], args.repeats)
+    cli = timed_rows(srcs, [(f"{c}-cli", primes) for c, primes in CLI_CALLS], args.repeats)
+    tagged = [(srcs[t], rows[t], nakaya_rows[t], cli[t]) for t in range(len(srcs))]
     write_files(tagged, given, args.out_dir, args.repeats)
     return 0
 

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 import fricke7
-from bench_counts import paired_rows, write_files
+from bench_counts import timed_rows, write_files
 
 
 def main() -> int:
@@ -29,7 +29,7 @@ def main() -> int:
         ap.error("--repeats must be at least 1")
     primes = [int(p) for p in args.primes.split(",")]
     srcs = (Path(fricke7.__file__).resolve().parents[1], Path(args.other).resolve())
-    rows = paired_rows(srcs, "nakaya", primes, args.repeats)
+    rows = timed_rows(srcs, [("nakaya", (p,)) for p in primes], args.repeats)
     write_files([(srcs[t], [], rows[t], []) for t in (0, 1)], primes, args.out_dir, args.repeats)
     return 0
 

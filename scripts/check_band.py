@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Record a band of the sweep record, or check a fresh run against one.
 
-A record is one JSON file: the band (`A..B`), the machine, the wall time,
-CPU time (the CLI process and its sweep workers) and peak resident set of
-each sweep, each run in a fresh child process, and the payload rows of `fricke7 hasse` and `fricke7 nakaya` over
-the band with `--jobs 2` (`JOBS`), as the CLI writes them.
+A record is one JSON file: the band (`A..B`), the machine
+(`bench_counts.machine`), the run of each sweep, each in a fresh child
+process and timed by `bench_counts.cli_call` (wall time, the CPU of the call
+with its sweep workers, peak resident set), and the payload rows of
+`fricke7 hasse` and `fricke7 nakaya` over the band with `--jobs 2` (`JOBS`),
+as the CLI writes them.
 
     PYTHONPATH=src python scripts/check_band.py --band 29000..30000 tests/count_reports_29000_30000.json
     PYTHONPATH=src python scripts/check_band.py tests/count_reports_29000_30000.json
@@ -15,21 +17,18 @@ Checking reruns both sweeps over the record's band and compares every row
 with the recorded one.  Either way the per-class verdict table goes to
 standard output, and the exit code is 1 when a row differs from the record,
 a verdict is FAIL (a counterexample stays a hard FAIL) or a prime failed,
-else 0.  It runs for minutes (about ten at 3 10^4 on two cores), so it is not
-part of the test suite.
+else 0.  A band the CLI refuses (an empty range, say) exits non-zero after
+the CLI's usage message.  It runs for minutes (about ten at 3 10^4 on two
+cores), so it is not part of the test suite.
 """
 
 import argparse
 import json
-import os
-import resource
-import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
-from fricke7.cli import main as cli_main
+from bench_counts import child_json, cli_call, machine
 
 SWEEPS = ("hasse", "nakaya")
 JOBS = 2  # sweep workers, as in every recorded band
@@ -37,29 +36,14 @@ JOBS = 2  # sweep workers, as in every recorded band
 
 def run_sweep(command: str, band: str):
     """One CLI sweep over `band` in this process: its exit code, its payload
-    rows, and its wall time, CPU time (this process and its reaped
-    workers) and peak resident set (the larger of the two)."""
+    rows and its run (`cli_call`).  A call the CLI refuses writes no rows,
+    and this process exits with its code."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "rows.json"
-        t = time.perf_counter()
-        code = cli_main([command, "--primes", band, "--jobs", str(JOBS), "--format", "json", "--out", str(out)])
-        wall = time.perf_counter() - t
-        rows = json.loads(out.read_text())["rows"]
-    me, kids = resource.getrusage(resource.RUSAGE_SELF), resource.getrusage(resource.RUSAGE_CHILDREN)
-    return {"code": code, "rows": rows, "run": {
-        "wall_s": round(wall, 1),
-        "cpu_s": round(me.ru_utime + me.ru_stime + kids.ru_utime + kids.ru_stime, 1),
-        "peak_rss_mb": round(max(me.ru_maxrss, kids.ru_maxrss) / 1024, 1),
-    }}
-
-
-def child_sweep(command: str, band: str):
-    """`run_sweep` in a fresh child process, so that its CPU time and peak
-    resident set are this sweep's alone."""
-    proc = subprocess.run([sys.executable, __file__, "--child", command, "--band", band, "-"],
-                          capture_output=True, text=True, check=True)
-    sys.stderr.write(proc.stderr)
-    return json.loads(proc.stdout)
+        code, run = cli_call([command, "--primes", band, "--jobs", str(JOBS), "--format", "json", "--out", str(out)])
+        if not out.exists():
+            sys.exit(code)
+        return {"code": code, "rows": json.loads(out.read_text())["rows"], "run": run}
 
 
 def _passes(row) -> bool:
@@ -95,7 +79,7 @@ def main() -> int:
     band = args.band or old["band"]
     rows, runs, bad = {}, {}, False
     for command in SWEEPS:
-        done = child_sweep(command, band)
+        done = child_json(__file__, ["--child", command, "--band", band, "-"])
         rows[command], runs[command] = done["rows"], done["run"]
         print(f"{command} --primes {band} --jobs {JOBS}: exit {done['code']}, {runs[command]}", file=sys.stderr)
         bad |= done["code"] != 0
@@ -108,12 +92,10 @@ def main() -> int:
                     bad = True
                     print(f"{command} p={p}: recorded {want.get(p)}, now {got.get(p)}", file=sys.stderr)
     else:
-        import platform
-
         path.write_text(json.dumps({
             "band": band,
             "jobs": JOBS,
-            "machine": {"platform": platform.platform(), "cpus": os.cpu_count(), "python": platform.python_version()},
+            "machine": machine(),
             "runs": runs,
             "rows": rows,
         }, indent=1) + "\n")

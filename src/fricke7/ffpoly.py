@@ -2,9 +2,7 @@
 factorization (squarefree / distinct-degree / equal-degree), the resultant
 in X behind ss^(7*), its F_l-roots found pointwise, the cleared composition
 reduced mod a small polynomial, and root finding in F_l.  `_ddf` is the one
-split of a squarefree polynomial by degree: a caller that already holds
-Frobenius powers x^(l^d) passes them in, and a last power equal to x limits
-the degrees.
+split of a squarefree polynomial by degree.
 
 `FpPoly` is the one F_l[x] type.  It holds the modulus and one dense numpy
 coefficient vector, reduced, without trailing zeros, lowest degree first; no
@@ -770,36 +768,20 @@ def squarefree_decomposition(f: FpPoly) -> List[Tuple[FpPoly, int]]:
     return out
 
 
-def _ddf(f: FpPoly, powers: Sequence[FpPoly] = ()) -> Dict[int, FpPoly]:
+def _ddf(f: FpPoly) -> Dict[int, FpPoly]:
     """Distinct-degree split of monic squarefree f: maps d -> the product of
-    the irreducible degree-d factors (von zur Gathen-Gerhard, ch. 14).
-
-    powers[d] = x^(l^d) mod a multiple of f, d <= e = len(powers) - 1, are the
-    Frobenius powers a caller already holds (powers[0] = x).  Step d reduces
-    powers[d] mod the f left at that step, through the input f, whose inverse
-    is thus built once; past e it continues by powmod.  If powers[e] = x mod f,
-    f divides x^(l^e) - x, so every factor degree divides e: the split takes
-    gcds only at the proper divisors of e and what is left is the degree-e
-    part."""
+    the irreducible degree-d factors (von zur Gathen-Gerhard, ch. 14)."""
     l = f.modulus
     parts: Dict[int, FpPoly] = {}
     x = FpPoly.x(l)
-    e = len(powers) - 1
-    start = f
-    certified = e > 0 and powers[e] % f == x % f
     h = x
     d = 0
     while f.degree > 0:
         d += 1
-        if certified and d == e:
-            parts[e] = f
-            break
         if 2 * d > f.degree:
             parts[f.degree] = f
             break
-        if certified and e % d:
-            continue
-        h = powers[d] % start % f if d <= e else h.powmod(l, f)
+        h = h.powmod(l, f)
         g = f.gcd(h - x)
         if g.degree > 0:
             parts[d] = g

@@ -213,8 +213,8 @@ def _count_on_hasse(ctx: PrimeContext, n1: int, n3: int) -> Dict[str, object]:
     factor being counted on the fibres (`count_factors`): {1: N1,
     2: (deg f - N1)/2} at e = 2 and {2: r, 3: N3, 6: (deg f - 2r - 3 N3)/6}
     at e = 6, each division exact or `StructuralError`.  If a certificate
-    fails, so does the classification, and f is split by `_ddf` with the
-    powers at hand to show the offending degree.
+    fails, so does the classification, and f is split by `_ddf` to show the
+    offending degree.
     """
     l = ctx.l
     f = hasse_poly(ctx).monic()
@@ -231,7 +231,7 @@ def _count_on_hasse(ctx: PrimeContext, n1: int, n3: int) -> Dict[str, object]:
         q = FpPoly.make(l, C.X2X1) if ctx.r else FpPoly.one(l)
         certified = ((w.powmod(l - 1, f) - 1) * q % f).is_zero
     if not certified:  # some factor degree is not allowed: split f to show it
-        histogram = {d: g.degree // d for d, g in _ddf(f, powers).items()}
+        histogram = {d: g.degree // d for d, g in _ddf(f).items()}
         return {"degree_histogram": histogram, "classification_ok": False}
     known = {1: n1} if e == 2 else {2: ctx.r, 3: n3}
     top, left = divmod(f.degree - sum(d * c for d, c in known.items()), e)

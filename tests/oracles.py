@@ -481,7 +481,7 @@ def shape_test_counts(ctx: PrimeContext, need: Sequence[str], ss: Optional[FpPol
     for d in divisors:
         test = test * (powers[d] - x) % f
     g = f.gcd(test)
-    parts = _ddf(g, powers)
+    parts = _ddf(g)
     out = {k: parts.get(d, one).degree // d for k, d in (("N1", 1), ("N3", 3), ("N6", 6)) if k in need}
     if "N2" in need:
         q = parts.get(2)
@@ -521,7 +521,7 @@ def hasse_split(ctx: PrimeContext):
     With e = 2 for l = 1, 6 (mod 7) and e = 6 otherwise and h_d =
     x^(l^d) mod H, G is the gcd of H with the product of h_d - x over the
     proper divisors d of e (d = 2, 3 at e = 6 also hold d = 1); one
-    `_ddf(G, powers)` gives the counts.  h_e = x mod H certifies that every
+    `_ddf(G)` gives the counts.  h_e = x mod H certifies that every
     factor degree divides e, so the degree-e count is what the smaller
     degrees leave over; the only quadratic allowed at l = 2..5 (mod 7) is
     x^2 - x + 1.  If the certificate fails, so does the classification, and
@@ -536,7 +536,7 @@ def hasse_split(ctx: PrimeContext):
     test = one
     for d in divisors:
         test = test * (powers[d] - x) % f
-    parts = _ddf(f.gcd(test), powers)
+    parts = _ddf(f.gcd(test))
     done = {d: g for d, g in parts.items() if d < e and e % d == 0}
     histogram = {d: g.degree // d for d, g in done.items()}
     if powers[e] == x % f:
@@ -549,7 +549,7 @@ def hasse_split(ctx: PrimeContext):
             ok = done[2].monic() == FpPoly.make(l, C.X2X1)
     else:
         rest = f // math.prod(done.values(), start=one)
-        histogram.update((d, g.degree // d) for d, g in _ddf(rest, powers).items())
+        histogram.update((d, g.degree // d) for d, g in _ddf(rest).items())
         ok = False
     return {
         "N1": parts.get(1, one).degree,

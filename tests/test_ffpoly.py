@@ -249,31 +249,29 @@ def test_split_seed_is_the_same_in_every_process():
 
 
 class TestDistinctDegreeSplit:
-    """`_ddf(f, powers)`, given powers[d] = x^(l^d) mod a multiple of f for
-    d <= e, splits f as the plain `_ddf(f)` does: for random e, and for e the
-    lcm of the factor degrees, where powers[e] = x mod f limits the split to
-    the divisors of e."""
+    """`_ddf(f)` on random squarefree f, against the definition and not
+    through `factorize` (which splits by `_ddf` itself): the parts multiply
+    to f, and every factor of part d has degree d, that is
+    x^(l^d) = x mod the part and gcd(part, x^(l^k) - x) = 1 for k < d."""
 
     @settings(max_examples=300, deadline=None)
-    @given(st.sampled_from([3, 5, 7, 13]), st.integers(0, 2**32 - 1), st.booleans(), st.integers(0, 7))
-    def test_given_powers_split_as_the_plain_ddf(self, l, seed, certify, e):
+    @given(st.sampled_from([3, 5, 7, 13]), st.integers(0, 2**32 - 1))
+    def test_parts_hold_the_factors_of_their_degree(self, l, seed):
         rng = random.Random(seed)
 
         def monic(deg):
             return FpPoly.make(l, [rng.randrange(l) for _ in range(deg)] + [1])
 
         f = radical(math.prod((monic(rng.randint(1, 8)) for _ in range(rng.randint(1, 4))), start=FpPoly.one(l)))
-        plain = ffpoly._ddf(f)
+        parts = ffpoly._ddf(f)
+        assert math.prod(parts.values(), start=FpPoly.one(l)) == f
         x = FpPoly.x(l)
-        if certify:
-            e = math.lcm(*plain)
-        multiple = f * monic(rng.randint(0, 8))
-        powers = [x]
-        for _ in range(e):
-            powers.append(powers[-1].powmod(l, multiple))
-        if certify:
-            assert powers[-1] % f == x % f
-        assert ffpoly._ddf(f, powers) == plain
+        for d, g in parts.items():
+            h = x
+            for _ in range(1, d):
+                h = h.powmod(l, g)
+                assert g.gcd(h - x).degree == 0, (d, g)
+            assert h.powmod(l, g) == x % g, (d, g)
 
 
 def _vec(l, coeffs):

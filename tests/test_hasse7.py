@@ -310,7 +310,7 @@ class TestCountingPath:
 class TestSplitByPowers:
     """The whole reports against routes that split the Hasse polynomial:
     `oracles.hasse_report` (a gcd of H with the product of h_d - x and one
-    `_ddf` with the powers for N1, N3, the histogram and the verdict, the
+    `_ddf` for N1, N3, the histogram and the verdict, the
     shape tests on G_T for N2 and N6) on every prime below 300,
     `oracles.edf_counts` (whose radical and full walk of the Hasse
     polynomial are slow) on the largest prime below 300 in each class l mod
@@ -320,14 +320,13 @@ class TestSplitByPowers:
 
     def test_against_ddf_and_edf_below_300(self):
         """Every report equals the split oracle's; the only splits are of
-        the fibres' special pieces, each of degree below 6 and without
-        powers."""
+        the fibres' special pieces, each of degree below 6."""
         ddf = hasse7._ddf
         seen = []
 
-        def checked(g, powers=()):
-            seen.append((g.degree, len(powers)))
-            return ddf(g, powers)
+        def checked(g):
+            seen.append(g.degree)
+            return ddf(g)
 
         primes = [p for p in primes_in(5, 300) if p != 7]
         top = {p % 7: p for p in primes}
@@ -340,7 +339,7 @@ class TestSplitByPowers:
                 assert rep == oracles.hasse_report(ctx), p
                 if p in top.values():
                     assert (rep.N1, rep.N2, rep.N3, rep.N6) == oracles.edf_counts(ctx), p
-        assert seen and all(d < 6 and not k for d, k in seen)
+        assert seen and all(d < 6 for d in seen)
 
     @pytest.mark.parametrize("p", NEAR_2000)
     def test_equals_the_split_oracle_near_2000(self, p):
@@ -370,17 +369,17 @@ class TestSplitByPowers:
         x^(l^d) mod f for d <= 6, f the monic Hasse polynomial, and its only
         other power mod f is w^(l-1) of the second certificate.  Full or
         restricted, a count splits only the pieces of the fibres whose
-        residue is not zero, over t = 0, -1 and 27, each of degree below 6
-        and with no powers given; the restricted counts do not build H."""
+        residue is not zero, over t = 0, -1 and 27, each of degree below 6;
+        the restricted counts do not build H."""
         ctx = PrimeContext.make(59)
         assert (ctx.r, ctx.mu7) == (1, 1)
         f = hasse_poly(ctx).monic()
         ddf, powmod = hasse7._ddf, FpPoly.powmod
         runs, on_f = [], []
 
-        def ddf_spy(g, powers=()):
-            runs.append((g.degree, len(powers)))
-            return ddf(g, powers)
+        def ddf_spy(g):
+            runs.append(g.degree)
+            return ddf(g)
 
         def powmod_spy(self, e, mod):
             if mod == f:
@@ -393,7 +392,7 @@ class TestSplitByPowers:
             with mock.patch.object(hasse7, "hasse_poly", side_effect=AssertionError("H built")):
                 n3 = count_factors(ctx, need=("N1", "N3"), with_histogram=False)
                 n6 = count_factors(ctx, need=("N6",), with_histogram=False)
-        assert len(runs) == 9 and all(0 < d < 6 and not k for d, k in runs)
+        assert len(runs) == 9 and all(0 < d < 6 for d in runs)
         assert (n3.N1, n3.N3, n6.N6) == (full.N1, full.N3, full.N6) and n3.N3 > 0 and n6.N6 > 0
 
 

@@ -8,6 +8,23 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# the keys of the BENCH rows, one tree or two (two add only `paired_ratio`),
+# and the metrics of a CLI run, which a band record's runs share
+ROW_KEYS = {"p", "class", "median_s", "runs_s", "counts", "verdicts"}
+NAKAYA_ROW_KEYS = {"p", "class", "median_s", "runs_s", "L", "L7star", "oracle_match", "nakaya_ok", "consistency_ok"}
+CLI_ROW_KEYS = {"command", "primes", "jobs", "runs", "wall_s", "cpu_s", "peak_rss_mb"}
+METRICS = {"wall_s", "cpu_s", "peak_rss_mb"}
+
+
+def _load(name, monkeypatch):
+    """The script `name` as a module, with scripts/ on sys.path as when it
+    runs as a script (check_band imports bench_counts)."""
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
 
 def test_show_reference_tables_runs():
     env = dict(os.environ)
@@ -49,9 +66,13 @@ def test_bench_counts_runs(tmp_path):
     nakaya_mix = [31, 139, 229, 499, 659, 907]
     assert [(r["command"], r["primes"], r["jobs"]) for r in bench["cli_rows"]] == [
         ("hasse", [1901, 2083], 2), ("nakaya", nakaya_mix, 2), ("ss7star", nakaya_mix, 2)]
-    assert all(len(r["runs"]) == 2 and all(r[m] > 0 for m in ("wall_s", "cpu_s", "peak_rss_mb"))
+    assert all(len(r["runs"]) == 2 and all(r[m] > 0 for m in METRICS) and all(set(run) == METRICS for run in r["runs"])
                for r in bench["cli_rows"])
     assert bench["machine"]["cpus"] and bench["sha"]
+    # the rows of a one-tree run have the keys of a paired run's, less `paired_ratio`
+    assert all(set(r) == ROW_KEYS for r in bench["rows"])
+    assert all(set(r) == NAKAYA_ROW_KEYS for r in bench["nakaya_rows"])
+    assert all(set(r) == CLI_ROW_KEYS for r in bench["cli_rows"])
 
 
 def test_bench_counts_paired_runs(tmp_path):
@@ -83,8 +104,11 @@ def test_bench_counts_paired_runs(tmp_path):
         assert all(r["verdicts"]["factor_types"] == "PASS" for r in bench["rows"])
         assert all(r["consistency_ok"] for r in bench["nakaya_rows"])
         assert [r["command"] for r in bench["cli_rows"]] == ["hasse", "nakaya", "ss7star"]
-        assert all(len(r["runs"]) == 3 and set(r["paired_ratio"]) == {"wall_s", "cpu_s", "peak_rss_mb"}
+        assert all(len(r["runs"]) == 3 and set(r["paired_ratio"]) == METRICS
                    and 0.5 < r["paired_ratio"]["peak_rss_mb"] < 2 for r in bench["cli_rows"])
+        assert all(set(r) == ROW_KEYS | {"paired_ratio"} for r in bench["rows"])
+        assert all(set(r) == NAKAYA_ROW_KEYS | {"paired_ratio"} for r in bench["nakaya_rows"])
+        assert all(set(r) == CLI_ROW_KEYS | {"paired_ratio"} for r in bench["cli_rows"])
 
 
 def test_bench_nakaya_pair_runs(tmp_path):
@@ -112,9 +136,10 @@ def test_bench_nakaya_pair_runs(tmp_path):
         assert set(bench["paired"]) == {"with", "order", "nakaya_total_ratio"}
 
 
-def test_check_band_records_and_checks(tmp_path):
+def test_check_band_records_and_checks(tmp_path, monkeypatch):
     """A small band recorded, then checked: exit 0 on the same rows, 1 when a
-    recorded count differs."""
+    recorded count differs.  The record's runs have the metrics of a BENCH
+    file's CLI runs, and its machine the keys of a BENCH file's."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     record = tmp_path / "band.json"
@@ -128,7 +153,8 @@ def test_check_band_records_and_checks(tmp_path):
     rec = json.loads(record.read_text())
     assert rec["band"] == "11..23" and rec["jobs"] == 2
     assert [r["p"] for r in rec["rows"]["nakaya"]] == [11, 13, 17, 19, 23]
-    assert set(rec["runs"]["hasse"]) == {"wall_s", "cpu_s", "peak_rss_mb"}
+    assert set(rec["runs"]["hasse"]) == set(rec["runs"]["nakaya"]) == METRICS
+    assert set(rec["machine"]) == set(_load("bench_counts", monkeypatch).machine())
     assert "| nakaya |" in proc.stdout
     proc = run()
     assert proc.returncode == 0, proc.stderr
@@ -140,12 +166,23 @@ def test_check_band_records_and_checks(tmp_path):
     assert proc.returncode == 1 and "nakaya p=13: recorded" in proc.stderr
 
 
-def test_check_band_verdict_table():
+def test_check_band_refuses_an_empty_band(tmp_path):
+    """A band the CLI refuses ends with a non-zero exit, the CLI's usage
+    message on stderr and no traceback, and writes no record."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    record = tmp_path / "band.json"
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "check_band.py"), "--band", "30..20", str(record)],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode != 0
+    assert "usage error: empty prime range '30..20'" in proc.stderr
+    assert "Traceback" not in proc.stderr and not record.exists()
+
+
+def test_check_band_verdict_table(monkeypatch):
     """A row passes with no error and no FAIL verdict (SKIP passes); the
     table counts them per class l mod 7 and sweep, skipped primes left out."""
-    spec = importlib.util.spec_from_file_location("check_band", ROOT / "scripts" / "check_band.py")
-    check_band = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(check_band)
+    check_band = _load("check_band", monkeypatch)
     rows = {
         "hasse": [
             {"p": 29, "verdicts": {"count_formula": "SKIP", "factor_types": "PASS"}},
