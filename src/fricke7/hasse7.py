@@ -1,9 +1,9 @@
 """The Hasse invariant of the order-7 Tate normal form over F_l: construction,
 factor-type counting (N1, N2, N3, N6) fibre by fibre over the F_l-rational
 t = n/m, with one batched Frobenius over the sextics f_7(x, t), the degree
-histogram and the factor-type classification from two Frobenius
-certificates on the Hasse polynomial and those counts, and the verdicts on
-the classification and the class-number count formulas.  The factorization
+histogram and the factor-type classification from one Frobenius power on
+the Hasse polynomial and those counts, and the verdicts on the
+classification and the class-number count formulas.  The factorization
 statements about f_0, f_1728 and G(x, j), which no sweep reports, are
 checked in `tests/paper_checks.py`.
 """
@@ -187,58 +187,56 @@ class FactorCountReport:
 
 
 # the factor degrees of the Hasse polynomial the classification allows, by
-# l mod 7; the only quadratic allowed at l = 2..5 is x^2 - x + 1, which
-# `_count_on_hasse`'s second certificate checks
+# l mod 7; the only quadratic allowed at l = 2..5 is x^2 - x + 1
 _ALLOWED_DEGREES = {1: (2,), 2: (2, 6), 3: (2, 3, 6), 4: (2, 6), 5: (2, 3, 6), 6: (1, 2)}
 
 
 def _count_on_hasse(ctx: PrimeContext, n1: int, n3: int) -> Dict[str, object]:
     """The degree histogram and the classification verdict of the Hasse
-    polynomial H, from N1 and N3 (counted on the fibres) and two Frobenius
-    certificates on H, with no gcd or split of H when both hold.
+    polynomial H, from N1 and N3 (counted on the fibres) and one Frobenius
+    power on H, with no gcd or split of H when its test holds.
 
-    Let e be the lcm of the factor degrees the classification allows
-    (`_ALLOWED_DEGREES`): 2 for l = 1, 6 (mod 7) and 6 otherwise.  Let f be
-    the monic H and h_d = x^(l^d) mod f.
-    1. h_e = x: every factor degree of f divides e.
-    2. At e = 6, (w^(l-1) - 1) q = 0 mod f, with w = prod_(k < 6)
-       (h_(k+2 mod 6) - h_k) and q = x^2 - x + 1 if r = 1, else q = 1.  With
-       h_6 = x, at a root a of f (in F_(l^6) by 1) w(a) is the norm from
-       F_(l^6) to F_l of a^(l^2) - a, which lies in F_l and is zero exactly
-       when a lies in F_(l^2); f being squarefree, the check holds exactly
-       when every factor of f of degree 1 or 2 divides q.  At r = 1, q is
-       irreducible (-3 is a non-residue mod l) and divides H (the j = 0
-       block); were it not to, the degree arithmetic below would fail.
-    With both, the histogram is degree arithmetic, every linear and cubic
-    factor being counted on the fibres (`count_factors`): {1: N1,
-    2: (deg f - N1)/2} at e = 2 and {2: r, 3: N3, 6: (deg f - 2r - 3 N3)/6}
-    at e = 6, each division exact or `StructuralError`.  If a certificate
-    fails, so does the classification, and f is split by `_ddf` to show the
-    offending degree.
+    Let e be the lcm of the allowed factor degrees (`_ALLOWED_DEGREES`): 2
+    for l = 1, 6 (mod 7), else 6.  Let f be the monic H, h = x^(l^2) mod f
+    (x^l needs no reduction, l < deg f), q = x^2 - x + 1 and
+    tau(x) = 1/(1 - x).  The test is h = x at e = 2; at e = 6 it is
+    ((1 - x) h - 1)(x h - (x - 1)) = 0 mod f and, at r = 0,
+    gcd(q, f mod q) = 1.  f being squarefree (`ss_poly`), the product
+    vanishes mod f exactly when every root b of f (neither factor vanishes
+    at 0 or 1) has b^(l^2) = tau^(+-1)(b).  tau, of order 3 over F_l,
+    commutes with Frobenius, so b^(l^6) = b: every factor degree divides 6,
+    and one dividing 2 has b = tau(b), so q(b) = 0.  At r = 1, q is
+    irreducible (-3 is a non-residue mod l) and divides H (the j = 0
+    block); at r = 0 the gcd rules out its roots.  With the test, the
+    histogram is what the fibre counts (`count_factors`) leave: {1: N1,
+    2: rest} at e = 2 and {2: r, 3: N3, 6: rest} at e = 6, each division
+    exact or `StructuralError`.
+
+    The test holds where the classification does, unless an involution
+    sigma_alpha (`count_factors`) fixes a root b of f: tau and sigma_alpha
+    fix t = n/m (exact identities in the tests) and generate the S3 of the
+    cover x -> t, and t(b) is in F_(l^2), so b^(l^2) = g(b) with g in S3; an
+    involution g would make b^(l^6) the image of b under the product of the
+    three involutions (Frobenius permutes the alpha cyclically at e = 6).
+    A failed test makes no FAIL: the verdict is read off the split of f.
     """
     l = ctx.l
     f = hasse_poly(ctx).monic()
-    x = FpPoly.x(l)
-    e = math.lcm(*_ALLOWED_DEGREES[l % 7])
-    powers = [x]  # powers[d] = x^(l^d) mod f
-    for _ in range(e):
-        powers.append(powers[-1].powmod(l, f))
-    certified = powers[e] == x % f
-    if certified and e == 6:
-        w = powers[2] - x
-        for k in range(1, 6):
-            w = w * (powers[(k + 2) % 6] - powers[k]) % f
-        q = FpPoly.make(l, C.X2X1) if ctx.r else FpPoly.one(l)
-        certified = ((w.powmod(l - 1, f) - 1) * q % f).is_zero
-    if not certified:  # some factor degree is not allowed: split f to show it
-        histogram = {d: g.degree // d for d, g in _ddf(f).items()}
-        return {"degree_histogram": histogram, "classification_ok": False}
-    known = {1: n1} if e == 2 else {2: ctx.r, 3: n3}
-    top, left = divmod(f.degree - sum(d * c for d, c in known.items()), e)
-    if left or top < 0:
-        raise StructuralError(f"the fibre counts do not fill the Hasse polynomial at l={l}")
-    histogram = {d: c for d, c in {**known, e: top}.items() if c}
-    return {"degree_histogram": histogram, "classification_ok": set(histogram).issubset(_ALLOWED_DEGREES[l % 7])}
+    x, q = FpPoly.x(l), FpPoly.make(l, C.X2X1)
+    allowed = _ALLOWED_DEGREES[l % 7]
+    e = math.lcm(*allowed)
+    h = x.powmod(l, f).powmod(l, f)
+    test = h - x if e == 2 else x * (x - 1) * (h * h % f) - (x * x - 3 * x + 1) * h - x + 1  # the product, expanded
+    if (test % f).is_zero and (e == 2 or ctx.r or q.gcd(f % q).degree == 0):
+        known = {1: n1} if e == 2 else {2: ctx.r, 3: n3}
+        top, left = divmod(f.degree - sum(d * c for d, c in known.items()), e)
+        if left or top < 0:
+            raise StructuralError(f"the fibre counts do not fill the Hasse polynomial at l={l}")
+        histogram = {d: c for d, c in {**known, e: top}.items() if c}
+        return {"degree_histogram": histogram, "classification_ok": set(histogram).issubset(allowed)}
+    parts = _ddf(f)
+    ok = set(parts).issubset(allowed) and (e == 2 or parts.get(2, q) == q)
+    return {"degree_histogram": {d: g.degree // d for d, g in parts.items()}, "classification_ok": ok}
 
 
 def count_factors(
@@ -266,8 +264,8 @@ def count_factors(
 
     Every count comes from the fibres.  Without the histogram H is not
     built; with it, N1 and N3 are counted too, and H gives the degree
-    histogram and the classification verdict from two Frobenius
-    certificates and those counts (`_count_on_hasse`).
+    histogram and the classification verdict from one Frobenius power and
+    those counts (`_count_on_hasse`).
     """
     need = frozenset(need)
     if not need <= ALL_COUNTS:

@@ -430,9 +430,10 @@ class TestWrappedProducts:
         assert _trimmed(r) == _trimmed(want_r)
 
     def test_powmod_at_degree_4164_wraps(self):
-        """The Frobenius powers mod the Hasse polynomial at l = 2083 (degree
+        """Frobenius powers mod the Hasse polynomial at l = 2083 (degree
         4164, class 4 mod 7): every square has length 8327 and wraps at 2^13,
-        no transform is larger, and x^(l^6) = x certifies the chain."""
+        no transform is larger, and x^(l^6) = x, every factor degree
+        dividing 6, checks the six powers."""
         from fricke7.hasse7 import hasse_poly
 
         l = 2083

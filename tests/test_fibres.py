@@ -45,6 +45,13 @@ def _hom(coeffs, num, den, deg):
     return out
 
 
+def _t_moved(num, den):
+    """n(num/den) m - n m(num/den), cleared by den^6; zero exactly when
+    x -> num/den preserves t = n/m."""
+    n, m = list(C.F7_N), list(C.F7_M)
+    return psub(pmul(_hom(C.F7_N, num, den, 6), m), pmul(pmul(n, _hom(C.F7_M, num, den, 5)), den))
+
+
 def _r7_residual(r7_a):
     """num^2 m^8 - num den m A-hat + den^2 B-hat, A-hat and B-hat the given
     A and R7_B homogenized in (n, m) to degrees 7 and 8."""
@@ -79,11 +86,19 @@ class TestWhyTheTSetIsComplete:
         """n(sigma x) m(x) = n(x) m(sigma x) for sigma(x) = (alpha - x) /
         ((alpha - 1) x + 1) over Q(alpha), cleared by ((alpha - 1) x + 1)^6."""
         alpha = CubicNum.gen()
-        num, den = [alpha, -1], [1, alpha - 1]
-        n, m = list(C.F7_N), list(C.F7_M)
-        lhs = pmul(_hom(C.F7_N, num, den, 6), m)
-        rhs = pmul(pmul(n, _hom(C.F7_M, num, den, 5)), den)
-        assert not any(psub(lhs, rhs))
+        assert not any(_t_moved([alpha, -1], [1, alpha - 1]))
+
+    @pytest.mark.parametrize("num, den", [([1], [1, -1]), ([-1, 1], [0, 1])], ids=["tau", "tau^2"])
+    def test_tau_preserves_t(self, num, den):
+        """n(tau x) m(x) = n(x) m(tau x) over ZZ for tau(x) = 1/(1 - x) and
+        tau^2(x) = (x - 1)/x, cleared by the denominator^6: b^(l^2) and
+        tau^(+-1)(b) lie in one t-fibre, which the Frobenius test on the
+        Hasse polynomial compares (`hasse7._count_on_hasse`)."""
+        assert not any(_t_moved(num, den))
+
+    def test_a_wrong_mobius_map_moves_t(self):
+        """x -> 1/(1 + x) does not preserve t."""
+        assert any(_t_moved([1], [1, 1]))
 
     def test_sigma_swaps_the_roots_of_each_family_quadratic(self):
         """phi(sigma x) = phi(x) for phi = (x^2 - alpha x) / ((alpha - 1) x + 1),

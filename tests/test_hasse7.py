@@ -244,9 +244,9 @@ class TestCountingPath:
     def test_one_gcd_on_hasse(self, p):
         """A certified full count runs no gcd with an operand of degree >= l
         (the Hasse polynomial has degree about 2l) and splits nothing of
-        that degree: the histogram comes from the two Frobenius certificates
+        that degree: the histogram comes from the one Frobenius test on H
         and the fibre counts, and every gcd and split works on a fibre of
-        degree 6 or on ss_l's side."""
+        degree 6, on x^2 - x + 1 or on ss_l's side."""
         with mock.patch.object(FpPoly, "gcd", autospec=True, side_effect=FpPoly.gcd) as gcd, \
                 mock.patch.object(hasse7, "_ddf", wraps=hasse7._ddf) as ddf:
             rep = count_factors(PrimeContext.make(p))
@@ -256,7 +256,7 @@ class TestCountingPath:
 
     @pytest.mark.parametrize("p", NEAR_2000)
     def test_one_newton_inverse_of_hasse(self, p):
-        """The powmod chain and both certificates reduce mod the monic Hasse
+        """The two powmods and the Frobenius test reduce mod the monic Hasse
         polynomial f through the one `_Modulus` kept on f: one Newton
         inverse of f, and none of another operand of degree >= l."""
         ctx = PrimeContext.make(p)
@@ -364,31 +364,37 @@ class TestSplitByPowers:
                 want = hasse7.FactorCountReport(**{k: counts[k] for k in need})
                 assert count_factors(ctx, need=need, with_histogram=False, ss=ss) == want, (l, need)
 
-    def test_restricted_split_takes_the_given_powers(self):
-        """At l = 59 (3 mod 7, r = mu = 1) the full count holds h_d =
-        x^(l^d) mod f for d <= 6, f the monic Hasse polynomial, and its only
-        other power mod f is w^(l-1) of the second certificate.  Full or
-        restricted, a count splits only the pieces of the fibres whose
-        residue is not zero, over t = 0, -1 and 27, each of degree below 6;
-        the restricted counts do not build H."""
-        ctx = PrimeContext.make(59)
-        assert (ctx.r, ctx.mu7) == (1, 1)
-        f = hasse_poly(ctx).monic()
+    def test_full_count_takes_two_frobenius_powers(self):
+        """In every class l mod 7 a full count takes two powmods mod the
+        monic Hasse polynomial f, x^l and then x^(l^2), both with exponent
+        l, and none mod another operand of degree >= l: no powmod chain and
+        no w^(l-1).  At l = 59 (3 mod 7, r = mu = 1), full or restricted, a
+        count splits only the pieces of the fibres whose residue is not
+        zero, over t = 0, -1 and 27, each of degree below 6; the restricted
+        counts do not build H."""
         ddf, powmod = hasse7._ddf, FpPoly.powmod
-        runs, on_f = [], []
+        runs, on_f, big = [], [], {}
 
         def ddf_spy(g):
             runs.append(g.degree)
             return ddf(g)
 
         def powmod_spy(self, e, mod):
-            if mod == f:
-                on_f.append(e)
+            if mod.degree >= big["l"]:
+                on_f.append((e, mod == big["f"]))
             return powmod(self, e, mod)
 
-        with mock.patch.object(hasse7, "_ddf", ddf_spy), mock.patch.object(FpPoly, "powmod", powmod_spy):
+        with mock.patch.object(FpPoly, "powmod", powmod_spy):
+            for p in ONE_PER_CLASS:
+                ctx = PrimeContext.make(p)
+                big.update(l=p, f=hasse_poly(ctx).monic())
+                on_f.clear()
+                count_factors(ctx)
+                assert on_f == [(p, True)] * 2, p
+        ctx = PrimeContext.make(59)
+        assert (ctx.r, ctx.mu7) == (1, 1)
+        with mock.patch.object(hasse7, "_ddf", ddf_spy):
             full = count_factors(ctx)
-            assert on_f == [59] * 6 + [58]
             with mock.patch.object(hasse7, "hasse_poly", side_effect=AssertionError("H built")):
                 n3 = count_factors(ctx, need=("N1", "N3"), with_histogram=False)
                 n6 = count_factors(ctx, need=("N6",), with_histogram=False)
@@ -397,26 +403,30 @@ class TestSplitByPowers:
 
 
 class TestFailedCertificate:
-    """A factor of a degree the rules forbid fails a certificate: one whose
-    degree does not divide e (2 or 6) fails x^(l^e) = x mod f, and at e = 6 a
-    linear factor, or a quadratic other than x^2 - x + 1, fails
-    w^(l-1) = 1 mod f.  The classification is then a hard FAIL and the
+    """A factor of a degree the rules forbid fails the Frobenius test on H:
+    at e = 2 one whose degree does not divide 2 fails x^(l^2) = x mod f; at
+    e = 6 a quartic, a linear factor or a quadratic other than x^2 - x + 1
+    fails ((1 - x) h - 1)(x h - (x - 1)) = 0 mod f, h = x^(l^2), and a root
+    of x^2 - x + 1 at r = 0, which passes it, fails gcd(q, f mod q) = 1.
+    The split then decides: the classification is a hard FAIL and the
     histogram shows the degree, while the counts, read off the fibres, stay
-    as they were."""
+    as they were.  A test that fails on a good H leaves the verdict to the
+    split too, which PASSes it."""
 
     @staticmethod
-    def _with_extra_factor(p, degree, capsys):
-        """An irreducible x^degree + x + c (x + c at degree 1) prime to the
-        Hasse polynomial joins it: the hasse row FAILs, with the counts of
-        the unchanged row, and the histogram gains one factor of that
-        degree."""
+    def _with_extra_factor(p, degree, capsys, extra=None):
+        """An irreducible factor prime to the Hasse polynomial joins it (by
+        default x^degree + x + c, x + c at degree 1): the hasse row FAILs,
+        with the counts of the unchanged row, and the histogram gains one
+        factor of that degree."""
         ctx = PrimeContext.make(p)
         H = hasse_poly(ctx)
-        extra = next(
+        extra = extra or next(
             q
             for q in (FpPoly.make(p, [c, 1] + [0] * (degree - 2) + [1] * (degree > 1)) for c in range(p))
             if set(ffpoly._ddf(q)) == {degree} and H.gcd(q).degree == 0
         )
+        assert extra.degree == degree and H.gcd(extra).degree == 0
         base, base_formulas = verified_report(ctx)
         with mock.patch.object(hasse7, "hasse_poly", return_value=H * extra):
             rep, formulas = verified_report(ctx)
@@ -436,9 +446,43 @@ class TestFailedCertificate:
     @pytest.mark.parametrize("degree", [2, 1])
     def test_extra_factor_passing_the_first_certificate(self, degree, capsys):
         """At l = 59 (e = 6, r = 1) a quadratic other than x^2 - x + 1, or a
-        linear factor, divides x^(l^6) - x: only the second certificate
-        fails."""
+        linear factor, divides x^(l^6) - x, but its roots b = b^(l^2) are
+        not fixed by tau(x) = 1/(1 - x), whose fixed points are the roots of
+        x^2 - x + 1: the Frobenius test fails."""
         self._with_extra_factor(59, degree, capsys)
+
+    def test_root_of_x2_x_1_at_r_0(self, capsys):
+        """At l = 37 (e = 6, r = 0) x^2 - x + 1 splits, and its root rho has
+        tau(rho) = rho = rho^(l^2): x - rho joined to H passes the product
+        test, and only gcd(q, f mod q) = 1 fails.  Without that check the
+        degree arithmetic would count x - rho as part of a sextic."""
+        p = 37
+        assert PrimeContext.make(p).r == 0 and p % 7 in (2, 3, 4, 5)
+        rho = next(c for c in range(p) if (c * c - c + 1) % p == 0)
+        self._with_extra_factor(p, 1, capsys, FpPoly.make(p, [-rho, 1]))
+
+    @pytest.mark.parametrize("p", ONE_PER_CLASS)
+    def test_a_failed_test_on_a_good_hasse_polynomial(self, p):
+        """x^(l^2) mod f made wrong (the second powmod mod f adds 1): the
+        test fails on a good H, f is split, and the whole report is still
+        the split oracle's, with the classification PASS."""
+        ctx = PrimeContext.make(p)
+        f = hasse_poly(ctx).monic()
+        powmod, on_f = FpPoly.powmod, []
+
+        def wrong_second(self, e, mod):
+            out = powmod(self, e, mod)
+            if mod == f:
+                on_f.append(e)
+                if len(on_f) == 2:
+                    return out + 1
+            return out
+
+        with mock.patch.object(FpPoly, "powmod", wrong_second), \
+                mock.patch.object(hasse7, "_ddf", wraps=hasse7._ddf) as ddf:
+            rep = count_factors(ctx)
+        assert f in [c.args[0] for c in ddf.call_args_list]
+        assert rep.classification_ok and rep == oracles.hasse_report(ctx)
 
 
 class TestBResidue:
