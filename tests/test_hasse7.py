@@ -373,22 +373,21 @@ class TestSplitByPowers:
         zero, over t = 0, -1 and 27, each of degree below 6; the restricted
         counts do not build H."""
         ddf, powmod = hasse7._ddf, FpPoly.powmod
-        runs, on_f, big = [], [], {}
+        runs = []
 
         def ddf_spy(g):
             runs.append(g.degree)
             return ddf(g)
 
         def powmod_spy(self, e, mod):
-            if mod.degree >= big["l"]:
-                on_f.append((e, mod == big["f"]))
+            if mod.degree >= p:
+                on_f.append((e, mod == f))
             return powmod(self, e, mod)
 
         with mock.patch.object(FpPoly, "powmod", powmod_spy):
             for p in ONE_PER_CLASS:
                 ctx = PrimeContext.make(p)
-                big.update(l=p, f=hasse_poly(ctx).monic())
-                on_f.clear()
+                f, on_f = hasse_poly(ctx).monic(), []
                 count_factors(ctx)
                 assert on_f == [(p, True)] * 2, p
         ctx = PrimeContext.make(59)
