@@ -26,9 +26,12 @@ Each file also holds the machine and the git sha of the tree.
     PYTHONPATH=src python scripts/bench_counts.py --paired OTHER/src [--primes ...] [--repeats 5]
 
 `--primes` replaces the per-prime lists (the hasse and the nakaya rows); the
-three CLI calls keep their perfbench-shaped primes.  A `--primes` run names
-its files with the suffix -p<min>-<max>-n<count> of its primes after the
-sha, so it cannot overwrite a default run's files.  The tree timed is the
+three CLI calls keep their perfbench-shaped primes.  A prime the sweeps give
+no counts for (one `PrimeContext.admits` refuses), a token that is not an
+integer, or `--repeats` below 1 ends the run with a one-line message before
+any child starts.  A `--primes` run names its files with the suffix
+-p<min>-<max>-n<count> of its primes after the sha, so it cannot overwrite a
+default run's files.  The tree timed is the
 src/ that PYTHONPATH points at; compare two files only when they come from
 the same machine.  `--paired OTHER_SRC` times this src/ tree and OTHER_SRC
 together: each of the k runs of a row starts one child per tree, the first
@@ -60,6 +63,7 @@ import time
 from pathlib import Path
 
 import fricke7
+from fricke7.ffpoly import PRIME_LIMIT, PrimeContext
 from fricke7.sweep import hasse_sweep, nakaya_sweep
 
 # one prime per class l mod 7 = 1..6, near 2000, in (2048, 2200] and near 10^4
@@ -147,6 +151,27 @@ def child_json(script, args, src=None):
     if proc.returncode:
         raise SystemExit(f"{Path(script).name} {' '.join(args)} exited {proc.returncode}")
     return json.loads(proc.stdout)
+
+
+def checked_primes(spec, repeats: int):
+    """The primes of the comma list `spec` (None for no list).  Before any
+    child starts, a one-line message ends the run on --repeats below 1, on a
+    token that is not an integer, or on a prime the sweeps give no counts for
+    (one that `PrimeContext.admits` refuses)."""
+    name = Path(sys.argv[0]).name
+    if repeats < 1:
+        sys.exit(f"{name}: --repeats must be at least 1, got {repeats}")
+    if spec is None:
+        return None
+    try:
+        primes = [int(p) for p in spec.split(",")]
+    except ValueError:
+        sys.exit(f"{name}: --primes takes a comma list of primes, got {spec!r}")
+    refused = [p for p in primes if not PrimeContext.admits(p)]
+    if refused:
+        sys.exit(f"{name}: the sweeps count only primes 5 <= l <= {PRIME_LIMIT:,}, l != 7, "
+                 f"got {','.join(map(str, refused))}")
+    return primes
 
 
 def timed(run):
@@ -285,9 +310,7 @@ def main() -> int:
     ap.add_argument("--paired", metavar="OTHER_SRC", help="the src/ directory of a second tree to time alternately")
     ap.add_argument("--child", choices=sorted(TIMERS) + [f"{c}-cli" for c, _ in CLI_CALLS], help=argparse.SUPPRESS)
     args = ap.parse_args()
-    if args.repeats < 1:
-        ap.error("--repeats must be at least 1")
-    given = [int(p) for p in args.primes.split(",")] if args.primes else None
+    given = checked_primes(args.primes, args.repeats)
     if args.child:  # one run, at one prime or of one CLI call, as a row on stdout
         kind, _, cli = args.child.partition("-")
         print(json.dumps(time_cli(kind, given) if cli else TIMERS[kind](given[0])))

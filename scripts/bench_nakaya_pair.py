@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 import fricke7
-from bench_counts import timed_rows, write_files
+from bench_counts import checked_primes, timed_rows, write_files
 
 
 def main() -> int:
@@ -25,9 +25,7 @@ def main() -> int:
     ap.add_argument("--repeats", type=int, default=3, help="alternations per prime (k)")
     ap.add_argument("--out-dir", default=".", help="directory for the BENCH files")
     args = ap.parse_args()
-    if args.repeats < 1:
-        ap.error("--repeats must be at least 1")
-    primes = [int(p) for p in args.primes.split(",")]
+    primes = checked_primes(args.primes, args.repeats)
     srcs = (Path(fricke7.__file__).resolve().parents[1], Path(args.other).resolve())
     rows = timed_rows(srcs, [("nakaya", (p,)) for p in primes], args.repeats)
     write_files([(srcs[t], [], rows[t], []) for t in (0, 1)], primes, args.out_dir, args.repeats)

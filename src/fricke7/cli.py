@@ -1,5 +1,7 @@
-"""Command-line driver: prime sweeps, single-prime reports, identity suites,
-series checks, CM validation.  Human tables, CSV (RFC 4180) and JSON output.
+"""Command-line driver: one command function for the prime sweeps (`hasse`,
+`nakaya`, `ss7star`), whose sweep in `sweep` decides which primes get rows,
+and one runner for the registry suites (`identities`, `qseries`, `cm`).
+Human tables, CSV (RFC 4180) and JSON output.
 
 Standard output carries only the machine-readable payload; progress and
 summaries go to standard error.  Identical configuration produces
@@ -20,10 +22,10 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import StructuralError, UsageError
-from .ffpoly import PRIME_LIMIT, PrimeContext, is_prime
+from .ffpoly import PRIME_LIMIT, is_prime
 
 JSON_VERSION = "fricke7/2"
 
@@ -170,53 +172,56 @@ def _exit_code(rows: List[Dict]) -> int:
 # subcommands
 
 
-def cmd_hasse(args) -> int:
-    from .sweep import hasse_sweep
+def cmd_sweep(args) -> int:
+    """The `hasse`, `nakaya` and `ss7star` commands: the command's sweep over
+    the primes, which decides which primes get rows.  The sweep is looked up
+    on `sweep` as the command runs, so that a wrapper set on the module takes
+    effect; only the sweeps that take `check_oracle` are given it."""
+    from . import sweep
 
+    run = {"hasse": sweep.hasse_sweep, "nakaya": sweep.nakaya_sweep, "ss7star": sweep.ss7star_sweep}[args.command]
+    options = {"check_oracle": args.check_oracle} if "check_oracle" in args else {}
     primes = parse_primes(args.primes)
-    _progress(f"hasse sweep over {len(primes)} primes (jobs={args.jobs})")
-    rows = hasse_sweep(primes, jobs=args.jobs)
-    emit(rows, args.format, args.out, "hasse")
+    _progress(f"{args.command} sweep over {len(primes)} primes (jobs={args.jobs})")
+    rows = run(primes, jobs=args.jobs, **options)
+    emit(rows, args.format, args.out, args.command)
     return _exit_code(rows)
 
 
-def cmd_ss7star(args) -> int:
-    from .sweep import ss7star_sweep
-
-    primes = parse_primes(args.primes)
-    _progress(f"ss7star over {len(primes)} primes (jobs={args.jobs})")
-    rows = ss7star_sweep(primes, jobs=args.jobs, check_oracle=args.check_oracle)
-    emit(rows, args.format, args.out, "ss7star")
-    return _exit_code(rows)
+def _verdict(ok: bool) -> str:
+    return "PASS" if ok else "FAIL"
 
 
-def cmd_nakaya(args) -> int:
-    from .sweep import nakaya_sweep
-
-    primes = [p for p in parse_primes(args.primes) if PrimeContext.admits(p)]
-    _progress(f"nakaya sweep over {len(primes)} primes (jobs={args.jobs})")
-    rows = nakaya_sweep(primes, jobs=args.jobs, check_oracle=args.check_oracle)
-    emit(rows, args.format, args.out, "nakaya")
-    return _exit_code(rows)
+def _run_suite(args, checks: Iterable[Tuple[Dict, Optional[str]]], summary: str = "") -> int:
+    """A registry suite: `checks` yields each check's row, with its
+    `verdict`, and its progress line (None for none) as the check runs.
+    Under --fail-fast the suite stops at the first FAIL.  The count of PASS
+    rows, then `summary`, goes to stderr; the exit code is 1 unless every row
+    passed."""
+    rows: List[Dict] = []
+    for row, line in checks:
+        rows.append(row)
+        if line is not None:
+            _progress(line)
+        if getattr(args, "fail_fast", False) and row["verdict"] == "FAIL":
+            break
+    n_ok = sum(r["verdict"] == "PASS" for r in rows)
+    _progress(f"{args.command}: {n_ok}/{len(rows)} PASS{summary}")
+    emit(rows, args.format, args.out, args.command)
+    return 0 if n_ok == len(rows) else 1
 
 
 def cmd_identities(args) -> int:
     from .exactalg import REGISTRY, verify_identity
 
-    rows_out: List[Dict] = []
-    n_ok = 0
-    for case_id in REGISTRY:
-        res = verify_identity(case_id)
-        _progress(f"{case_id}: {'PASS' if res.ok else 'FAIL'} ({res.seconds:.2f}s)")
-        rows_out.append(
-            {"id": case_id, "verdict": "PASS" if res.ok else "FAIL", "detail": res.detail}
-        )
-        n_ok += res.ok
-        if args.fail_fast and not res.ok:
-            break
-    _progress(f"identities: {n_ok}/{len(rows_out)} PASS")
-    emit(rows_out, args.format, args.out, "identities")
-    return 0 if n_ok == len(rows_out) else 1
+    def checks():
+        for case_id in REGISTRY:
+            res = verify_identity(case_id)
+            verdict = _verdict(res.ok)
+            yield ({"id": case_id, "verdict": verdict, "detail": res.detail},
+                   f"{case_id}: {verdict} ({res.seconds:.2f}s)")
+
+    return _run_suite(args, checks())
 
 
 def cmd_qseries(args) -> int:
@@ -224,70 +229,40 @@ def cmd_qseries(args) -> int:
 
     if args.prec < MIN_PREC:
         raise UsageError(f"--prec must be at least {MIN_PREC}, got {args.prec}")
-    rows_out: List[Dict] = []
-    n_ok = 0
-    for case_id in REGISTRY:
-        res = verify_series_identity(case_id, args.prec)
-        _progress(f"{case_id}: {'PASS' if res.ok else 'FAIL'} through {res.checked_terms} terms")
-        rows_out.append(
-            {
-                "id": case_id,
-                "verdict": "PASS" if res.ok else "FAIL",
-                "checked_terms": res.checked_terms,
-                "first_failing_exponent": res.first_failing_exponent,
-            }
-        )
-        n_ok += res.ok
-        if args.fail_fast and not res.ok:
-            break
-    _progress(f"qseries: {n_ok}/{len(rows_out)} PASS at prec {args.prec}")
-    emit(rows_out, args.format, args.out, "qseries")
-    return 0 if n_ok == len(rows_out) else 1
+
+    def checks():
+        for case_id in REGISTRY:
+            res = verify_series_identity(case_id, args.prec)
+            verdict = _verdict(res.ok)
+            row = {"id": case_id, "verdict": verdict, "checked_terms": res.checked_terms,
+                   "first_failing_exponent": res.first_failing_exponent}
+            yield row, f"{case_id}: {verdict} through {res.checked_terms} terms"
+
+    return _run_suite(args, checks(), f" at prec {args.prec}")
 
 
 def cmd_cm(args) -> int:
-    from . import constants as C
-    from .cmeval import (
-        MIN_BITS,
-        verify_pd_factorization,
-        verify_pd_root,
-        verify_psi7_factorization,
-        verify_psi7_root,
-    )
+    from . import cmeval, constants as C
 
-    if args.bits < MIN_BITS:
-        raise UsageError(f"--bits must be at least {MIN_BITS}, got {args.bits}")
-    rows_out: List[Dict] = []
-    for d in sorted(C.PD_TABLE):
-        v = verify_pd_root(d, bits=args.bits)
-        rows_out.append(
-            {
-                "check": f"P_{d} root",
-                "verdict": "PASS" if v.ok else "FAIL",
-                "residual": f"{v.residual:.3e}",
-                "v": v.v,
-            }
-        )
-    p = verify_psi7_root(bits=args.bits)
-    rows_out.append(
-        {"check": "Psi7 root (d=164)", "verdict": "PASS" if p.ok else "FAIL",
-         "residual": f"{p.residual:.3e}", "v": p.v}
-    )
-    for d, l in sorted(C.PD_FACTORIZATION_REF):
-        r = verify_pd_factorization(d, l)
-        ok = r["reference_ok"] and r["pattern_ok"]
-        rows_out.append(
-            {"check": f"P_{d} mod {l}", "verdict": "PASS" if ok else "FAIL",
-             "residual": "", "v": ""}
-        )
-    rows_out.append(
-        {"check": "Psi7 mod 41", "verdict": "PASS" if verify_psi7_factorization() else "FAIL",
-         "residual": "", "v": ""}
-    )
-    n_ok = sum(r["verdict"] == "PASS" for r in rows_out)
-    _progress(f"cm: {n_ok}/{len(rows_out)} PASS at {args.bits} bits")
-    emit(rows_out, args.format, args.out, "cm")
-    return 0 if n_ok == len(rows_out) else 1
+    if args.bits < cmeval.MIN_BITS:
+        raise UsageError(f"--bits must be at least {cmeval.MIN_BITS}, got {args.bits}")
+
+    def row(check, ok, residual="", v=""):
+        """A check's row, with no progress line."""
+        return {"check": check, "verdict": _verdict(ok), "residual": residual, "v": v}, None
+
+    def checks():
+        for d in sorted(C.PD_TABLE):
+            r = cmeval.verify_pd_root(d, bits=args.bits)
+            yield row(f"P_{d} root", r.ok, f"{r.residual:.3e}", r.v)
+        r = cmeval.verify_psi7_root(bits=args.bits)
+        yield row("Psi7 root (d=164)", r.ok, f"{r.residual:.3e}", r.v)
+        for d, l in sorted(C.PD_FACTORIZATION_REF):
+            r = cmeval.verify_pd_factorization(d, l)
+            yield row(f"P_{d} mod {l}", r["reference_ok"] and r["pattern_ok"])
+        yield row("Psi7 mod 41", cmeval.verify_psi7_factorization())
+
+    return _run_suite(args, checks(), f" at {args.bits} bits")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -301,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, primes=False, fail_fast=False, prec=False, bits=False, oracle=False):
+    def common(p, run, primes=False, fail_fast=False, prec=False, bits=False, oracle=False):
+        p.set_defaults(run=run)
         p.add_argument("--format", choices=("table", "csv", "json"), default="table")
         p.add_argument("--out", default=None, help="write payload to a file instead of stdout")
         if primes:
@@ -317,23 +293,13 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--check-oracle", action="store_true")
 
     common(sub.add_parser("hasse", help="Hasse-invariant factor counts and count-formula verdicts"),
-           primes=True)
-    common(sub.add_parser("ss7star", help="ss_p^(7*) polynomials and counts"), primes=True, oracle=True)
-    common(sub.add_parser("nakaya", help="Nakaya linear-factor formula sweep"), primes=True, oracle=True)
-    common(sub.add_parser("identities", help="exact polynomial identity suite"), fail_fast=True)
-    common(sub.add_parser("qseries", help="q-series identity suite"), fail_fast=True, prec=True)
-    common(sub.add_parser("cm", help="CM-point and P_d validation"), bits=True)
+           cmd_sweep, primes=True)
+    common(sub.add_parser("ss7star", help="ss_p^(7*) polynomials and counts"), cmd_sweep, primes=True, oracle=True)
+    common(sub.add_parser("nakaya", help="Nakaya linear-factor formula sweep"), cmd_sweep, primes=True, oracle=True)
+    common(sub.add_parser("identities", help="exact polynomial identity suite"), cmd_identities, fail_fast=True)
+    common(sub.add_parser("qseries", help="q-series identity suite"), cmd_qseries, fail_fast=True, prec=True)
+    common(sub.add_parser("cm", help="CM-point and P_d validation"), cmd_cm, bits=True)
     return ap
-
-
-COMMANDS = {
-    "hasse": cmd_hasse,
-    "ss7star": cmd_ss7star,
-    "nakaya": cmd_nakaya,
-    "identities": cmd_identities,
-    "qseries": cmd_qseries,
-    "cm": cmd_cm,
-}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -345,7 +311,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if args.out:
             _check_out(args.out)
-        return COMMANDS[args.command](args)
+        return args.run(args)
     except UsageError as e:
         _progress(f"usage error: {e}")
         return 2

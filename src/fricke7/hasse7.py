@@ -180,8 +180,8 @@ class FactorCountReport:
     N2: Optional[int] = None
     N3: Optional[int] = None
     N6: Optional[int] = None
-    # no row shows it and only tests read it; it stays because a second count
-    # route must give equal whole reports, histogram included (ROADMAP item 5)
+    # no row shows it and only tests read it; it stays because the tests
+    # compare whole reports, histogram included, with `oracles.hasse_report`
     degree_histogram: Optional[Dict[int, int]] = None
     classification_ok: Optional[bool] = None
 

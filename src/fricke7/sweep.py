@@ -1,16 +1,17 @@
 """Parallel prime sweeps: pure per-prime workers, deterministic merge order.
 
 Each sweep worker returns the payload row that the CLI writes for its prime,
-so this module owns the row schema of the `hasse`, `nakaya` and `ss7star`
-commands (`Fraction` values stay in the rows; the CLI's writer converts
-them).  Workers are module-level functions that forked worker processes
-inherit; rows come back in ascending prime order, so parallel and serial runs
-produce identical reports.  A prime the paper's hypotheses exclude (one that
-`PrimeContext.admits` refuses) gets the row {p, skipped}; a prime whose work
-raises a `StructuralError` gets the row {p, stage, error} instead, so one bad
-prime neither ends the sweep nor loses the rows of the others; a worker
-process that dies (a signal, the OOM killer) gives its prime that row with the
-stage "worker".
+so this module owns the rows of the `hasse`, `nakaya` and `ss7star`
+commands: which primes get one, and their schema (`Fraction` values stay in
+the rows; the CLI's writer converts them).  Workers are module-level
+functions that forked worker processes inherit; rows come back in ascending
+prime order, so parallel and serial runs produce identical reports.  A prime
+the paper's hypotheses exclude (one that `PrimeContext.admits` refuses) gets
+the row {p, skipped} in the `hasse` and `ss7star` sweeps and no row in the
+`nakaya` sweep; a prime whose work raises a `StructuralError` gets the row
+{p, stage, error} instead, so one bad prime neither ends the sweep nor loses
+the rows of the others; a worker process that dies (a signal, the OOM killer)
+gives its prime that row with the stage "worker".
 """
 
 from __future__ import annotations
@@ -272,7 +273,8 @@ def _nakaya_worker(args: Tuple[int, bool]) -> Dict[str, object]:
 
 
 def nakaya_sweep(primes: Sequence[int], jobs: int = 1, check_oracle: bool = False) -> List[Dict[str, object]]:
-    return _sweep(_nakaya_worker, [(p, check_oracle) for p in sorted(primes)], jobs)
+    """The rows of the primes `PrimeContext` admits; the others get none."""
+    return _sweep(_nakaya_worker, [(p, check_oracle) for p in sorted(primes) if PrimeContext.admits(p)], jobs)
 
 
 def _ss7star_worker(args: Tuple[int, bool]) -> Dict[str, object]:

@@ -153,6 +153,46 @@ class TestCommands:
         assert not any(r["p"] == 7 for r in rows)
 
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_nakaya_sweep_decides_the_rows(self, jobs, capsys):
+        """The sweep drops the primes `PrimeContext` does not admit, in a
+        serial and in a forked run alike, and its rows are those the CLI
+        writes: 5 and 11 of 2..11."""
+        from fricke7 import cli, sweep
+
+        rows = sweep.nakaya_sweep([2, 3, 5, 7, 11], jobs=jobs)
+        code, out, _ = run_cli(["nakaya", "--primes", "2..11", "--format", "json"], capsys)
+        assert code == 0 and [r["p"] for r in rows] == [5, 11]
+        assert cli._jsonable(rows) == json.loads(out)["rows"]
+
+
+    @pytest.mark.parametrize("command", ["identities", "qseries"])
+    @pytest.mark.parametrize("fail_fast", [True, False])
+    def test_suite_stops_at_the_first_fail_under_fail_fast(self, command, fail_fast, monkeypatch, capsys):
+        """A suite whose second check FAILs: --fail-fast writes the rows up to
+        it and no further, without the flag every row is written; the exit
+        code is 1 and the summary counts the rows written."""
+        from types import SimpleNamespace
+
+        from fricke7 import exactalg, qseries
+
+        module, name = {"identities": (exactalg, "verify_identity"),
+                        "qseries": (qseries, "verify_series_identity")}[command]
+        first, second = list(module.REGISTRY)[:2]
+
+        def fake(case_id, *args):
+            return SimpleNamespace(ok=case_id != second, seconds=0.0, detail="", checked_terms=1,
+                                   first_failing_exponent=None)
+
+        monkeypatch.setattr(module, name, fake)
+        code, out, err = run_cli([command, "--format", "json"] + ["--fail-fast"] * fail_fast, capsys)
+        rows = json.loads(out)["rows"]
+        n = 2 if fail_fast else len(module.REGISTRY)
+        assert code == 1 and [r["id"] for r in rows] == list(module.REGISTRY)[:n]
+        assert [r["verdict"] for r in rows[:2]] == ["PASS", "FAIL"]
+        assert f"{second}: FAIL" in err and f"{command}: {n - 1}/{n} PASS" in err
+
+
 class TestDeterminism:
     def test_repeat_run_byte_identical(self, capsys):
         a = run_cli(["hasse", "--primes", "11..60", "--format", "json"], capsys)

@@ -443,11 +443,11 @@ class TestFailedCertificate:
         self._with_extra_factor(p, 4, capsys)
 
     @pytest.mark.parametrize("degree", [2, 1])
-    def test_extra_factor_passing_the_first_certificate(self, degree, capsys):
-        """At l = 59 (e = 6, r = 1) a quadratic other than x^2 - x + 1, or a
-        linear factor, divides x^(l^6) - x, but its roots b = b^(l^2) are
-        not fixed by tau(x) = 1/(1 - x), whose fixed points are the roots of
-        x^2 - x + 1: the Frobenius test fails."""
+    def test_extra_factor_failing_the_product_test(self, degree, capsys):
+        """At l = 59 (e = 6, r = 1) the roots b of a linear factor, or of a
+        quadratic other than x^2 - x + 1, have b^(l^2) = b, and b is not
+        fixed by tau(x) = 1/(1 - x) or tau^2, whose fixed points are the
+        roots of x^2 - x + 1: the product test fails."""
         self._with_extra_factor(59, degree, capsys)
 
     def test_root_of_x2_x_1_at_r_0(self, capsys):

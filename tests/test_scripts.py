@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 # the keys of the BENCH rows, one tree or two (two add only `paired_ratio`),
@@ -134,6 +136,30 @@ def test_bench_nakaya_pair_runs(tmp_path):
         assert [r["p"] for r in bench["nakaya_rows"]] == [41, 59]
         assert all(len(r["runs_s"]) == 2 and r["consistency_ok"] for r in bench["nakaya_rows"])
         assert set(bench["paired"]) == {"with", "order", "nakaya_total_ratio"}
+
+
+@pytest.mark.parametrize(
+    "script, args, message",
+    [
+        ("bench_counts", ["--primes", "7", "--repeats", "1"], "l != 7, got 7"),
+        ("bench_counts", ["--primes", "2,41", "--repeats", "1"], "l != 7, got 2"),
+        ("bench_counts", ["--primes", "41", "--repeats", "0"], "--repeats must be at least 1, got 0"),
+        ("bench_counts", ["--primes", "41,x", "--repeats", "1"], "--primes takes a comma list of primes, got '41,x'"),
+        ("bench_nakaya_pair", ["--primes", "5,7", "--repeats", "1", "OTHER"], "l != 7, got 7"),
+        ("bench_nakaya_pair", ["--primes", "41", "--repeats", "0", "OTHER"], "--repeats must be at least 1, got 0"),
+    ],
+)
+def test_bench_scripts_refuse_bad_inputs(script, args, message, tmp_path):
+    """A prime the sweeps give no counts for, a token that is not an integer
+    or --repeats below 1 ends the run before any child starts: a non-zero exit, one line on stderr naming
+    it, no traceback and no BENCH file."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / f"{script}.py"), *args, "--out-dir", str(tmp_path)],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode != 0
+    assert proc.stderr.splitlines() == [proc.stderr.strip()] and message in proc.stderr
+    assert "Traceback" not in proc.stderr and not list(tmp_path.iterdir())
 
 
 def test_check_band_records_and_checks(tmp_path, monkeypatch):
