@@ -29,6 +29,7 @@ import tempfile
 from pathlib import Path
 
 from bench_counts import child_json, cli_call, machine
+from fricke7.cli import _verdict_fail
 
 SWEEPS = ("hasse", "nakaya")
 JOBS = 2  # sweep workers, as in every recorded band
@@ -47,10 +48,9 @@ def run_sweep(command: str, band: str):
 
 
 def _passes(row) -> bool:
-    """No error, and no verdict FAIL (SKIP is a verdict by design)."""
-    verdicts = row.get("verdicts", {})
-    flat = [row.get(k) for k in ("nakaya", "consistency")] + list(verdicts.values())
-    return "error" not in row and "FAIL" not in flat
+    """No error, and no FAIL verdict by the scan behind the CLI's exit code
+    (SKIP is a verdict by design)."""
+    return "error" not in row and not _verdict_fail([row])
 
 
 def verdict_table(rows) -> str:

@@ -179,6 +179,8 @@ def cmd_sweep(args) -> int:
     effect; only the sweeps that take `check_oracle` are given it."""
     from . import sweep
 
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     run = {"hasse": sweep.hasse_sweep, "nakaya": sweep.nakaya_sweep, "ss7star": sweep.ss7star_sweep}[args.command]
     options = {"check_oracle": args.check_oracle} if "check_oracle" in args else {}
     primes = parse_primes(args.primes)

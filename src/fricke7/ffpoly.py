@@ -264,8 +264,10 @@ def _fft_ok(l: int, m: int, n: int) -> int:
     return half if _fft_error(half, m, n) < 0.5 else 0
 
 
-def _mul(l: int, a, b):
-    """The product of a and b, reduced (a is b squares with one transform)."""
+def _mul(l: int, a, b, fb=None):
+    """The product of a and b, reduced (a is b squares with one transform);
+    fb, if given, gives b's transform as a callable of (n, bound), where the
+    product runs by FFT of size 2^n on the route `bound` (`_fft_ok`)."""
     if not len(a) or not len(b):
         return a[:0]
     m = min(len(a), len(b))
@@ -273,7 +275,7 @@ def _mul(l: int, a, b):
         n = _fft_log2(len(a), len(b))
         bound = _fft_ok(l, m, n)
         if bound:
-            return _mul_fft(l, a, b, n, bound)
+            return _mul_fft(l, a, b, n, bound, fb and fb(n, bound))
     assert (l - 1) ** 2 * (len(a) + len(b)) < _INT64_BOUND, "product outside the int64 bound"
     return np.convolve(a, b) % l
 
@@ -422,13 +424,8 @@ class _Modulus:
         nq = len(a) - db
         if nq <= 0:
             return a[:0], a
-        top, inv = a[: db - 1 : -1], self._inverse(nq)
-        n = _fft_log2(nq, nq)
-        bound = _fft_ok(l, nq, n)
-        if bound:
-            q = _mul_fft(l, top, inv, n, bound, self._transform("inv", inv, n, bound))
-        else:
-            q = _mul(l, top, inv)
+        inv = self._inverse(nq)
+        q = _mul(l, a[: db - 1 : -1], inv, lambda n, bound: self._transform("inv", inv, n, bound))
         q = _trim(q[nq - 1 :: -1])
         return q, self._remainder(a, q)
 

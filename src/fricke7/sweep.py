@@ -20,7 +20,6 @@ import os
 import pickle
 import select
 import signal
-import struct
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -45,57 +44,39 @@ class Failure:
 
 
 # -- the fork runner
-
-_HEADER = struct.Struct("!Q")  # an item index, or the length of a pickled result
-
-
-def _read(fd: int, n: int) -> Optional[bytes]:
-    """Exactly n bytes from fd, or None at end of file."""
-    buf = b""
-    while len(buf) < n:
-        chunk = os.read(fd, n - len(buf))
-        if not chunk:
-            return None
-        buf += chunk
-    return buf
+#
+# Indices and results cross the pipes as plain pickles, read by `pickle.load`
+# from buffered readers, on two conditions.  At most one message is in flight
+# per pipe (the parent gives a worker its next index only after reading its
+# result), so no reader buffers the start of a next message, unseen by `poll`.
+# A forked child never closes a file object whose fd it closed by number (its
+# copies of the other workers' readers): it leaves by `os._exit`.
 
 
-def _write(fd: int, data: bytes) -> None:
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view):]
-
-
-def _receive(fd: int) -> Optional[bytes]:
-    """One length-prefixed message from fd, or None at end of file."""
-    head = _read(fd, _HEADER.size)
-    return None if head is None else _read(fd, _HEADER.unpack(head)[0])
-
-
-def _serve(worker, args: Sequence, tasks: int, results: int) -> None:
-    """A worker process: read an item index from `tasks`, write the pickled
-    (True, worker(args[i])) or (False, (exception, traceback)) to `results`,
-    until `tasks` is closed.  An exception that cannot be pickled ends the
-    process, which the parent reports as a dead worker."""
-    while (head := _read(tasks, _HEADER.size)) is not None:
+def _serve(worker, args: Sequence, tasks, results) -> None:
+    """A worker process: for each index i loaded from `tasks` until it closes,
+    write the pickled (True, worker(args[i])) or (False, (exception,
+    traceback)) to `results`; an exception that cannot be pickled ends it."""
+    while tasks.peek(1):  # empty at end of file
+        i = pickle.load(tasks)
         try:
-            data = pickle.dumps((True, worker(args[_HEADER.unpack(head)[0]])), pickle.HIGHEST_PROTOCOL)
+            data = pickle.dumps((True, worker(args[i])), pickle.HIGHEST_PROTOCOL)
         except Exception as e:
             import traceback
 
             data = pickle.dumps((False, (e, traceback.format_exc())))
-        _write(results, _HEADER.pack(len(data)) + data)
+        results.write(data)
+        results.flush()
 
 
 class _Worker:
     """A forked worker process and the parent's ends of its two pipes: item
-    indices go down `tasks`, results come up `results`.  `item` is the index
-    it is working on."""
+    indices go down `tasks`, results come up `results`, read through
+    `reader`.  `item` is the index it is working on, set by `give`."""
 
     def __init__(self, worker, args: Sequence, inherited: Sequence[int]):
         task_r, self.tasks = os.pipe()
         self.results, result_w = os.pipe()
-        self.item: Optional[int] = None
         try:
             self.pid = os.fork()
         except OSError:
@@ -107,17 +88,19 @@ class _Worker:
             try:
                 for fd in (*inherited, self.tasks, self.results):
                     os.close(fd)
-                _serve(worker, args, task_r, result_w)
+                with os.fdopen(task_r, "rb") as tasks, os.fdopen(result_w, "wb") as results:
+                    _serve(worker, args, tasks, results)
                 code = 0
             finally:
                 os._exit(code)
         os.close(task_r)
         os.close(result_w)
+        self.reader = os.fdopen(self.results, "rb")
 
     def give(self, i: int) -> None:
         self.item = i
-        try:
-            _write(self.tasks, _HEADER.pack(i))
+        try:  # a pickled index is far below PIPE_BUF, so one write sends it whole
+            os.write(self.tasks, pickle.dumps(i))
         except BrokenPipeError:  # it died idle: its results pipe is at end of file
             pass
 
@@ -125,7 +108,7 @@ class _Worker:
         """Close the pipes (an idle worker reads end of file and exits),
         SIGKILL the worker if `kill`, reap it and return its wait status."""
         os.close(self.tasks)
-        os.close(self.results)
+        self.reader.close()
         if kill:  # not reaped yet, so the pid is still the worker's
             os.kill(self.pid, signal.SIGKILL)
         return os.waitpid(self.pid, 0)[1]
@@ -169,15 +152,15 @@ def run_parallel(worker, args: Sequence, jobs: int) -> List:
         while busy:
             for fd, _ in poller.poll():
                 w = busy[fd]
-                data = _receive(fd)
-                if data is None:  # end of file: the worker died
+                try:
+                    ok, value = pickle.load(w.reader)
+                except (EOFError, pickle.UnpicklingError):  # end of file, perhaps mid-result: it died
                     code = os.waitstatus_to_exitcode(retire(w))
                     out[w.item] = Failure("worker", f"killed by signal {-code}" if code < 0
                                           else f"exited with status {code}")
                     if todo:
                         start()
                     continue
-                ok, value = pickle.loads(data)
                 if not ok:
                     exc, tb = value
                     raise exc from RuntimeError(f"in the sweep worker for {args[w.item]!r}:\n{tb}")

@@ -66,6 +66,8 @@ class TestOptions:
             ["qseries", "--prec", "5"],
             ["cm", "--bits", "100"],
             ["hasse", "--primes", "9223372036854775837"],  # a prime above 2^63
+            ["hasse", "--primes", "11,13", "--jobs", "0"],
+            ["hasse", "--primes", "11,13", "--jobs", "-3"],
         ],
     )
     def test_out_of_range_value_is_usage_error(self, argv, capsys):

@@ -225,3 +225,30 @@ def test_check_band_verdict_table(monkeypatch):
     table = check_band.verdict_table(rows).splitlines()
     assert table[2] == "| hasse | 1 of 2 | 0 of 0 | 0 of 0 | 0 of 0 | 0 of 0 | 0 of 0 |"
     assert table[3] == "| nakaya | 1 of 3 | 0 of 0 | 0 of 0 | 0 of 0 | 0 of 0 | 0 of 0 |"
+
+
+@pytest.mark.parametrize("options", [[], ["--quick"], ["--jobs", "3"]])
+def test_run_verification_calls_parse_and_a_failure_exits_1(options, monkeypatch, capsys):
+    """With the CLI's `main` replaced, so that no check runs: every argv
+    run_verification would run parses under the CLI's own parser, each
+    command once; the run exits 0 when every call passes, and 1 (having
+    still made every call) when one call fails."""
+    from fricke7 import cli
+
+    run_verification = _load("run_verification", monkeypatch)
+    monkeypatch.setattr(sys, "argv", ["run_verification.py", *options])
+    calls = []
+    monkeypatch.setattr(run_verification, "cli_main", lambda argv: calls.append(argv) or 0)
+    assert run_verification.main() == 0
+    parser = cli.build_parser()
+    parsed = [parser.parse_args(argv) for argv in calls]
+    assert [a.command for a in parsed] == ["identities", "qseries", "cm", "hasse", "nakaya", "ss7star"]
+    assert all(a.jobs == (3 if "--jobs" in options else 2) for a in parsed[3:5])
+    assert "ALL PASS" in capsys.readouterr().err
+
+    failing = []
+    monkeypatch.setattr(run_verification, "cli_main",
+                        lambda argv: failing.append(argv) or (1 if argv[0] == "nakaya" else 0))
+    assert run_verification.main() == 1
+    assert failing == calls
+    assert "== nakaya sweep: exit 1" in capsys.readouterr().err

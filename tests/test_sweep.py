@@ -140,3 +140,76 @@ def test_jobs_give_identical_bytes(command):
         outs.append(proc.stdout)
     assert outs[0] == outs[1] == outs[2]
     assert len(json.loads(outs[0])["rows"]) == 42
+
+
+# A worker of run_parallel that answers n with n * n, except at n = 13, where
+# it writes the first CUT bytes of a pickled (True, 64 KiB) result to its
+# results pipe (the one write-only pipe above stderr) and exits with status 0.
+PARTIAL_WORKER = """
+import fcntl, pickle, stat
+
+def results_pipe():
+    for fd in range(3, 256):
+        try:
+            if stat.S_ISFIFO(os.fstat(fd).st_mode) and fcntl.fcntl(fd, fcntl.F_GETFL) & os.O_ACCMODE == os.O_WRONLY:
+                return fd
+        except OSError:
+            pass
+
+def work(n):
+    if n == 13:
+        data = pickle.dumps((True, bytes(1 << 16)), pickle.HIGHEST_PROTOCOL)
+        os.write(results_pipe(), data[:CUT])
+        os._exit(0)
+    return n * n
+"""
+
+
+@pytest.mark.parametrize("cut", ["1", "len(data) // 2", "len(data) - 1"])
+def test_worker_that_dies_mid_result_becomes_a_worker_row(cut):
+    """A worker that exits after writing only part of its result (its first
+    byte, half of it, all but its last byte) gives that item the row
+    Failure("worker", ...); a new worker takes the items left, and the other
+    items keep their results."""
+    proc = run_script(
+        "pass",
+        PARTIAL_WORKER.replace("CUT", cut)
+        + "out = sweep.run_parallel(work, [11, 13, 17, 19, 23], jobs=2)\n"
+        + "print(json.dumps([r if isinstance(r, int) else [r.stage, r.error] for r in out]))\n",
+    )
+    assert json.loads(proc.stdout) == [121, ["worker", "exited with status 0"], 289, 361, 529], proc.stderr
+
+
+def test_results_larger_than_a_pipe_buffer_come_back_whole_and_in_order():
+    """Six results of about 1 MiB each, several pipe buffers apiece, written
+    by two workers at once: each reaches the parent intact and in its item's
+    place."""
+    proc = run_script(
+        "pass",
+        """
+        big = lambda i: bytes([i]) * (1 << 20) + bytes(i)
+        out = sweep.run_parallel(big, list(range(6)), jobs=2)
+        print(json.dumps({"lengths": [len(b) for b in out], "intact": out == [big(i) for i in range(6)]}))
+        """,
+    )
+    assert json.loads(proc.stdout) == {"lengths": [(1 << 20) + i for i in range(6)], "intact": True}
+
+
+def test_unpicklable_exception_is_a_worker_row_of_the_runner():
+    """At the runner itself: an exception that cannot be pickled, but only
+    after 1 MiB that can (a worker streaming its pickle would have sent part
+    of a message), ends its worker with status 1, its item gets
+    Failure("worker", ...) and the other items keep their results."""
+    proc = run_script(
+        "pass",
+        """
+        def work(n):
+            if n == 13:
+                raise RuntimeError(bytes(1 << 20), lambda: None)
+            return n * n
+
+        out = sweep.run_parallel(work, [11, 13, 17, 19], jobs=2)
+        print(json.dumps([r if isinstance(r, int) else [r.stage, r.error] for r in out]))
+        """,
+    )
+    assert json.loads(proc.stdout) == [121, ["worker", "exited with status 1"], 289, 361], proc.stderr
